@@ -18,7 +18,6 @@ from .homrepair import (
     HypothesisViolated,
     PrecisionLedger,
     graph_repair,
-    lift_step,
     repair_finite_image,
 )
 from .char2_involutions import BGForm, bg_blockform, frobenius_power_witness, involution_repair

@@ -15,14 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .presentations import Presentation, PresentationError, Word
+from .presentations import DefectTooLarge, Presentation, PresentationError, Word
 
 
 class FamilyError(ValueError):
-    pass
-
-
-class DefectTooLarge(RuntimeError):
     pass
 
 

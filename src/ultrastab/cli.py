@@ -4,7 +4,10 @@ Subcommands: defect, repair, witness, verify, gbs, claims, proptest,
 monomial.  All numeric output is exact (integer or rational valuations);
 runs are deterministic for a fixed seed, and artifacts are single JSON
 files with a schema-version field.  Exit codes: 0 success / verification
-passed, 1 verification failed, 2 input error.
+passed, 1 verification failed, 2 input error or unmet precondition (defect
+too large, k <= 2l, a p-part in equal characteristic).  `verify` re-derives
+a certificate under the same caps (`--cap-*`, ULTRASTAB_CAPS) as `repair`
+and `witness`.
 """
 
 from __future__ import annotations
@@ -29,11 +32,27 @@ from .certificates import (
 )
 from .char2_involutions import involution_repair
 from .gbs_criteria import GBSGraph, check_pifree_criterion, gbs_vertex_order_bound
-from .homrepair import GraphOfGroups, RepairError, graph_repair, repair_finite_image
+from .homrepair import (
+    CharPUnsupported,
+    GraphOfGroups,
+    HypothesisViolated,
+    RepairError,
+    graph_repair,
+    repair_finite_image,
+)
 from .local_ring import RingError, RingSpec
-from .presentations import ApproxRep, CapExceeded, PresentationError
+from .presentations import (
+    DEFAULT_CLOSURE_CAP,
+    ApproxRep,
+    CapExceeded,
+    DefectTooLarge,
+    PresentationError,
+)
 from .ultranorm_linalg import UMatrix, Unsolvable, nearest_monomial_commutant
 from .witnesses import (
+    DEFAULT_DIM_CAP,
+    DEFAULT_ENUM_CAP,
+    DEFAULT_WREATH_INDEX_CAP,
     WitnessError,
     commutator_witness_oracle,
     hdist_gl1_cyclic,
@@ -51,10 +70,10 @@ CAPS_ENV = "ULTRASTAB_CAPS"
 class RunConfig:
     """Caps and determinism knobs; env ULTRASTAB_CAPS overrides globally."""
 
-    closure_cap: int = 10 ** 6
-    enum_cap: int = 1 << 24
-    dim_cap: int = 128
-    wreath_index_cap: int = 4
+    closure_cap: int = DEFAULT_CLOSURE_CAP
+    enum_cap: int = DEFAULT_ENUM_CAP
+    dim_cap: int = DEFAULT_DIM_CAP
+    wreath_index_cap: int = DEFAULT_WREATH_INDEX_CAP
     seed: int = 0
     out: Optional[str] = None
 
@@ -297,6 +316,7 @@ def cmd_proptest(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    cfg = RunConfig.from_args(args)
     cert = Certificate.from_json(_load_json(args.certificate))
     failures: List[str] = []
     op = cert.operation
@@ -304,7 +324,7 @@ def cmd_verify(args) -> int:
         rep = _load_rep(args.input)
         check_claim("inputs_digest", cert.inputs_digest, digest(rep.to_json()),
                     failures)
-        fixed, ledger = repair_finite_image(rep)
+        fixed, ledger = repair_finite_image(rep, cap=cfg.closure_cap)
         check_claim("before.defect_val", cert.before.get("defect_val"),
                     encode_val(rep.defect()), failures)
         check_claim("after.defect_val", cert.after.get("defect_val"),
@@ -322,7 +342,9 @@ def cmd_verify(args) -> int:
         gog = GraphOfGroups.from_json(_load_json(args.gog))
         check_claim("inputs_digest", cert.inputs_digest,
                     digest({"rep": rep.to_json(), "gog": gog.to_json()}), failures)
-        fixed, _ = graph_repair(gog, rep)
+        fixed, _ = graph_repair(gog, rep, cap=cfg.closure_cap)
+        check_claim("before.defect_val", cert.before.get("defect_val"),
+                    encode_val(rep.defect()), failures)
         check_claim("after.defect_val", cert.after.get("defect_val"),
                     encode_val(fixed.defect()), failures)
         check_claim("after.distance_val", cert.after.get("distance_val"),
@@ -332,6 +354,8 @@ def cmd_verify(args) -> int:
         check_claim("inputs_digest", cert.inputs_digest, digest(rep.to_json()),
                     failures)
         fixed = rep.with_images([involution_repair(rep.images[0])])
+        check_claim("before.defect_val", cert.before.get("defect_val"),
+                    encode_val(rep.defect()), failures)
         check_claim("after.defect_val", cert.after.get("defect_val"),
                     encode_val(fixed.defect()), failures)
         check_claim("after.distance_val", cert.after.get("distance_val"),
@@ -351,7 +375,7 @@ def cmd_verify(args) -> int:
         rep = _load_rep(args.input)
         check_claim("after.defect_val", cert.after.get("defect_val"),
                     encode_val(rep.defect()), failures)
-        hd = hdist_gl1_cyclic(rep)
+        hd = hdist_gl1_cyclic(rep, cap=cfg.enum_cap)
         check_claim("witness.hdist.value", cert.witness["hdist"]["value"],
                     hd.to_json()["value"], failures)
     elif op == "witness-wreath":
@@ -359,7 +383,9 @@ def cmd_verify(args) -> int:
         ring = RingSpec("zp", int(claimed["p"]), int(claimed["precision"]))
         wc = wreath_rep_defect_certificate(int(claimed["p"]), int(claimed["i"]),
                                            ring.decode(claimed["x"]),
-                                           int(claimed["precision"]))
+                                           int(claimed["precision"]),
+                                           seed=cfg.seed,
+                                           index_cap=cfg.wreath_index_cap)
         check_claim("witness", claimed, wc.to_json(), failures)
         rep = _load_rep(args.input)
         check_claim("input.images", len(rep.images), 2, failures)
@@ -368,7 +394,8 @@ def cmd_verify(args) -> int:
         if not params:
             raise InputError("commutator certificate lacks its parameters")
         ring = RingSpec.from_json(params["ring"])
-        result = commutator_witness_oracle(ring, int(params["n"]), int(params["a"]))
+        result = commutator_witness_oracle(ring, int(params["n"]), int(params["a"]),
+                                           cap=cfg.enum_cap)
         check_claim("witness.oracle", cert.witness.get("oracle"),
                     result.to_json(), failures)
     elif op == "monomial-commutant":
@@ -480,6 +507,9 @@ def main(argv=None) -> int:
     except (InputError, PresentationError, RingError, ValueError,
             CapExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except (DefectTooLarge, HypothesisViolated, CharPUnsupported) as exc:
+        print(f"precondition not met: {exc}", file=sys.stderr)
         return 2
     except (VerificationFailure, RepairError, Unsolvable, WitnessError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -341,10 +341,6 @@ def check_vpfree_part(g: GBSGraph, p: int) -> VpfreePart:
     return VpfreePart(met=False)
 
 
-def check_vpfree_criterion(g: GBSGraph, p: int) -> CriterionReport:
-    return check_pifree_criterion(g, p)
-
-
 def enumerate_cycles_valuation_check(g: GBSGraph, p: int, max_len: int = 8) -> bool:
     """Reference decision by explicit cycle enumeration (small graphs only)."""
     directed = g.directed_edges()

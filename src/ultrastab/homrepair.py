@@ -3,12 +3,25 @@
 The engine turns a representation whose relators fail by at most p^{-k}
 into an exact homomorphism at the working precision, moving each
 generator image by at most p^{l-k} where p^l is the p-part of the finite
-image group.  One lifting step corrects the canonical set-section of the
-finite image by solving a 2-cocycle equation over the congruence kernel;
-the solution is produced by averaging over the group (division by the
-unit part of the order is exact, division by the p-part costs the
-recorded precision), verified by direct substitution, and repaired by an
-exact linear solve over the ring whenever averaging leaves a residue.
+image C (order N, generated by the classes of the |S| generators, n x n
+matrices).  One lifting step at defect level k, with its cost in n x n
+matmuls:
+
+- enumerate C mod w^k by BFS (|S| N) and build the section sigma and its
+  inverse along the BFS parent pointers (N each);
+- compute the section-failure 2-cocycle z only at its generator rows
+  z(s, d), s a generator class and d in C (2 |S| N); the cocycle identity
+  fixes every other value from these rows;
+- solve delta c = z by averaging: b(g) = sum_h z(g, h) follows from the
+  rows at every g with one conjugation each (2 N), division by the unit
+  part of N is exact, division by the p-part costs the recorded precision;
+- correct sigma at every element (N) and re-measure its defect by the
+  generator-against-all check (|S| N), which ultrametric induction makes
+  the all-pairs defect;
+- when averaging is obstructed or leaves a residue, solve delta c = z
+  exactly as a linear system over the ring (|S| N n^2 equations in
+  (N - 1) n^2 unknowns) and re-measure again.
+
 Conjugacy corrections for amalgamations solve the analogous 1-cocycle
 equation.  Nothing is trusted: every step re-measures the defect and
 distance it claims.
@@ -16,12 +29,12 @@ distance it claims.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .local_ring import NormValue, RingSpec
 from .presentations import (
+    DEFAULT_CLOSURE_CAP,
     ApproxRep,
     CapExceeded,
     DefectTooLarge,
@@ -32,8 +45,6 @@ from .presentations import (
     finite_image,
 )
 from .ultranorm_linalg import UMatrix, Unsolvable, solve_linear
-
-DEFAULT_CLOSURE_CAP = 10 ** 6
 
 
 class RepairError(RuntimeError):
@@ -101,58 +112,29 @@ class PrecisionLedger:
 
 @dataclass
 class Cochain2:
-    """A 2-cocycle on a finite image, in additive congruence coordinates.
+    """The generator rows of a 2-cocycle on a finite image.
 
-    values[(i, j)] is the coordinate matrix of the section failure at the
-    element pair (i, j), at congruence level `level`, entries defined
-    mod w^mod_exp.  The group acts by conjugation through the section.
+    rows[s][d] is the coordinate matrix of the section failure at the
+    element pair (s, d), for s a generator class and d in C, with entries
+    in `ring` (the working ring mod w^mod_exp).  These rows fix the
+    cocycle.  A generator class s acts by conjugation through act[s].
     """
 
     image: FiniteImage
-    level: int
-    mod_exp: int
-    values: Dict[Tuple[int, int], UMatrix]
-    act: List[UMatrix]
-    act_inv: List[UMatrix]
-
-    def action(self, g: int, m: UMatrix) -> UMatrix:
-        return self.act[g] @ m @ self.act_inv[g]
-
-    def coboundary_of(self, c: Dict[int, UMatrix], g: int, h: int) -> UMatrix:
-        return self.action(g, c[h]) - c[self.image.product(g, h)] + c[g]
-
-    def is_zero(self) -> bool:
-        return all(m.min_valuation() >= self.mod_exp for m in self.values.values())
-
-    def check_identity(self, sample: Optional[int] = None, seed: int = 0) -> None:
-        """Verify g.z(h,k) - z(gh,k) + z(g,hk) - z(g,h) = 0 exactly."""
-        N = self.image.order
-        if sample is None or N ** 3 <= sample:
-            triples = ((g, h, k) for g in range(N) for h in range(N) for k in range(N))
-        else:
-            rng = random.Random(seed)
-            triples = ((rng.randrange(N), rng.randrange(N), rng.randrange(N))
-                       for _ in range(sample))
-        prod = self.image.product
-        for g, h, k in triples:
-            lhs = (self.action(g, self.values[(h, k)])
-                   - self.values[(prod(g, h), k)]
-                   + self.values[(g, prod(h, k))]
-                   - self.values[(g, h)])
-            if lhs.min_valuation() < self.mod_exp:
-                raise RepairError(f"2-cocycle identity fails at {(g, h, k)}")
+    ring: RingSpec
+    rows: Dict[int, List[UMatrix]]
+    act: Dict[int, UMatrix]
+    act_inv: Dict[int, UMatrix]
 
 
 @dataclass
 class Cochain1:
-    """A 1-cochain on a finite image, with the precision spent to obtain it."""
+    """A 1-cochain on a finite image, in additive congruence coordinates."""
 
     image: FiniteImage
     level: int
     mod_exp: int
     values: Dict[int, UMatrix]
-    precision_loss: int = 0
-    method: str = "averaging"
 
 
 # ---------------------------------------------------------------------------
@@ -160,103 +142,17 @@ class Cochain1:
 # ---------------------------------------------------------------------------
 
 
-def _sections(C: FiniteImage, gens: Sequence[UMatrix], ring: RingSpec, n: int) -> List[UMatrix]:
-    """Full-precision section of C: evaluate each element's witness word."""
-    sigma: List[UMatrix] = []
-    for i in range(C.order):
-        m = UMatrix.identity(ring, n)
-        for gi in C.words[i]:
-            m = m @ gens[gi]
-        sigma.append(m)
-    return sigma
+def _tree_section(C: FiniteImage, gens: Sequence[UMatrix], *,
+                  inverse: bool = False) -> List[UMatrix]:
+    """Section of C along its BFS tree: sigma(c) = sigma(parent) gens[g].
 
-
-def _section_defect_val(sigma: Sequence[UMatrix], C: FiniteImage) -> int:
-    """min over pairs of val(sigma(c) sigma(d) - sigma(cd)); K when exact."""
-    K = sigma[0].ring.precision
-    best = K
-    for c in range(C.order):
-        sc = sigma[c]
-        for d in range(C.order):
-            diff = (sc @ sigma[d]) - sigma[C.product(c, d)]
-            v = diff.min_valuation()
-            if v < best:
-                best = v
-                if best == 0:
-                    return 0
-    return best
-
-
-def _build_cocycle(sigma, sigma_inv, C: FiniteImage, level: int, mod_exp: int) -> Cochain2:
-    ring = sigma[0].ring
-    ring_q = ring.with_precision(mod_exp)
-    act = [m.reduce(mod_exp) for m in sigma]
-    act_inv = [m.reduce(mod_exp) for m in sigma_inv]
-    values: Dict[Tuple[int, int], UMatrix] = {}
-    for c in range(C.order):
-        for d in range(C.order):
-            z = sigma[c] @ sigma[d] @ sigma_inv[C.product(c, d)]
-            values[(c, d)] = z.congruence_coords(level).reduce(mod_exp)
-    return Cochain2(C, level, mod_exp, values, act, act_inv)
-
-
-def build_defect_cocycle(rep: ApproxRep, C: FiniteImage, k: int, *,
-                         level: Optional[int] = None) -> Cochain2:
-    """The section-failure 2-cocycle of a representation at level k.
-
-    Requires defect(rep) <= p^{-k} and working precision >= 2k; the values
-    are the congruence coordinates of sigma(c) sigma(d) sigma(cd)^{-1}.
+    One matmul per element.  With inverse=True, `gens` holds the inverse
+    generator images and the result is c -> sigma(c)^{-1}.
     """
-    K = rep.ring.precision
-    d = rep.defect()
-    if not d <= NormValue.from_valuation(rep.ring, k):
-        raise DefectTooLarge(f"defect {d!r} exceeds p^-{k}")
-    lvl = k if level is None else level
-    mod_exp = min(lvl, K - lvl)
-    if mod_exp < 1:
-        raise RepairError("working precision too small for this level")
-    sigma = _sections(C, rep.images, rep.ring, rep.n)
-    sigma_inv = [m.inv() for m in sigma]
-    z = _build_cocycle(sigma, sigma_inv, C, lvl, mod_exp)
-    z.check_identity(sample=125_000)
-    return z
-
-
-def _avg_candidate(z: Cochain2) -> Optional[Dict[int, UMatrix]]:
-    """Averaging solution of the coboundary equation (delta c = z).
-
-    b(g) = sum_h z(g, h) satisfies delta b = |C| z; dividing by the unit
-    part is exact, dividing by the p-part is entrywise and returns None
-    when obstructed.
-    """
-    C = z.image
-    ring_q = z.act[0].ring
-    n = z.act[0].n
-    a = C.p_part
-    if a >= ring_q.precision:
-        return None
-    minv = ring_q.inv(ring_q.from_int(C.unit_part))
-    c: Dict[int, UMatrix] = {}
-    for g in range(C.order):
-        b = UMatrix.zero(ring_q, n)
-        for h in range(C.order):
-            b = b + z.values[(g, h)]
-        t = b.scale(minv)
-        if a:
-            if t.min_valuation() < a:
-                return None
-            rows = tuple(tuple(ring_q.shift_down(x, a) for x in row) for row in t.rows)
-            t = UMatrix(ring_q, n, rows)
-        c[g] = t
-    return c
-
-
-def _verify_h2(z: Cochain2, c: Dict[int, UMatrix], tol_exp: int) -> bool:
-    """Check delta c == z with entries agreeing mod w^tol_exp."""
-    for (g, h), zv in z.values.items():
-        if (z.coboundary_of(c, g, h) - zv).min_valuation() < tol_exp:
-            return False
-    return True
+    out = [UMatrix.identity(gens[0].ring, gens[0].n)]
+    for parent, g in C.tree[1:]:
+        out.append(gens[g] @ out[parent] if inverse else out[parent] @ gens[g])
+    return out
 
 
 def _generator_classes(C: FiniteImage) -> List[int]:
@@ -267,30 +163,106 @@ def _generator_classes(C: FiniteImage) -> List[int]:
     return out or [0]
 
 
-def _solve_h2_linear(z: Cochain2) -> Dict[int, UMatrix]:
+def _section_defect_val(sigma: Sequence[UMatrix], C: FiniteImage) -> int:
+    """min over pairs of val(sigma(c) sigma(d) - sigma(cd)); K when exact.
+
+    Only the pairs (s, d) with s a generator class are measured: when
+    sigma(e) = I and each of them agrees mod w^m, every c = s p with p
+    shorter gives sigma(c) sigma(d) = sigma(s) sigma(p) sigma(d) =
+    sigma(s) sigma(pd) = sigma(cd) mod w^m by induction, so this min is
+    the all-pairs min.
+    """
+    best = sigma[0].ring.precision
+    for s in _generator_classes(C):
+        ss = sigma[s]
+        for d in range(C.order):
+            v = ((ss @ sigma[d]) - sigma[C.product(s, d)]).min_valuation()
+            if v < best:
+                best = v
+                if best == 0:
+                    return 0
+    return best
+
+
+def _cocycle_rows(sigma, sigma_inv, C: FiniteImage, level: int, mod_exp: int) -> Cochain2:
+    """Rows z(s, d) = coords of sigma(s) sigma(d) sigma(sd)^{-1}, s a generator class."""
+    classes = _generator_classes(C)
+    rows = {
+        s: [(sigma[s] @ sigma[d] @ sigma_inv[C.product(s, d)])
+            .congruence_coords(level).reduce(mod_exp) for d in range(C.order)]
+        for s in classes
+    }
+    return Cochain2(C, sigma[0].ring.with_precision(mod_exp), rows,
+                    {s: sigma[s].reduce(mod_exp) for s in classes},
+                    {s: sigma_inv[s].reduce(mod_exp) for s in classes})
+
+
+def _avg_candidate(z: Cochain2) -> Optional[List[UMatrix]]:
+    """Averaging solution of the coboundary equation (delta c = z).
+
+    b(g) = sum_h z(g, h) satisfies delta b = |C| z.  Summing the cocycle
+    identity over its last argument gives b(sh) = s.b(h) + b(s) - |C| z(s, h),
+    so the generator rows give b on all of C from b(e) = 0, one conjugation
+    per element.  Dividing by the unit part is exact, dividing by the
+    p-part is entrywise and returns None when obstructed.
+    """
+    C = z.image
+    ring_q = z.ring
+    n = C.elements[0].n
+    a = C.p_part
+    if a >= ring_q.precision:
+        return None
+    order = ring_q.from_int(C.order)
+    row_sums = {}
+    for s, row in z.rows.items():
+        acc = UMatrix.zero(ring_q, n)
+        for v in row:
+            acc = acc + v
+        row_sums[s] = acc
+    b: List[Optional[UMatrix]] = [UMatrix.zero(ring_q, n)] + [None] * (C.order - 1)
+    queue = [0]
+    for h in queue:
+        for s, row in z.rows.items():
+            g = C.product(s, h)
+            if b[g] is None:
+                b[g] = z.act[s] @ b[h] @ z.act_inv[s] + row_sums[s] - row[h].scale(order)
+                queue.append(g)
+    minv = ring_q.inv(ring_q.from_int(C.unit_part))
+    c: List[UMatrix] = []
+    for bg in b:
+        t = bg.scale(minv)
+        if a:
+            if t.min_valuation() < a:
+                return None
+            rows = tuple(tuple(ring_q.shift_down(x, a) for x in r) for r in t.rows)
+            t = UMatrix(ring_q, n, rows)
+        c.append(t)
+    return c
+
+
+def _solve_h2_linear(z: Cochain2) -> List[UMatrix]:
     """Exact coboundary solve delta c = z as a linear system over the ring.
 
     Unknowns are c(g) for g != identity (c(e) = 0 is forced); equations are
-    taken at generator pairs, which determine a 2-cocycle.
+    taken at the generator rows, which determine a 2-cocycle.
     """
     C = z.image
-    ring_q = z.act[0].ring
-    n = z.act[0].n
+    ring_q = z.ring
+    n = C.elements[0].n
     N = C.order
     nvars = (N - 1) * n * n
-    gens = _generator_classes(C)
     rows: List[List[int]] = []
     rhs: List[int] = []
 
     def var(e: int, a: int, b: int) -> int:
         return (e - 1) * n * n + a * n + b
 
-    for s in gens:
+    for s, zrow in z.rows.items():
         us = z.act[s]
         uinv = z.act_inv[s]
         for d in range(N):
             sd = C.product(s, d)
-            zv = z.values[(s, d)]
+            zv = zrow[d]
             for r in range(n):
                 for t in range(n):
                     row = [0] * nvars
@@ -313,63 +285,27 @@ def _solve_h2_linear(z: Cochain2) -> Dict[int, UMatrix]:
                         row[j] = ring_q.add(row[j], ring_q.one)
                     rows.append(row)
                     rhs.append(zv.rows[r][t])
-    result = solve_linear(rows, rhs, ring_q)
-    c: Dict[int, UMatrix] = {0: UMatrix.zero(ring_q, n)}
-    x = result.particular
+    x = solve_linear(rows, rhs, ring_q).particular
+    c = [UMatrix.zero(ring_q, n)]
     for e in range(1, N):
-        rows_e = tuple(tuple(x[var(e, a, b)] for b in range(n)) for a in range(n))
-        c[e] = UMatrix(ring_q, n, rows_e)
+        c.append(UMatrix(ring_q, n, tuple(tuple(x[var(e, a, b)] for b in range(n))
+                                          for a in range(n))))
     return c
 
 
-def average_solve_h2(z: Cochain2, C: Optional[FiniteImage] = None) -> Cochain1:
-    """Solve the coboundary equation for a defect 2-cocycle.
-
-    Averaging first; the result is verified by substitution at the reduced
-    precision and the exact linear solver takes over when averaging is
-    obstructed or leaves a residue.  Raises Unsolvable when no solution
-    exists (a hypothesis violation upstream).
-    """
-    image = C if C is not None else z.image
-    a = image.p_part
-    tol = z.mod_exp - a
-    c = _avg_candidate(z)
-    if c is not None and tol > 0 and _verify_h2(z, c, tol):
-        return Cochain1(image, z.level, z.mod_exp, c, precision_loss=a,
-                        method="averaging")
-    c = _solve_h2_linear(z)
-    if not _verify_h2(z, c, z.mod_exp):
-        raise Unsolvable("linear solve yielded a non-solution", 0)
-    return Cochain1(image, z.level, z.mod_exp, c, precision_loss=0,
-                    method="linear-solve")
-
-
 # ---------------------------------------------------------------------------
-# One lifting step and the full repair loop
+# One lifting step and the lifting loop
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StepResult:
-    new_gens: List[UMatrix]
-    defect_val_after: int
-    distance_spent_val: int
-    method: str
-    image_order: int
-    p_part: int
-
-
-def _apply_correction(sigma, corr: Dict[int, UMatrix], level: int, ring: RingSpec):
-    new_sigma = []
-    for i, s in enumerate(sigma):
-        u = corr[i].lift_to(ring).congruence_lift(level)
-        new_sigma.append(u @ s)
-    return new_sigma
 
 
 def _section_lift_once(ring: RingSpec, n: int, gens: Sequence[UMatrix], k: int,
-                       cap: int) -> _StepResult:
-    """One precision-doubling correction of the section at level k."""
+                       cap: int) -> Tuple[List[UMatrix], LedgerStep]:
+    """One precision-doubling correction of the generator images at level k.
+
+    The correction is applied to the whole section and its defect is the
+    level recorded: it can be below the defect of the section that the
+    corrected generator images span, and it decides the fallback.
+    """
     K = ring.precision
     C = closure_of_matrices([g.reduce(k) for g in gens], k, cap=cap)
     a = C.p_part
@@ -381,56 +317,48 @@ def _section_lift_once(ring: RingSpec, n: int, gens: Sequence[UMatrix], k: int,
     j = k - a
     target = min(2 * j, K)
     mod_exp = target - j
-    sigma = _sections(C, gens, ring, n)
-    sigma_inv = [m.inv() for m in sigma]
-    z = _build_cocycle(sigma, sigma_inv, C, j, mod_exp)
+    sigma = _tree_section(C, gens)
+    sigma_inv = _tree_section(C, [g.inv() for g in gens], inverse=True)
+    z = _cocycle_rows(sigma, sigma_inv, C, j, mod_exp)
     amin = min(a, mod_exp)
-    for v in z.values.values():
-        if v.min_valuation() < amin:
-            raise RepairError("cocycle values are not divisible by the p-part")
+    for row in z.rows.values():
+        for v in row:
+            if v.min_valuation() < amin:
+                raise RepairError("cocycle values are not divisible by the p-part")
+
+    def corrected(c: Sequence[UMatrix]) -> Tuple[List[UMatrix], int]:
+        # Both solvers return c with delta c = z, so -c cancels the failure.
+        fixed = [(-m).lift_to(ring).congruence_lift(j) @ sm for m, sm in zip(c, sigma)]
+        return [fixed[s] for s in C.generator_indices], _section_defect_val(fixed, C)
 
     method = "averaging"
     cand = _avg_candidate(z)
-    new_sigma = None
     measured = -1
     if cand is not None:
-        corr = {g: -m for g, m in cand.items()}
-        new_sigma = _apply_correction(sigma, corr, j, ring)
-        measured = _section_defect_val(new_sigma, C)
-    if new_sigma is None or measured < target:
+        new_gens, measured = corrected(cand)
+    if measured < target:
         method = "linear-solve"
-        neg = {g: -m for g, m in _solve_h2_linear(z).items()}
-        # _solve_h2_linear solves delta c = z, so -c cancels the failure.
-        new_sigma = _apply_correction(sigma, neg, j, ring)
-        measured = _section_defect_val(new_sigma, C)
+        new_gens, measured = corrected(_solve_h2_linear(z))
         if measured < target:
             raise Unsolvable(
                 f"lift step failed to reach level {target} (got {measured})",
                 measured)
-    gen_classes = [C.index_of(g.reduce(k)) for g in gens]
-    new_gens = [new_sigma[c] for c in gen_classes]
-    return _StepResult(new_gens, measured, j, method, C.order, a)
+    return new_gens, LedgerStep(measured, j, method)
 
 
-def lift_step(rep: ApproxRep, k: int, C: FiniteImage) -> ApproxRep:
-    """One lifting step: defect level k becomes >= 2(k - l), distance <= p^{l-k}."""
-    d = rep.defect()
-    if not d <= NormValue.from_valuation(rep.ring, k):
-        raise DefectTooLarge(f"defect {d!r} exceeds p^-{k}")
-    if d.saturated:
-        return rep
-    l = C.p_part
-    if k <= 2 * l:
-        raise HypothesisViolated(f"need k > 2l (k={k}, l={l})")
-    step = _section_lift_once(rep.ring, rep.n, rep.images, k, cap=DEFAULT_CLOSURE_CAP)
-    out = rep.with_images(step.new_gens)
-    K = rep.ring.precision
-    target = min(2 * (k - l), K)
-    if not out.defect() <= NormValue.from_valuation(rep.ring, target):
-        raise RepairError("lift step did not reach its promised defect level")
-    if not rep.rep_dist(out) <= NormValue.from_valuation(rep.ring, k - l):
-        raise RepairError("lift step moved farther than promised")
-    return out
+def _lift_to_exact(ring: RingSpec, n: int, gens: Sequence[UMatrix], k: int, cap: int,
+                   steps: List[LedgerStep]) -> Sequence[UMatrix]:
+    """Lifting steps from defect level k until the images are exact at K."""
+    K = ring.precision
+    iterations = 0
+    while k < K:
+        if iterations >= K:
+            raise RepairError("lifting loop exceeded its iteration bound")
+        gens, step = _section_lift_once(ring, n, gens, k, cap)
+        steps.append(step)
+        k = step.defect_val_after
+        iterations += 1
+    return gens
 
 
 def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
@@ -468,19 +396,7 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
 
     ledger = PrecisionLedger(initial_defect_val=k0, p_part=l0,
                              image_order=C0.order, working_precision=K)
-    gens = list(rep.images)
-    k = k0
-    iterations = 0
-    while k < K:
-        if iterations >= K:
-            raise RepairError("lifting loop exceeded its iteration bound")
-        step = _section_lift_once(ring, rep.n, gens, k, cap=cap)
-        ledger.steps.append(LedgerStep(step.defect_val_after,
-                                       step.distance_spent_val, step.method))
-        gens = step.new_gens
-        k = step.defect_val_after
-        iterations += 1
-
+    gens = _lift_to_exact(ring, rep.n, rep.images, k0, cap, ledger.steps)
     out = rep.with_images(gens)
     if not out.defect().saturated:
         raise RepairError("repaired representation is not exact at precision K")
@@ -825,14 +741,8 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
     for v in gog.vertices:
         if not v.generators:
             continue
-        gens = [images[g] for g in v.generators]
-        k = k0
-        while k < K:
-            step = _section_lift_once(ring, n, gens, k, cap=cap)
-            steps.append(LedgerStep(step.defect_val_after,
-                                    step.distance_spent_val, step.method))
-            gens = step.new_gens
-            k = step.defect_val_after
+        gens = _lift_to_exact(ring, n, [images[g] for g in v.generators], k0, cap,
+                              steps)
         for name, mat in zip(v.generators, gens):
             images[name] = mat
 

@@ -201,19 +201,21 @@ class FiniteImage:
     """The finite subgroup generated by reduced generator images mod w^m.
 
     Elements are stored in deterministic BFS order (by generator index);
-    element 0 is the identity and each element records the generator word
-    that first reached it.  Products are looked up lazily and cached so
-    large groups never materialize an order-squared table.
+    element 0 is the identity and tree[i] = (parent, generator) records
+    the BFS tree edge that first reached element i > 0, so that
+    elements[i] = elements[parent] @ generators[generator] (tree[0] is
+    (-1, -1)).  Products are looked up lazily and cached so large groups
+    never materialize an order-squared table.
     """
 
     def __init__(self, level: int, ring: RingSpec, elements: List[UMatrix],
-                 index: Dict[Tuple, int], words: List[Tuple[int, ...]],
+                 index: Dict[Tuple, int], tree: List[Tuple[int, int]],
                  generator_indices: List[int], p: int):
         self.level = level
         self.ring = ring
         self.elements = elements
         self.index = index
-        self.words = words
+        self.tree = tree
         self.generator_indices = generator_indices
         self.order = len(elements)
         n = self.order
@@ -262,9 +264,6 @@ class FiniteImage:
             o += 1
         return o
 
-    def word_of(self, i: int) -> Tuple[int, ...]:
-        return self.words[i]
-
 
 def finite_image(rep: ApproxRep, m: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteImage:
     """Enumerate the subgroup of GL_n(o/w^m) generated by the reduced images.
@@ -289,7 +288,7 @@ def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
     ident = UMatrix.identity(ring, n)
     elements = [ident]
     index = {ident.rows: 0}
-    words: List[Tuple[int, ...]] = [()]
+    tree: List[Tuple[int, int]] = [(-1, -1)]
     frontier = [0]
     while frontier:
         new_frontier = []
@@ -302,8 +301,8 @@ def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
                         raise CapExceeded(f"closure exceeded cap {cap}")
                     index[prod.rows] = len(elements)
                     elements.append(prod)
-                    words.append(words[ei] + (gi,))
+                    tree.append((ei, gi))
                     new_frontier.append(len(elements) - 1)
         frontier = new_frontier
     gen_idx = [index[g.rows] for g in reduced]
-    return FiniteImage(m, ring, elements, index, words, gen_idx, ring.p)
+    return FiniteImage(m, ring, elements, index, tree, gen_idx, ring.p)

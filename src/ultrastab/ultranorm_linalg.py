@@ -139,7 +139,7 @@ class UMatrix:
 
     def pow_int(self, e: int) -> "UMatrix":
         if e < 0:
-            return matinv(self).pow_int(-e)
+            return self.inv().pow_int(-e)
         result = UMatrix.identity(self.ring, self.n)
         base = self
         while e:
@@ -276,37 +276,6 @@ class UMatrix:
         dec = ring.decode
         rows = tuple(tuple(dec(flat[i * n + j]) for j in range(n)) for i in range(n))
         return cls(ring, n, rows)
-
-
-# -- module-level operation aliases ------------------------------------------
-
-
-def matnorm(a: UMatrix) -> NormValue:
-    return a.matnorm()
-
-
-def matmul(a: UMatrix, b: UMatrix) -> UMatrix:
-    return a @ b
-
-
-def matinv(a: UMatrix) -> UMatrix:
-    return a.inv()
-
-
-def is_gl(a: UMatrix) -> bool:
-    return a.is_gl()
-
-
-def dist(a: UMatrix, b: UMatrix) -> NormValue:
-    return a.dist(b)
-
-
-def congruence_coords(a: UMatrix, k: int) -> UMatrix:
-    return a.congruence_coords(k)
-
-
-def congruence_lift(m: UMatrix, k: int) -> UMatrix:
-    return m.congruence_lift(k)
 
 
 # -- local Smith form and linear solving ------------------------------------

@@ -72,7 +72,7 @@ def test_cmd_repair_determinism(tmp_path):
     assert outs[0] == outs[1]  # byte-identical artifacts
 
 
-def test_cmd_repair_graph(tmp_path):
+def _bs23_files(tmp_path):
     gog = GraphOfGroups(
         vertices=(GogVertex("v", ("s",), ()),),
         edges=(GogEdge("v", "v", ("s", "s", "s"), ("s", "s"), "t", False),),
@@ -96,8 +96,22 @@ def test_cmd_repair_graph(tmp_path):
     cert_path = str(tmp_path / "cert.json")
     assert main(["repair", rep_path, "--mode", "graph", "--gog", gog_path,
                  "--out", out_path, "--cert", cert_path]) == 0
+    return rep_path, gog_path, out_path, cert_path
+
+
+def test_cmd_repair_graph(tmp_path):
+    _, _, out_path, _ = _bs23_files(tmp_path)
     fixed = ApproxRep.from_json(json.loads(open(out_path).read()))
     assert fixed.defect().saturated
+
+
+def test_cmd_verify_graph_before_defect(tmp_path):
+    rep_path, gog_path, _, cert_path = _bs23_files(tmp_path)
+    assert main(["verify", cert_path, "--input", rep_path, "--gog", gog_path]) == 0
+    cert = json.loads(open(cert_path).read())
+    cert["before"]["defect_val"] += 1  # tamper
+    bad = _write(tmp_path, "bad_cert.json", cert)
+    assert main(["verify", bad, "--input", rep_path, "--gog", gog_path]) == 1
 
 
 def test_cmd_repair_involution(tmp_path):
@@ -211,8 +225,60 @@ def test_env_caps(tmp_path, monkeypatch):
     assert main(["claims", "--max-i", "2", "--p", "2"]) == 2  # cap now too low
 
 
-def test_input_errors(tmp_path):
+def _gl1_rep_file(tmp_path, name, p, K, x, order):
+    ring = RingSpec("zp", p, K)
+    pres = Presentation.make(["s"], [["s"] * order])
+    rep = ApproxRep(pres, ring, 1, [UMatrix.from_int_rows(ring, [[x]])])
+    return _write(tmp_path, name, rep.to_json()), rep
+
+
+def test_input_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["defect", missing]) == 2
     bad = _write(tmp_path, "bad.json", {"kind": "something_else"})
     assert main(["defect", bad]) == 2
+    # unmet preconditions of a repair also exit 2, without a traceback:
+    # defect >= 1, since s^3 = [[1, 3], [0, 1]] is not the identity mod 2
+    ring = RingSpec("zp", 2, 8)
+    pres = Presentation.make(["s"], [["s", "s", "s"]])
+    rep = ApproxRep(pres, ring, 2, [UMatrix.from_int_rows(ring, [[1, 1], [0, 1]])])
+    assert rep.defect().valuation == 0
+    path = _write(tmp_path, "d1.json", rep.to_json())
+    assert main(["repair", path, "--mode", "finite-image"]) == 2
+    # k <= 2l at p = 2: 3 has order 4 mod 16 and val(3^4 - 1) = 4 = 2l
+    path, rep = _gl1_rep_file(tmp_path, "p2.json", 2, 6, 3, 4)
+    assert rep.defect().valuation == 4
+    assert main(["repair", path, "--mode", "finite-image"]) == 2
+    # k <= 2l at p = 3: 4 has order 3 mod 9 and val(4^3 - 1) = 2 = 2l
+    path, rep = _gl1_rep_file(tmp_path, "p3.json", 3, 6, 4, 3)
+    assert rep.defect().valuation == 2
+    assert main(["repair", path, "--mode", "finite-image"]) == 2
+    # a split-section input whose defect is the full scale
+    from ultrastab.aux_families import FiltrationMetricSpec, FiltrationRep
+    spec = FiltrationMetricSpec(kind="triangular", modulus=4, dimension=2)
+    # a^3 has diagonal entry 3^3 = 3 mod 4, so the first columns disagree
+    cube = Presentation.make(["a"], [["a", "a", "a"]])
+    frep = FiltrationRep(cube, spec, [((3, 1), (0, 1))])
+    assert frep.defect().level == 0
+    path = _write(tmp_path, "frep.json", frep.to_json())
+    assert main(["repair", path, "--mode", "split-section"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("precondition not met") == 4 and "Traceback" not in err
+
+
+def test_cmd_verify_honors_caps(tmp_path):
+    ring = RingSpec("zp", 5, 8)
+    pres = Presentation.make(["s", "t"], [["s", "s"], ["t", "t", "t"],
+                                          ["s", "t", "s", "t"]])
+    rng = random.Random(3)
+    s = UMatrix.from_int_rows(ring, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    t = UMatrix.from_int_rows(ring, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    rep = ApproxRep(pres, ring, 3, [s + shifted_random(ring, 3, rng, 3),
+                                    t + shifted_random(ring, 3, rng, 3)])
+    path = _write(tmp_path, "s3.json", rep.to_json())
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["repair", path, "--mode", "finite-image", "--cert", cert_path,
+                 "--out", str(tmp_path / "fixed.json")]) == 0
+    assert main(["verify", cert_path, "--input", path]) == 0
+    # the image S3 has 6 elements: a closure cap of 2 cannot re-derive it
+    assert main(["verify", cert_path, "--input", path, "--cap-closure", "2"]) == 2

@@ -3,18 +3,19 @@ import random
 import pytest
 
 from ultrastab.local_ring import NormValue, RingSpec
-from ultrastab.presentations import ApproxRep, Presentation, closure_of_matrices, finite_image
+from ultrastab.presentations import ApproxRep, Presentation, closure_of_matrices
 from ultrastab.homrepair import (
     CharPUnsupported,
     GogEdge,
     GogVertex,
     GraphOfGroups,
     HypothesisViolated,
+    LedgerStep,
+    _avg_candidate,
+    _cocycle_rows,
+    _section_defect_val,
     align_homomorphisms,
-    average_solve_h2,
-    build_defect_cocycle,
     graph_repair,
-    lift_step,
     repair_finite_image,
 )
 from ultrastab.ultranorm_linalg import UMatrix
@@ -30,70 +31,78 @@ def _perturbed_z3_rep(ring, k, rng):
     return ApproxRep(pres, ring, 2, [m + shifted_random(ring, 2, rng, k)])
 
 
+def _repair_checked(rep):
+    """repair_finite_image plus the contract of its first lifting step.
+
+    The step at defect level k with p-part l spends level k - l and
+    reaches level >= 2(k - l) (capped at K); the result is exact and at
+    most p^l * defect from the input.
+    """
+    fixed, ledger = repair_finite_image(rep)
+    k, l, K = ledger.initial_defect_val, ledger.p_part, rep.ring.precision
+    assert k == rep.defect().valuation
+    step = ledger.steps[0]
+    assert step.distance_spent_val == k - l
+    assert step.defect_val_after >= min(2 * (k - l), K)
+    assert fixed.defect().saturated and ledger.verified
+    assert rep.rep_dist(fixed) <= NormValue.from_valuation(rep.ring, k - l)
+    return fixed, ledger
+
+
 def test_cocycle_construction(rng):
+    # order-3 image at p = 2: the cocycle is solved by averaging, no level lost
     ring = RingSpec("zp", 2, 8)
     rep = _perturbed_z3_rep(ring, 3, rng)
-    C = finite_image(rep, 3)
-    z = build_defect_cocycle(rep, C, 3)
-    # zero on identity pairs; the identity itself is checked on construction
-    assert z.values[(0, 0)].rows == UMatrix.zero(z.act[0].ring, 2).rows
-    sol = average_solve_h2(z, C)
-    for (g, h), zv in z.values.items():
-        lhs = z.coboundary_of(sol.values, g, h)
-        assert (lhs - zv).min_valuation() >= z.mod_exp - sol.precision_loss
+    _, ledger = _repair_checked(rep)
+    assert ledger.p_part == 0
+    assert ledger.image_order == 3
+    assert all(s.method == "averaging" for s in ledger.steps)
 
 
 def test_cocycle_zero_for_exact_rep():
+    # an exact representation has a zero cocycle: no step runs, nothing moves
     ring = RingSpec("zp", 2, 8)
     pres = Presentation.make(["s"], [["s", "s", "s"]])
     rep = ApproxRep(pres, ring, 2, [UMatrix.from_int_rows(ring, ORDER3)])
-    C = finite_image(rep, 3)
-    z = build_defect_cocycle(rep, C, 3)
-    assert z.is_zero()
-    sol = average_solve_h2(z, C)
-    assert all(v.rows == UMatrix.zero(v.ring, 2).rows for v in sol.values.values())
+    fixed, ledger = repair_finite_image(rep)
+    assert fixed.images[0].rows == rep.images[0].rows
+    assert ledger.steps == []
+    assert ledger.final_distance_val == 8
+    assert ledger.image_order == 3
 
 
 def test_average_solve_precision_loss(rng):
     # |C| = 3 at p = 2: unit order, no precision spent
     ring = RingSpec("zp", 2, 8)
-    rep = _perturbed_z3_rep(ring, 3, rng)
-    C = finite_image(rep, 3)
-    sol = average_solve_h2(build_defect_cocycle(rep, C, 3), C)
-    assert sol.precision_loss == 0 and sol.method == "averaging"
-    # |C| = 2 at p = 2: cocycle taken at level k - l, one digit spent
+    _, ledger = _repair_checked(_perturbed_z3_rep(ring, 3, rng))
+    assert ledger.steps[0].method == "averaging"
+    assert ledger.steps[0].distance_spent_val == ledger.initial_defect_val
+    # |C| = 2 at p = 2: the cocycle is taken at level k - l, one digit spent
     ring10 = RingSpec("zp", 2, 10)
     pres = Presentation.make(["s"], [["s", "s"]])
     rep2 = ApproxRep(pres, ring10, 1,
                      [UMatrix.from_int_rows(ring10, [[-1 + 2 ** 4]])])
-    C2 = finite_image(rep2, 5)
-    assert C2.p_part == 1
-    z2 = build_defect_cocycle(rep2, C2, 5, level=4)
-    assert all(v.min_valuation() >= 1 for v in z2.values.values())
-    sol2 = average_solve_h2(z2, C2)
-    assert sol2.method == "averaging"
-    assert sol2.precision_loss == 1
+    _, ledger2 = _repair_checked(rep2)
+    assert ledger2.p_part == 1 and ledger2.image_order == 2
+    assert ledger2.steps[0] == LedgerStep(8, 4, "averaging")
 
 
 def test_lift_step_contract(rng):
     ring = RingSpec("zp", 2, 8)
-    rep = _perturbed_z3_rep(ring, 3, rng)
-    C = finite_image(rep, 3)
-    out = lift_step(rep, 3, C)
-    assert out.defect() <= NormValue.from_valuation(ring, 6)
-    assert rep.rep_dist(out) <= NormValue.from_valuation(ring, 3)
+    for k in (3, 4, 5):
+        _repair_checked(_perturbed_z3_rep(ring, k, rng))
 
 
 def test_lift_step_gl1_linear_example():
-    # order-2 image at defect level 4: one step reaches level 6, moving 2^-3
+    # order-2 image at defect level 5: one step reaches level 8 = K, moving 2^-4
     ring = RingSpec("zp", 2, 8)
     pres = Presentation.make(["s"], [["s", "s"]])
     rep = ApproxRep(pres, ring, 1, [UMatrix.from_int_rows(ring, [[-1 + 2 ** 4]])])
-    C = finite_image(rep, 4)
-    assert C.p_part == 1
-    out = lift_step(rep, 4, C)
-    assert out.defect() <= NormValue.from_valuation(ring, 6)
-    assert rep.rep_dist(out) <= NormValue.from_valuation(ring, 3)
+    fixed, ledger = _repair_checked(rep)
+    assert ledger.p_part == 1
+    assert ledger.steps == [LedgerStep(8, 4, "averaging")]
+    assert rep.rep_dist(fixed).valuation == 4
+    assert fixed.images[0].rows == ((-1 + 2 ** 7,),)  # an exact involution mod 2^8
 
 
 def test_repair_optimal_pi_prime(rng):
@@ -274,3 +283,102 @@ def test_gog_json_roundtrip():
     gog = _bs23_gog()
     rt = GraphOfGroups.from_json(gog.to_json())
     assert rt == gog
+
+
+def _all_pairs_defect_val(sigma, C):
+    """Reference: min over all pairs of val(sigma(c) sigma(d) - sigma(cd))."""
+    best = sigma[0].ring.precision
+    for c in range(C.order):
+        for d in range(C.order):
+            v = ((sigma[c] @ sigma[d]) - sigma[C.product(c, d)]).min_valuation()
+            best = min(best, v)
+    return best
+
+
+S3_D4_PERMS = [
+    [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+    [[[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]],
+]
+
+
+def _random_section(C, ring, rng, low):
+    """sigma(e) = I; every other element lifted with noise of its own level >= low."""
+    n = C.elements[0].n
+    return [UMatrix.identity(ring, n)] + [
+        e.lift_to(ring) + shifted_random(ring, n, rng, rng.randrange(low, ring.precision + 1))
+        for e in C.elements[1:]]
+
+
+def test_generator_rows_give_section_defect(rng):
+    seen = set()
+    for ring in (RingSpec("zp", 2, 8), RingSpec("zp", 3, 6), RingSpec("fpx", 5, 6)):
+        K = ring.precision
+        for perms in S3_D4_PERMS:
+            gens = [UMatrix.from_int_rows(ring, m) for m in perms]
+            C = closure_of_matrices([g.reduce(2) for g in gens], 2)
+            for _ in range(6):
+                sigma = _random_section(C, ring, rng, rng.randrange(1, K))
+                got = _section_defect_val(sigma, C)
+                assert got == _all_pairs_defect_val(sigma, C)
+                seen.add(got)
+            # exact along the rows of one generator class s, not along the others:
+            # sigma(d) = rho(d) (I + w^L E), E constant on each coset <s> d
+            n = len(perms[0])
+            for s in C.generator_indices:
+                E = [None] * C.order
+                for d in range(C.order):
+                    if E[d] is None:
+                        twist = UMatrix.identity(ring, n)
+                        if d != 0:
+                            twist = twist + shifted_random(ring, n, rng, 3)
+                        c = d
+                        while E[c] is None:
+                            E[c] = twist
+                            c = C.product(s, c)
+                sigma = [e.lift_to(ring) @ E[d] for d, e in enumerate(C.elements)]
+                assert _section_defect_val(sigma, C) == _all_pairs_defect_val(sigma, C) < K
+    assert len(seen) > 3  # the check met several distinct levels
+
+
+def _full_average(sigma, C, level, mod_exp):
+    """Reference: c(g) = (sum over all h of z(g, h)) / |C|, None when obstructed."""
+    sigma_inv = [m.inv() for m in sigma]
+    ring_q = sigma[0].ring.with_precision(mod_exp)
+    minv = ring_q.inv(ring_q.from_int(C.unit_part))
+    out = []
+    for g in range(C.order):
+        b = UMatrix.zero(ring_q, sigma[0].n)
+        for h in range(C.order):
+            z = sigma[g] @ sigma[h] @ sigma_inv[C.product(g, h)]
+            b = b + z.congruence_coords(level).reduce(mod_exp)
+        t = b.scale(minv)
+        if t.min_valuation() < C.p_part:
+            return None
+        out.append(UMatrix(ring_q, t.n, tuple(tuple(ring_q.shift_down(x, C.p_part)
+                                                    for x in r) for r in t.rows)))
+    return out
+
+
+def test_generator_rows_give_full_average(rng):
+    # on random sections the averaged cochain built from the generator rows is
+    # the average of the full N^2 cocycle table, at every element
+    obstructed = 0
+    for ring, k in ((RingSpec("zp", 5, 8), 3), (RingSpec("fpx", 5, 8), 3),
+                    (RingSpec("zp", 2, 10), 5), (RingSpec("zp", 3, 12), 5)):
+        for perms in S3_D4_PERMS:
+            C = closure_of_matrices([UMatrix.from_int_rows(ring, m).reduce(k)
+                                     for m in perms], k)
+            j = k - C.p_part
+            mod_exp = min(2 * j, ring.precision) - j
+            for _ in range(3):
+                sigma = _random_section(C, ring, rng, k)
+                sigma_inv = [m.inv() for m in sigma]
+                got = _avg_candidate(_cocycle_rows(sigma, sigma_inv, C, j, mod_exp))
+                want = _full_average(sigma, C, j, mod_exp)
+                if want is None:
+                    obstructed += 1
+                    assert got is None
+                else:
+                    assert [m.rows for m in got] == [m.rows for m in want]
+    assert 0 < obstructed < 24  # both outcomes of the p-part division were met
