@@ -235,7 +235,7 @@ def cmd_witness(args) -> int:
                               dim_cap=cfg.dim_cap,
                               index_cap=cfg.wreath_index_cap)
         wc = wreath_rep_defect_certificate(args.p, args.i, x, args.precision,
-                                           seed=cfg.seed,
+                                           enum_cap=cfg.enum_cap, seed=cfg.seed,
                                            index_cap=cfg.wreath_index_cap)
         cert = Certificate(
             operation="witness-wreath",
@@ -384,7 +384,7 @@ def cmd_verify(args) -> int:
         wc = wreath_rep_defect_certificate(int(claimed["p"]), int(claimed["i"]),
                                            ring.decode(claimed["x"]),
                                            int(claimed["precision"]),
-                                           seed=cfg.seed,
+                                           enum_cap=cfg.enum_cap, seed=cfg.seed,
                                            index_cap=cfg.wreath_index_cap)
         check_claim("witness", claimed, wc.to_json(), failures)
         rep = _load_rep(args.input)
@@ -504,6 +504,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except Unsolvable as exc:  # a RingError, so caught before the input errors
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (InputError, PresentationError, RingError, ValueError,
             CapExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -511,7 +514,7 @@ def main(argv=None) -> int:
     except (DefectTooLarge, HypothesisViolated, CharPUnsupported) as exc:
         print(f"precondition not met: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, RepairError, Unsolvable, WitnessError) as exc:
+    except (VerificationFailure, RepairError, WitnessError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

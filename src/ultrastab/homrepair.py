@@ -19,8 +19,11 @@ matmuls:
   generator-against-all check (|S| N), which ultrametric induction makes
   the all-pairs defect;
 - when averaging is obstructed or leaves a residue, solve delta c = z
-  exactly as a linear system over the ring (|S| N n^2 equations in
-  (N - 1) n^2 unknowns) and re-measure again.
+  exactly as a linear system over the ring, gauge-fixed along the left
+  BFS tree: the unknowns are c(s) at the generator classes and the
+  equations are the non-tree Cayley edges, (|S| N - N + 1) n^2 equations
+  in |S| n^2 unknowns (in place of |S| N n^2 in (N - 1) n^2), and
+  re-measure again.
 
 Conjugacy corrections for amalgamations solve the analogous 1-cocycle
 equation.  Nothing is trusted: every step re-measures the defect and
@@ -29,6 +32,7 @@ distance it claims.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +48,7 @@ from .presentations import (
     closure_of_matrices,
     finite_image,
 )
-from .ultranorm_linalg import UMatrix, Unsolvable, solve_linear
+from .ultranorm_linalg import UMatrix, Unsolvable, row_submul, solve_linear
 
 
 class RepairError(RuntimeError):
@@ -197,14 +201,46 @@ def _cocycle_rows(sigma, sigma_inv, C: FiniteImage, level: int, mod_exp: int) ->
                     {s: sigma_inv[s].reduce(mod_exp) for s in classes})
 
 
+def _left_bfs(C: FiniteImage, classes: Sequence[int]) -> List[Tuple[int, int, int, bool]]:
+    """Edges (s, h, sh, tree) of the left Cayley graph h -> sh, BFS order from e.
+
+    s runs over the generator classes; tree marks the edge that first
+    reaches sh, so the tree edges span C and each element is reached after
+    its parent.  All |S| N edges are listed.
+    """
+    seen = [True] + [False] * (C.order - 1)
+    queue = [0]
+    edges = []
+    for h in queue:
+        for s in classes:
+            g = C.product(s, h)
+            edges.append((s, h, g, not seen[g]))
+            if not seen[g]:
+                seen[g] = True
+                queue.append(g)
+    return edges
+
+
+def _conj_block(u: UMatrix, uinv: UMatrix) -> List[List[int]]:
+    """The n^2 x n^2 matrix of M -> u M u^{-1} on row-major entries.
+
+    Row (r, t), column (a, b) holds u[r][a] uinv[b][t].
+    """
+    mul = u.ring.mul
+    n = u.n
+    return [[mul(ura, uinv.rows[b][t]) for ura in u.rows[r] for b in range(n)]
+            for r in range(n) for t in range(n)]
+
+
 def _avg_candidate(z: Cochain2) -> Optional[List[UMatrix]]:
     """Averaging solution of the coboundary equation (delta c = z).
 
     b(g) = sum_h z(g, h) satisfies delta b = |C| z.  Summing the cocycle
     identity over its last argument gives b(sh) = s.b(h) + b(s) - |C| z(s, h),
     so the generator rows give b on all of C from b(e) = 0, one conjugation
-    per element.  Dividing by the unit part is exact, dividing by the
-    p-part is entrywise and returns None when obstructed.
+    per element along the left BFS tree.  Dividing by the unit part is
+    exact, dividing by the p-part is entrywise and returns None when
+    obstructed.
     """
     C = z.image
     ring_q = z.ring
@@ -219,14 +255,10 @@ def _avg_candidate(z: Cochain2) -> Optional[List[UMatrix]]:
         for v in row:
             acc = acc + v
         row_sums[s] = acc
-    b: List[Optional[UMatrix]] = [UMatrix.zero(ring_q, n)] + [None] * (C.order - 1)
-    queue = [0]
-    for h in queue:
-        for s, row in z.rows.items():
-            g = C.product(s, h)
-            if b[g] is None:
-                b[g] = z.act[s] @ b[h] @ z.act_inv[s] + row_sums[s] - row[h].scale(order)
-                queue.append(g)
+    b: List[UMatrix] = [UMatrix.zero(ring_q, n)] * C.order
+    for s, h, g, tree in _left_bfs(C, list(z.rows)):
+        if tree:
+            b[g] = z.act[s] @ b[h] @ z.act_inv[s] + row_sums[s] - z.rows[s][h].scale(order)
     minv = ring_q.inv(ring_q.from_int(C.unit_part))
     c: List[UMatrix] = []
     for bg in b:
@@ -241,55 +273,65 @@ def _avg_candidate(z: Cochain2) -> Optional[List[UMatrix]]:
 
 
 def _solve_h2_linear(z: Cochain2) -> List[UMatrix]:
-    """Exact coboundary solve delta c = z as a linear system over the ring.
+    """Exact coboundary solve delta c = z, gauge-fixed along the left BFS tree.
 
-    Unknowns are c(g) for g != identity (c(e) = 0 is forced); equations are
-    taken at the generator rows, which determine a 2-cocycle.
+    The unknowns are c(s) at the generator classes, |S| n^2 of them.  With
+    c(e) = 0, each tree edge h -> sh sets c(sh) = s.c(h) + c(s) - z(s, h)
+    (on the edges leaving e this is c(s) itself, as z(s, e) = 0).  So
+    c(g) = const(g) + sum of y.c(s') over the terms (s', y) of g: one per
+    letter s' of the tree word of g, y the product of the letters left of
+    it.  The equations are the |S| N - N + 1 non-tree edges, n^2 each;
+    their coefficients are sums of n^2 x n^2 conjugation blocks (one block
+    per element met), O(|S| N D n^4) to build for a tree of depth D against
+    O(|S|^3 N n^6) to eliminate.  An element acts through the product of
+    the class actions along its tree word: mod w^mod_exp, at most the level
+    of the failure, the section is a homomorphism.  A solution of the full
+    system (every c(g) unknown, every edge an equation) restricts to one of
+    this system, and each solution of this system extends along the tree
+    to one of the full system, so solvability is that of delta c = z; only
+    the particular solution is this system's.
     """
     C = z.image
     ring_q = z.ring
+    submul = row_submul(ring_q)
     n = C.elements[0].n
-    N = C.order
-    nvars = (N - 1) * n * n
+    nn = n * n
+    offset = {s: i * nn for i, s in enumerate(s for s in z.rows if s != 0)}
+    edges = _left_bfs(C, list(z.rows))
+    act = {0: UMatrix.identity(ring_q, n), **z.act}
+    act_inv = {0: act[0], **z.act_inv}
+    blocks: Dict[int, List[List[int]]] = {}
+    terms: List[List[Tuple[int, int]]] = [[]] * C.order
+    const = [UMatrix.zero(ring_q, n)] * C.order
     rows: List[List[int]] = []
     rhs: List[int] = []
-
-    def var(e: int, a: int, b: int) -> int:
-        return (e - 1) * n * n + a * n + b
-
-    for s, zrow in z.rows.items():
-        us = z.act[s]
-        uinv = z.act_inv[s]
-        for d in range(N):
-            sd = C.product(s, d)
-            zv = zrow[d]
-            for r in range(n):
-                for t in range(n):
-                    row = [0] * nvars
-                    # s . c(d) contributes u[r][a] * uinv[b][t] per entry (a, b)
-                    if d != 0:
-                        for a in range(n):
-                            ura = us.rows[r][a]
-                            if ura == 0:
-                                continue
-                            for b in range(n):
-                                coef = ring_q.mul(ura, uinv.rows[b][t])
-                                if coef:
-                                    j = var(d, a, b)
-                                    row[j] = ring_q.add(row[j], coef)
-                    if sd != 0:
-                        j = var(sd, r, t)
-                        row[j] = ring_q.sub(row[j], ring_q.one)
-                    if s != 0:
-                        j = var(s, r, t)
-                        row[j] = ring_q.add(row[j], ring_q.one)
-                    rows.append(row)
-                    rhs.append(zv.rows[r][t])
+    for s, h, g, tree in edges:
+        # s.c(h) + c(s) - z(s, h) as terms and a constant; the edge says it is c(g).
+        moved = [(t, C.product(s, y)) for t, y in terms[h]] + ([(s, 0)] if s else [])
+        c0 = act[s] @ const[h] @ act_inv[s] - z.rows[s][h]
+        if tree:
+            terms[g], const[g] = moved, c0
+            act[g], act_inv[g] = act[s] @ act[h], act_inv[h] @ act_inv[s]
+            continue
+        coef = Counter(moved)
+        coef.subtract(terms[g])
+        eq = [[0] * (len(offset) * nn) for _ in range(nn)]
+        for (t, y), k in coef.items():
+            if k:
+                if y not in blocks:
+                    blocks[y] = _conj_block(act[y], act_inv[y])
+                o, f = offset[t], ring_q.from_int(-k)
+                for acc, brow in zip(eq, blocks[y]):
+                    acc[o:o + nn] = submul(acc[o:o + nn], f, brow)
+        rows.extend(eq)
+        rhs.extend(x for r in (const[g] - c0).rows for x in r)
     x = solve_linear(rows, rhs, ring_q).particular
-    c = [UMatrix.zero(ring_q, n)]
-    for e in range(1, N):
-        c.append(UMatrix(ring_q, n, tuple(tuple(x[var(e, a, b)] for b in range(n))
-                                          for a in range(n))))
+    gen = {s: UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
+           for s, o in offset.items()}
+    c = [UMatrix.zero(ring_q, n)] * C.order
+    for s, h, g, tree in edges:
+        if tree:
+            c[g] = act[s] @ c[h] @ act_inv[s] + gen[s] - z.rows[s][h]
     return c
 
 
@@ -465,26 +507,14 @@ def solve_h1_conjugator(disc: Cochain1, C: FiniteImage, act: Sequence[UMatrix],
     if ok and tol > 0:
         return t
     # Exact linear solve: unknown T with g.T - T = -D(g) at generator classes.
-    nvars = n * n
     rows: List[List[int]] = []
     rhs: List[int] = []
     for s in _generator_classes(C):
-        us, uinv = act[s], act_inv[s]
-        dv = disc.values[s]
-        for r in range(n):
-            for c in range(n):
-                row = [0] * nvars
-                for a_ in range(n):
-                    ura = us.rows[r][a_]
-                    if ura == 0:
-                        continue
-                    for b_ in range(n):
-                        coef = ring_q.mul(ura, uinv.rows[b_][c])
-                        if coef:
-                            row[a_ * n + b_] = ring_q.add(row[a_ * n + b_], coef)
-                row[r * n + c] = ring_q.sub(row[r * n + c], ring_q.one)
-                rows.append(row)
-                rhs.append(ring_q.neg(dv.rows[r][c]))
+        block = _conj_block(act[s], act_inv[s])
+        for i, row in enumerate(block):
+            row[i] = ring_q.sub(row[i], ring_q.one)
+        rows.extend(block)
+        rhs.extend(ring_q.neg(x) for r in disc.values[s].rows for x in r)
     res = solve_linear(rows, rhs, ring_q)
     x = res.particular
     t = UMatrix(ring_q, n, tuple(tuple(x[r * n + c] for c in range(n)) for r in range(n)))

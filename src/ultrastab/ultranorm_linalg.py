@@ -298,19 +298,44 @@ class SmithDecomposition:
         return d.rows == tuple(tuple(r) for r in expect)
 
 
-def _smith_raw(ring: RingSpec, rows: List[List[int]]):
+def row_submul(ring: RingSpec):
+    """The row operation (xs, f, ys) -> xs - f * ys over the ring, entrywise."""
+    if ring.is_mixed:
+        M = ring.modulus
+
+        def submul(xs, f, ys):
+            return [(x - f * y) % M for x, y in zip(xs, ys)]
+    else:
+        sub, mul = ring.sub, ring.mul
+
+        def submul(xs, f, ys):
+            return [sub(x, mul(f, y)) for x, y in zip(xs, ys)]
+    return submul
+
+
+def _smith_raw(ring: RingSpec, rows: List[List[int]], side: List[List[int]]):
     """Bring a rectangular raw matrix to diagonal uniformizer powers.
 
-    Returns (U, V, diag) with U (nr x nr), V (nc x nc) invertible raw lists
-    and U @ A @ V diagonal; pivots are chosen with minimal valuation, ties
-    broken by lowest row then column index.
+    Returns (side', V, diag) with V (nc x nc) invertible and U @ A @ V
+    diagonal for the invertible U (nr x nr) of the row operations; U itself
+    is never formed, every row operation is applied to the nr-row block
+    `side` instead, so side' = U @ side (pass b to read U @ b, the identity
+    to read U).  Pivots are chosen with minimal valuation, ties broken by
+    lowest row then column index.  Step t only updates the entries that a
+    later step reads: rows and columns after t of the matrix, all of V and
+    all of `side`.  Rows above t and columns left of t are zero there
+    already, so pivots and every nonzero operation are those of the full
+    elimination.  Cost: about sum over t of (nr - t)(nc - t) products for
+    the matrix, nc^2 per pivot for V and nr w per pivot for a side of
+    width w.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     K = ring.precision
     m = [list(r) for r in rows]
-    U = [[ring.one if i == j else 0 for j in range(nr)] for i in range(nr)]
-    V = [[ring.one if i == j else 0 for j in range(nc)] for i in range(nc)]
+    side = [list(r) for r in side]
+    Vt = [[ring.one if i == j else 0 for j in range(nc)] for i in range(nc)]  # columns of V
+    submul = row_submul(ring)
     diag: List[int] = []
     steps = min(nr, nc)
     for t in range(steps):
@@ -335,42 +360,36 @@ def _smith_raw(ring: RingSpec, rows: List[List[int]]):
         bi, bj = best
         if bi != t:
             m[t], m[bi] = m[bi], m[t]
-            U[t], U[bi] = U[bi], U[t]
+            side[t], side[bi] = side[bi], side[t]
         if bj != t:
-            for r in m:
+            for r in m[t:]:
                 r[t], r[bj] = r[bj], r[t]
-            for r in V:
-                r[t], r[bj] = r[bj], r[t]
+            Vt[t], Vt[bj] = Vt[bj], Vt[t]
         d = best_v
         diag.append(d)
         uinv = ring.inv(ring.shift_down(m[t][t], d))
-        m[t] = [ring.mul(uinv, a) for a in m[t]]
-        U[t] = [ring.mul(uinv, a) for a in U[t]]
-        # m[t][t] is now exactly w^d; clear the rest of column t ...
-        for i in range(nr):
-            if i == t:
-                continue
-            a = m[i][t]
+        # Row t scaled so that its pivot is exactly w^d; only its entries
+        # right of the pivot are read again.
+        right = [ring.mul(uinv, a) for a in m[t][t + 1:]]
+        side[t] = [ring.mul(uinv, a) for a in side[t]]
+        # Clear column t below the pivot; the column itself is not read again.
+        for i in range(t + 1, nr):
+            mi = m[i]
+            a = mi[t]
             if a:
                 f = ring.shift_down(a, d)
-                m[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(m[i], m[t])]
-                U[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(U[i], U[t])]
-        # ... and of row t.
-        for j in range(nc):
-            if j == t:
-                continue
-            a = m[t][j]
+                mi[t + 1:] = submul(mi[t + 1:], f, right)
+                side[i] = submul(side[i], f, side[t])
+        # Clear row t by column operations, which act on V alone: column t
+        # is zero off the pivot.
+        for j, a in enumerate(right, t + 1):
             if a:
-                g = ring.shift_down(a, d)
-                for r in m:
-                    r[j] = ring.sub(r[j], ring.mul(g, r[t]))
-                for r in V:
-                    r[j] = ring.sub(r[j], ring.mul(g, r[t]))
-    return U, V, diag, m
+                Vt[j] = submul(Vt[j], ring.shift_down(a, d), Vt[t])
+    return side, [list(r) for r in zip(*Vt)], diag
 
 
 def smith_local(a: UMatrix) -> SmithDecomposition:
-    U, V, diag, _ = _smith_raw(a.ring, [list(r) for r in a.rows])
+    U, V, diag = _smith_raw(a.ring, a.rows, UMatrix.identity(a.ring, a.n).rows)
     return SmithDecomposition(
         U=UMatrix.from_rows(a.ring, U),
         V=UMatrix.from_rows(a.ring, V),
@@ -399,18 +418,18 @@ def solve_linear(a, b: Sequence[int], ring: Optional[RingSpec] = None) -> SolveR
     """
     if isinstance(a, UMatrix):
         ring = a.ring
-        rows = [list(r) for r in a.rows]
+        rows = a.rows
     else:
         if ring is None:
             raise RingError("ring required for raw input")
-        rows = [list(r) for r in a]
+        rows = a
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if len(b) != nr:
         raise RingError("right-hand side has wrong length")
     K = ring.precision
-    U, V, diag, _ = _smith_raw(ring, rows)
-    c = [ring.dot(U[i], b) for i in range(nr)]
+    side, V, diag = _smith_raw(ring, rows, [[x] for x in b])
+    c = [r[0] for r in side]
     y = [0] * nc
     for i in range(nr):
         d = diag[i] if i < len(diag) else K

@@ -170,15 +170,12 @@ def test_exact_rep_unchanged(rng):
 
 def test_defect_too_large():
     spec = FiltrationMetricSpec(kind="triangular", modulus=4, dimension=2)
-    # images that do not even commute in column 1
-    a = ((1, 0), (0, 1))
-    b = ((3, 1), (0, 1))
-    c = ((1, 1), (0, 3))
-    rep = FiltrationRep(Z2, spec, [b, c])
-    d = rep.defect()
-    if d.level == 0:
-        with pytest.raises(DefectTooLarge):
-            split_section_repair(rep)
+    # a^3 has diagonal entry 3^3 = 3 mod 4: the relator fails at the full scale
+    cube = Presentation.make(["a"], [["a", "a", "a"]])
+    rep = FiltrationRep(cube, spec, [((3, 1), (0, 1))])
+    assert rep.defect().level == 0
+    with pytest.raises(DefectTooLarge):
+        split_section_repair(rep)
 
 
 def test_json_roundtrip(rng):

@@ -1,11 +1,12 @@
 import json
 import random
 
+from ultrastab import cli
 from ultrastab.cli import main
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups
 from ultrastab.local_ring import RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
-from ultrastab.ultranorm_linalg import UMatrix
+from ultrastab.ultranorm_linalg import UMatrix, Unsolvable
 
 from conftest import shifted_random
 
@@ -207,6 +208,19 @@ def test_cmd_verify_witness_wreath(tmp_path):
     assert main(["verify", cert_path, "--input", out_path]) == 0
 
 
+def test_cmd_witness_wreath_cap_enum(tmp_path):
+    # an enumeration cap below the 16384-element block group: the defect is
+    # sampled, and verify under the same cap re-derives that certificate
+    out_path = str(tmp_path / "w.json")
+    cert_path = str(tmp_path / "c.json")
+    assert main(["witness", "--kind", "wreath", "--ring", "zp", "--p", "2",
+                 "--precision", "12", "--i", "1", "--x", '"2"', "--cap-enum", "100",
+                 "--out", out_path, "--cert", cert_path]) == 0
+    cert = json.loads(open(cert_path).read())
+    assert cert["witness"]["exact"] is False and cert["witness"]["group_order"] is None
+    assert main(["verify", cert_path, "--input", out_path, "--cap-enum", "100"]) == 0
+
+
 def test_cmd_verify_witness_commutator(tmp_path):
     out_path = str(tmp_path / "w.json")
     cert_path = str(tmp_path / "c.json")
@@ -264,6 +278,17 @@ def test_input_errors(tmp_path, capsys):
     assert main(["repair", path, "--mode", "split-section"]) == 2
     err = capsys.readouterr().err
     assert err.count("precondition not met") == 4 and "Traceback" not in err
+
+
+def test_unsolvable_exits_1(tmp_path, monkeypatch, capsys):
+    # a lifting step that cannot be solved is a failed repair, not an input
+    # error, although Unsolvable is a ValueError
+    def unsolvable(rep, cap):
+        raise Unsolvable("lift step failed to reach level 8 (got 6)", 6)
+    monkeypatch.setattr(cli, "repair_finite_image", unsolvable)
+    path, _ = _z3_rep_file(tmp_path)
+    assert main(["repair", path, "--mode", "finite-image"]) == 1
+    assert "verification failed" in capsys.readouterr().err
 
 
 def test_cmd_verify_honors_caps(tmp_path):

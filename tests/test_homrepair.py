@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,14 +12,16 @@ from ultrastab.homrepair import (
     GraphOfGroups,
     HypothesisViolated,
     LedgerStep,
+    Cochain2,
     _avg_candidate,
     _cocycle_rows,
     _section_defect_val,
+    _solve_h2_linear,
     align_homomorphisms,
     graph_repair,
     repair_finite_image,
 )
-from ultrastab.ultranorm_linalg import UMatrix
+from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, solve_linear
 
 from conftest import random_gl, shifted_random
 
@@ -382,3 +385,105 @@ def test_generator_rows_give_full_average(rng):
                 else:
                     assert [m.rows for m in got] == [m.rows for m in want]
     assert 0 < obstructed < 24  # both outcomes of the p-part division were met
+
+
+def _full_system_solve(z):
+    """Reference: delta c = z with every c(g), g != e, unknown ((N - 1) n^2
+    unknowns) and an equation at every generator row (|S| N n^2)."""
+    C, ring_q = z.image, z.ring
+    n, N = C.elements[0].n, C.order
+    nvars = (N - 1) * n * n
+    rows, rhs = [], []
+
+    def var(e, a, b):
+        return (e - 1) * n * n + a * n + b
+
+    for s, zrow in z.rows.items():
+        us, uinv = z.act[s], z.act_inv[s]
+        for d in range(N):
+            sd = C.product(s, d)
+            for r in range(n):
+                for t in range(n):
+                    row = [0] * nvars
+                    if d != 0:  # s.c(d) contributes u[r][a] uinv[b][t] per entry (a, b)
+                        for a in range(n):
+                            for b in range(n):
+                                j = var(d, a, b)
+                                row[j] = ring_q.add(row[j], ring_q.mul(us.rows[r][a],
+                                                                       uinv.rows[b][t]))
+                    if sd != 0:
+                        j = var(sd, r, t)
+                        row[j] = ring_q.sub(row[j], ring_q.one)
+                    if s != 0:
+                        j = var(s, r, t)
+                        row[j] = ring_q.add(row[j], ring_q.one)
+                    rows.append(row)
+                    rhs.append(zrow[d].rows[r][t])
+    x = solve_linear(rows, rhs, ring_q).particular
+    return [UMatrix.zero(ring_q, n)] + [
+        UMatrix(ring_q, n, tuple(tuple(x[var(e, a, b)] for b in range(n)) for a in range(n)))
+        for e in range(1, N)]
+
+
+def _coboundary_matches(c, z):
+    """delta c = z at all |S| N generator rows: s.c(d) - c(sd) + c(s) = z(s, d)."""
+    C = z.image
+    return all((z.act[s] @ c[d] @ z.act_inv[s] - c[C.product(s, d)] + c[s]).rows
+               == z.rows[s][d].rows for s in z.rows for d in range(C.order))
+
+
+def _agree_with_full_system(z):
+    """Both solvers agree on solvability; the gauge-fixed solution solves delta c = z."""
+    try:
+        _full_system_solve(z)
+        solvable = True
+    except Unsolvable:
+        solvable = False
+    try:
+        c = _solve_h2_linear(z)
+    except Unsolvable:
+        assert not solvable
+        return False
+    assert solvable and _coboundary_matches(c, z)
+    return True
+
+
+def test_gauge_fixed_solve_matches_full_system(rng):
+    # cocycles of random sections with p | N, and the same generator rows with
+    # one value moved (z(s, e) = 0 kept), which is mostly not a coboundary
+    outcomes = set()
+    for ring in (RingSpec("zp", 2, 8), RingSpec("zp", 3, 8), RingSpec("zp", 2, 12),
+                 RingSpec("fpx", 2, 8), RingSpec("fpx", 3, 6)):
+        for perms, extra in itertools.product(S3_D4_PERMS, (1, 2)):
+            gens = [UMatrix.from_int_rows(ring, m) for m in perms]
+            l = closure_of_matrices([g.reduce(1) for g in gens], 1).p_part
+            k = 2 * l + extra  # the lifting hypothesis k > 2l
+            if l == 0 or k >= ring.precision:
+                continue
+            C = closure_of_matrices([g.reduce(k) for g in gens], k)
+            j = k - l
+            mod_exp = min(2 * j, ring.precision) - j
+            for _ in range(2):
+                sigma = _random_section(C, ring, rng, k)
+                z = _cocycle_rows(sigma, [m.inv() for m in sigma], C, j, mod_exp)
+                outcomes.add(_agree_with_full_system(z))
+                s = rng.choice(list(z.rows))
+                d = rng.randrange(1, C.order)
+                moved = dict(z.rows)
+                moved[s] = list(moved[s])
+                moved[s][d] = moved[s][d] + shifted_random(z.ring, C.elements[0].n, rng, 0)
+                outcomes.add(_agree_with_full_system(
+                    Cochain2(C, z.ring, moved, z.act, z.act_inv)))
+    assert outcomes == {True, False}
+
+
+def test_gauge_fixed_solve_trivial_image():
+    # N = 1: no unknowns; the one edge e -> e asks z(e, e) = 0
+    ring = RingSpec("zp", 3, 6)
+    ident = UMatrix.identity(ring, 2)
+    C = closure_of_matrices([ident.reduce(2), ident.reduce(2)], 2)
+    assert C.order == 1
+    z = _cocycle_rows([ident], [ident], C, 2, 2)
+    assert _agree_with_full_system(z)
+    bad = Cochain2(C, z.ring, {0: [UMatrix.identity(z.ring, 2)]}, z.act, z.act_inv)
+    assert not _agree_with_full_system(bad)

@@ -62,10 +62,12 @@ CASES = {   # id -> (repair and its arguments, SHA-256 of images and ledger)
         "fb7374017ee0f3cdc9a737cc446b4f12535c2ee12a2eff3927b63093593ab4b4"),
     "S3/fpx/p5/K8/k3": (_finite_image("fpx", 5, 8, 3, 3),
         "cc8052d2771468ece044b156039b9a00adfa57eec93190be019606b2e173fd0a"),
+    # p | N: every step takes the linear solve; its images are the particular
+    # solution of the gauge-fixed system, its ledger that of any solution
     "S3/zp/p2/K8/k3": (_finite_image("zp", 2, 8, 3, 4),
-        "f3b9aa40cf88bfcdcb943c22f493a07f8505513e166380f0ec7952c6e6e84cee"),
+        "f36cfc93abdd7a30de244dd0e200452026b723c3970177929c24ad7a34f01110"),
     "S3/zp/p3/K12/k4": (_finite_image("zp", 3, 12, 4, 5),
-        "6d873f7a94ddbe51a01d672aea7adfbe259f836f09c0c941df12c6f4c5de654a"),
+        "229c98e0ecbb643a42905ac7d55dffe362af871306ff6b1398ca323c359ecd6c"),
     "BS23/zp/p2/K8/k3": (_bs23(2, 3, 6),
         "3b5f14db9d66b96fb85720a54ef5b57ebaab478bd3c9360a9317b207a45cbb77"),
     "BS23/zp/p3/K8/k4": (_bs23(3, 4, 7),

@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.ultranorm_linalg import (
@@ -128,6 +131,49 @@ def test_solve_random_verified(rng):
         for kv, gen in res.kernel:
             img = [ring.dot(row, gen) for row in a.rows]
             assert all(v == 0 for v in img)
+
+
+TINY_RINGS = (RingSpec("zp", 2, 3), RingSpec("zp", 3, 2), RingSpec("fpx", 2, 3))
+
+
+@st.composite
+def _tiny_systems(draw):
+    """(ring, rows, b) over Z/8, Z/9 or F_2[X]/(X^3); up to 4 x 3, some rows zero."""
+    ring = draw(st.sampled_from(TINY_RINGS))
+    entry = st.sampled_from(list(ring.iter_all()))
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    zeroed = draw(st.sets(st.integers(0, nr - 1), max_size=nr - 1))
+    rows = [[0] * nc if i in zeroed else r for i, r in enumerate(rows)]
+    if draw(st.booleans()):  # consistent by construction
+        x = draw(st.lists(entry, min_size=nc, max_size=nc))
+        b = [ring.dot(r, x) for r in rows]
+    else:
+        b = draw(st.lists(entry, min_size=nr, max_size=nr))
+    return ring, rows, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tiny_systems())
+@example((TINY_RINGS[0], [[2, 4, 6]], [4]))                      # nr < nc
+@example((TINY_RINGS[1], [[3], [6], [0]], [3, 6, 1]))            # nr > nc, zero row
+@example((TINY_RINGS[2], [[0, 0], [0, 0]], [0, 0]))              # all rows zero
+def test_solve_linear_matches_enumeration(system):
+    # every x in R^nc is tried: a solution exists exactly when solve_linear
+    # returns one, and the kernel lattice it reports counts all solutions
+    ring, rows, b = system
+    nc = len(rows[0])
+    sols = {x for x in itertools.product(ring.iter_all(), repeat=nc)
+            if [ring.dot(r, x) for r in rows] == b}
+    if not sols:
+        with pytest.raises(Unsolvable):
+            solve_linear(rows, b, ring)
+        return
+    res = solve_linear(rows, b, ring)
+    assert tuple(res.particular) in sols
+    diag = res.diag_vals
+    K = ring.precision
+    assert math.prod(ring.p ** (diag[j] if j < len(diag) else K) for j in range(nc)) == len(sols)
 
 
 def test_monomial_commutant_swap_example():
