@@ -1,13 +1,25 @@
 """Command-line front end.
 
-Subcommands: defect, repair, witness, verify, gbs, claims, proptest,
-monomial.  All numeric output is exact (integer or rational valuations);
+Subcommands: defect, repair, witness, monomial, verify, gbs, claims,
+proptest.  All numeric output is exact (integer or rational valuations);
 runs are deterministic for a fixed seed, and artifacts are single JSON
-files with a schema-version field.  Exit codes: 0 success / verification
-passed, 1 verification failed, 2 input error or unmet precondition (defect
-too large, k <= 2l, a p-part in equal characteristic).  `verify` re-derives
-a certificate under the same caps (`--cap-*`, ULTRASTAB_CAPS) as `repair`
-and `witness`.
+files with a schema-version field.
+
+`repair`, `witness` and `monomial` are rows of one table, `OPERATIONS`,
+keyed by the certificate's `operation`.  A row loads its inputs (files
+for the repairs and `monomial`; parameters for the witnesses, which the
+certificate keeps in `witness.params`) and runs, returning the artifact
+and its certificate; the command writes both.  `verify` loads the same
+inputs, runs the same row under the same caps (`--cap-*`, ULTRASTAB_CAPS)
+and seed, and compares the whole recomputed certificate with the file,
+reporting the first differing key path; it then compares the recomputed
+artifact, as JSON, with `--output` (repairs and `monomial`, if given) or
+with `--input` (witnesses).
+
+Exit codes: 0 success / verification passed, 1 verification failed, 2
+input error (an unreadable or malformed file, an unknown cap) or unmet
+precondition (defect too large, k <= 2l, a p-part in equal
+characteristic).
 """
 
 from __future__ import annotations
@@ -16,8 +28,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional
 
 from . import proptests
 from .aux_families import FiltrationRep, split_section_repair
@@ -25,10 +38,8 @@ from .certificates import (
     Certificate,
     VerificationFailure,
     canonical_json,
-    check_claim,
     digest,
     encode_val,
-    repair_certificate,
 )
 from .char2_involutions import involution_repair
 from .gbs_criteria import GBSGraph, check_pifree_criterion, gbs_vertex_order_bound
@@ -64,51 +75,64 @@ from .witnesses import (
 )
 
 CAPS_ENV = "ULTRASTAB_CAPS"
-
-
-@dataclass
-class RunConfig:
-    """Caps and determinism knobs; env ULTRASTAB_CAPS overrides globally."""
-
-    closure_cap: int = DEFAULT_CLOSURE_CAP
-    enum_cap: int = DEFAULT_ENUM_CAP
-    dim_cap: int = DEFAULT_DIM_CAP
-    wreath_index_cap: int = DEFAULT_WREATH_INDEX_CAP
-    seed: int = 0
-    out: Optional[str] = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls()
-        env = os.environ.get(CAPS_ENV)
-        if env:
-            for key, value in json.loads(env).items():
-                if hasattr(cfg, key):
-                    setattr(cfg, key, int(value))
-        for attr, flag in (("closure_cap", "cap_closure"),
-                           ("enum_cap", "cap_enum"),
-                           ("dim_cap", "cap_dim"),
-                           ("wreath_index_cap", "cap_wreath_index")):
-            v = getattr(args, flag, None)
-            if v is not None:
-                setattr(cfg, attr, v)
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        if getattr(args, "out", None) is not None:
-            cfg.out = args.out
-        return cfg
+# cap name (the key in ULTRASTAB_CAPS) -> destination of its --cap-* option
+CAPS = {"closure_cap": "cap_closure", "enum_cap": "cap_enum",
+        "dim_cap": "cap_dim", "wreath_index_cap": "cap_wreath_index"}
 
 
 class InputError(ValueError):
     pass
 
 
+@contextmanager
+def _malformed(source: str):
+    """A missing key or a JSON value of the wrong type is an input error."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise InputError(f"{source}: malformed ({type(exc).__name__}: {exc})") from None
+
+
+def _env_caps() -> dict:
+    text = os.environ.get(CAPS_ENV)
+    caps = json.loads(text) if text else {}
+    if not isinstance(caps, dict) or any(type(v) is not int for v in caps.values()):
+        raise InputError(f"{CAPS_ENV} must be a JSON object of integer caps")
+    unknown = sorted(caps.keys() - CAPS.keys())
+    if unknown:
+        raise InputError(f"{CAPS_ENV}: unknown cap {', '.join(unknown)} "
+                         f"(the caps are {', '.join(CAPS)})")
+    return caps
+
+
+@dataclass
+class RunConfig:
+    """Caps and the seed: ULTRASTAB_CAPS sets caps, --cap-* overrides it."""
+
+    closure_cap: int = DEFAULT_CLOSURE_CAP
+    enum_cap: int = DEFAULT_ENUM_CAP
+    dim_cap: int = DEFAULT_DIM_CAP
+    wreath_index_cap: int = DEFAULT_WREATH_INDEX_CAP
+    seed: int = 0
+
+    @classmethod
+    def from_args(cls, args) -> "RunConfig":
+        cfg = cls(seed=args.seed, **_env_caps())
+        for cap, dest in CAPS.items():
+            if getattr(args, dest) is not None:
+                setattr(cfg, cap, getattr(args, dest))
+        return cfg
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _write_json(path: Optional[str], obj: dict) -> None:
@@ -120,16 +144,210 @@ def _write_json(path: Optional[str], obj: dict) -> None:
         print(text)
 
 
-def _ring_from_args(args) -> RingSpec:
-    mode = {"zp": "zp", "fpx": "fpx"}[args.ring]
-    return RingSpec(mode, args.p, args.precision)
-
-
 def _load_rep(path: str) -> ApproxRep:
     obj = _load_json(path)
     if obj.get("kind") != "approx_rep":
         raise InputError(f"{path}: expected an approx_rep file")
-    return ApproxRep.from_json(obj)
+    with _malformed(path):
+        return ApproxRep.from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# Operations: load -> run -> (artifact, certificate)
+# ---------------------------------------------------------------------------
+
+
+class Operation(NamedTuple):
+    """`load` turns input file paths (or, for a witness, its parameters)
+    into inputs; `run(inputs, cfg)` returns (artifact JSON, Certificate)."""
+
+    load: Callable
+    run: Callable
+    witness: bool = False
+
+
+def _paths(files: List[str], n: int, expected: str) -> List[str]:
+    if len(files) != n:
+        raise InputError(f"expected {expected}, got {len(files)} input file(s)")
+    return files
+
+
+def _load_one_rep(files):
+    (path,) = _paths(files, 1, "one representation file")
+    return _load_rep(path)
+
+
+def _load_graph(files):
+    rep, gog = _paths(files, 2, "a representation file and --gog FILE")
+    return _load_rep(rep), GraphOfGroups.from_json(_load_json(gog))
+
+
+def _load_involution(files):
+    rep = _load_one_rep(files)
+    if len(rep.images) != 1:
+        raise InputError("involution mode expects a single generator")
+    return rep
+
+
+def _load_split_section(files):
+    (path,) = _paths(files, 1, "one representation file")
+    obj = _load_json(path)
+    return obj, FiltrationRep.from_json(obj)
+
+
+def _load_monomial(files):
+    objs = [_load_json(f) for f in _paths(files, 2, "the files of P and D")]
+    return objs, [UMatrix.from_json(obj) for obj in objs]
+
+
+def _load_cyclic(params):
+    ring = RingSpec.from_json(params["ring"])
+    return ring, int(params["i"]), ring.decode(params["x"])
+
+
+def _load_commutator(params):
+    return RingSpec.from_json(params["ring"]), int(params["n"]), int(params["a"])
+
+
+def _cyclic_params(ring: RingSpec, i: int, x: int) -> dict:
+    return {"p": ring.p, "i": i, "x": ring.encode(x), "ring": ring.describe()}
+
+
+def _repaired(operation: str, inputs_obj, rep: ApproxRep, fixed: ApproxRep, ledger):
+    """A repair's artifact and certificate.  The involution repair keeps
+    no lifting ledger; its estimate is quadratic, checked here."""
+    before, dist = rep.defect(), rep.rep_dist(fixed)
+    if ledger is None:
+        estimate = "quadratic"
+        if not (before.saturated or dist.saturated) and 2 * dist.valuation < before.valuation:
+            raise VerificationFailure("quadratic bound violated")
+    else:
+        estimate = "optimal" if ledger.p_part == 0 else "linear"
+    return fixed.to_json(), Certificate(
+        operation, digest(inputs_obj),
+        before={"defect_val": encode_val(before)},
+        after={"defect_val": encode_val(fixed.defect()), "distance_val": encode_val(dist)},
+        estimate_class=estimate,
+        ledger=None if ledger is None else ledger.to_json())
+
+
+# The run functions look the package functions up in this module's globals
+# at call time, so that a patched binding (tracing, tests) is the one used.
+
+def _run_finite_image(rep, cfg):
+    fixed, ledger = repair_finite_image(rep, cap=cfg.closure_cap)
+    return _repaired("repair-finite-image", rep.to_json(), rep, fixed, ledger)
+
+
+def _run_graph(inputs, cfg):
+    rep, gog = inputs
+    fixed, ledger = graph_repair(gog, rep, cap=cfg.closure_cap)
+    return _repaired("repair-graph", {"rep": rep.to_json(), "gog": gog.to_json()},
+                     rep, fixed, ledger)
+
+
+def _run_involution(rep, cfg):
+    fixed = rep.with_images([involution_repair(rep.images[0])])
+    return _repaired("repair-involution", rep.to_json(), rep, fixed, None)
+
+
+def _run_split_section(inputs, cfg):
+    obj, rep = inputs
+    fixed, moved = split_section_repair(rep)
+    return fixed.to_json(), Certificate(
+        "repair-split-section", digest(obj),
+        before={"defect_level": rep.defect().encode()},
+        after={"defect_level": fixed.defect().encode(), "distance_level": moved.encode()})
+
+
+def _run_monomial(inputs, cfg):
+    (p_obj, d_obj), (P, D) = inputs
+    out = nearest_monomial_commutant(P, D)
+    return out.to_json(), Certificate(
+        "monomial-commutant", digest({"P": p_obj, "D": d_obj}),
+        before={"commutator_defect_val": encode_val(((P @ D) - (D @ P)).matnorm())},
+        after={"distance_val": encode_val((D - out).matnorm())})
+
+
+def _run_badestimate(inputs, cfg):
+    ring, i, x = inputs
+    rep = make_badestimate_rep(ring.p, i, x, ring.precision, mode=ring.mode)
+    hd = hdist_gl1_cyclic(rep, cap=cfg.enum_cap)
+    params = _cyclic_params(ring, i, x)
+    return rep.to_json(), Certificate(
+        "witness-badestimate", digest(params),
+        after={"defect_val": encode_val(rep.defect())},
+        witness={"hdist": hd.to_json(), "params": params})
+
+
+def _run_wreath(inputs, cfg):
+    ring, i, x = inputs
+    if ring.mode != "zp":
+        raise InputError("wreath witness is built over Z/p^K")
+    rep = make_wreath_rep(ring.p, i, x, ring.precision, dim_cap=cfg.dim_cap,
+                          index_cap=cfg.wreath_index_cap)
+    wc = wreath_rep_defect_certificate(ring.p, i, x, ring.precision,
+                                       enum_cap=cfg.enum_cap, seed=cfg.seed,
+                                       index_cap=cfg.wreath_index_cap)
+    params = _cyclic_params(ring, i, x)
+    return rep.to_json(), Certificate(
+        "witness-wreath", digest(params), after={"defect_val": wc.defect_val},
+        witness={**wc.to_json(), "params": params})
+
+
+def _run_commutator(inputs, cfg):
+    ring, n, a = inputs
+    A, B = make_commutator_witness(ring, n, a)
+    oracle = commutator_witness_oracle(ring, n, a, cap=cfg.enum_cap)
+    params = {"ring": ring.describe(), "n": n, "a": a}
+    return ({"schema_version": 1, "kind": "commutator_witness",
+             "A": A.to_json(), "B": B.to_json()},
+            Certificate("witness-commutator", digest(params),
+                        after={"commutator_norm_val": min(2 * a, ring.precision)},
+                        witness={"params": params, "oracle": oracle.to_json()}))
+
+
+OPERATIONS = {
+    "repair-finite-image": Operation(_load_one_rep, _run_finite_image),
+    "repair-graph": Operation(_load_graph, _run_graph),
+    "repair-involution": Operation(_load_involution, _run_involution),
+    "repair-split-section": Operation(_load_split_section, _run_split_section),
+    "monomial-commutant": Operation(_load_monomial, _run_monomial),
+    "witness-badestimate": Operation(_load_cyclic, _run_badestimate, witness=True),
+    "witness-wreath": Operation(_load_cyclic, _run_wreath, witness=True),
+    "witness-commutator": Operation(_load_commutator, _run_commutator, witness=True),
+}
+
+
+def _run(operation: str, source, cfg: RunConfig):
+    op = OPERATIONS[operation]
+    with _malformed(operation):
+        inputs = op.load(source)
+    return op.run(inputs, cfg)
+
+
+def _produce(args, operation: str, source) -> int:
+    artifact, cert = _run(operation, source, RunConfig.from_args(args))
+    _write_json(args.out, artifact)
+    _write_json(args.cert, cert.to_json())
+    return 0
+
+
+def _first_difference(said, got, path: str):
+    """(key path, file value, recomputed value) of the first difference, in
+    sorted key order, between JSON read from a file and a recomputed value
+    (compared as canonical JSON), or None."""
+    if canonical_json(said) == canonical_json(got):
+        return None
+    if isinstance(said, dict) and isinstance(got, dict):
+        for key in sorted(said.keys() | got.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in said or key not in got:
+                return where, said.get(key, "<absent>"), got.get(key, "<absent>")
+            found = _first_difference(said[key], got[key], where)
+            if found:
+                return found
+    return path, said, got
 
 
 # ---------------------------------------------------------------------------
@@ -154,145 +372,52 @@ def cmd_defect(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    cfg = RunConfig.from_args(args)
-    if args.mode == "split-section":
-        obj = _load_json(args.rep)
-        rep = FiltrationRep.from_json(obj)
-        fixed, moved = split_section_repair(rep)
-        cert = Certificate(
-            operation="repair-split-section",
-            inputs_digest=digest(obj),
-            before={"defect_level": rep.defect().encode()},
-            after={"defect_level": fixed.defect().encode(),
-                   "distance_level": moved.encode()},
-            estimate_class="optimal",
-            verified=True,
-        )
-        _write_json(args.out, fixed.to_json())
-        _write_json(args.cert, cert.to_json())
-        return 0
-
-    rep = _load_rep(args.rep)
-    inputs_obj = rep.to_json()
-    if args.mode == "finite-image":
-        fixed, ledger = repair_finite_image(rep, cap=cfg.closure_cap)
-        estimate = "optimal" if ledger.p_part == 0 else "linear"
-        cert = repair_certificate("repair-finite-image", inputs_obj, rep, fixed,
-                                  ledger, estimate)
-    elif args.mode == "graph":
-        if not args.gog:
-            raise InputError("--gog FILE is required for graph mode")
-        gog = GraphOfGroups.from_json(_load_json(args.gog))
-        fixed, ledger = graph_repair(gog, rep, cap=cfg.closure_cap)
-        estimate = "optimal" if ledger.p_part == 0 else "linear"
-        cert = repair_certificate("repair-graph",
-                                  {"rep": inputs_obj, "gog": gog.to_json()},
-                                  rep, fixed, ledger, estimate)
-    elif args.mode == "involution":
-        if len(rep.images) != 1:
-            raise InputError("involution mode expects a single generator")
-        fixed_mat = involution_repair(rep.images[0])
-        fixed = rep.with_images([fixed_mat])
-        cert = repair_certificate("repair-involution", inputs_obj, rep, fixed,
-                                  None, "quadratic")
-        d = rep.defect()
-        dist = rep.rep_dist(fixed)
-        if not (d.saturated or dist.saturated):
-            if 2 * dist.valuation < d.valuation:
-                raise VerificationFailure("quadratic bound violated")
-    elif args.mode == "monomial":
-        raise InputError("monomial mode is served by the `monomial` subcommand")
-    else:
-        raise InputError(f"unknown repair mode {args.mode}")
-    _write_json(args.out, fixed.to_json())
-    _write_json(args.cert, cert.to_json())
-    return 0
+    return _produce(args, "repair-" + args.mode, [args.rep] + ([args.gog] if args.gog else []))
 
 
 def cmd_witness(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ring = _ring_from_args(args)
-    x = ring.decode(json.loads(args.x)) if args.x else ring.uniformizer()
-    if args.kind == "badestimate":
-        rep = make_badestimate_rep(args.p, args.i, x, args.precision,
-                                   mode=ring.mode)
-        hd = hdist_gl1_cyclic(rep, cap=cfg.enum_cap)
-        cert = Certificate(
-            operation="witness-badestimate",
-            inputs_digest=digest({"p": args.p, "i": args.i, "x": ring.encode(x),
-                                  "ring": ring.describe()}),
-            after={"defect_val": encode_val(rep.defect())},
-            witness={"hdist": hd.to_json()},
-            verified=True,
-        )
-        _write_json(args.out, rep.to_json())
-        _write_json(args.cert, cert.to_json())
-        return 0
-    if args.kind == "wreath":
-        if ring.mode != "zp":
-            raise InputError("wreath witness is built over Z/p^K")
-        rep = make_wreath_rep(args.p, args.i, x, args.precision,
-                              dim_cap=cfg.dim_cap,
-                              index_cap=cfg.wreath_index_cap)
-        wc = wreath_rep_defect_certificate(args.p, args.i, x, args.precision,
-                                           enum_cap=cfg.enum_cap, seed=cfg.seed,
-                                           index_cap=cfg.wreath_index_cap)
-        cert = Certificate(
-            operation="witness-wreath",
-            inputs_digest=digest({"p": args.p, "i": args.i, "x": ring.encode(x),
-                                  "ring": ring.describe()}),
-            after={"defect_val": wc.defect_val},
-            witness=wc.to_json(),
-            verified=True,
-        )
-        _write_json(args.out, rep.to_json())
-        _write_json(args.cert, cert.to_json())
-        return 0
-    if args.kind == "commutator":
-        a = args.a
-        A, B = make_commutator_witness(ring, args.n, a)
-        result = None
-        if not args.skip_oracle:
-            result = commutator_witness_oracle(ring, args.n, a, cap=cfg.enum_cap)
-        cert = Certificate(
-            operation="witness-commutator",
-            inputs_digest=digest({"ring": ring.describe(), "n": args.n, "a": a}),
-            after={"commutator_norm_val": min(2 * a, ring.precision)},
-            witness={"params": {"ring": ring.describe(), "n": args.n, "a": a},
-                     "oracle": result.to_json() if result else None},
-            verified=result is not None,
-        )
-        _write_json(args.out, {"schema_version": 1, "kind": "commutator_witness",
-                               "A": A.to_json(), "B": B.to_json()})
-        _write_json(args.cert, cert.to_json())
-        return 0
-    raise InputError(f"unknown witness kind {args.kind}")
+    x = json.loads(args.x) if args.x else None
+    ring = RingSpec(args.ring, args.p, args.precision)
+    params = {"ring": ring.describe(), "i": args.i, "n": args.n, "a": args.a,
+              "x": ring.encode(ring.uniformizer()) if x is None else x}
+    return _produce(args, "witness-" + args.kind, params)
 
 
 def cmd_monomial(args) -> int:
-    p_obj = _load_json(args.p_file)
-    d_obj = _load_json(args.d_file)
-    P = UMatrix.from_json(p_obj)
-    D = UMatrix.from_json(d_obj)
-    out = nearest_monomial_commutant(P, D)
-    eps = ((P @ D) - (D @ P)).matnorm()
-    achieved = (D - out).matnorm()
-    cert = Certificate(
-        operation="monomial-commutant",
-        inputs_digest=digest({"P": p_obj, "D": d_obj}),
-        before={"commutator_defect_val": encode_val(eps)},
-        after={"distance_val": encode_val(achieved)},
-        estimate_class="optimal",
-        verified=True,
-    )
-    _write_json(args.out, out.to_json())
-    _write_json(args.cert, cert.to_json())
+    return _produce(args, "monomial-commutant", [args.p_file, args.d_file])
+
+
+def cmd_verify(args) -> int:
+    cfg = RunConfig.from_args(args)
+    claimed = _load_json(args.certificate)
+    with _malformed(args.certificate):
+        operation = claimed["operation"]
+        if operation not in OPERATIONS:
+            raise InputError(f"certificate operation {operation!r} is not verifiable here")
+        witness = OPERATIONS[operation].witness
+        if witness and (len(args.input) != 1 or args.output or args.gog):
+            raise InputError("a witness certificate is verified against its "
+                             "artifact alone: give it as the one --input")
+        source = claimed["witness"]["params"] if witness else (
+            args.input + ([args.gog] if args.gog else []))
+    artifact_path = args.input[0] if witness else args.output
+    expected = _load_json(artifact_path) if artifact_path else None
+    artifact, cert = _run(operation, source, cfg)
+    diff = _first_difference(claimed, cert.to_json(), "")
+    if diff is None and expected is not None:
+        diff = _first_difference(expected, artifact, "input" if witness else "output")
+    if diff:
+        where, said, got = diff
+        print(f"FAIL {where}: file says {said!r}, recomputed {got!r}", file=sys.stderr)
+        return 1
+    print("PASS certificate reproduces from inputs")
     return 0
 
 
 def cmd_gbs(args) -> int:
     obj = _load_json(args.graph)
-    g = GBSGraph.from_json(obj)
+    with _malformed(args.graph):
+        g = GBSGraph.from_json(obj)
     report = check_pifree_criterion(g, args.p)
     payload = report.to_json()
     if args.order_bounds and report.estimate_class != "none":
@@ -315,120 +440,20 @@ def cmd_proptest(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    cert = Certificate.from_json(_load_json(args.certificate))
-    failures: List[str] = []
-    op = cert.operation
-    if op == "repair-finite-image":
-        rep = _load_rep(args.input)
-        check_claim("inputs_digest", cert.inputs_digest, digest(rep.to_json()),
-                    failures)
-        fixed, ledger = repair_finite_image(rep, cap=cfg.closure_cap)
-        check_claim("before.defect_val", cert.before.get("defect_val"),
-                    encode_val(rep.defect()), failures)
-        check_claim("after.defect_val", cert.after.get("defect_val"),
-                    encode_val(fixed.defect()), failures)
-        check_claim("after.distance_val", cert.after.get("distance_val"),
-                    encode_val(rep.rep_dist(fixed)), failures)
-        if args.output:
-            out = _load_rep(args.output)
-            check_claim("output.defect_saturated", True,
-                        out.defect().saturated, failures)
-    elif op == "repair-graph":
-        if not args.gog:
-            raise InputError("--gog required to verify a graph repair")
-        rep = _load_rep(args.input)
-        gog = GraphOfGroups.from_json(_load_json(args.gog))
-        check_claim("inputs_digest", cert.inputs_digest,
-                    digest({"rep": rep.to_json(), "gog": gog.to_json()}), failures)
-        fixed, _ = graph_repair(gog, rep, cap=cfg.closure_cap)
-        check_claim("before.defect_val", cert.before.get("defect_val"),
-                    encode_val(rep.defect()), failures)
-        check_claim("after.defect_val", cert.after.get("defect_val"),
-                    encode_val(fixed.defect()), failures)
-        check_claim("after.distance_val", cert.after.get("distance_val"),
-                    encode_val(rep.rep_dist(fixed)), failures)
-    elif op == "repair-involution":
-        rep = _load_rep(args.input)
-        check_claim("inputs_digest", cert.inputs_digest, digest(rep.to_json()),
-                    failures)
-        fixed = rep.with_images([involution_repair(rep.images[0])])
-        check_claim("before.defect_val", cert.before.get("defect_val"),
-                    encode_val(rep.defect()), failures)
-        check_claim("after.defect_val", cert.after.get("defect_val"),
-                    encode_val(fixed.defect()), failures)
-        check_claim("after.distance_val", cert.after.get("distance_val"),
-                    encode_val(rep.rep_dist(fixed)), failures)
-    elif op == "repair-split-section":
-        obj = _load_json(args.input)
-        rep = FiltrationRep.from_json(obj)
-        check_claim("inputs_digest", cert.inputs_digest, digest(obj), failures)
-        fixed, moved = split_section_repair(rep)
-        check_claim("before.defect_level", cert.before.get("defect_level"),
-                    rep.defect().encode(), failures)
-        check_claim("after.defect_level", cert.after.get("defect_level"),
-                    fixed.defect().encode(), failures)
-        check_claim("after.distance_level", cert.after.get("distance_level"),
-                    moved.encode(), failures)
-    elif op == "witness-badestimate":
-        rep = _load_rep(args.input)
-        check_claim("after.defect_val", cert.after.get("defect_val"),
-                    encode_val(rep.defect()), failures)
-        hd = hdist_gl1_cyclic(rep, cap=cfg.enum_cap)
-        check_claim("witness.hdist.value", cert.witness["hdist"]["value"],
-                    hd.to_json()["value"], failures)
-    elif op == "witness-wreath":
-        claimed = cert.witness
-        ring = RingSpec("zp", int(claimed["p"]), int(claimed["precision"]))
-        wc = wreath_rep_defect_certificate(int(claimed["p"]), int(claimed["i"]),
-                                           ring.decode(claimed["x"]),
-                                           int(claimed["precision"]),
-                                           enum_cap=cfg.enum_cap, seed=cfg.seed,
-                                           index_cap=cfg.wreath_index_cap)
-        check_claim("witness", claimed, wc.to_json(), failures)
-        rep = _load_rep(args.input)
-        check_claim("input.images", len(rep.images), 2, failures)
-    elif op == "witness-commutator":
-        params = cert.witness.get("params")
-        if not params:
-            raise InputError("commutator certificate lacks its parameters")
-        ring = RingSpec.from_json(params["ring"])
-        result = commutator_witness_oracle(ring, int(params["n"]), int(params["a"]),
-                                           cap=cfg.enum_cap)
-        check_claim("witness.oracle", cert.witness.get("oracle"),
-                    result.to_json(), failures)
-    elif op == "monomial-commutant":
-        raise InputError("verify monomial certificates by re-running `monomial`")
-    else:
-        raise InputError(f"certificate operation {op!r} is not verifiable here")
-    if failures:
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
-        return 1
-    print("PASS certificate reproduces from inputs")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
 
-def _add_ring_args(sp) -> None:
-    sp.add_argument("--ring", choices=["zp", "fpx"], default="zp")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--precision", type=int, default=8)
-
-
 def _add_common(sp) -> None:
     sp.add_argument("--out", default=None, help="output artifact path (stdout if omitted)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap-closure", type=int, default=None, dest="cap_closure")
-    sp.add_argument("--cap-enum", type=int, default=None, dest="cap_enum")
-    sp.add_argument("--cap-dim", type=int, default=None, dest="cap_dim")
-    sp.add_argument("--cap-wreath-index", type=int, default=None,
-                    dest="cap_wreath_index")
+    for dest in CAPS.values():
+        sp.add_argument("--" + dest.replace("_", "-"), type=int, default=None, dest=dest)
+
+
+def _kinds(prefix: str) -> List[str]:
+    return [name[len(prefix):] for name in OPERATIONS if name.startswith(prefix)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,23 +467,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("repair", help="repair into an exact homomorphism")
     sp.add_argument("rep")
-    sp.add_argument("--mode", required=True,
-                    choices=["finite-image", "graph", "involution",
-                             "monomial", "split-section"])
+    sp.add_argument("--mode", required=True, choices=_kinds("repair-"))
     sp.add_argument("--gog", default=None, help="graph-of-groups JSON (graph mode)")
     sp.add_argument("--cert", default=None, help="certificate output path")
     _add_common(sp)
     sp.set_defaults(fn=cmd_repair)
 
     sp = sub.add_parser("witness", help="construct an instability witness")
-    sp.add_argument("--kind", required=True,
-                    choices=["badestimate", "wreath", "commutator"])
-    _add_ring_args(sp)
+    sp.add_argument("--kind", required=True, choices=_kinds("witness-"))
+    sp.add_argument("--ring", choices=["zp", "fpx"], default="zp")
+    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--precision", type=int, default=8)
     sp.add_argument("--i", type=int, default=1)
     sp.add_argument("--x", default=None, help="scalar JSON (default: uniformizer)")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--a", type=int, default=1)
-    sp.add_argument("--skip-oracle", action="store_true")
     sp.add_argument("--cert", default=None)
     _add_common(sp)
     sp.set_defaults(fn=cmd_witness)
@@ -489,10 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=cmd_proptest)
 
-    sp = sub.add_parser("verify", help="re-derive a certificate from its inputs")
+    sp = sub.add_parser("verify", help="re-run an operation and compare its certificate")
     sp.add_argument("certificate")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output", default=None)
+    sp.add_argument("--input", required=True, action="append",
+                    help="input file (repeat for monomial: P, then D); a witness's artifact")
+    sp.add_argument("--output", default=None, help="artifact of a repair or monomial")
     sp.add_argument("--gog", default=None)
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)

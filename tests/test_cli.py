@@ -1,6 +1,11 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
+import pytest
+
+import ultrastab
 from ultrastab import cli
 from ultrastab.cli import main
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups
@@ -47,18 +52,36 @@ def test_cmd_repair_finite_image(tmp_path):
     assert cert["verified"] is True
 
 
-def test_cmd_verify_pass_and_tamper(tmp_path, capsys):
+def _finite_image_files(tmp_path):
     path, rep = _z3_rep_file(tmp_path)
     out_path = str(tmp_path / "fixed.json")
     cert_path = str(tmp_path / "cert.json")
-    main(["repair", path, "--mode", "finite-image",
-          "--out", out_path, "--cert", cert_path])
-    assert main(["verify", cert_path, "--input", path,
-                 "--output", out_path]) == 0
+    assert main(["repair", path, "--mode", "finite-image",
+                 "--out", out_path, "--cert", cert_path]) == 0
+    return cert_path, ["--input", path, "--output", out_path]
+
+
+def test_cmd_verify_pass_and_tamper(tmp_path, capsys):
+    cert_path, inputs = _finite_image_files(tmp_path)
+    path, out_path = inputs[1], inputs[3]
+    assert main(["verify", cert_path] + inputs) == 0
     cert = json.loads(open(cert_path).read())
     cert["after"]["distance_val"] = 1  # tamper
     tampered = _write(tmp_path, "tampered.json", cert)
     assert main(["verify", tampered, "--input", path]) == 1
+    # the steps of the ledger are part of the certificate
+    cert = json.loads(open(cert_path).read())
+    assert cert["ledger"]["steps"]
+    cert["ledger"]["steps"] = []
+    tampered = _write(tmp_path, "tampered.json", cert)
+    assert main(["verify", tampered, "--input", path]) == 1
+    assert "FAIL ledger.steps" in capsys.readouterr().err
+    # a forged output, exact too: the identity image of the order-3 generator
+    rep = ApproxRep.from_json(json.loads(open(out_path).read()))
+    forged = _write(tmp_path, "forged.json",
+                    rep.with_images([UMatrix.identity(rep.ring, 2)]).to_json())
+    assert main(["verify", cert_path, "--input", path, "--output", forged]) == 1
+    assert "FAIL output.images" in capsys.readouterr().err
 
 
 def test_cmd_repair_determinism(tmp_path):
@@ -100,6 +123,11 @@ def _bs23_files(tmp_path):
     return rep_path, gog_path, out_path, cert_path
 
 
+def _graph_files(tmp_path):
+    rep_path, gog_path, out_path, cert_path = _bs23_files(tmp_path)
+    return cert_path, ["--input", rep_path, "--gog", gog_path, "--output", out_path]
+
+
 def test_cmd_repair_graph(tmp_path):
     _, _, out_path, _ = _bs23_files(tmp_path)
     fixed = ApproxRep.from_json(json.loads(open(out_path).read()))
@@ -115,7 +143,7 @@ def test_cmd_verify_graph_before_defect(tmp_path):
     assert main(["verify", bad, "--input", rep_path, "--gog", gog_path]) == 1
 
 
-def test_cmd_repair_involution(tmp_path):
+def _involution_files(tmp_path):
     ring = RingSpec("fpx", 2, 8)
     pres = Presentation.make(["s"], [["s", "s"]])
     x = ring.from_coeffs([1, 0, 0, 1])
@@ -125,21 +153,42 @@ def test_cmd_repair_involution(tmp_path):
     cert_path = str(tmp_path / "cert.json")
     assert main(["repair", rep_path, "--mode", "involution",
                  "--out", out_path, "--cert", cert_path]) == 0
+    return cert_path, ["--input", rep_path, "--output", out_path]
+
+
+def test_cmd_repair_involution(tmp_path):
+    cert_path, (_, _, _, out_path) = _involution_files(tmp_path)
     fixed = ApproxRep.from_json(json.loads(open(out_path).read()))
     assert fixed.defect().saturated
     cert = json.loads(open(cert_path).read())
     assert cert["estimate_class"] == "quadratic"
 
 
+def _witness_files(tmp_path, argv, tag=""):
+    out_path = str(tmp_path / f"w{tag}.json")
+    cert_path = str(tmp_path / f"c{tag}.json")
+    assert main(["witness"] + argv + ["--out", out_path, "--cert", cert_path]) == 0
+    return cert_path, ["--input", out_path]
+
+
+def _badestimate_files(tmp_path, x="3"):
+    return _witness_files(tmp_path, ["--kind", "badestimate", "--ring", "zp", "--p", "3",
+                                     "--precision", "6", "--i", "1", "--x", f'"{x}"'], x)
+
+
 def test_cmd_witness_badestimate(tmp_path):
-    out_path = str(tmp_path / "w.json")
-    cert_path = str(tmp_path / "c.json")
-    assert main(["witness", "--kind", "badestimate", "--ring", "zp", "--p", "3",
-                 "--precision", "6", "--i", "1", "--x", '"3"',
-                 "--out", out_path, "--cert", cert_path]) == 0
+    cert_path, inputs = _badestimate_files(tmp_path)
     cert = json.loads(open(cert_path).read())
     assert cert["after"]["defect_val"] == 2
     assert cert["witness"]["hdist"]["value"] == {"exponent": 1}
+    assert cert["witness"]["params"] == {"p": 3, "i": 1, "x": "3",
+                                         "ring": {"mode": "zp", "p": 3, "precision": 6}}
+    assert main(["verify", cert_path] + inputs) == 0
+    cert["inputs_digest"] = "0" * 64
+    assert main(["verify", _write(tmp_path, "bad.json", cert)] + inputs) == 1
+    # the x = 3 certificate against the x = 6 witness
+    _, inputs6 = _badestimate_files(tmp_path, x="6")
+    assert main(["verify", cert_path] + inputs6) == 1
 
 
 def test_cmd_gbs(tmp_path, capsys):
@@ -163,7 +212,7 @@ def test_cmd_proptest(capsys):
     assert out["violations"] == 0
 
 
-def test_cmd_monomial(tmp_path):
+def _monomial_files(tmp_path):
     ring = RingSpec("zp", 2, 6)
     p_mat = UMatrix.from_int_rows(ring, [[0, 1], [1, 0]])
     d_mat = UMatrix.from_int_rows(ring, [[5, 0], [0, 9]])
@@ -173,11 +222,20 @@ def test_cmd_monomial(tmp_path):
     cert_path = str(tmp_path / "cert.json")
     assert main(["monomial", p_path, d_path,
                  "--out", out_path, "--cert", cert_path]) == 0
-    out = UMatrix.from_json(json.loads(open(out_path).read()))
+    return cert_path, ["--input", p_path, "--input", d_path, "--output", out_path]
+
+
+def test_cmd_monomial(tmp_path):
+    cert_path, inputs = _monomial_files(tmp_path)
+    out = UMatrix.from_json(json.loads(open(inputs[-1]).read()))
     assert out.rows == ((5, 0), (0, 5))
+    assert main(["verify", cert_path] + inputs) == 0
+    cert = json.loads(open(cert_path).read())
+    cert["after"]["distance_val"] += 1
+    assert main(["verify", _write(tmp_path, "bad.json", cert)] + inputs) == 1
 
 
-def test_cmd_verify_split_section(tmp_path):
+def _split_section_files(tmp_path):
     from ultrastab.aux_families import FiltrationMetricSpec, FiltrationRep, TriangularOps
     spec = FiltrationMetricSpec(kind="triangular", modulus=4, dimension=3)
     ops = TriangularOps(3, 4)
@@ -192,6 +250,11 @@ def test_cmd_verify_split_section(tmp_path):
     cert_path = str(tmp_path / "cert.json")
     assert main(["repair", rep_path, "--mode", "split-section",
                  "--out", out_path, "--cert", cert_path]) == 0
+    return cert_path, ["--input", rep_path, "--output", out_path]
+
+
+def test_cmd_verify_split_section(tmp_path):
+    cert_path, (_, rep_path, _, _) = _split_section_files(tmp_path)
     assert main(["verify", cert_path, "--input", rep_path]) == 0
     cert = json.loads(open(cert_path).read())
     cert["after"]["distance_level"]["level"] = 0
@@ -199,44 +262,67 @@ def test_cmd_verify_split_section(tmp_path):
     assert main(["verify", bad, "--input", rep_path]) == 1
 
 
-def test_cmd_verify_witness_wreath(tmp_path):
-    out_path = str(tmp_path / "w.json")
-    cert_path = str(tmp_path / "c.json")
-    assert main(["witness", "--kind", "wreath", "--ring", "zp", "--p", "2",
-                 "--precision", "12", "--i", "1", "--x", '"2"',
-                 "--out", out_path, "--cert", cert_path]) == 0
-    assert main(["verify", cert_path, "--input", out_path]) == 0
+WREATH_ARGV = ["--kind", "wreath", "--ring", "zp", "--p", "2",
+               "--precision", "12", "--i", "1", "--x", '"2"']
+
+
+def test_cmd_verify_witness_wreath(tmp_path, capsys):
+    cert_path, inputs = _witness_files(tmp_path, WREATH_ARGV)
+    assert main(["verify", cert_path] + inputs) == 0
+    # tampers, on the cheaper sampled certificate: checked against an
+    # unrelated representation on two generators, and without witness.p
+    cert_path, inputs = _sampled_wreath_files(tmp_path)
+    other = _bs23_files(tmp_path)[0]
+    assert main(["verify", cert_path, "--input", other] + inputs[2:]) == 1
+    cert = json.loads(open(cert_path).read())
+    del cert["witness"]["p"]
+    assert main(["verify", _write(tmp_path, "bad.json", cert)] + inputs) == 1
+    del cert["witness"]["params"]
+    assert main(["verify", _write(tmp_path, "bad.json", cert)] + inputs) == 2
+    err = capsys.readouterr().err
+    assert "FAIL witness.p" in err and "input error" in err and "Traceback" not in err
+
+
+def _sampled_wreath_files(tmp_path):
+    cert_path, inputs = _witness_files(tmp_path, WREATH_ARGV + ["--cap-enum", "100"])
+    return cert_path, inputs + ["--cap-enum", "100"]
 
 
 def test_cmd_witness_wreath_cap_enum(tmp_path):
     # an enumeration cap below the 16384-element block group: the defect is
     # sampled, and verify under the same cap re-derives that certificate
-    out_path = str(tmp_path / "w.json")
-    cert_path = str(tmp_path / "c.json")
-    assert main(["witness", "--kind", "wreath", "--ring", "zp", "--p", "2",
-                 "--precision", "12", "--i", "1", "--x", '"2"', "--cap-enum", "100",
-                 "--out", out_path, "--cert", cert_path]) == 0
+    cert_path, inputs = _sampled_wreath_files(tmp_path)
     cert = json.loads(open(cert_path).read())
     assert cert["witness"]["exact"] is False and cert["witness"]["group_order"] is None
-    assert main(["verify", cert_path, "--input", out_path, "--cap-enum", "100"]) == 0
+    assert main(["verify", cert_path] + inputs) == 0
+
+
+def _commutator_files(tmp_path):
+    return _witness_files(tmp_path, ["--kind", "commutator", "--ring", "zp", "--p", "2",
+                                     "--precision", "3", "--n", "2", "--a", "1"])
 
 
 def test_cmd_verify_witness_commutator(tmp_path):
-    out_path = str(tmp_path / "w.json")
-    cert_path = str(tmp_path / "c.json")
-    assert main(["witness", "--kind", "commutator", "--ring", "zp", "--p", "2",
-                 "--precision", "3", "--n", "2", "--a", "1",
-                 "--out", out_path, "--cert", cert_path]) == 0
-    assert main(["verify", cert_path, "--input", out_path]) == 0
+    cert_path, inputs = _commutator_files(tmp_path)
+    assert main(["verify", cert_path] + inputs) == 0
     cert = json.loads(open(cert_path).read())
     cert["witness"]["oracle"]["feasible_level"] = 2
     bad = _write(tmp_path, "bad_cert.json", cert)
-    assert main(["verify", bad, "--input", out_path]) == 1
+    assert main(["verify", bad] + inputs) == 1
+    # the witness artifact is the one --input: an unrelated file fails
+    unrelated, _ = _z3_rep_file(tmp_path)
+    assert main(["verify", cert_path, "--input", unrelated]) == 1
 
 
-def test_env_caps(tmp_path, monkeypatch):
+def test_env_caps(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ULTRASTAB_CAPS", '{"wreath_index_cap": 1}')
     assert main(["claims", "--max-i", "2", "--p", "2"]) == 2  # cap now too low
+    # exactly the four cap names: a misspelt cap or another setting is refused
+    for env, key in (('{"closure-cap": 5}', "closure-cap"), ('{"seed": 1}', "seed"),
+                     ('{"out": 1, "enum_cap": 5}', "out")):
+        monkeypatch.setenv("ULTRASTAB_CAPS", env)
+        assert main(["claims", "--max-i", "2", "--p", "2"]) == 2
+        assert key in capsys.readouterr().err
 
 
 def _gl1_rep_file(tmp_path, name, p, K, x, order):
@@ -278,6 +364,18 @@ def test_input_errors(tmp_path, capsys):
     assert main(["repair", path, "--mode", "split-section"]) == 2
     err = capsys.readouterr().err
     assert err.count("precondition not met") == 4 and "Traceback" not in err
+    # malformed files: a certificate without its operation, a JSON array
+    # where an object belongs, a graph repair without --gog
+    cert = _write(tmp_path, "cert.json", {"kind": "certificate"})
+    array = _write(tmp_path, "array.json", [1, 2])
+    assert main(["verify", cert, "--input", path]) == 2
+    assert main(["defect", array]) == 2
+    cert_path, _ = _finite_image_files(tmp_path)
+    assert main(["verify", cert_path, "--input", array]) == 2
+    path, _ = _z3_rep_file(tmp_path)
+    assert main(["repair", path, "--mode", "graph"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error") == 4 and "Traceback" not in err
 
 
 def test_unsolvable_exits_1(tmp_path, monkeypatch, capsys):
@@ -307,3 +405,52 @@ def test_cmd_verify_honors_caps(tmp_path):
     assert main(["verify", cert_path, "--input", path]) == 0
     # the image S3 has 6 elements: a closure cap of 2 cannot re-derive it
     assert main(["verify", cert_path, "--input", path, "--cap-closure", "2"]) == 2
+
+
+# Every operation of the table, produced: (certificate, the verify arguments).
+PRODUCERS = {
+    "repair-finite-image": _finite_image_files,
+    "repair-graph": _graph_files,
+    "repair-involution": _involution_files,
+    "repair-split-section": _split_section_files,
+    "monomial-commutant": _monomial_files,
+    "witness-badestimate": _badestimate_files,
+    "witness-wreath": _sampled_wreath_files,
+    "witness-commutator": _commutator_files,
+}
+
+
+@pytest.mark.parametrize("operation", sorted(cli.OPERATIONS))
+def test_cmd_verify_round_trip(tmp_path, capsys, operation):
+    # produce, verify, and verify once more with the estimate class changed,
+    # a field that only the whole-certificate comparison checks
+    cert_path, inputs = PRODUCERS[operation](tmp_path)
+    cert = json.loads(open(cert_path).read())
+    assert cert["operation"] == operation
+    assert main(["verify", cert_path] + inputs) == 0
+    cert["estimate_class"] = "optimal" if cert["estimate_class"] == "quadratic" else "quadratic"
+    assert main(["verify", _write(tmp_path, "tampered.json", cert)] + inputs) == 1
+    assert "FAIL estimate_class" in capsys.readouterr().err
+
+
+def test_trace_bindings_resolve(tmp_path):
+    # perfbench/tracing.py wraps functions at these (module, name) bindings;
+    # each must exist, and the cli must look them up at call time
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, bindings in tracing.SPANS:
+        for owner, attr in bindings:
+            assert callable(tracing._resolve(ultrastab, owner).__dict__.get(attr)), (owner, attr)
+    tracer = tracing.Tracer()
+    tracer.install(ultrastab)
+    try:
+        cert_path, inputs = _finite_image_files(tmp_path)
+        assert main(["verify", cert_path] + inputs) == 0
+    finally:
+        tracer.uninstall()
+    c = tracer.counts
+    assert c["cli.repair.calls"] == c["cli.verify.calls"] == 1
+    assert c["homrepair.repair_finite_image.calls"] == 2
+    assert c["certificates.digest.calls"] == 2
