@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .local_ring import _BITS, NormValue, RingError, RingSpec
+from .local_ring import NormValue, RingError, RingSpec
 from .ultranorm_linalg import UMatrix
 
 
@@ -252,7 +252,7 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
                     continue
                 if x and ring.val(x) < j:
                     ok = False
-                rbits[r][c] = (x >> (_BITS * j)) & 1 if x else 0
+                rbits[r][c] = ring.digit(x, j)
         if not ok:
             raise ReductionFailed("block congruence degraded during lifting")
         # solve R + E D - D E == 0 outside the B block, unknown E in M_n(F_2)

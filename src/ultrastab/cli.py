@@ -445,8 +445,9 @@ def cmd_proptest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--out", default=None, help="output artifact path (stdout if omitted)")
+def _add_common(sp, out: bool = True) -> None:
+    if out:
+        sp.add_argument("--out", default=None, help="output artifact path (stdout if omitted)")
     sp.add_argument("--seed", type=int, default=0)
     for dest in CAPS.values():
         sp.add_argument("--" + dest.replace("_", "-"), type=int, default=None, dest=dest)
@@ -512,13 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=cmd_proptest)
 
-    sp = sub.add_parser("verify", help="re-run an operation and compare its certificate")
+    # no abbreviations: "--out" would otherwise be read as "--output"
+    sp = sub.add_parser("verify", help="re-run an operation and compare its certificate",
+                        allow_abbrev=False)
     sp.add_argument("certificate")
     sp.add_argument("--input", required=True, action="append",
                     help="input file (repeat for monomial: P, then D); a witness's artifact")
     sp.add_argument("--output", default=None, help="artifact of a repair or monomial")
     sp.add_argument("--gog", default=None)
-    _add_common(sp)
+    _add_common(sp, out=False)  # verify writes no artifact, only its exit code
     sp.set_defaults(fn=cmd_verify)
 
     return ap

@@ -6,6 +6,18 @@ the prime field, uniformizer X).  Elements are stored in a canonical raw
 form so equality is plain integer equality, and every operation is exact
 at the working precision K.  The valuation val(x) lies in {0, ..., K}
 with val(x) = K exactly when x is zero at this precision.
+
+Equal characteristic packs the K coefficients of an element into one
+integer, coefficient i in the W-bit slot at bit W*i (Kronecker
+substitution).  The slot width W depends on p alone, so raw values keep
+their meaning across precisions, and K is at most K_MAX.  W leaves room
+for any sum of up to SUM_TERMS products plus two reduced terms, so one
+integer multiply computes a truncated polynomial product with no carries
+between slots, and one multiply-shift divides every slot by p at once
+(Granlund-Montgomery division by an invariant integer).  A product, a
+sum, a difference or a dot product of at most SUM_TERMS terms therefore
+costs one big-int product per term plus O(1) big-int operations on K*W
+bits, with no loop over the slots; p = 2 reduces with xor and a mask.
 """
 
 from __future__ import annotations
@@ -14,18 +26,28 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, List, Sequence
 
 MIXED_CHAR = "zp"   # Z/p^K
 EQUAL_CHAR = "fpx"  # F_p[X]/(X^K)
 
-# EqualChar elements pack their K base-p coefficients into one integer,
-# one coefficient per 20-bit slot.  Convolution coefficients of a product
-# stay far below 2^20, so one integer multiply computes the truncated
-# polynomial product with no carries between slots.
-_BITS = 20
-_SLOT = 1 << _BITS
-_SLOT_MASK = _SLOT - 1
+K_MAX = 64       # largest precision of an equal-characteristic ring
+SUM_TERMS = 16   # most products summed before an equal-characteristic reduction
+
+
+def _slot_width(p: int):
+    """(W, s, m): slot width and the multiply-shift t -> (t * m) >> s = t // p.
+
+    A slot of an unreduced sum holds less than 2^b, b = bitlen(SUM_TERMS *
+    K_MAX * (p-1)^2 + 2p).  With s = b + ceil(log2 p) and m = ceil(2^s / p),
+    (t * m) >> s equals t // p for every t < 2^b, and t * m < 2^W with
+    W = b + bitlen(m), so the per-slot quotients never overlap.
+    """
+    b = (SUM_TERMS * K_MAX * (p - 1) ** 2 + 2 * p).bit_length()
+    s = b + (p - 1).bit_length()
+    m = -(-(1 << s) // p)
+    return b + m.bit_length(), s, m
 
 
 class RingError(ValueError):
@@ -68,23 +90,28 @@ class RingSpec:
             raise RingError(f"p must be prime, got {self.p}")
         if self.precision < 1:
             raise RingError(f"precision must be >= 1, got {self.precision}")
-        if self.mode == MIXED_CHAR:
-            object.__setattr__(self, "_modulus", self.p ** self.precision)
-        else:
-            # one bit per slot: the mod-2 digit reduction mask (p = 2 only)
-            mask = 0
-            for i in range(self.precision):
-                mask |= 1 << (_BITS * i)
-            object.__setattr__(self, "_low_mask", mask)
-            # all bits of the first K slots: the truncation mask
-            object.__setattr__(self, "_full_mask",
-                               (1 << (_BITS * self.precision)) - 1)
+        # plain attributes, not fields: they stay out of __eq__ and __hash__
+        setattr_ = object.__setattr__
+        setattr_(self, "is_mixed", self.mode == MIXED_CHAR)
+        if self.is_mixed:
+            setattr_(self, "_modulus", self.p ** self.precision)
+            return
+        if self.precision > K_MAX:
+            raise RingError(f"equal-characteristic precision must be <= {K_MAX}, "
+                            f"got {self.precision}")
+        w, s, m = _slot_width(self.p)
+        slot_mask = (1 << w) - 1
+        full = (1 << (w * self.precision)) - 1     # all bits of the first K slots
+        low = full // slot_mask                    # 1 in each of the first K slots
+        setattr_(self, "_w", w)
+        setattr_(self, "_slot_mask", slot_mask)
+        setattr_(self, "_low", low)
+        setattr_(self, "_p_slots", self.p * low)   # p in each slot: x + P - y >= 0
+        # (full, m, s, qmask): _reduce_acc's constants, qmask keeping the
+        # quotient bits of each slot after the shift
+        setattr_(self, "_reduction", (full, m, s, ((1 << (w - s)) - 1) * low))
 
     # -- basic structure ------------------------------------------------
-
-    @property
-    def is_mixed(self) -> bool:
-        return self.mode == MIXED_CHAR
 
     @property
     def modulus(self) -> int:
@@ -124,22 +151,29 @@ class RingSpec:
             raise RingError("coefficient form only in equal characteristic")
         raw = 0
         for i, c in enumerate(coeffs[: self.precision]):
-            raw |= (c % self.p) << (_BITS * i)
+            raw |= (c % self.p) << (self._w * i)
         return raw
 
     def to_coeffs(self, x: int) -> List[int]:
         if self.is_mixed:
             raise RingError("coefficient form only in equal characteristic")
-        return [(x >> (_BITS * i)) & _SLOT_MASK for i in range(self.precision)]
+        w, mask = self._w, self._slot_mask
+        return [(x >> (w * i)) & mask for i in range(self.precision)]
+
+    def digit(self, x: int, j: int) -> int:
+        """Coefficient of w^j in x: its base-p digit j, or its X^j coefficient."""
+        if self.is_mixed:
+            return x // self.p ** j % self.p
+        return (x >> (self._w * j)) & self._slot_mask
 
     def uniformizer(self) -> int:
-        return self.p if self.is_mixed else _SLOT
+        return self.p if self.is_mixed else 1 << self._w
 
     def omega_pow(self, k: int) -> int:
         """Raw value of w^k; zero when k >= K."""
         if k >= self.precision:
             return 0
-        return self.p ** k if self.is_mixed else 1 << (_BITS * k)
+        return self.p ** k if self.is_mixed else 1 << (self._w * k)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -155,46 +189,41 @@ class RingSpec:
             return (-x) % self._modulus
         if self.p == 2:
             return x
-        out = 0
-        p = self.p
-        for i in range(self.precision):
-            c = (x >> (_BITS * i)) & _SLOT_MASK
-            if c:
-                out |= (p - c) << (_BITS * i)
-        return out
+        return self._reduce_acc(self._p_slots - x)
 
     def sub(self, x: int, y: int) -> int:
         if self.is_mixed:
             return (x - y) % self._modulus
         if self.p == 2:
             return x ^ y
-        return self.add(x, self.neg(y))
+        return self._reduce_acc(x + self._p_slots - y)
 
     def mul(self, x: int, y: int) -> int:
         if self.is_mixed:
             return (x * y) % self._modulus
         if self.p == 2:
-            return (x * y) & self._low_mask
+            return (x * y) & self._low
         return self._reduce_acc(x * y)
 
     def _reduce_acc(self, t: int) -> int:
-        """Reduce an unreduced slot-packed accumulator mod p, truncated at K."""
-        out = 0
-        p = self.p
-        for i in range(self.precision):
-            c = ((t >> (_BITS * i)) & _SLOT_MASK) % p
-            if c:
-                out |= c << (_BITS * i)
-        return out
+        """Reduce an unreduced slot-packed sum mod p in every slot, truncated at K.
+
+        t must be a sum of at most SUM_TERMS products of reduced elements
+        plus at most two reduced elements (or P), so no slot has carried.
+        """
+        full, m, s, qmask = self._reduction
+        t &= full
+        return t - self.p * (((t * m) >> s) & qmask)
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """Exact sum of products; the workhorse of matrix multiplication."""
         if self.is_mixed:
-            return sum(a * b for a, b in zip(xs, ys)) % self._modulus
-        t = sum(a * b for a, b in zip(xs, ys))
-        if self.p == 2:
-            return t & self._low_mask
-        return self._reduce_acc(t)
+            return sum(map(mul, xs, ys)) % self._modulus
+        t = 0
+        for i in range(0, len(xs), SUM_TERMS):
+            t = self._reduce_acc(
+                t + sum(map(mul, xs[i:i + SUM_TERMS], ys[i:i + SUM_TERMS])))
+        return t
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
@@ -223,10 +252,7 @@ class RingSpec:
                 x //= p
                 v += 1
             return v
-        v = 0
-        while (x >> (_BITS * v)) & _SLOT_MASK == 0:
-            v += 1
-        return v
+        return ((x & -x).bit_length() - 1) // self._w
 
     def is_unit(self, x: int) -> bool:
         return self.val(x) == 0
@@ -236,16 +262,15 @@ class RingSpec:
             raise NonUnit(f"cannot invert element of valuation {self.val(x)}")
         if self.is_mixed:
             return pow(x, -1, self._modulus)
-        # Triangular solve: b_0 = a_0^{-1}, then each higher coefficient is
-        # forced by requiring the product's coefficient to vanish.
-        p = self.p
-        a = self.to_coeffs(x)
-        a0inv = pow(a[0], -1, p)
-        b = [a0inv] + [0] * (self.precision - 1)
-        for d in range(1, self.precision):
-            s = sum(a[i] * b[d - i] for i in range(1, d + 1)) % p
-            b[d] = (-a0inv * s) % p
-        return self.from_coeffs(b)
+        # Newton iteration: if x b = 1 mod X^k then b (2 - x b) inverts x
+        # mod X^2k, starting from the inverse of the constant coefficient.
+        b = pow(x & self._slot_mask, -1, self.p)
+        two = self.from_int(2)
+        k = 1
+        while k < self.precision:
+            b = self.mul(b, self.sub(two, self.mul(x, b)))
+            k *= 2
+        return b
 
     # -- precision shifts ---------------------------------------------------
 
@@ -257,7 +282,7 @@ class RingSpec:
             return 0
         if self.is_mixed:
             return (x * self.p ** k) % self._modulus
-        return (x << (_BITS * k)) & self._full_mask
+        return (x << (self._w * k)) & self._reduction[0]
 
     def shift_down(self, x: int, k: int) -> int:
         """Exact division by w^k; requires val(x) >= k."""
@@ -267,15 +292,19 @@ class RingSpec:
             raise RingError("element not divisible by w^k")
         if self.is_mixed:
             return x // self.p ** k
-        return x >> (_BITS * k)
+        return x >> (self._w * k)
+
+    def low_part(self, x: int, keep: int) -> int:
+        """x mod w^keep: the terms of x below w^keep."""
+        if self.is_mixed:
+            return x % (self.p ** keep)
+        return x & ((1 << (self._w * keep)) - 1)
 
     def reduce_raw(self, x: int, m: int) -> int:
         """Image of x in the precision-m quotient ring."""
         if m > self.precision:
             raise RingError("cannot reduce to higher precision")
-        if self.is_mixed:
-            return x % (self.p ** m)
-        return x & ((1 << (_BITS * m)) - 1)
+        return self.low_part(x, m)
 
     # -- serialization, enumeration, sampling -------------------------------
 
@@ -307,10 +336,7 @@ class RingSpec:
             yield from range(self._modulus)
             return
         for digits in itertools.product(range(self.p), repeat=self.precision):
-            raw = 0
-            for i, c in enumerate(digits):
-                raw |= c << (_BITS * i)
-            yield raw
+            yield self.from_coeffs(digits)
 
     def iter_units(self) -> Iterator[int]:
         for x in self.iter_all():

@@ -179,7 +179,9 @@ def run_suite(suite: str, samples: int, seed: int) -> Tuple[bool, dict]:
     violations = 0
     configs = []
     if suite == "ring-laws":
-        for mode, p, K in (("zp", 2, 8), ("zp", 3, 6), ("fpx", 2, 8), ("fpx", 5, 4)):
+        # fpx at p = 257 and 1021: the packed products with the widest slot sums
+        for mode, p, K in (("zp", 2, 8), ("zp", 3, 6), ("fpx", 2, 8), ("fpx", 5, 4),
+                           ("fpx", 257, 20), ("fpx", 1021, 32)):
             ring = RingSpec(mode, p, K)
             v = ring_laws(ring, samples, rng)
             violations += v

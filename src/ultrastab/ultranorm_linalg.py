@@ -10,11 +10,11 @@ every nonzero element is a unit times a power of the uniformizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .local_ring import (
-    _BITS,
-    _SLOT_MASK,
+    SUM_TERMS,
     NormValue,
     RingError,
     RingMismatch,
@@ -104,12 +104,26 @@ class UMatrix:
         if ring.is_mixed:
             M = ring.modulus
             rows = tuple(
-                tuple(sum(a * b for a, b in zip(arow, bcol)) % M for bcol in cols)
+                tuple(sum(map(mul, arow, bcol)) % M for bcol in cols)
                 for arow in self.rows
             )
-        else:
+        elif self.n > SUM_TERMS:
             dot = ring.dot
             rows = tuple(tuple(dot(arow, bcol) for bcol in cols) for arow in self.rows)
+        elif ring.p == 2:
+            low = ring._low
+            rows = tuple(tuple(sum(map(mul, arow, bcol)) & low for bcol in cols)
+                         for arow in self.rows)
+        else:
+            # RingSpec._reduce_acc inlined: each entry is one sum of n <= SUM_TERMS
+            # products, truncated and reduced slotwise mod p
+            p = ring.p
+            full, m, s, qmask = ring._reduction
+            rows = tuple(
+                tuple(t - p * (((t * m) >> s) & qmask)
+                      for t in (sum(map(mul, arow, bcol)) & full for bcol in cols))
+                for arow in self.rows
+            )
         return UMatrix(ring, self.n, rows)
 
     def __add__(self, other: "UMatrix") -> "UMatrix":
@@ -187,10 +201,8 @@ class UMatrix:
 
     def residue_rows(self) -> List[List[int]]:
         """Entries reduced to the residue field F_p."""
-        ring = self.ring
-        if ring.is_mixed:
-            return [[a % ring.p for a in row] for row in self.rows]
-        return [[a & _SLOT_MASK for a in row] for row in self.rows]
+        digit = self.ring.digit
+        return [[digit(a, 0) for a in row] for row in self.rows]
 
     def is_gl(self) -> bool:
         """Unit determinant, checked on the residue field."""
@@ -547,7 +559,7 @@ def nearest_monomial_commutant(p_mat: UMatrix, d_mat: UMatrix) -> UMatrix:
                 if keep <= 0:
                     d = c0
                 else:
-                    d = ring.sub(c0, _low_part(ring, c0, keep))
+                    d = ring.sub(c0, ring.low_part(c0, keep))
             for (i, j, mu_k) in orbit:
                 rows[i][j] = ring.mul(mu_k, d)
     out = UMatrix(ring, n, tuple(tuple(r) for r in rows))
@@ -559,12 +571,3 @@ def nearest_monomial_commutant(p_mat: UMatrix, d_mat: UMatrix) -> UMatrix:
             "nearest exact commutant exceeds the commutator defect", out)
     return out
 
-
-def _low_part(ring: RingSpec, x: int, keep: int) -> int:
-    """x mod w^keep: what must be discarded to land on a w^keep-multiple."""
-    if ring.is_mixed:
-        return x % (ring.p ** keep)
-    low = 0
-    for i in range(keep):
-        low |= ((x >> (_BITS * i)) & _SLOT_MASK) << (_BITS * i)
-    return low

@@ -84,6 +84,17 @@ def test_cmd_verify_pass_and_tamper(tmp_path, capsys):
     assert "FAIL output.images" in capsys.readouterr().err
 
 
+def test_cmd_verify_rejects_out(tmp_path, capsys):
+    # verify writes no artifact, so --out is a usage error, not silently ignored
+    cert_path, inputs = _finite_image_files(tmp_path)
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", cert_path] + inputs + ["--out", str(report)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cmd_repair_determinism(tmp_path):
     path, _ = _z3_rep_file(tmp_path)
     outs = []

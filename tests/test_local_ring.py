@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrastab.local_ring import (
     EQUAL_CHAR,
+    K_MAX,
     MIXED_CHAR,
+    SUM_TERMS,
     NonUnit,
     NormValue,
     RingError,
     RingSpec,
     Scalar,
 )
+from ultrastab.ultranorm_linalg import UMatrix
 
 
 def test_ring_validation():
@@ -149,3 +153,223 @@ def test_scalar_interface():
     assert a.inv().raw == 43
     assert a.val() == 0
     assert Scalar(r, 12).val() == 2
+
+
+# -- differential tests against a plain reference ---------------------------
+#
+# The reference keeps a Z/p^K element as an int and an F_p[X]/(X^K) element
+# as its list of K coefficients, lowest degree first, and computes with
+# schoolbook loops.  p = 257 and 1021 with K up to 64 push the packed
+# equal-characteristic slots to their largest sums.
+
+PRIMES = (2, 3, 5, 257, 1021)
+
+
+def _digits(p, K):
+    # biased toward p - 1, the digit that makes slot sums largest
+    return st.lists(st.one_of(st.just(p - 1), st.integers(0, p - 1)),
+                    min_size=K, max_size=K)
+
+
+def _rings(max_k=K_MAX):
+    return st.builds(RingSpec, st.sampled_from([MIXED_CHAR, EQUAL_CHAR]),
+                     st.sampled_from(PRIMES), st.integers(1, max_k))
+
+
+@st.composite
+def _ring_and_two_elements(draw):
+    ring = draw(_rings())
+    x, y = (_element(ring, draw(_digits(ring.p, ring.precision))) for _ in range(2))
+    return ring, x, y
+
+
+def _element(ring, digits):
+    """(raw, reference) for the element with these base-p / X-adic digits."""
+    if ring.is_mixed:
+        v = sum(d * ring.p ** i for i, d in enumerate(digits))
+        return v, v
+    return ring.from_coeffs(digits), list(digits)
+
+
+def _ref_mul(ring, a, b):
+    if ring.is_mixed:
+        return a * b % ring.modulus
+    p, K = ring.p, ring.precision
+    out = [0] * K
+    for i, x in enumerate(a):
+        if x:
+            for j in range(K - i):
+                out[i + j] += x * b[j]
+    return [c % p for c in out]
+
+
+def _ref_add(ring, a, b, sign=1):
+    if ring.is_mixed:
+        return (a + sign * b) % ring.modulus
+    return [(x + sign * y) % ring.p for x, y in zip(a, b)]
+
+
+def _ref_val(ring, a):
+    K = ring.precision
+    if ring.is_mixed:
+        return next((v for v in range(K) if a % ring.p ** (v + 1)), K)
+    return next((i for i, c in enumerate(a) if c), K)
+
+
+def _ref_inv(ring, a):
+    if ring.is_mixed:
+        return pow(a, -1, ring.modulus)
+    # triangular solve: each coefficient of the product past the first vanishes
+    p, K = ring.p, ring.precision
+    a0inv = pow(a[0], -1, p)
+    b = [a0inv] + [0] * (K - 1)
+    for d in range(1, K):
+        b[d] = -a0inv * sum(a[i] * b[d - i] for i in range(1, d + 1)) % p
+    return b
+
+
+def _ref_truncate(ring, a, keep):
+    """a mod w^keep, read at the precision of ring."""
+    if ring.is_mixed:
+        return a % ring.p ** keep
+    return a[:keep] + [0] * (ring.precision - keep)
+
+
+def _ref_digit(ring, a, j):
+    return a // ring.p ** j % ring.p if ring.is_mixed else a[j]
+
+
+def _ref_shift(ring, a, k):
+    """a * w^k."""
+    if ring.is_mixed:
+        return a * ring.p ** k % ring.modulus
+    return ([0] * k + a)[:ring.precision]
+
+
+def _plain(ring, raw):
+    """The reference form of a raw element, which must be canonical."""
+    if ring.is_mixed:
+        assert 0 <= raw < ring.modulus
+        return raw
+    coeffs = ring.to_coeffs(raw)
+    assert raw == ring.from_coeffs(coeffs) and max(coeffs) < ring.p
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_and_two_elements(), st.data())
+def test_ring_ops_match_reference(case, data):
+    ring, (x, a), (y, b) = case
+    K = ring.precision
+    assert _plain(ring, ring.add(x, y)) == _ref_add(ring, a, b)
+    assert _plain(ring, ring.sub(x, y)) == _ref_add(ring, a, b, -1)
+    assert _plain(ring, ring.neg(x)) == _ref_add(ring, _plain(ring, 0), a, -1)
+    assert _plain(ring, ring.mul(x, y)) == _ref_mul(ring, a, b)
+    assert ring.val(x) == _ref_val(ring, a)
+    if ring.val(x) == 0:
+        assert _plain(ring, ring.inv(x)) == _ref_inv(ring, a)
+    else:
+        with pytest.raises(NonUnit):
+            ring.inv(x)
+    k = data.draw(st.integers(0, K))
+    shifted = ring.shift_up(x, k)
+    assert _plain(ring, shifted) == _ref_shift(ring, a, k)
+    if k < K:
+        assert _plain(ring, ring.shift_down(shifted, k)) == _ref_truncate(ring, a, K - k)
+    m = data.draw(st.integers(1, K))
+    low = ring.reduce_raw(x, m)
+    assert _plain(ring.with_precision(m), low) == _ref_truncate(ring.with_precision(m), a, m)
+    lifted = UMatrix(ring.with_precision(m), 1, ((low,),)).lift_to(ring)
+    assert _plain(ring, lifted.rows[0][0]) == _ref_truncate(ring, a, m)
+    assert _plain(ring, ring.low_part(x, m)) == _ref_truncate(ring, a, m)
+    assert [ring.digit(x, j) for j in range(K)] == [_ref_digit(ring, a, j) for j in range(K)]
+    assert ring.decode(ring.encode(x)) == x
+    if not ring.is_mixed:
+        assert ring.encode(x) == a
+
+
+def _random_digits(rng, p, K):
+    # half the digits p - 1, as in _digits, drawn by a seeded generator
+    # because hypothesis draws are slow for vectors of long elements
+    return [p - 1 if rng.random() < 0.5 else rng.randrange(p) for _ in range(K)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rings(), st.integers(1, 40), st.integers(0, 2 ** 32))
+def test_dot_matches_reference(ring, n, seed):
+    # lengths 1-40 cross SUM_TERMS, where the packed sum is reduced
+    rng = random.Random(seed)
+    draw = lambda: _element(ring, _random_digits(rng, ring.p, ring.precision))
+    xs, ys = zip(*[(draw(), draw()) for _ in range(n)])
+    expect = _ref_mul(ring, xs[0][1], ys[0][1])
+    for (_, a), (_, b) in zip(xs[1:], ys[1:]):
+        expect = _ref_add(ring, expect, _ref_mul(ring, a, b))
+    assert _plain(ring, ring.dot([x for x, _ in xs], [y for y, _ in ys])) == expect
+
+
+def _ref_matmul(ring, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = _ref_mul(ring, a[i][0], b[0][j])
+            for t in range(1, n):
+                acc = _ref_add(ring, acc, _ref_mul(ring, a[i][t], b[t][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _check_matmul(ring, a_digits, b_digits):
+    a = [[_element(ring, d) for d in row] for row in a_digits]
+    b = [[_element(ring, d) for d in row] for row in b_digits]
+    n = len(a)
+    ma = UMatrix(ring, n, tuple(tuple(x for x, _ in row) for row in a))
+    mb = UMatrix(ring, n, tuple(tuple(x for x, _ in row) for row in b))
+    got = [[_plain(ring, x) for x in row] for row in (ma @ mb).rows]
+    assert got == _ref_matmul(ring, [[v for _, v in row] for row in a],
+                              [[v for _, v in row] for row in b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 2 ** 32))
+def test_matmul_matches_reference(data, seed):
+    # n up to 20 crosses SUM_TERMS; K shrinks with n to bound the reference's cost
+    rng = random.Random(seed)
+    n = data.draw(st.integers(1, 20))
+    ring = data.draw(_rings(max_k=max(1, min(K_MAX, 2000 // (n * n)))))
+    square = lambda: [[_random_digits(rng, ring.p, ring.precision) for _ in range(n)]
+                      for _ in range(n)]
+    _check_matmul(ring, square(), square())
+
+
+@pytest.mark.parametrize("p,K,n", [(257, 20, 8), (1021, 32, 16)])
+def test_large_p_products(p, K, n):
+    # every entry of these products overflowed fixed 20-bit slots
+    ring = RingSpec(EQUAL_CHAR, p, K)
+    rng = random.Random(p)
+    square = lambda: [[[rng.randrange(p) for _ in range(K)] for _ in range(n)]
+                      for _ in range(n)]
+    _check_matmul(ring, square(), square())
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_largest_slot_sums(p):
+    # all coefficients p - 1 at K = K_MAX: coefficient d of a sum of n
+    # products is n (d + 1) (p - 1)^2 = n (d + 1) mod p
+    ring = RingSpec(EQUAL_CHAR, p, K_MAX)
+    top = ring.from_coeffs([p - 1] * K_MAX)
+    expect = lambda n: [n * (d + 1) % p for d in range(K_MAX)]
+    assert ring.to_coeffs(ring.mul(top, top)) == expect(1)
+    for n in (SUM_TERMS, SUM_TERMS + 1, 40):
+        assert ring.to_coeffs(ring.dot([top] * n, [top] * n)) == expect(n)
+    m = UMatrix(ring, 40, ((top,) * 40,) * 40)
+    assert {tuple(ring.to_coeffs(x)) for row in (m @ m).rows for x in row} == {tuple(expect(40))}
+
+
+def test_equal_char_precision_cap():
+    RingSpec(EQUAL_CHAR, 1021, K_MAX)
+    with pytest.raises(RingError):
+        RingSpec(EQUAL_CHAR, 2, K_MAX + 1)
+    RingSpec(MIXED_CHAR, 2, K_MAX + 1)
