@@ -2,8 +2,9 @@
 
 Subcommands: defect, repair, witness, monomial, verify, gbs, claims,
 proptest.  All numeric output is exact (integer or rational valuations);
-runs are deterministic for a fixed seed, and artifacts are single JSON
-files with a schema-version field.
+runs are deterministic (only `proptest` draws random samples, from its
+`--seed`), and artifacts are single JSON files with a schema-version
+field.
 
 `repair`, `witness` and `monomial` are rows of one table, `OPERATIONS`,
 keyed by the certificate's `operation`.  A row loads its inputs (files
@@ -11,7 +12,7 @@ for the repairs and `monomial`; parameters for the witnesses, which the
 certificate keeps in `witness.params`) and runs, returning the artifact
 and its certificate; the command writes both.  `verify` loads the same
 inputs, runs the same row under the same caps (`--cap-*`, ULTRASTAB_CAPS)
-and seed, and compares the whole recomputed certificate with the file,
+and compares the whole recomputed certificate with the file,
 reporting the first differing key path; it then compares the recomputed
 artifact, as JSON, with `--output` (repairs and `monomial`, if given) or
 with `--input` (witnesses).
@@ -19,7 +20,8 @@ with `--input` (witnesses).
 Exit codes: 0 success / verification passed, 1 verification failed, 2
 input error (an unreadable or malformed file, an unknown cap) or unmet
 precondition (defect too large, k <= 2l, a p-part in equal
-characteristic).
+characteristic).  `EXIT_CODES` maps each exception class to its exit
+code and message prefix; the most specific class of an error wins.
 """
 
 from __future__ import annotations
@@ -51,13 +53,12 @@ from .homrepair import (
     graph_repair,
     repair_finite_image,
 )
-from .local_ring import RingError, RingSpec
+from .local_ring import RingSpec, _is_prime
 from .presentations import (
     DEFAULT_CLOSURE_CAP,
     ApproxRep,
     CapExceeded,
     DefectTooLarge,
-    PresentationError,
 )
 from .ultranorm_linalg import UMatrix, Unsolvable, nearest_monomial_commutant
 from .witnesses import (
@@ -107,17 +108,16 @@ def _env_caps() -> dict:
 
 @dataclass
 class RunConfig:
-    """Caps and the seed: ULTRASTAB_CAPS sets caps, --cap-* overrides it."""
+    """The caps: ULTRASTAB_CAPS sets them, --cap-* overrides it."""
 
     closure_cap: int = DEFAULT_CLOSURE_CAP
     enum_cap: int = DEFAULT_ENUM_CAP
     dim_cap: int = DEFAULT_DIM_CAP
     wreath_index_cap: int = DEFAULT_WREATH_INDEX_CAP
-    seed: int = 0
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        cfg = cls(seed=args.seed, **_env_caps())
+        cfg = cls(**_env_caps())
         for cap, dest in CAPS.items():
             if getattr(args, dest) is not None:
                 setattr(cfg, cap, getattr(args, dest))
@@ -287,7 +287,6 @@ def _run_wreath(inputs, cfg):
     rep = make_wreath_rep(ring.p, i, x, ring.precision, dim_cap=cfg.dim_cap,
                           index_cap=cfg.wreath_index_cap)
     wc = wreath_rep_defect_certificate(ring.p, i, x, ring.precision,
-                                       enum_cap=cfg.enum_cap, seed=cfg.seed,
                                        index_cap=cfg.wreath_index_cap)
     params = _cyclic_params(ring, i, x)
     return rep.to_json(), Certificate(
@@ -316,6 +315,21 @@ OPERATIONS = {
     "witness-badestimate": Operation(_load_cyclic, _run_badestimate, witness=True),
     "witness-wreath": Operation(_load_cyclic, _run_wreath, witness=True),
     "witness-commutator": Operation(_load_commutator, _run_commutator, witness=True),
+}
+
+# exception class -> (exit code, message prefix).  main resolves an error
+# along its MRO, so the most specific class wins: Unsolvable is a
+# RingError, hence a ValueError, yet exits 1 as a failed repair.
+EXIT_CODES = {
+    ValueError: (2, "input error"),  # InputError, PresentationError, RingError
+    CapExceeded: (2, "input error"),
+    DefectTooLarge: (2, "precondition not met"),
+    HypothesisViolated: (2, "precondition not met"),
+    CharPUnsupported: (2, "precondition not met"),
+    Unsolvable: (1, "verification failed"),
+    VerificationFailure: (1, "verification failed"),
+    RepairError: (1, "verification failed"),
+    WitnessError: (1, "verification failed"),
 }
 
 
@@ -445,10 +459,17 @@ def cmd_proptest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _prime(text: str) -> int:
+    """argparse type of every --p: a prime, else a usage error (exit 2)."""
+    p = int(text)
+    if not _is_prime(p):
+        raise argparse.ArgumentTypeError(f"p must be a prime, got {p}")
+    return p
+
+
 def _add_common(sp, out: bool = True) -> None:
     if out:
         sp.add_argument("--out", default=None, help="output artifact path (stdout if omitted)")
-    sp.add_argument("--seed", type=int, default=0)
     for dest in CAPS.values():
         sp.add_argument("--" + dest.replace("_", "-"), type=int, default=None, dest=dest)
 
@@ -477,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("witness", help="construct an instability witness")
     sp.add_argument("--kind", required=True, choices=_kinds("witness-"))
     sp.add_argument("--ring", choices=["zp", "fpx"], default="zp")
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--p", type=_prime, default=2)
     sp.add_argument("--precision", type=int, default=8)
     sp.add_argument("--i", type=int, default=1)
     sp.add_argument("--x", default=None, help="scalar JSON (default: uniformizer)")
@@ -496,20 +517,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gbs", help="GBS stability criteria")
     sp.add_argument("graph")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--order-bounds", action="store_true")
     _add_common(sp)
     sp.set_defaults(fn=cmd_gbs)
 
     sp = sub.add_parser("claims", help="verify the wreath construction claims")
     sp.add_argument("--max-i", type=int, default=3, dest="max_i")
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--p", type=_prime, default=2)
     _add_common(sp)
     sp.set_defaults(fn=cmd_claims)
 
     sp = sub.add_parser("proptest", help="run a property-test suite")
     sp.add_argument("suite", choices=proptests.SUITES)
     sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(fn=cmd_proptest)
 
@@ -531,19 +553,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Unsolvable as exc:  # a RingError, so caught before the input errors
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, PresentationError, RingError, ValueError,
-            CapExceeded) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (DefectTooLarge, HypothesisViolated, CharPUnsupported) as exc:
-        print(f"precondition not met: {exc}", file=sys.stderr)
-        return 2
-    except (VerificationFailure, RepairError, WitnessError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        known = next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES), None)
+        if known is None:
+            raise
+        code, prefix = known
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

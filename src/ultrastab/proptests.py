@@ -25,13 +25,30 @@ def random_gl(ring: RingSpec, n: int, rng: random.Random) -> UMatrix:
             return m
 
 
+def _schoolbook(ring: RingSpec, x: int, y: int) -> Tuple[int, int]:
+    """x + y and x * y by schoolbook arithmetic: integers mod p^K over
+    Z/p^K; over F_p[X]/(X^K), the digitwise sum and the convolution mod p,
+    truncated at K, of the coefficients read through RingSpec.digit."""
+    K, p = ring.precision, ring.p
+    if ring.is_mixed:
+        return (x + y) % p ** K, x * y % p ** K
+    a = [ring.digit(x, j) for j in range(K)]
+    b = [ring.digit(y, j) for j in range(K)]
+    return (ring.from_coeffs([a[j] + b[j] for j in range(K)]),
+            ring.from_coeffs([sum(a[m] * b[j - m] for m in range(j + 1))
+                              for j in range(K)]))
+
+
 def ring_laws(ring: RingSpec, samples: int, rng: random.Random) -> int:
-    """Ultrametric and multiplicativity laws of the scalar valuation."""
+    """Values of sums and products against a schoolbook reference, and the
+    ultrametric and multiplicativity laws of the scalar valuation."""
     bad = 0
     K = ring.precision
     for _ in range(samples):
         x = ring.random_raw(rng)
         y = ring.random_raw(rng)
+        if (ring.add(x, y), ring.mul(x, y)) != _schoolbook(ring, x, y):
+            bad += 1
         vx, vy = ring.val(x), ring.val(y)
         vs = ring.val(ring.add(x, y))
         if vs < min(vx, vy):

@@ -6,15 +6,18 @@ to every homomorphism stays fixed; the two-generator subgroup of a
 product of iterated wreath products that carries those cyclic maps into
 bounded-degree matrix representations; and the commuting-pair witness
 showing the commutator equation only admits a quadratic estimate.  Every
-reported number is either an exhaustive enumeration at the working
-precision (ExactTruncated) or an exact cyclotomic computation
-(ExtensionLowerBound), and both are re-checkable from the certificate.
+reported number is exact and re-checkable from the certificate: an
+exhaustive enumeration at the working precision (ExactTruncated), an
+exact cyclotomic computation (ExtensionLowerBound), or, for the wreath
+defect, the carry lemma of wreath_rep_defect_certificate, whose
+hypotheses are re-measured at every call with no enumeration, sampling
+or seed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -25,7 +28,6 @@ from .ultranorm_linalg import UMatrix
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIM_CAP = 128
 DEFAULT_WREATH_INDEX_CAP = 4
-DEFAULT_PAIR_SAMPLES = 10_000
 
 
 class WitnessError(RuntimeError):
@@ -573,7 +575,7 @@ class WreathDefectCertificate:
     structural_bound_val: int
     probe_val: int
     exact: bool
-    group_order: Optional[int]
+    group_order: int
     checked_pairs: int
     defect_val: int
     hdist_bound: HdistCertificate
@@ -599,27 +601,6 @@ def _full_group_generators(gens: UnstableGenerators):
     return [outer.embed_at(gens.gamma, 0), outer.embed_at(gens.zeta, 0), gens.eta]
 
 
-def _enumerate_wreath_group(gens: UnstableGenerators, cap: int):
-    outer = gens.outer
-    seen = {outer.identity(): ()}
-    frontier = [outer.identity()]
-    gen_list = _full_group_generators(gens)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gen_list:
-                h = outer.mul(g, s)
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded("wreath group enumeration exceeded cap")
-                    seen[h] = ()
-                    nxt.append(h)
-        frontier = nxt
-    if len(seen) != outer.order():
-        raise WitnessError("generating set failed to exhaust the block group")
-    return list(seen.keys())
-
-
 def hdist_involution_diag_bound(ring: RingSpec, i: int, x: int) -> HdistCertificate:
     """Residual 2-adic analogue of the diagonal lower bound.
 
@@ -643,99 +624,66 @@ def hdist_involution_diag_bound(ring: RingSpec, i: int, x: int) -> HdistCertific
 
 
 def wreath_rep_defect_certificate(p: int, i: int, x: int, K: int,
-                                  enum_cap: int = 100_000,
-                                  samples: int = DEFAULT_PAIR_SAMPLES,
-                                  seed: int = 0,
                                   index_cap: int = DEFAULT_WREATH_INDEX_CAP
                                   ) -> WreathDefectCertificate:
-    """Defect and distance certificate for the wreath representation.
+    """Exact defect and distance certificate for the wreath representation.
 
-    The structural upper bound is the exact defect of the inner cyclic map
-    (the block construction cannot increase it); the probe pair through
-    the double diagonal realizes it, giving equality.  When the group fits
-    under the cap the defect is recomputed exactly over the full group by
-    a generator-against-all check; otherwise random pairs are sampled.
+    The carry lemma.  With u = 1 + x and q = p^i, every image is monomial,
+    M(g) = P(pi(g)) diag(u^{a(g)}) with a(g) in [0, q)^{qr} and pi a
+    homomorphism to permutations.  So M(g)M(h) and M(gh) have the same
+    support, and at a coordinate whose exponents are a and b they differ
+    by u^a u^b - u^{(a+b) mod q}: zero when a + b < q, and otherwise the
+    unit u^{(a+b) mod q} times u^q - 1.  Every distance between M(g)M(h)
+    and M(gh) is therefore K or val(u^q - 1), the structural value, and
+    the probe pair (delta, delta^{q-1}) attains the latter, so the defect
+    over the whole block group is exactly val(u^q - 1) at every index.
+
+    The hypotheses are re-measured here: the probe pair, the q^2 carry
+    table, and every ordered pair of the block group's generators and rho
+    (same permutation, distance K or structural).  Any failure raises
+    WitnessError.  test_wreath_defect_matches_enumeration checks the
+    lemma against the full enumeration of the 16384-element block group.
     The Hdist bound restricts to the cyclic subgroup through delta.
     """
     gens = build_unstable_generators(p, i, index_cap=index_cap)
     ring = RingSpec("zp", p, K)
     wmap = WreathMatrixMap(p, i, x, ring)
     outer = gens.outer
+    q, u_pow = wmap.q, wmap.powers
 
-    one_plus_x = ring.add(ring.one, x)
-    structural = ring.val(ring.sub(ring.pow(one_plus_x, p ** i), ring.one))
+    structural = ring.val(ring.sub(ring.pow(u_pow[1], q), ring.one))
 
     # probe: delta * delta^{q-1} = identity realizes the cyclic defect
     delta_pow = outer.identity()
-    for _ in range(p ** i - 1):
+    for _ in range(q - 1):
         delta_pow = outer.mul(delta_pow, gens.delta)
-    img_a = wmap.image(gens.delta)
-    img_b = wmap.image(delta_pow)
     img_ab = wmap.image(outer.mul(gens.delta, delta_pow))
-    probe = (img_a @ img_b).dist_val(img_ab)
-
-    group_order = None
-    checked = 0
-    defect_val = K
-    if outer.order() <= enum_cap:
-        elements = _enumerate_wreath_group(gens, enum_cap)
-        group_order = len(elements)
-        images: Dict[object, MonoMat] = {}
-        for g in elements:
-            images[g] = wmap.image(g)
-        # generator-against-all pairs bound every pair by the ultrametric
-        # induction, so the maximum over them is the exact defect.
-        best = K
-        for s in _full_group_generators(gens) + [gens.rho]:
-            img_s = images[s]
-            for h in elements:
-                prod = outer.mul(s, h)
-                v = (img_s @ images[h]).dist_val(images[prod])
-                checked += 1
-                if v < best:
-                    best = v
-        defect_val = min(best, probe)
-    else:
-        import random as _random
-        rng = _random.Random(seed)
-        best = K
-
-        def random_elem():
-            tup = tuple(
-                (tuple(rng.randrange(p ** i) for _ in range(p ** i)),
-                 rng.randrange(p ** i))
-                for _ in range(gens.r)
-            )
-            return (tup, rng.randrange(gens.r))
-
-        for _ in range(samples):
-            g, h = random_elem(), random_elem()
-            v = (wmap.image(g) @ wmap.image(h)).dist_val(wmap.image(outer.mul(g, h)))
-            checked += 1
-            if v < best:
-                best = v
-        defect_val = min(best, probe)
-
-    exact = group_order is not None
-    if exact and defect_val != structural:
-        raise WitnessError("exact wreath defect disagrees with the structural bound")
+    probe = (wmap.image(gens.delta) @ wmap.image(delta_pow)).dist_val(img_ab)
     if probe != structural:
         raise WitnessError("probe pair failed to realize the cyclic defect")
-    if defect_val < structural:
-        raise WitnessError("sampled defect exceeds the structural upper bound")
 
-    if not ring.is_mixed:
-        hd = hdist_lowerbound_diag(p, i, x, ring)
-    elif p == 2:
-        hd = hdist_involution_diag_bound(ring, i, x)
-    else:
-        hd = hdist_lowerbound_diag(p, i, x, ring)
+    for a in range(q):
+        for b in range(q):
+            v = ring.val(ring.sub(ring.mul(u_pow[a], u_pow[b]), u_pow[(a + b) % q]))
+            if v != (K if a + b < q else structural):
+                raise WitnessError(f"carry table fails at exponents ({a}, {b})")
 
+    generators = _full_group_generators(gens) + [gens.rho]
+    for s in generators:
+        for t in generators:
+            prod, img_st = wmap.image(s) @ wmap.image(t), wmap.image(outer.mul(s, t))
+            if prod.perm != img_st.perm:
+                raise WitnessError("the permutation part is not a homomorphism")
+            if prod.dist_val(img_st) not in (K, structural):
+                raise WitnessError("a generator pair misses the carry lemma")
+
+    hd = (hdist_involution_diag_bound(ring, i, x) if p == 2
+          else hdist_lowerbound_diag(p, i, x, ring))
     return WreathDefectCertificate(
         p=p, i=i, x=x, K=K, degree=wmap.degree,
-        structural_bound_val=structural, probe_val=probe, exact=exact,
-        group_order=group_order, checked_pairs=checked, defect_val=defect_val,
-        hdist_bound=hd,
+        structural_bound_val=structural, probe_val=probe, exact=True,
+        group_order=outer.order(), checked_pairs=len(generators) ** 2,
+        defect_val=structural, hdist_bound=hd,
     )
 
 

@@ -277,12 +277,15 @@ WREATH_ARGV = ["--kind", "wreath", "--ring", "zp", "--p", "2",
                "--precision", "12", "--i", "1", "--x", '"2"']
 
 
+def _wreath_files(tmp_path):
+    return _witness_files(tmp_path, WREATH_ARGV)
+
+
 def test_cmd_verify_witness_wreath(tmp_path, capsys):
-    cert_path, inputs = _witness_files(tmp_path, WREATH_ARGV)
+    cert_path, inputs = _wreath_files(tmp_path)
     assert main(["verify", cert_path] + inputs) == 0
-    # tampers, on the cheaper sampled certificate: checked against an
-    # unrelated representation on two generators, and without witness.p
-    cert_path, inputs = _sampled_wreath_files(tmp_path)
+    # tampers: checked against an unrelated representation on two
+    # generators, and without witness.p
     other = _bs23_files(tmp_path)[0]
     assert main(["verify", cert_path, "--input", other] + inputs[2:]) == 1
     cert = json.loads(open(cert_path).read())
@@ -294,18 +297,18 @@ def test_cmd_verify_witness_wreath(tmp_path, capsys):
     assert "FAIL witness.p" in err and "input error" in err and "Traceback" not in err
 
 
-def _sampled_wreath_files(tmp_path):
-    cert_path, inputs = _witness_files(tmp_path, WREATH_ARGV + ["--cap-enum", "100"])
-    return cert_path, inputs + ["--cap-enum", "100"]
-
-
 def test_cmd_witness_wreath_cap_enum(tmp_path):
-    # an enumeration cap below the 16384-element block group: the defect is
-    # sampled, and verify under the same cap re-derives that certificate
-    cert_path, inputs = _sampled_wreath_files(tmp_path)
-    cert = json.loads(open(cert_path).read())
-    assert cert["witness"]["exact"] is False and cert["witness"]["group_order"] is None
-    assert main(["verify", cert_path] + inputs) == 0
+    # the wreath defect is exact by the carry lemma and enumerates nothing:
+    # an enumeration cap far below the 16384-element block group changes
+    # no byte of the certificate
+    default_cert, inputs = _wreath_files(tmp_path)
+    capped_cert, _ = _witness_files(tmp_path, WREATH_ARGV + ["--cap-enum", "100"], "capped")
+    text = open(capped_cert).read()
+    assert text == open(default_cert).read()
+    cert = json.loads(text)
+    assert cert["witness"]["exact"] is True and cert["witness"]["group_order"] == 16384
+    assert cert["witness"]["checked_pairs"] == 16
+    assert main(["verify", capped_cert] + inputs + ["--cap-enum", "100"]) == 0
 
 
 def _commutator_files(tmp_path):
@@ -387,6 +390,15 @@ def test_input_errors(tmp_path, capsys):
     assert main(["repair", path, "--mode", "graph"]) == 2
     err = capsys.readouterr().err
     assert err.count("input error") == 4 and "Traceback" not in err
+    # every --p is a prime: anything else is a usage error
+    from ultrastab.gbs_criteria import GBSGraph
+    graph = _write(tmp_path, "g.json", GBSGraph.bs(2, 3).to_json())
+    for p in ("0", "1", "4", "-2"):
+        for argv in (["gbs", graph, "--p", p], ["claims", "--max-i", "1", "--p", p]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "p must be a prime" in capsys.readouterr().err
 
 
 def test_unsolvable_exits_1(tmp_path, monkeypatch, capsys):
@@ -426,7 +438,7 @@ PRODUCERS = {
     "repair-split-section": _split_section_files,
     "monomial-commutant": _monomial_files,
     "witness-badestimate": _badestimate_files,
-    "witness-wreath": _sampled_wreath_files,
+    "witness-wreath": _wreath_files,
     "witness-commutator": _commutator_files,
 }
 

@@ -373,3 +373,20 @@ def test_equal_char_precision_cap():
     with pytest.raises(RingError):
         RingSpec(EQUAL_CHAR, 2, K_MAX + 1)
     RingSpec(MIXED_CHAR, 2, K_MAX + 1)
+
+
+def test_ring_laws_check_values(monkeypatch):
+    # a product with one wrong high digit but the right valuation, on
+    # non-units only, so that the valuation and inverse laws cannot see it
+    from ultrastab import proptests
+    mul = RingSpec.mul
+
+    def corrupt(self, x, y):
+        out = mul(self, x, y)
+        if 1 <= self.val(out) < self.precision - 1:
+            out = self.add(out, self.omega_pow(self.precision - 1))
+        return out
+
+    monkeypatch.setattr(RingSpec, "mul", corrupt)
+    for mode in (MIXED_CHAR, EQUAL_CHAR):
+        assert proptests.ring_laws(RingSpec(mode, 3, 6), 100, random.Random(5)) > 0

@@ -1,13 +1,18 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import CapExceeded
 from ultrastab.witnesses import (
     CyclicGroup,
     P2Unsupported,
+    WitnessError,
     WreathGroup,
+    WreathMatrixMap,
+    _full_group_generators,
     build_unstable_generators,
     commutator_witness_oracle,
     cyclotomic_root_valuation,
@@ -183,13 +188,92 @@ def test_wreath_rep_and_certificate():
     for img in rep.images:
         assert img.is_gl()
     cert = wreath_rep_defect_certificate(2, 1, 2, 12)
-    assert cert.exact and cert.group_order == 16384
+    assert cert.exact and cert.group_order == 16384 and cert.checked_pairs == 16
     assert cert.defect_val == 3 == cert.structural_bound_val == cert.probe_val
     assert cert.hdist_bound.value.exponent == 2
 
     cert3 = wreath_rep_defect_certificate(3, 1, 3, 12)
     assert cert3.degree == 12
     assert cert3.defect_val == 2
+    # exact at every index, where the block group is far too large to list
+    for p, i, x, K, val in [(2, 2, 2, 12, 4), (3, 1, 3, 12, 2), (5, 1, 5, 8, 2),
+                            (3, 2, 3, 10, 3)]:
+        c = wreath_rep_defect_certificate(p, i, x, K)
+        assert c.exact and c.checked_pairs == 16
+        assert c.group_order == build_unstable_generators(p, i).outer.order()
+        assert c.defect_val == c.structural_bound_val == c.probe_val == val
+
+
+def _enumerate_wreath_group(gens):
+    """Every element of the block group, by BFS over its generators."""
+    outer = gens.outer
+    seen = {outer.identity()}
+    frontier = [outer.identity()]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in _full_group_generators(gens):
+                h = outer.mul(g, s)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return list(seen)
+
+
+def test_wreath_defect_matches_enumeration():
+    # the oracle for the carry lemma: over all 16384 elements, each
+    # generator of the block group (and rho) against every element, which
+    # bounds every pair by the ultrametric induction
+    p, i, x, K = 2, 1, 2, 12
+    gens = build_unstable_generators(p, i)
+    outer = gens.outer
+    wmap = WreathMatrixMap(p, i, x, RingSpec("zp", p, K))
+    elements = _enumerate_wreath_group(gens)
+    assert len(elements) == outer.order() == 16384
+    images = {g: wmap.image(g) for g in elements}
+    vals = {(images[s] @ images[h]).dist_val(images[outer.mul(s, h)])
+            for s in _full_group_generators(gens) + [gens.rho] for h in elements}
+    cert = wreath_rep_defect_certificate(p, i, x, K)
+    assert vals == {K, cert.structural_bound_val}
+    assert min(vals) == 3 == cert.defect_val
+
+
+def test_wreath_certificate_rejects_shifted_image(monkeypatch):
+    # an off-by-one block shift in every image is caught by the re-measurement
+    image = WreathMatrixMap.image
+    monkeypatch.setattr(WreathMatrixMap, "image",
+                        lambda self, elem: image(self, (elem[0], elem[1] + 1)))
+    with pytest.raises(WitnessError):
+        wreath_rep_defect_certificate(2, 1, 2, 12)
+
+
+@functools.lru_cache(maxsize=None)
+def _wreath_setting(p, i, x, K):
+    gens = build_unstable_generators(p, i)
+    wmap = WreathMatrixMap(p, i, x, RingSpec("zp", p, K))
+    return gens, wmap, wreath_rep_defect_certificate(p, i, x, K).structural_bound_val
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1)]), st.integers(1, 2),
+       st.integers(1, 4), st.randoms(use_true_random=False))
+def test_wreath_random_pairs_obey_carry_lemma(pi, vx, unit, rnd):
+    # every pair of the block group has distance K or the structural value
+    p, i = pi
+    K = 12
+    x = p ** vx * (unit if unit % p else unit + 1)
+    gens, wmap, structural = _wreath_setting(p, i, x, K)
+    q = p ** i
+
+    def random_elem():
+        tup = tuple((tuple(rnd.randrange(q) for _ in range(q)), rnd.randrange(q))
+                    for _ in range(gens.r))
+        return (tup, rnd.randrange(gens.r))
+
+    g, h = random_elem(), random_elem()
+    v = (wmap.image(g) @ wmap.image(h)).dist_val(wmap.image(gens.outer.mul(g, h)))
+    assert v in (K, structural)
 
 
 def test_wreath_rep_dim_cap():
