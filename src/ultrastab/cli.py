@@ -202,7 +202,11 @@ def _load_monomial(files):
 
 def _load_cyclic(params):
     ring = RingSpec.from_json(params["ring"])
-    return ring, int(params["i"]), ring.decode(params["x"])
+    x = ring.decode(params["x"])
+    if not 1 <= ring.val(x) < ring.precision:
+        raise InputError(f"x must have valuation in [1, {ring.precision}), "
+                         f"got {ring.val(x)}")
+    return ring, int(params["i"]), x
 
 
 def _load_commutator(params):

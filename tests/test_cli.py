@@ -388,8 +388,15 @@ def test_input_errors(tmp_path, capsys):
     assert main(["verify", cert_path, "--input", array]) == 2
     path, _ = _z3_rep_file(tmp_path)
     assert main(["repair", path, "--mode", "graph"]) == 2
+    # a witness x of valuation 0 or >= K is an input, not a failed witness
+    for kind in ("wreath", "badestimate"):
+        for x in ("1", "0"):
+            assert main(["witness", "--kind", kind, "--ring", "zp", "--p", "3",
+                         "--precision", "6", "--x", f'"{x}"', "--out", str(tmp_path / "w.json"),
+                         "--cert", str(tmp_path / "c.json")]) == 2
     err = capsys.readouterr().err
-    assert err.count("input error") == 4 and "Traceback" not in err
+    assert err.count("input error") == 8 and "Traceback" not in err
+    assert err.count("x must have valuation in [1, 6)") == 4
     # every --p is a prime: anything else is a usage error
     from ultrastab.gbs_criteria import GBSGraph
     graph = _write(tmp_path, "g.json", GBSGraph.bs(2, 3).to_json())
@@ -456,13 +463,18 @@ def test_cmd_verify_round_trip(tmp_path, capsys, operation):
     assert "FAIL estimate_class" in capsys.readouterr().err
 
 
-def test_trace_bindings_resolve(tmp_path):
-    # perfbench/tracing.py wraps functions at these (module, name) bindings;
-    # each must exist, and the cli must look them up at call time
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_bindings_resolve(tmp_path):
+    # perfbench/tracing.py wraps functions at these (module, name) bindings;
+    # each must exist, and the cli must look them up at call time
+    tracing = _tracing()
     for _, bindings in tracing.SPANS:
         for owner, attr in bindings:
             assert callable(tracing._resolve(ultrastab, owner).__dict__.get(attr)), (owner, attr)
@@ -477,3 +489,19 @@ def test_trace_bindings_resolve(tmp_path):
     assert c["cli.repair.calls"] == c["cli.verify.calls"] == 1
     assert c["homrepair.repair_finite_image.calls"] == 2
     assert c["certificates.digest.calls"] == 2
+
+
+def test_trace_counts_graph_alignment(tmp_path):
+    # graph_repair must reach align_homomorphisms through the homrepair
+    # module global, the binding that the homrepair.align span wraps
+    tracer = _tracing().Tracer()
+    tracer.install(ultrastab)
+    try:
+        _, _, _, cert_path = _bs23_files(tmp_path)
+    finally:
+        tracer.uninstall()
+    steps = json.loads(open(cert_path).read())["ledger"]["steps"]
+    conjugations = sum(s["method"] == "conjugation" for s in steps)
+    c = tracer.counts
+    assert c["homrepair.align.calls"] >= 1 and conjugations >= 1
+    assert c["homrepair.steps.conjugation"] == conjugations

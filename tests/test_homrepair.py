@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation, closure_of_matrices
@@ -191,24 +192,68 @@ def test_conjugator_alignment(rng):
     # two conjugate order-3 subgroups of GL_2(Z/2^6) agreeing mod 2^3
     ring = RingSpec("zp", 2, 6)
     m = UMatrix.from_int_rows(ring, ORDER3)
-    t_small = shifted_random(ring, 2, rng, 3).congruence_lift(3)
+    t_small = UMatrix.random(ring, 2, rng).congruence_lift(3)
     m2 = t_small @ m @ t_small.inv()
-    C = closure_of_matrices([m.reduce(3)], 3)
-    psi1 = [UMatrix.identity(ring, 2), m, m @ m]
-    psi1 = [psi1[C.index_of(x.reduce(3))] for x in psi1]  # align indexing
-    # build element-indexed homs
-    def hom_from(mat):
-        elems = [UMatrix.identity(ring, 2), mat, mat @ mat]
-        out = [None] * 3
-        for e in elems:
-            out[C.index_of(e.reduce(3))] = e
-        return out
-    h1, h2 = hom_from(m), hom_from(m2)
-    t, steps = align_homomorphisms(h1, h2, C)
+    assert (m - m2).min_valuation() >= 3 and m != m2
+    t, steps = align_homomorphisms(m, m2)
+    assert steps == [LedgerStep(6, 3, "conjugation")]
     assert (t - UMatrix.identity(ring, 2)).min_valuation() >= 3
     tinv = t.inv()
+    h1 = [UMatrix.identity(ring, 2), m, m @ m]
+    h2 = [UMatrix.identity(ring, 2), m2, m2 @ m2]
     for a, b in zip(h1, h2):
         assert (t @ a @ tinv).rows == b.rows
+
+
+def _perm_order(perm):
+    power, order = list(perm), 1
+    while power != sorted(power):
+        power = [perm[j] for j in power]
+        order += 1
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("zp", 2), ("zp", 3), ("zp", 5), ("fpx", 2), ("fpx", 3), ("fpx", 5)]),
+       st.integers(2, 5).flatmap(lambda n: st.permutations(range(n))),
+       st.integers(3, 10), st.data(), st.integers(0, 2 ** 32))
+def test_alignment_of_conjugate_permutations(ring_kind, perm, K, data, seed):
+    # x a permutation matrix of order N in 2..6, y = T0 x T0^-1 with T0 in a
+    # random congruence ball: k = val(x - y) > 2l aligns, k <= 2l is refused
+    mode, p = ring_kind
+    N = _perm_order(perm)
+    l = 0
+    while N % p ** (l + 1) == 0:
+        l += 1
+    assume(N >= 2 and (mode == "zp" or l == 0))
+    ring = RingSpec(mode, p, K)
+    rng = random.Random(seed)
+    x = _perm_matrix(ring, perm)
+    t0 = UMatrix.identity(ring, x.n) + shifted_random(ring, x.n, rng, data.draw(st.integers(1, K)))
+    y = t0 @ x @ t0.inv()
+    k = (x - y).min_valuation()
+    if k < K and k <= 2 * l:
+        with pytest.raises(HypothesisViolated):
+            align_homomorphisms(x, y)
+        return
+    t, steps = align_homomorphisms(x, y)
+    assert steps == ([] if k >= K else [LedgerStep(K, k - l, "conjugation")])
+    assert (t - UMatrix.identity(ring, x.n)).min_valuation() >= min(k - l, K)
+    assert (t @ x @ t.inv()).rows == y.rows
+
+
+def test_alignment_refuses_unequal_orders():
+    # -I has order 2 at K but agrees with I, of order 1, mod 2
+    ring = RingSpec("zp", 2, 8)
+    one = UMatrix.identity(ring, 2)
+    with pytest.raises(HypothesisViolated):
+        align_homomorphisms(-one, one)
+    # a 3-cycle over F_3[X]/(X^8): l = 1 > 0 in equal characteristic
+    ring = RingSpec("fpx", 3, 8)
+    x = _perm_matrix(ring, [1, 2, 0])
+    t0 = UMatrix.identity(ring, 3) + shifted_random(ring, 3, random.Random(2), 5)
+    with pytest.raises(CharPUnsupported):
+        align_homomorphisms(x, t0 @ x @ t0.inv())
 
 
 def _bs23_gog():

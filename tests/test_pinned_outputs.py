@@ -68,10 +68,12 @@ CASES = {   # id -> (repair and its arguments, SHA-256 of images and ledger)
         "f36cfc93abdd7a30de244dd0e200452026b723c3970177929c24ad7a34f01110"),
     "S3/zp/p3/K12/k4": (_finite_image("zp", 3, 12, 4, 5),
         "229c98e0ecbb643a42905ac7d55dffe362af871306ff6b1398ca323c359ecd6c"),
+    # each amalgamation is one exact Sylvester solve: its conjugator is that
+    # system's particular solution, with one ledger step per alignment
     "BS23/zp/p2/K8/k3": (_bs23(2, 3, 6),
-        "3b5f14db9d66b96fb85720a54ef5b57ebaab478bd3c9360a9317b207a45cbb77"),
+        "a19fded599cd6cff37f6b21f08cdc013fee1826d6f55ac1a66c4ceaf73cdc26b"),
     "BS23/zp/p3/K8/k4": (_bs23(3, 4, 7),
-        "e28c996758fd6cd2811a871ea5984ee0e32284eb9d86602ba32280393eef82d6"),
+        "5e37cea06e7012fae9d1dd7424375efffda72bb2a8959c2e913b7def353366c6"),
 }
 
 
