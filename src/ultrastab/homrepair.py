@@ -4,26 +4,28 @@ The engine turns a representation whose relators fail by at most p^{-k}
 into an exact homomorphism at the working precision, moving each
 generator image by at most p^{l-k} where p^l is the p-part of the finite
 image C (order N, generated by the classes of the |S| generators, n x n
-matrices).  One lifting step at defect level k, with its cost in n x n
-matmuls:
+matrices).  C is enumerated once per repair, by BFS at the first defect
+level (|S| N matmuls).  The lifting loop then carries the section sigma
+that the generator images span along C's BFS tree, and its products
+sigma(s) sigma(d) for s a generator class and d in C, from level to
+level.  One step at level k, j = k - l, costs in n x n matmuls:
 
-- enumerate C mod w^k by BFS (|S| N) and build the section sigma and its
-  inverse along the BFS parent pointers (N each);
-- compute the section-failure 2-cocycle z only at its generator rows
-  z(s, d), s a generator class and d in C (2 |S| N); the cocycle identity
-  fixes every other value from these rows;
-- solve delta c = z by averaging: b(g) = sum_h z(g, h) follows from the
-  rows at every g with one conjugation each (2 N), division by the unit
-  part of N is exact, division by the p-part costs the recorded precision;
-- correct sigma at every element (N) and re-measure its defect by the
-  generator-against-all check (|S| N), which ultrametric induction makes
-  the all-pairs defect;
-- when averaging is obstructed or leaves a residue, solve delta c = z
-  exactly as a linear system over the ring, gauge-fixed along the left
-  BFS tree: the unknowns are c(s) at the generator classes and the
-  equations are the non-tree Cayley edges, (|S| N - N + 1) n^2 equations
-  in |S| n^2 unknowns (in place of |S| N n^2 in (N - 1) n^2), and
-  re-measure again.
+- the inverse section along the tree (N);
+- the average c(s) = sum_d z(s, d) / N of the section-failure 2-cocycle
+  z, at the generator classes only (|S| N): for p not dividing N as n^2
+  ring dots of length n N per class, for p dividing N from the rows
+  z(s, d), which must be divisible by p^l; division by the unit part of N
+  is exact, division by p^l costs the recorded precision;
+- the corrected generators (I - w^j c(s)) sigma(s), the section they span
+  (N) and its generator-against-all products (|S| N), which ultrametric
+  induction makes the all-pairs defect: the level recorded, and the next
+  step's products.  (2 + 2|S|) N matmuls in all, and no closure;
+- when averaging is obstructed or falls short of level min(2j, K), the
+  rows z(s, d) (|S| N) and an exact solve of delta c = z over the ring,
+  gauge-fixed along the left BFS tree: the unknowns are c(s) at the
+  generator classes and the equations are the non-tree Cayley edges,
+  (|S| N - N + 1) n^2 equations in |S| n^2 unknowns (in place of |S| N n^2
+  in (N - 1) n^2); the corrected section is measured again.
 
 Each amalgamation is glued by one exact conjugation: for edge-word images
 x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
@@ -51,7 +53,7 @@ from .presentations import (
     closure_of_matrices,
     finite_image,
 )
-from .ultranorm_linalg import UMatrix, Unsolvable, row_submul, solve_linear
+from .ultranorm_linalg import UMatrix, Unsolvable, matmul_sum, row_submul, solve_linear
 
 
 class RepairError(RuntimeError):
@@ -160,38 +162,82 @@ def _generator_classes(C: FiniteImage) -> List[int]:
     return out or [0]
 
 
-def _section_defect_val(sigma: Sequence[UMatrix], C: FiniteImage) -> int:
-    """min over pairs of val(sigma(c) sigma(d) - sigma(cd)); K when exact.
+def _shifted_down(m: UMatrix, k: int) -> UMatrix:
+    """m / w^k entrywise; each entry must be divisible by w^k."""
+    down = m.ring.shift_down
+    return UMatrix(m.ring, m.n, tuple(tuple(down(x, k) for x in r) for r in m.rows))
 
-    Only the pairs (s, d) with s a generator class are measured: when
-    sigma(e) = I and each of them agrees mod w^m, every c = s p with p
-    shorter gives sigma(c) sigma(d) = sigma(s) sigma(p) sigma(d) =
-    sigma(s) sigma(pd) = sigma(cd) mod w^m by induction, so this min is
-    the all-pairs min.
+
+def _measure(sigma: Sequence[UMatrix], C: FiniteImage
+             ) -> Tuple[Dict[int, List[UMatrix]], int]:
+    """The products sigma(s) sigma(d), s a generator class and d in C, and the level.
+
+    The level is min over these pairs of val(sigma(s) sigma(d) - sigma(sd)),
+    K when exact.  When sigma(e) = I and each pair agrees mod w^m, every
+    c = s q with q shorter gives sigma(c) sigma(d) = sigma(s) sigma(q)
+    sigma(d) = sigma(s) sigma(qd) = sigma(cd) mod w^m by induction, so this
+    min is the all-pairs min.  |S| N matmuls, which the next lifting step
+    reuses.
     """
-    best = sigma[0].ring.precision
-    for s in _generator_classes(C):
-        ss = sigma[s]
-        for d in range(C.order):
-            v = ((ss @ sigma[d]) - sigma[C.product(s, d)]).min_valuation()
-            if v < best:
-                best = v
-                if best == 0:
-                    return 0
-    return best
+    prods = {s: [sigma[s] @ m for m in sigma] for s in _generator_classes(C)}
+    level = min((m - sigma[C.product(s, d)]).min_valuation()
+                for s, row in prods.items() for d, m in enumerate(row))
+    return prods, level
 
 
-def _cocycle_rows(sigma, sigma_inv, C: FiniteImage, level: int, mod_exp: int) -> Cochain2:
-    """Rows z(s, d) = coords of sigma(s) sigma(d) sigma(sd)^{-1}, s a generator class."""
-    classes = _generator_classes(C)
-    rows = {
-        s: [(sigma[s] @ sigma[d] @ sigma_inv[C.product(s, d)])
-            .congruence_coords(level).reduce(mod_exp) for d in range(C.order)]
-        for s in classes
-    }
+def _cocycle(sigma, sigma_inv, prods, C: FiniteImage, j: int, mod_exp: int) -> Cochain2:
+    """Rows z(s, d) = coords_j of sigma(s) sigma(d) sigma(sd)^{-1} mod w^mod_exp.
+
+    One matmul per row entry on top of the products: |S| N.
+    """
+    rows = {s: [(m @ sigma_inv[C.product(s, d)]).congruence_coords(j).reduce(mod_exp)
+                for d, m in enumerate(row)] for s, row in prods.items()}
     return Cochain2(C, sigma[0].ring.with_precision(mod_exp), rows,
-                    {s: sigma[s].reduce(mod_exp) for s in classes},
-                    {s: sigma_inv[s].reduce(mod_exp) for s in classes})
+                    {s: sigma[s].reduce(mod_exp) for s in rows},
+                    {s: sigma_inv[s].reduce(mod_exp) for s in rows})
+
+
+def _row_sums(sigma_inv, prods, C: FiniteImage, j: int, mod_exp: int) -> Dict[int, UMatrix]:
+    """b(s) = sum_d z(s, d) at each generator class, without the rows.
+
+    b(s) = coords_j(sum_d sigma(s) sigma(d) sigma(sd)^{-1} - N I): n^2 ring
+    dots of length n N per class, in place of N matmuls and N sums.
+    """
+    ring, n = sigma_inv[0].ring, sigma_inv[0].n
+    nI = UMatrix.identity(ring, n).scale(ring.from_int(C.order))
+    return {s: _shifted_down(matmul_sum(row, [sigma_inv[C.product(s, d)]
+                                             for d in range(C.order)]) - nI, j).reduce(mod_exp)
+            for s, row in prods.items()}
+
+
+def _average(sums: Dict[int, UMatrix], C: FiniteImage) -> Optional[Dict[int, UMatrix]]:
+    """c(s) = b(s) / |C| at each generator class, None when obstructed.
+
+    b = sum_h z(., h) satisfies delta b = |C| z, so b / |C| solves delta c
+    = z.  Dividing by the unit part is exact, dividing by the p-part is
+    entrywise.  Summing the cocycle identity gives b(sh) = s.b(h) + b(s) -
+    |C| z(s, h), so by induction along the tree w^l divides b everywhere
+    once it divides b at the generator classes: these decide obstruction.
+    """
+    a = C.p_part
+    out = {}
+    for s, b in sums.items():
+        t = b.scale(b.ring.inv(b.ring.from_int(C.unit_part)))
+        if t.min_valuation() < a:
+            return None
+        out[s] = _shifted_down(t, a)
+    return out
+
+
+def _conj_block(u: UMatrix, uinv: UMatrix) -> List[List[int]]:
+    """The n^2 x n^2 matrix of M -> u M u^{-1} on row-major entries.
+
+    Row (r, t), column (a, b) holds u[r][a] uinv[b][t].
+    """
+    mul = u.ring.mul
+    n = u.n
+    return [[mul(ura, uinv.rows[b][t]) for ura in u.rows[r] for b in range(n)]
+            for r in range(n) for t in range(n)]
 
 
 def _left_bfs(C: FiniteImage, classes: Sequence[int]) -> List[Tuple[int, int, int, bool]]:
@@ -214,75 +260,25 @@ def _left_bfs(C: FiniteImage, classes: Sequence[int]) -> List[Tuple[int, int, in
     return edges
 
 
-def _conj_block(u: UMatrix, uinv: UMatrix) -> List[List[int]]:
-    """The n^2 x n^2 matrix of M -> u M u^{-1} on row-major entries.
-
-    Row (r, t), column (a, b) holds u[r][a] uinv[b][t].
-    """
-    mul = u.ring.mul
-    n = u.n
-    return [[mul(ura, uinv.rows[b][t]) for ura in u.rows[r] for b in range(n)]
-            for r in range(n) for t in range(n)]
-
-
-def _avg_candidate(z: Cochain2) -> Optional[List[UMatrix]]:
-    """Averaging solution of the coboundary equation (delta c = z).
-
-    b(g) = sum_h z(g, h) satisfies delta b = |C| z.  Summing the cocycle
-    identity over its last argument gives b(sh) = s.b(h) + b(s) - |C| z(s, h),
-    so the generator rows give b on all of C from b(e) = 0, one conjugation
-    per element along the left BFS tree.  Dividing by the unit part is
-    exact, dividing by the p-part is entrywise and returns None when
-    obstructed.
-    """
-    C = z.image
-    ring_q = z.ring
-    n = C.elements[0].n
-    a = C.p_part
-    if a >= ring_q.precision:
-        return None
-    order = ring_q.from_int(C.order)
-    row_sums = {}
-    for s, row in z.rows.items():
-        acc = UMatrix.zero(ring_q, n)
-        for v in row:
-            acc = acc + v
-        row_sums[s] = acc
-    b: List[UMatrix] = [UMatrix.zero(ring_q, n)] * C.order
-    for s, h, g, tree in _left_bfs(C, list(z.rows)):
-        if tree:
-            b[g] = z.act[s] @ b[h] @ z.act_inv[s] + row_sums[s] - z.rows[s][h].scale(order)
-    minv = ring_q.inv(ring_q.from_int(C.unit_part))
-    c: List[UMatrix] = []
-    for bg in b:
-        t = bg.scale(minv)
-        if a:
-            if t.min_valuation() < a:
-                return None
-            rows = tuple(tuple(ring_q.shift_down(x, a) for x in r) for r in t.rows)
-            t = UMatrix(ring_q, n, rows)
-        c.append(t)
-    return c
-
-
-def _solve_h2_linear(z: Cochain2) -> List[UMatrix]:
+def _solve_h2_linear(z: Cochain2) -> Dict[int, UMatrix]:
     """Exact coboundary solve delta c = z, gauge-fixed along the left BFS tree.
 
-    The unknowns are c(s) at the generator classes, |S| n^2 of them.  With
-    c(e) = 0, each tree edge h -> sh sets c(sh) = s.c(h) + c(s) - z(s, h)
-    (on the edges leaving e this is c(s) itself, as z(s, e) = 0).  So
-    c(g) = const(g) + sum of y.c(s') over the terms (s', y) of g: one per
-    letter s' of the tree word of g, y the product of the letters left of
-    it.  The equations are the |S| N - N + 1 non-tree edges, n^2 each;
-    their coefficients are sums of n^2 x n^2 conjugation blocks (one block
-    per element met), O(|S| N D n^4) to build for a tree of depth D against
-    O(|S|^3 N n^6) to eliminate.  An element acts through the product of
-    the class actions along its tree word: mod w^mod_exp, at most the level
-    of the failure, the section is a homomorphism.  A solution of the full
-    system (every c(g) unknown, every edge an equation) restricts to one of
-    this system, and each solution of this system extends along the tree
-    to one of the full system, so solvability is that of delta c = z; only
-    the particular solution is this system's.
+    The unknowns are c(s) at the generator classes, |S| n^2 of them, and
+    they are what is returned.  With c(e) = 0, each tree edge h -> sh sets
+    c(sh) = s.c(h) + c(s) - z(s, h) (on the edges leaving e this is c(s)
+    itself, as z(s, e) = 0).  So c(g) = const(g) + sum of y.c(s') over the
+    terms (s', y) of g: one per letter s' of the tree word of g, y the
+    product of the letters left of it.  The equations are the |S| N - N + 1
+    non-tree edges, n^2 each; their coefficients are sums of n^2 x n^2
+    conjugation blocks (one block per element met), O(|S| N D n^4) to
+    build for a tree of depth D against O(|S|^3 N n^6) to eliminate.  An
+    element acts through the product of the class actions along its tree
+    word: mod w^mod_exp, at most the level of the failure, the section is a
+    homomorphism.  A solution of the full system (every c(g) unknown, every
+    edge an equation) restricts to one of this system, and each solution of
+    this system extends along the tree to one of the full system, so
+    solvability is that of delta c = z; only the particular solution is
+    this system's.
     """
     C = z.image
     ring_q = z.ring
@@ -290,7 +286,6 @@ def _solve_h2_linear(z: Cochain2) -> List[UMatrix]:
     n = C.elements[0].n
     nn = n * n
     offset = {s: i * nn for i, s in enumerate(s for s in z.rows if s != 0)}
-    edges = _left_bfs(C, list(z.rows))
     act = {0: UMatrix.identity(ring_q, n), **z.act}
     act_inv = {0: act[0], **z.act_inv}
     blocks: Dict[int, List[List[int]]] = {}
@@ -298,7 +293,7 @@ def _solve_h2_linear(z: Cochain2) -> List[UMatrix]:
     const = [UMatrix.zero(ring_q, n)] * C.order
     rows: List[List[int]] = []
     rhs: List[int] = []
-    for s, h, g, tree in edges:
+    for s, h, g, tree in _left_bfs(C, list(z.rows)):
         # s.c(h) + c(s) - z(s, h) as terms and a constant; the edge says it is c(g).
         moved = [(t, C.product(s, y)) for t, y in terms[h]] + ([(s, 0)] if s else [])
         c0 = act[s] @ const[h] @ act_inv[s] - z.rows[s][h]
@@ -319,77 +314,86 @@ def _solve_h2_linear(z: Cochain2) -> List[UMatrix]:
         rows.extend(eq)
         rhs.extend(x for r in (const[g] - c0).rows for x in r)
     x = solve_linear(rows, rhs, ring_q).particular
-    gen = {s: UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
-           for s, o in offset.items()}
-    c = [UMatrix.zero(ring_q, n)] * C.order
-    for s, h, g, tree in edges:
-        if tree:
-            c[g] = act[s] @ c[h] @ act_inv[s] + gen[s] - z.rows[s][h]
-    return c
+    return {s: UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
+            for s, o in offset.items()}
 
 
 # ---------------------------------------------------------------------------
-# One lifting step and the lifting loop
+# The lifting loop
 # ---------------------------------------------------------------------------
 
 
-def _section_lift_once(ring: RingSpec, n: int, gens: Sequence[UMatrix], k: int,
-                       cap: int) -> Tuple[List[UMatrix], LedgerStep]:
-    """One precision-doubling correction of the generator images at level k.
+def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix],
+               prods: Dict[int, List[UMatrix]], k: int):
+    """One lifting step at defect level k on the carried image C.
 
-    The correction is applied to the whole section and its defect is the
-    level recorded: it can be below the defect of the section that the
-    corrected generator images span, and it decides the fallback.
+    sigma is the section that the generator images span along C's tree and
+    prods its products sigma(s) sigma(d), which measured level k.  Returns
+    the corrected generator images (I - w^j c(s)) sigma(s), I at the class
+    e, with their section, its products and the ledger step, whose level is
+    that section's: (2 + 2|S|) N matmuls, |S| N more on a fallback.
     """
-    K = ring.precision
-    C = closure_of_matrices([g.reduce(k) for g in gens], k, cap=cap)
-    a = C.p_part
-    if not ring.is_mixed and a > 0:
-        raise CharPUnsupported(
-            "equal characteristic repair requires an image of order coprime to p")
-    if k <= 2 * a:
-        raise HypothesisViolated(f"need defect level k > 2l (k={k}, l={a})")
-    j = k - a
-    target = min(2 * j, K)
+    ring, n = sigma[0].ring, sigma[0].n
+    j = k - C.p_part
+    target = min(2 * j, ring.precision)
     mod_exp = target - j
-    sigma = _tree_section(C, gens)
     sigma_inv = _tree_section(C, [g.inv() for g in gens], inverse=True)
-    z = _cocycle_rows(sigma, sigma_inv, C, j, mod_exp)
-    amin = min(a, mod_exp)
-    for row in z.rows.values():
-        for v in row:
-            if v.min_valuation() < amin:
-                raise RepairError("cocycle values are not divisible by the p-part")
+    z = None
+    if C.p_part:
+        z = _cocycle(sigma, sigma_inv, prods, C, j, mod_exp)
+        if any(v.min_valuation() < min(C.p_part, mod_exp)
+               for row in z.rows.values() for v in row):
+            raise RepairError("cocycle values are not divisible by the p-part")
+        sums = {s: sum(row[1:], row[0]) for s, row in z.rows.items()}
+    else:
+        sums = _row_sums(sigma_inv, prods, C, j, mod_exp)
 
-    def corrected(c: Sequence[UMatrix]) -> Tuple[List[UMatrix], int]:
-        # Both solvers return c with delta c = z, so -c cancels the failure.
-        fixed = [(-m).lift_to(ring).congruence_lift(j) @ sm for m, sm in zip(c, sigma)]
-        return [fixed[s] for s in C.generator_indices], _section_defect_val(fixed, C)
+    def corrected(c: Dict[int, UMatrix]):
+        # Both solvers give delta c = z at the generator classes, so the
+        # section that -c spans cancels the failure.
+        new = [(-c[s]).lift_to(ring).congruence_lift(j) @ sigma[s] if s
+               else UMatrix.identity(ring, n) for s in C.generator_indices]
+        new_sigma = _tree_section(C, new)
+        return (new, new_sigma) + _measure(new_sigma, C)
 
     method = "averaging"
-    cand = _avg_candidate(z)
-    measured = -1
-    if cand is not None:
-        new_gens, measured = corrected(cand)
-    if measured < target:
+    c = _average(sums, C)
+    out = None if c is None else corrected(c)
+    if out is None or out[3] < target:
         method = "linear-solve"
-        new_gens, measured = corrected(_solve_h2_linear(z))
-        if measured < target:
-            raise Unsolvable(
-                f"lift step failed to reach level {target} (got {measured})",
-                measured)
-    return new_gens, LedgerStep(measured, j, method)
+        out = corrected(_solve_h2_linear(z or _cocycle(sigma, sigma_inv, prods, C, j, mod_exp)))
+    new, new_sigma, new_prods, level = out
+    if level < target:
+        raise Unsolvable(f"lift step failed to reach level {target} (got {level})", level)
+    return new, new_sigma, new_prods, LedgerStep(level, j, method)
 
 
-def _lift_to_exact(ring: RingSpec, n: int, gens: Sequence[UMatrix], k: int, cap: int,
+def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteImage,
                    steps: List[LedgerStep]) -> Sequence[UMatrix]:
-    """Lifting steps from defect level k until the images are exact at K."""
+    """Lifting steps from defect level k until the images are exact at K.
+
+    C is the image of the generators mod w^k, enumerated once: a step
+    leaves a homomorphism mod w^{k'} on C, k' > k, and the checks on l and
+    k hold at every later level as k only grows.  With l = 0 that
+    homomorphism is injective, as it agrees with C mod w^k, so C's tree
+    and product cache still describe the image; with l > 0 carrying C
+    keeps the original p^l, so each j = k - l meets the certified bound.
+    """
     K = ring.precision
+    l = C.p_part
+    if not ring.is_mixed and l > 0:
+        raise CharPUnsupported(
+            "equal characteristic repair needs a p'-image; "
+            "order-2 images route through the involution repair")
+    if k <= 2 * l:
+        raise HypothesisViolated(f"need defect level k > 2l (k={k}, l={l})")
+    sigma = _tree_section(C, gens)
+    prods = _measure(sigma, C)[0]
     iterations = 0
     while k < K:
         if iterations >= K:
             raise RepairError("lifting loop exceeded its iteration bound")
-        gens, step = _section_lift_once(ring, n, gens, k, cap)
+        gens, sigma, prods, step = _lift_step(C, gens, sigma, prods, k)
         steps.append(step)
         k = step.defect_val_after
         iterations += 1
@@ -401,8 +405,9 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
     """Repair a representation into an exact homomorphism at precision K.
 
     The output factors through the finite image C of the input at its
-    defect level; the distance moved is at most p^l * defect where
-    p^l = p-part of |C|.  Every claim is re-measured before returning.
+    defect level, enumerated once; the distance moved is at most p^l *
+    defect where p^l = p-part of |C|.  Every claim is re-measured before
+    returning.
     """
     ring = rep.ring
     K = ring.precision
@@ -422,16 +427,9 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
         raise DefectTooLarge("defect must be < 1 (some relator fails mod w)")
     C0 = finite_image(rep, k0, cap=cap)
     l0 = C0.p_part
-    if not ring.is_mixed and l0 > 0:
-        raise CharPUnsupported(
-            "equal characteristic repair needs a p'-image; "
-            "order-2 images route through the involution repair")
-    if k0 <= 2 * l0:
-        raise HypothesisViolated(f"need defect level k > 2l (k={k0}, l={l0})")
-
     ledger = PrecisionLedger(initial_defect_val=k0, p_part=l0,
                              image_order=C0.order, working_precision=K)
-    gens = _lift_to_exact(ring, rep.n, rep.images, k0, cap, ledger.steps)
+    gens = _lift_to_exact(ring, rep.images, k0, C0, ledger.steps)
     out = rep.with_images(gens)
     if not out.defect().saturated:
         raise RepairError("repaired representation is not exact at precision K")
@@ -439,11 +437,10 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
     ledger.final_distance_val = dist.valuation
     if not dist <= NormValue.from_valuation(ring, k0 - l0):
         raise RepairError("repair moved farther than the certified bound")
-    if C0.order <= cap:
-        img = closure_of_matrices(list(out.images), K, cap=cap)
-        ledger.image_order = img.order
-        if C0.order % img.order != 0:
-            raise RepairError("repaired image order does not divide |C|")
+    img = closure_of_matrices(list(out.images), K, cap=cap)
+    ledger.image_order = img.order
+    if C0.order % img.order != 0:
+        raise RepairError("repaired image order does not divide |C|")
     ledger.verified = True
     return out, ledger
 
@@ -661,8 +658,9 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
     for v in gog.vertices:
         if not v.generators:
             continue
-        gens = _lift_to_exact(ring, n, [images[g] for g in v.generators], k0, cap,
-                              steps)
+        gens = [images[g] for g in v.generators]
+        C = closure_of_matrices([g.reduce(k0) for g in gens], k0, cap=cap)
+        gens = _lift_to_exact(ring, gens, k0, C, steps)
         for name, mat in zip(v.generators, gens):
             images[name] = mat
 

@@ -246,13 +246,12 @@ class FiniteImage:
         got = self._inverses.get(i)
         if got is None:
             j = i
-            prev = 0
             while True:
                 nxt = self.product(j, i)
                 if nxt == 0:
                     got = j
                     break
-                prev, j = j, nxt
+                j = nxt
             self._inverses[i] = got
         return got
 

@@ -9,6 +9,7 @@ every nonzero element is a unit times a power of the uniformizer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -288,6 +289,25 @@ class UMatrix:
         dec = ring.decode
         rows = tuple(tuple(dec(flat[i * n + j]) for j in range(n)) for i in range(n))
         return cls(ring, n, rows)
+
+
+def matmul_sum(lefts: Sequence[UMatrix], rights: Sequence[UMatrix]) -> UMatrix:
+    """sum_i lefts[i] @ rights[i]: one ring dot of length n * len(lefts) per entry.
+
+    Entry (r, t) is row r of the lefts laid end to end against column t of
+    the rights laid end to end, so a sum of m products costs n^2 dots and
+    no intermediate matrix.
+    """
+    ring, n = lefts[0].ring, lefts[0].n
+    for m in itertools.chain(lefts, rights):
+        lefts[0]._check(m)
+    if len(lefts) != len(rights):
+        raise RingError("matmul_sum needs as many left factors as right ones")
+    rows = [list(itertools.chain.from_iterable(r)) for r in zip(*(m.rows for m in lefts))]
+    cols = [list(itertools.chain.from_iterable(c))
+            for c in zip(*(zip(*m.rows) for m in rights))]
+    dot = ring.dot
+    return UMatrix(ring, n, tuple(tuple(dot(r, c) for c in cols) for r in rows))
 
 
 # -- local Smith form and linear solving ------------------------------------

@@ -2,10 +2,16 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ultrastab.local_ring import NormValue, RingSpec
-from ultrastab.presentations import ApproxRep, Presentation, closure_of_matrices
+from ultrastab.presentations import (
+    ApproxRep,
+    DefectTooLarge,
+    Presentation,
+    closure_of_matrices,
+    finite_image,
+)
 from ultrastab.homrepair import (
     CharPUnsupported,
     GogEdge,
@@ -14,10 +20,14 @@ from ultrastab.homrepair import (
     HypothesisViolated,
     LedgerStep,
     Cochain2,
-    _avg_candidate,
-    _cocycle_rows,
-    _section_defect_val,
+    RepairError,
+    _average,
+    _cocycle,
+    _lift_step,
+    _measure,
+    _row_sums,
     _solve_h2_linear,
+    _tree_section,
     align_homomorphisms,
     graph_repair,
     repair_finite_image,
@@ -367,7 +377,7 @@ def test_generator_rows_give_section_defect(rng):
             C = closure_of_matrices([g.reduce(2) for g in gens], 2)
             for _ in range(6):
                 sigma = _random_section(C, ring, rng, rng.randrange(1, K))
-                got = _section_defect_val(sigma, C)
+                got = _measure(sigma, C)[1]
                 assert got == _all_pairs_defect_val(sigma, C)
                 seen.add(got)
             # exact along the rows of one generator class s, not along the others:
@@ -385,7 +395,7 @@ def test_generator_rows_give_section_defect(rng):
                             E[c] = twist
                             c = C.product(s, c)
                 sigma = [e.lift_to(ring) @ E[d] for d, e in enumerate(C.elements)]
-                assert _section_defect_val(sigma, C) == _all_pairs_defect_val(sigma, C) < K
+                assert _measure(sigma, C)[1] == _all_pairs_defect_val(sigma, C) < K
     assert len(seen) > 3  # the check met several distinct levels
 
 
@@ -409,8 +419,9 @@ def _full_average(sigma, C, level, mod_exp):
 
 
 def test_generator_rows_give_full_average(rng):
-    # on random sections the averaged cochain built from the generator rows is
-    # the average of the full N^2 cocycle table, at every element
+    # on random sections the averaged cochain at the generator classes, from
+    # the dot-kernel row sums and from the summed rows alike, is the average
+    # of the full N^2 cocycle table there, and None exactly when that is
     obstructed = 0
     for ring, k in ((RingSpec("zp", 5, 8), 3), (RingSpec("fpx", 5, 8), 3),
                     (RingSpec("zp", 2, 10), 5), (RingSpec("zp", 3, 12), 5)):
@@ -422,13 +433,18 @@ def test_generator_rows_give_full_average(rng):
             for _ in range(3):
                 sigma = _random_section(C, ring, rng, k)
                 sigma_inv = [m.inv() for m in sigma]
-                got = _avg_candidate(_cocycle_rows(sigma, sigma_inv, C, j, mod_exp))
+                prods = _measure(sigma, C)[0]
+                z = _cocycle(sigma, sigma_inv, prods, C, j, mod_exp)
                 want = _full_average(sigma, C, j, mod_exp)
-                if want is None:
-                    obstructed += 1
-                    assert got is None
-                else:
-                    assert [m.rows for m in got] == [m.rows for m in want]
+                obstructed += want is None
+                for sums in (_row_sums(sigma_inv, prods, C, j, mod_exp),
+                             {s: sum(row[1:], row[0]) for s, row in z.rows.items()}):
+                    got = _average(sums, C)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert list(got) == list(z.rows)
+                        assert [m.rows for m in got.values()] == [want[s].rows for s in got]
     assert 0 < obstructed < 24  # both outcomes of the p-part division were met
 
 
@@ -485,12 +501,29 @@ def _agree_with_full_system(z):
     except Unsolvable:
         solvable = False
     try:
-        c = _solve_h2_linear(z)
+        c = _extend_along_tree(_solve_h2_linear(z), z)
     except Unsolvable:
         assert not solvable
         return False
     assert solvable and _coboundary_matches(c, z)
     return True
+
+
+def _extend_along_tree(gen, z):
+    """c on all of C from its generator-class values, c(e) = 0: each left
+    tree edge h -> sh sets c(sh) = s.c(h) + c(s) - z(s, h)."""
+    C, ring_q = z.image, z.ring
+    n = C.elements[0].n
+    seen, queue = {0}, [0]
+    c = {0: UMatrix.zero(ring_q, n)}
+    for h in queue:
+        for s in z.rows:
+            g = C.product(s, h)
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+                c[g] = z.act[s] @ c[h] @ z.act_inv[s] + gen[s] - z.rows[s][h]
+    return [c[g] for g in range(C.order)]
 
 
 def test_gauge_fixed_solve_matches_full_system(rng):
@@ -510,7 +543,8 @@ def test_gauge_fixed_solve_matches_full_system(rng):
             mod_exp = min(2 * j, ring.precision) - j
             for _ in range(2):
                 sigma = _random_section(C, ring, rng, k)
-                z = _cocycle_rows(sigma, [m.inv() for m in sigma], C, j, mod_exp)
+                z = _cocycle(sigma, [m.inv() for m in sigma], _measure(sigma, C)[0],
+                             C, j, mod_exp)
                 outcomes.add(_agree_with_full_system(z))
                 s = rng.choice(list(z.rows))
                 d = rng.randrange(1, C.order)
@@ -528,7 +562,182 @@ def test_gauge_fixed_solve_trivial_image():
     ident = UMatrix.identity(ring, 2)
     C = closure_of_matrices([ident.reduce(2), ident.reduce(2)], 2)
     assert C.order == 1
-    z = _cocycle_rows([ident], [ident], C, 2, 2)
+    z = _cocycle([ident], [ident], _measure([ident], C)[0], C, 2, 2)
     assert _agree_with_full_system(z)
     bad = Cochain2(C, z.ring, {0: [UMatrix.identity(z.ring, 2)]}, z.act, z.act_inv)
     assert not _agree_with_full_system(bad)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the lifting loop against a per-level reference step
+# ---------------------------------------------------------------------------
+
+
+def _reference_average(z):
+    """The averaged cochain at every element: b(g) = sum_h z(g, h) from the
+    generator rows along the left tree, then divided by |C|; None when
+    obstructed."""
+    C, ring_q = z.image, z.ring
+    n, a = C.elements[0].n, C.p_part
+    if a >= ring_q.precision:
+        return None
+    order = ring_q.from_int(C.order)
+    sums = {s: sum(row[1:], row[0]) for s, row in z.rows.items()}
+    b = [UMatrix.zero(ring_q, n)] * C.order
+    seen, queue = {0}, [0]
+    for h in queue:
+        for s in z.rows:
+            g = C.product(s, h)
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+                b[g] = z.act[s] @ b[h] @ z.act_inv[s] + sums[s] - z.rows[s][h].scale(order)
+    minv = ring_q.inv(ring_q.from_int(C.unit_part))
+    c = []
+    for bg in b:
+        t = bg.scale(minv)
+        if t.min_valuation() < a:
+            return None
+        c.append(UMatrix(ring_q, n, tuple(tuple(ring_q.shift_down(x, a) for x in r)
+                                          for r in t.rows)))
+    return c
+
+
+def _reference_step(ring, gens, k):
+    """One lifting step as a closure at level k, a cocycle built from its own
+    section and a correction of the section at every element, whose
+    all-pairs defect is the level recorded.  Also returns the level that
+    each correction tried reached, by method."""
+    K = ring.precision
+    C = closure_of_matrices([g.reduce(k) for g in gens], k)
+    a = C.p_part
+    if not ring.is_mixed and a > 0:
+        raise CharPUnsupported("p-part in equal characteristic")
+    if k <= 2 * a:
+        raise HypothesisViolated("k <= 2l")
+    j = k - a
+    target = min(2 * j, K)
+    mod_exp = target - j
+    sigma = _tree_section(C, gens)
+    sigma_inv = [m.inv() for m in sigma]
+    classes = sorted(set(C.generator_indices) - {0}) or [0]
+    rows = {s: [(sigma[s] @ sigma[d] @ sigma_inv[C.product(s, d)])
+                .congruence_coords(j).reduce(mod_exp) for d in range(C.order)]
+            for s in classes}
+    z = Cochain2(C, ring.with_precision(mod_exp), rows,
+                 {s: sigma[s].reduce(mod_exp) for s in classes},
+                 {s: sigma_inv[s].reduce(mod_exp) for s in classes})
+    if any(v.min_valuation() < min(a, mod_exp) for row in rows.values() for v in row):
+        raise RepairError("cocycle values are not divisible by the p-part")
+
+    def corrected(c):
+        fixed = [(-m).lift_to(ring).congruence_lift(j) @ sm for m, sm in zip(c, sigma)]
+        return [fixed[s] for s in C.generator_indices], _all_pairs_defect_val(fixed, C)
+
+    method, measured, tried = "averaging", -1, {}
+    cand = _reference_average(z)
+    if cand is not None:
+        new_gens, measured = corrected(cand)
+        tried[method] = measured
+    if measured < target:
+        method = "linear-solve"
+        new_gens, measured = corrected(_extend_along_tree(_solve_h2_linear(z), z))
+        tried[method] = measured
+        if measured < target:
+            raise Unsolvable("reference step fell short", measured)
+    return new_gens, LedgerStep(measured, j, method), tried
+
+
+def _cycle(m):
+    return [(i + 1) % m for i in range(m)]
+
+
+# name -> (generators, relators, generator permutations)
+DIFF_GROUPS = {
+    "C2": (["s"], [["s"] * 2], [_cycle(2)]),
+    "C3": (["s"], [["s"] * 3], [_cycle(3)]),
+    "C4": (["s"], [["s"] * 4], [_cycle(4)]),
+    "C5": (["s"], [["s"] * 5], [_cycle(5)]),
+    "S3": (["s", "t"], [["s", "s"], ["t"] * 3, ["s", "t"] * 2], [[1, 0, 2], [1, 2, 0]]),
+    "D4": (["r", "s"], [["r"] * 4, ["s", "s"], ["s", "r", "s", "r"]],
+           [[1, 2, 3, 0], [0, 3, 2, 1]]),
+    "S4": (["s", "t"], [["s", "s"], ["t"] * 4, ["s", "t"] * 3],
+           [[1, 0, 2, 3], [1, 2, 3, 0]]),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(DIFF_GROUPS)), st.sampled_from(["zp", "fpx"]),
+       st.sampled_from([2, 3, 5, 7]), st.integers(4, 12), st.integers(1, 11), st.booleans(),
+       st.integers(0, 2 ** 32))
+# first steps where the loop averages and the reference falls back, at the
+# same level and one level lower, and where the loop's level is higher
+# than the reference's by linear solve and by averaging
+@example("C4", "zp", 2, 12, 5, False, 0)
+@example("C4", "zp", 2, 12, 6, False, 0)
+@example("C4", "zp", 2, 12, 6, True, 7)
+@example("C3", "zp", 2, 10, 2, True, 0)
+def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate, seed):
+    # the carried-section loop against the per-level reference step on the
+    # same inputs: the same exception, a level that is the all-pairs defect
+    # of the section the new generators span and never below the level of
+    # the reference's section corrected by the same method, and the
+    # repair's own contract on the way out.  The loop may average where the
+    # reference fell back (its averaged section fell short of the target),
+    # and then record a level below the reference's linear-solve level.
+    gen_names, relators, perms = DIFF_GROUPS[group]
+    ring = RingSpec(mode, p, K)
+    rng = random.Random(seed)
+    n = len(perms[0])
+    u = random_gl(ring, n, rng) if conjugate else UMatrix.identity(ring, n)
+    uinv = u.inv()
+    level = min(level, K - 1)
+    rep = ApproxRep(Presentation.make(gen_names, relators), ring, n,
+                    [u @ _perm_matrix(ring, perm) @ uinv + shifted_random(ring, n, rng, level)
+                     for perm in perms])
+    assume(not rep.defect().saturated)
+
+    def outcome(fn):
+        try:
+            return fn(), None
+        except (DefectTooLarge, RepairError, Unsolvable) as e:
+            return None, type(e)
+
+    k0 = rep.defect().valuation
+    if k0 < 1:
+        assert outcome(lambda: repair_finite_image(rep))[1] is DefectTooLarge
+        return
+    C = finite_image(rep, k0)
+    gens, k, steps = list(rep.images), k0, []
+    sigma = _tree_section(C, gens)
+    prods = _measure(sigma, C)[0]
+    err = None
+    while k < K:
+        # the loop checks l and k once, before its first step
+        if C.p_part and not ring.is_mixed:
+            err = CharPUnsupported
+        elif k <= 2 * C.p_part:
+            err = HypothesisViolated
+        else:
+            new, err = outcome(lambda: _lift_step(C, gens, sigma, prods, k))
+        ref, ref_err = outcome(lambda: _reference_step(ring, gens, k))
+        assert err is ref_err
+        if err:
+            break
+        gens, sigma, prods, step = new
+        assert step.defect_val_after == _all_pairs_defect_val(_tree_section(C, gens), C)
+        assert step.defect_val_after >= ref[2][step.method]
+        assert step.method == ref[1].method or ref[1].method == "linear-solve"
+        assert step.distance_spent_val == ref[1].distance_spent_val
+        steps.append(step)
+        k = step.defect_val_after
+    got, got_err = outcome(lambda: repair_finite_image(rep))
+    assert got_err is (err if k < K else None)
+    if got_err:
+        return
+    fixed, ledger = got
+    assert ledger.steps == steps
+    assert all(fixed.eval_word(r).rows == UMatrix.identity(ring, n).rows
+               for r in fixed.presentation.relators)
+    assert rep.rep_dist(fixed) <= NormValue.from_valuation(ring, k0 - C.p_part)
+    assert C.order % ledger.image_order == 0

@@ -13,6 +13,7 @@ from ultrastab.ultranorm_linalg import (
     NotMonomial,
     UMatrix,
     Unsolvable,
+    matmul_sum,
     nearest_monomial_commutant,
     smith_local,
     solve_linear,
@@ -174,6 +175,27 @@ def test_solve_linear_matches_enumeration(system):
     diag = res.diag_vals
     K = ring.precision
     assert math.prod(ring.p ** (diag[j] if j < len(diag) else K) for j in range(nc)) == len(sols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 5, 257]), st.integers(1, 16),
+       st.integers(1, 4), st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32))
+def test_matmul_sum_matches_sum_of_products(mode, p, K, n, m, extreme, seed):
+    # one dot of length n m per entry against m products and m - 1 sums; the
+    # extreme inputs are mostly p - 1 in every digit, the largest slot sums
+    ring = RingSpec(mode, p, K)
+    rng = random.Random(seed)
+    top = ring.from_int(-1) if ring.is_mixed else ring.from_coeffs([p - 1] * K)
+
+    def entry():
+        return top if extreme and rng.random() < 0.8 else ring.random_raw(rng)
+
+    lefts, rights = ([UMatrix(ring, n, tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+                      for _ in range(m)] for _ in range(2))
+    want = lefts[0] @ rights[0]
+    for a, b in zip(lefts[1:], rights[1:]):
+        want = want + a @ b
+    assert matmul_sum(lefts, rights).rows == want.rows
 
 
 def test_monomial_commutant_swap_example():
