@@ -2,7 +2,7 @@
 representations over truncated local rings."""
 
 from .local_ring import NormValue, RingSpec, Scalar
-from .presentations import ApproxRep, FiniteImage, Presentation, Word, finite_image
+from .presentations import ApproxRep, FiniteImage, Presentation, Word
 from .ultranorm_linalg import (
     SmithDecomposition,
     SolveResult,

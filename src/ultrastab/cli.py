@@ -27,6 +27,7 @@ code and message prefix; the most specific class of an error wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,6 +67,7 @@ from .witnesses import (
     DEFAULT_ENUM_CAP,
     DEFAULT_WREATH_INDEX_CAP,
     WitnessError,
+    build_unstable_generators,
     commutator_witness_oracle,
     hdist_gl1_cyclic,
     make_badestimate_rep,
@@ -288,10 +290,9 @@ def _run_wreath(inputs, cfg):
     ring, i, x = inputs
     if ring.mode != "zp":
         raise InputError("wreath witness is built over Z/p^K")
-    rep = make_wreath_rep(ring.p, i, x, ring.precision, dim_cap=cfg.dim_cap,
-                          index_cap=cfg.wreath_index_cap)
-    wc = wreath_rep_defect_certificate(ring.p, i, x, ring.precision,
-                                       index_cap=cfg.wreath_index_cap)
+    gens = build_unstable_generators(ring.p, i, index_cap=cfg.wreath_index_cap)
+    rep = make_wreath_rep(gens, x, ring.precision, dim_cap=cfg.dim_cap)
+    wc = wreath_rep_defect_certificate(gens, x, ring.precision)
     params = _cyclic_params(ring, i, x)
     return rep.to_json(), Certificate(
         "witness-wreath", digest(params), after={"defect_val": wc.defect_val},
@@ -482,14 +483,16 @@ def _kinds(prefix: str) -> List[str]:
     return [name[len(prefix):] for name in OPERATIONS if name.startswith(prefix)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call returns a
+    fresh namespace, so calls share no state through it."""
     ap = argparse.ArgumentParser(prog="ultrastab")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("defect", help="defect of an approximate representation")
     sp.add_argument("rep")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_defect)
 
     sp = sub.add_parser("repair", help="repair into an exact homomorphism")
     sp.add_argument("rep")
@@ -497,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gog", default=None, help="graph-of-groups JSON (graph mode)")
     sp.add_argument("--cert", default=None, help="certificate output path")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_repair)
 
     sp = sub.add_parser("witness", help="construct an instability witness")
     sp.add_argument("--kind", required=True, choices=_kinds("witness-"))
@@ -510,34 +512,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--cert", default=None)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_witness)
 
     sp = sub.add_parser("monomial", help="nearest exact commutant of a monomial matrix")
     sp.add_argument("p_file")
     sp.add_argument("d_file")
     sp.add_argument("--cert", default=None)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_monomial)
 
     sp = sub.add_parser("gbs", help="GBS stability criteria")
     sp.add_argument("graph")
     sp.add_argument("--p", type=_prime, required=True)
     sp.add_argument("--order-bounds", action="store_true")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_gbs)
 
     sp = sub.add_parser("claims", help="verify the wreath construction claims")
     sp.add_argument("--max-i", type=int, default=3, dest="max_i")
     sp.add_argument("--p", type=_prime, default=2)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_claims)
 
     sp = sub.add_parser("proptest", help="run a property-test suite")
     sp.add_argument("suite", choices=proptests.SUITES)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_proptest)
 
     # no abbreviations: "--out" would otherwise be read as "--output"
     sp = sub.add_parser("verify", help="re-run an operation and compare its certificate",
@@ -548,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", default=None, help="artifact of a repair or monomial")
     sp.add_argument("--gog", default=None)
     _add_common(sp, out=False)  # verify writes no artifact, only its exit code
-    sp.set_defaults(fn=cmd_verify)
 
     return ap
 
@@ -556,7 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at call time, so that a patched binding (tracing, tests)
+        # is the one used although the parser is cached
+        return globals()["cmd_" + args.command](args)
     except Exception as exc:
         known = next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES), None)
         if known is None:

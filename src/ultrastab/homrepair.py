@@ -51,7 +51,6 @@ from .presentations import (
     Presentation,
     PresentationError,
     closure_of_matrices,
-    finite_image,
 )
 from .ultranorm_linalg import UMatrix, Unsolvable, matmul_sum, row_submul, solve_linear
 
@@ -425,7 +424,8 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
     k0 = d.valuation
     if k0 < 1:
         raise DefectTooLarge("defect must be < 1 (some relator fails mod w)")
-    C0 = finite_image(rep, k0, cap=cap)
+    # k0 is the defect level, so the reduction mod w^k0 is a homomorphism
+    C0 = closure_of_matrices([g.reduce(k0) for g in rep.images], k0, cap=cap)
     l0 = C0.p_part
     ledger = PrecisionLedger(initial_defect_val=k0, p_part=l0,
                              image_order=C0.order, working_precision=K)

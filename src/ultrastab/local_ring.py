@@ -338,11 +338,6 @@ class RingSpec:
         for digits in itertools.product(range(self.p), repeat=self.precision):
             yield self.from_coeffs(digits)
 
-    def iter_units(self) -> Iterator[int]:
-        for x in self.iter_all():
-            if self.is_unit(x):
-                yield x
-
     def random_raw(self, rng) -> int:
         if self.is_mixed:
             return rng.randrange(self._modulus)

@@ -264,19 +264,6 @@ class FiniteImage:
         return o
 
 
-def finite_image(rep: ApproxRep, m: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteImage:
-    """Enumerate the subgroup of GL_n(o/w^m) generated by the reduced images.
-
-    Requires defect(rep) <= p^{-m}, so that the reduction is a genuine
-    homomorphism of the presented group.
-    """
-    d = rep.defect()
-    if not d <= NormValue.from_valuation(rep.ring, m):
-        raise DefectTooLarge(f"defect {d!r} exceeds p^-{m}")
-    reduced = [img.reduce(m) for img in rep.images]
-    return closure_of_matrices(reduced, m, cap=cap)
-
-
 def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
                         cap: int = DEFAULT_CLOSURE_CAP) -> FiniteImage:
     """BFS closure of a list of matrices over the precision-m ring."""

@@ -6,9 +6,10 @@ to every homomorphism stays fixed; the two-generator subgroup of a
 product of iterated wreath products that carries those cyclic maps into
 bounded-degree matrix representations; and the commuting-pair witness
 showing the commutator equation only admits a quadratic estimate.  Every
-reported number is exact and re-checkable from the certificate: an
-exhaustive enumeration at the working precision (ExactTruncated), an
-exact cyclotomic computation (ExtensionLowerBound), or, for the wreath
+reported number is exact and re-checkable from the certificate: the
+complete list of roots of unity at the working precision, lifted from
+one level of w to the next (ExactTruncated), an exact cyclotomic
+computation (ExtensionLowerBound), or, for the wreath
 defect, the carry lemma of wreath_rep_defect_certificate, whose
 hypotheses are re-measured at every call with no enumeration, sampling
 or seed.
@@ -74,25 +75,30 @@ _ROOT_CACHE: Dict[Tuple[RingSpec, int], List[int]] = {}
 
 
 def roots_of_unity(ring: RingSpec, order: int, cap: int = DEFAULT_ENUM_CAP) -> List[int]:
-    """All solutions of u^order = 1 in the unit group, by exhaustive scan.
+    """All units u with u^order = 1 in o/w^K, sorted, lifted level by level.
 
-    Scans are cached per ring; a cached superset order is filtered instead
-    of rescanning, so descending sweeps over a torsion tower cost one scan.
+    A root mod w^{k+1} reduces to a root mod w^k, so lifting each root u
+    mod w^k (the representative with no digit at or above k) to the p
+    candidates u + c w^k and keeping those with u^order = 1 mod w^{k+1}
+    finds every root, from the one root 0 of the zero ring o/w^0.  Cost:
+    p * sum_{k<K} R_k powers of O(log order) multiplications, R_k the
+    number of roots mod w^k (at most R_K), against p^K for a scan of the
+    ring.  The cap still bounds the ring size p^K, so whether a call
+    exceeds it does not depend on the cache of earlier (ring, order) calls.
     """
+    if ring.size() > cap:
+        raise CapExceeded(f"ring of size {ring.size()} exceeds enumeration cap")
     got = _ROOT_CACHE.get((ring, order))
     if got is not None:
         return list(got)
-    for (cring, corder), cached in _ROOT_CACHE.items():
-        if cring == ring and corder % order == 0:
-            out = [u for u in cached if ring.pow(u, order) == ring.one]
-            _ROOT_CACHE[(ring, order)] = out
-            return list(out)
-    if ring.size() > cap:
-        raise CapExceeded(f"ring of size {ring.size()} exceeds enumeration cap")
-    out = []
-    for u in ring.iter_units():
-        if ring.pow(u, order) == ring.one:
-            out.append(u)
+    roots = [ring.zero]
+    for k in range(ring.precision):
+        # a unit's digit at w^0 is nonzero (this also settles order 0)
+        digits = [ring.mul(ring.from_int(c), ring.omega_pow(k))
+                  for c in range(k == 0, ring.p)]
+        roots = [v for u in roots for v in (ring.add(u, d) for d in digits)
+                 if ring.val(ring.sub(ring.pow(v, order), ring.one)) > k]
+    out = sorted(roots)
     _ROOT_CACHE[(ring, order)] = out
     return list(out)
 
@@ -545,19 +551,18 @@ class WreathMatrixMap:
         return MonoMat(self.ring, tuple(perm), tuple(scale))
 
 
-def make_wreath_rep(p: int, i: int, x: int, K: int,
-                    dim_cap: int = DEFAULT_DIM_CAP,
-                    index_cap: int = DEFAULT_WREATH_INDEX_CAP) -> ApproxRep:
+def make_wreath_rep(gens: UnstableGenerators, x: int, K: int,
+                    dim_cap: int = DEFAULT_DIM_CAP) -> ApproxRep:
     """Two-generator matrix representation carrying the cyclic witness.
 
-    Generators rho and eta of the index-i wreath group map to block
-    monomial matrices of degree p^i * r_i; the presentation is free (the
-    source group is not finitely presented) and all defect statements live
-    in the accompanying certificate.
+    Generators rho and eta of the index-i wreath group (gens, from
+    build_unstable_generators) map to block monomial matrices of degree
+    p^i * r_i; the presentation is free (the source group is not finitely
+    presented) and all defect statements live in the accompanying
+    certificate.
     """
-    gens = build_unstable_generators(p, i, index_cap=index_cap)
-    ring = RingSpec("zp", p, K)
-    wmap = WreathMatrixMap(p, i, x, ring)
+    ring = RingSpec("zp", gens.p, K)
+    wmap = WreathMatrixMap(gens.p, gens.i, x, ring)
     if wmap.degree > dim_cap:
         raise CapExceeded(f"matrix degree {wmap.degree} exceeds cap {dim_cap}")
     pres = Presentation.free(["rho", "eta"])
@@ -623,8 +628,7 @@ def hdist_involution_diag_bound(ring: RingSpec, i: int, x: int) -> HdistCertific
                             cyclotomic_data=tuple(data))
 
 
-def wreath_rep_defect_certificate(p: int, i: int, x: int, K: int,
-                                  index_cap: int = DEFAULT_WREATH_INDEX_CAP
+def wreath_rep_defect_certificate(gens: UnstableGenerators, x: int, K: int
                                   ) -> WreathDefectCertificate:
     """Exact defect and distance certificate for the wreath representation.
 
@@ -643,9 +647,10 @@ def wreath_rep_defect_certificate(p: int, i: int, x: int, K: int,
     (same permutation, distance K or structural).  Any failure raises
     WitnessError.  test_wreath_defect_matches_enumeration checks the
     lemma against the full enumeration of the 16384-element block group.
-    The Hdist bound restricts to the cyclic subgroup through delta.
+    The Hdist bound restricts to the cyclic subgroup through delta.  gens
+    comes from build_unstable_generators, which checks kappa and delta.
     """
-    gens = build_unstable_generators(p, i, index_cap=index_cap)
+    p, i = gens.p, gens.i
     ring = RingSpec("zp", p, K)
     wmap = WreathMatrixMap(p, i, x, ring)
     outer = gens.outer

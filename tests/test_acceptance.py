@@ -24,6 +24,7 @@ from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
 from ultrastab.ultranorm_linalg import UMatrix
 from ultrastab.witnesses import (
+    build_unstable_generators,
     commutator_witness_oracle,
     hdist_gl1_cyclic,
     make_badestimate_rep,
@@ -256,7 +257,7 @@ def test_criterion_07_wreath_construction():
     t0 = time.time()
     report = verify_claims(3, p=2)
     assert report.passed
-    cert = wreath_rep_defect_certificate(2, 1, 2, 12)
+    cert = wreath_rep_defect_certificate(build_unstable_generators(2, 1), 2, 12)
     assert cert.exact and cert.group_order == 16384
     rep1 = make_badestimate_rep(2, 1, 2, 12)
     assert cert.defect_val == rep1.defect().valuation

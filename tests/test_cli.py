@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -461,6 +464,49 @@ def test_cmd_verify_round_trip(tmp_path, capsys, operation):
     cert["estimate_class"] = "optimal" if cert["estimate_class"] == "quadratic" else "quadratic"
     assert main(["verify", _write(tmp_path, "tampered.json", cert)] + inputs) == 1
     assert "FAIL estimate_class" in capsys.readouterr().err
+
+
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _fresh_process(argv, cwd):
+    """(exit code, stdout, stderr) of the same call in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ultrastab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "ultrastab.cli"] + argv, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    # main builds its parser once per process: after any first call, a
+    # second call must behave as it does in a fresh process
+    monomial_cert, monomial_inputs = _monomial_files(tmp_path)
+    witness_cert, witness_inputs = _badestimate_files(tmp_path)
+    witness = ["witness", "--kind", "badestimate", "--p", "3", "--precision", "6",
+               "--i", "2", "--x", '"3"']
+    capped = witness + ["--cap-enum", "100"]
+    pairs = [
+        # an append action given twice, then once
+        (["verify", monomial_cert] + monomial_inputs, ["verify", witness_cert] + witness_inputs),
+        # a cap given, then left out; and the other way round, past the roots' cache
+        (capped, witness),
+        (witness, capped),
+        # a usage error, then a valid call
+        (["witness", "--kind", "no-such-kind"], witness),
+    ]
+    for first, second in pairs:
+        _in_process(first, capsys)
+        got = _in_process(second, capsys)
+        assert got == _fresh_process(second, tmp_path), (first, second)
+        assert got[0] == (2 if second is capped else 0)
 
 
 def _tracing():

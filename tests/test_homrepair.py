@@ -10,7 +10,6 @@ from ultrastab.presentations import (
     DefectTooLarge,
     Presentation,
     closure_of_matrices,
-    finite_image,
 )
 from ultrastab.homrepair import (
     CharPUnsupported,
@@ -166,6 +165,16 @@ def test_repair_hypothesis_violated():
     rep = ApproxRep(pres, ring, 1, [UMatrix.from_int_rows(ring, [[3]])])
     assert rep.defect().valuation == 4
     with pytest.raises(HypothesisViolated):
+        repair_finite_image(rep)
+
+
+def test_repair_defect_too_large():
+    # s^3 = [[1, 3], [0, 1]] is not 1 mod 2: the defect is 1, level 0
+    ring = RingSpec("zp", 2, 6)
+    pres = Presentation.make(["s"], [["s", "s", "s"]])
+    rep = ApproxRep(pres, ring, 2, [UMatrix.from_int_rows(ring, [[1, 1], [0, 1]])])
+    assert rep.defect().valuation == 0
+    with pytest.raises(DefectTooLarge):
         repair_finite_image(rep)
 
 
@@ -707,7 +716,7 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
     if k0 < 1:
         assert outcome(lambda: repair_finite_image(rep))[1] is DefectTooLarge
         return
-    C = finite_image(rep, k0)
+    C = closure_of_matrices([g.reduce(k0) for g in rep.images], k0)
     gens, k, steps = list(rep.images), k0, []
     sigma = _tree_section(C, gens)
     prods = _measure(sigma, C)[0]

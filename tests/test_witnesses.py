@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrastab.local_ring import NormValue, RingSpec
-from ultrastab.presentations import CapExceeded
+from ultrastab.presentations import ApproxRep, CapExceeded, Presentation
+from ultrastab.ultranorm_linalg import UMatrix
 from ultrastab.witnesses import (
     CyclicGroup,
     P2Unsupported,
@@ -59,6 +60,50 @@ def test_roots_of_unity_scan():
     assert cubes == [1, 244, 487]
     for u in cubes:
         assert pow(u, 3, 3 ** 6) == 1
+
+
+def _scan_roots_of_unity(ring, order):
+    """The reference: every unit of the ring, raised to the order."""
+    return sorted(u for u in ring.iter_all()
+                  if ring.is_unit(u) and ring.pow(u, order) == ring.one)
+
+
+def _check_roots_against_scan(ring, order, g):
+    """The lifted roots equal the scanned ones, and so hdist_gl1_cyclic's
+    minimizers and enumeration count are those of the scan."""
+    scanned = _scan_roots_of_unity(ring, order)
+    assert roots_of_unity(ring, order) == scanned
+    dists = {u: ring.val(ring.sub(g, u)) for u in scanned}
+    rep = ApproxRep(Presentation.make(["s"], [["s"] * order]), ring, 1,
+                    [UMatrix(ring, 1, ((g,),))])
+    hd = hdist_gl1_cyclic(rep)
+    assert hd.enumeration_count == len(scanned)
+    assert list(hd.minimizers) == [u for u in scanned if dists[u] == max(dists.values())]
+
+
+# ring sizes up to 6561, so that the scan stays cheap
+MAX_K = {2: 8, 3: 8, 5: 5}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 3, 5]), st.data())
+def test_roots_of_unity_lift_matches_scan(mode, p, data):
+    # orders that are p-powers (m = 1), prime to p (a = 0), or mixed
+    K = data.draw(st.integers(1, MAX_K[p]), label="K")
+    a = data.draw(st.integers(0, 3), label="a")
+    m = data.draw(st.sampled_from([m for m in (1, 2, 3, 4, 6, 8, 12) if m % p]), label="m")
+    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=K, max_size=K), label="g")
+    digits[0] = digits[0] or 1  # a unit
+    ring = RingSpec(mode, p, K)
+    g = functools.reduce(ring.add, [ring.mul(ring.from_int(d), ring.omega_pow(j))
+                                    for j, d in enumerate(digits)])
+    _check_roots_against_scan(ring, p ** a * m, g)
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_roots_of_unity_lift_matches_scan_z3_12(i):
+    ring = RingSpec("zp", 3, 12)
+    _check_roots_against_scan(ring, 3 ** i, ring.from_int(4))
 
 
 def test_hdist_examples():
@@ -183,24 +228,26 @@ def test_claims_cap():
 
 
 def test_wreath_rep_and_certificate():
-    rep = make_wreath_rep(2, 1, 2, 12)
+    gens = build_unstable_generators(2, 1)
+    rep = make_wreath_rep(gens, 2, 12)
     assert rep.n == 8
     for img in rep.images:
         assert img.is_gl()
-    cert = wreath_rep_defect_certificate(2, 1, 2, 12)
+    cert = wreath_rep_defect_certificate(gens, 2, 12)
     assert cert.exact and cert.group_order == 16384 and cert.checked_pairs == 16
     assert cert.defect_val == 3 == cert.structural_bound_val == cert.probe_val
     assert cert.hdist_bound.value.exponent == 2
 
-    cert3 = wreath_rep_defect_certificate(3, 1, 3, 12)
+    cert3 = wreath_rep_defect_certificate(build_unstable_generators(3, 1), 3, 12)
     assert cert3.degree == 12
     assert cert3.defect_val == 2
     # exact at every index, where the block group is far too large to list
     for p, i, x, K, val in [(2, 2, 2, 12, 4), (3, 1, 3, 12, 2), (5, 1, 5, 8, 2),
                             (3, 2, 3, 10, 3)]:
-        c = wreath_rep_defect_certificate(p, i, x, K)
+        gens = build_unstable_generators(p, i)
+        c = wreath_rep_defect_certificate(gens, x, K)
         assert c.exact and c.checked_pairs == 16
-        assert c.group_order == build_unstable_generators(p, i).outer.order()
+        assert c.group_order == gens.outer.order()
         assert c.defect_val == c.structural_bound_val == c.probe_val == val
 
 
@@ -234,7 +281,7 @@ def test_wreath_defect_matches_enumeration():
     images = {g: wmap.image(g) for g in elements}
     vals = {(images[s] @ images[h]).dist_val(images[outer.mul(s, h)])
             for s in _full_group_generators(gens) + [gens.rho] for h in elements}
-    cert = wreath_rep_defect_certificate(p, i, x, K)
+    cert = wreath_rep_defect_certificate(gens, x, K)
     assert vals == {K, cert.structural_bound_val}
     assert min(vals) == 3 == cert.defect_val
 
@@ -245,14 +292,14 @@ def test_wreath_certificate_rejects_shifted_image(monkeypatch):
     monkeypatch.setattr(WreathMatrixMap, "image",
                         lambda self, elem: image(self, (elem[0], elem[1] + 1)))
     with pytest.raises(WitnessError):
-        wreath_rep_defect_certificate(2, 1, 2, 12)
+        wreath_rep_defect_certificate(build_unstable_generators(2, 1), 2, 12)
 
 
 @functools.lru_cache(maxsize=None)
 def _wreath_setting(p, i, x, K):
     gens = build_unstable_generators(p, i)
     wmap = WreathMatrixMap(p, i, x, RingSpec("zp", p, K))
-    return gens, wmap, wreath_rep_defect_certificate(p, i, x, K).structural_bound_val
+    return gens, wmap, wreath_rep_defect_certificate(gens, x, K).structural_bound_val
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +325,7 @@ def test_wreath_random_pairs_obey_carry_lemma(pi, vx, unit, rnd):
 
 def test_wreath_rep_dim_cap():
     with pytest.raises(CapExceeded):
-        make_wreath_rep(2, 2, 2, 12)  # degree 4 * 64 = 256 > 128
+        make_wreath_rep(build_unstable_generators(2, 2), 2, 12)  # degree 4 * 64 = 256 > 128
 
 
 def test_commutator_witness():
