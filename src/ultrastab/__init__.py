@@ -1,15 +1,13 @@
 """Exact repair and instability witnesses for approximate matrix
 representations over truncated local rings."""
 
-from .local_ring import NormValue, RingSpec, Scalar
+from .local_ring import NormValue, RingSpec
 from .presentations import ApproxRep, FiniteImage, Presentation, Word
 from .ultranorm_linalg import (
-    SmithDecomposition,
     SolveResult,
     UMatrix,
     Unsolvable,
     nearest_monomial_commutant,
-    smith_local,
     solve_linear,
 )
 from .homrepair import (

@@ -64,11 +64,6 @@ def _gf2_solve(rows: List[List[int]], rhs: List[int]) -> Optional[List[int]]:
     return x
 
 
-def _gf2_matmul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [[sum(a[i][t] & b[t][j] for t in range(k)) & 1 for j in range(m)] for i in range(n)]
-
-
 def _gf2_inv(a):
     n = len(a)
     m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]

@@ -5,27 +5,27 @@ into an exact homomorphism at the working precision, moving each
 generator image by at most p^{l-k} where p^l is the p-part of the finite
 image C (order N, generated by the classes of the |S| generators, n x n
 matrices).  C is enumerated once per repair, by BFS at the first defect
-level (|S| N matmuls).  The lifting loop then carries the section sigma
-that the generator images span along C's BFS tree, and its products
-sigma(s) sigma(d) for s a generator class and d in C, from level to
-level.  One step at level k, j = k - l, costs in n x n matmuls:
+level (|S| N matmuls), and one relator list is decided with it: the
+group's own relators R when coset enumeration shows they present C,
+otherwise the Schreier relators of C's BFS tree (|S| N - N + 1 of them).
+The lifting loop reads only that list and the section sigma that the
+generator images span along C's tree.  One step at level k, j = k - l,
+costs in n x n matmuls:
 
-- the inverse section along the tree (N);
-- the average c(s) = sum_d z(s, d) / N of the section-failure 2-cocycle
-  z, at the generator classes only (|S| N): for p not dividing N as n^2
-  ring dots of length n N per class, for p dividing N from the rows
-  z(s, d), which must be divisible by p^l; division by the unit part of N
-  is exact, division by p^l costs the recorded precision;
-- the corrected generators (I - w^j c(s)) sigma(s), the section they span
-  (N) and its generator-against-all products (|S| N), which ultrametric
-  induction makes the all-pairs defect: the level recorded, and the next
-  step's products.  (2 + 2|S|) N matmuls in all, and no closure;
-- when averaging is obstructed or falls short of level min(2j, K), the
-  rows z(s, d) (|S| N) and an exact solve of delta c = z over the ring,
-  gauge-fixed along the left BFS tree: the unknowns are c(s) at the
-  generator classes and the equations are the non-tree Cayley edges,
-  (|S| N - N + 1) n^2 equations in |S| n^2 unknowns (in place of |S| N n^2
-  in (N - 1) n^2); the corrected section is measured again.
+- the section and its inverse along the tree (2N);
+- the row sums b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} -
+  N I) of the section-failure 2-cocycle at the generator classes, one
+  matmul_sum of N products per class (|S| N), and their average c(s) =
+  b(s) / N: exact for the unit part of N, at the cost of the recorded
+  precision for p^l;
+- the corrected generators (I - w^j c(s)) sigma(s) and the list's level,
+  min over r of val(rho(r) - I): sum |r| matmuls on R, one per Schreier
+  relator (sigma(h) rho(g) against sigma(hg)), which is the all-pairs
+  level of the section;
+- when averaging is obstructed or falls short of level min(2j, K), one
+  exact solve of the list's Fox system: each generator moves by its own
+  c(s), |R| n^2 equations in |S| n^2 unknowns, built from one n^2 x n^2
+  conjugation block per prefix class.
 
 Each amalgamation is glued by one exact conjugation: for edge-word images
 x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
@@ -37,7 +37,6 @@ trusted: every step re-measures the defect and distance it claims.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +49,9 @@ from .presentations import (
     FiniteImage,
     Presentation,
     PresentationError,
+    Word,
     closure_of_matrices,
+    enumerate_cosets,
 )
 from .ultranorm_linalg import UMatrix, Unsolvable, matmul_sum, row_submul, solve_linear
 
@@ -114,25 +115,77 @@ class PrecisionLedger:
 
 
 # ---------------------------------------------------------------------------
-# Cochains
+# The relator list
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Cochain2:
-    """The generator rows of a 2-cocycle on a finite image.
+@dataclass(frozen=True)
+class _Relators:
+    """The relators a repair measures and solves on, as words in the generators.
 
-    rows[s][d] is the coordinate matrix of the section failure at the
-    element pair (s, d), for s a generator class and d in C, with entries
-    in `ring` (the working ring mod w^mod_exp).  These rows fix the
-    cocycle.  A generator class s acts by conjugation through act[s].
+    With `edges` empty the words are the group's own relators.  Otherwise
+    word i is the Schreier relator w(h) g w(hg)^{-1} of the non-tree edge
+    edges[i] = (h, g, hg) of C's BFS tree, w(c) the tree word of c: on any
+    generator images it takes the value sigma(h) rho(g) sigma(hg)^{-1} for
+    the tree section sigma they span.
     """
 
-    image: FiniteImage
-    ring: RingSpec
-    rows: Dict[int, List[UMatrix]]
-    act: Dict[int, UMatrix]
-    act_inv: Dict[int, UMatrix]
+    words: Tuple[Word, ...]
+    edges: Tuple[Tuple[int, int, int], ...] = ()
+
+
+def _relator_list(C: FiniteImage, relators: Sequence[Word]) -> _Relators:
+    """The group's relators when they present C, else C's Schreier relators.
+
+    The generators map onto C, so when coset enumeration closes at exactly
+    |C| cosets the group is C and its relators present C.  The enumeration
+    is capped at 2|C| live cosets.  The Schreier relators, one per non-tree
+    edge of C's right Cayley graph, generate the kernel of the free group
+    onto C, so they always present it.
+    """
+    ngens = len(C.generator_indices)
+    try:
+        if enumerate_cosets(ngens, relators, 2 * C.order) == C.order:
+            return _Relators(tuple(relators))
+    except CapExceeded:
+        pass
+    tree_words: List[Word] = [Word.identity()]
+    for parent, g in C.tree[1:]:
+        tree_words.append(Word(tree_words[parent].letters + (g + 1,)))
+    edges = tuple((h, g, t) for h in range(C.order)
+                  for g, x in enumerate(C.generator_indices)
+                  if C.tree[t := C.product(h, x)] != (h, g))
+    return _Relators(tuple(Word.make(tree_words[h].letters + (g + 1,))
+                           * tree_words[t].inverse() for h, g, t in edges), edges)
+
+
+def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
+                    sigma: Sequence[UMatrix]) -> List[Tuple[UMatrix, int]]:
+    """(a, t) per relator r, with rho(r) = a sigma(t)^{-1}.
+
+    A word of the group's list is evaluated letter by letter, sum |r|
+    matmuls and t = e; a Schreier relator is sigma(h) rho(g) against
+    sigma(hg), one matmul each.
+    """
+    if rel.edges:
+        return [(sigma[h] @ gens[g], t) for h, g, t in rel.edges]
+    inverses: Dict[int, UMatrix] = {}
+    out = []
+    for w in rel.words:
+        a = sigma[0]
+        for i, x in enumerate(w.letters):
+            if x < 0 and x not in inverses:
+                inverses[x] = gens[-x - 1].inv()
+            m = gens[x - 1] if x > 0 else inverses[x]
+            a = a @ m if i else m
+        out.append((a, 0))
+    return out
+
+
+def _relator_level(rel: _Relators, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]) -> int:
+    """min over the list of val(rho(r) - I), K when every relator is exact."""
+    return min(((a - sigma[t]).min_valuation() for a, t in _relator_values(rel, gens, sigma)),
+               default=sigma[0].ring.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -153,60 +206,25 @@ def _tree_section(C: FiniteImage, gens: Sequence[UMatrix], *,
     return out
 
 
-def _generator_classes(C: FiniteImage) -> List[int]:
-    out = []
-    for g in C.generator_indices:
-        if g not in out and g != 0:
-            out.append(g)
-    return out or [0]
-
-
 def _shifted_down(m: UMatrix, k: int) -> UMatrix:
     """m / w^k entrywise; each entry must be divisible by w^k."""
     down = m.ring.shift_down
     return UMatrix(m.ring, m.n, tuple(tuple(down(x, k) for x in r) for r in m.rows))
 
 
-def _measure(sigma: Sequence[UMatrix], C: FiniteImage
-             ) -> Tuple[Dict[int, List[UMatrix]], int]:
-    """The products sigma(s) sigma(d), s a generator class and d in C, and the level.
+def _row_sums(sigma, sigma_inv, C: FiniteImage, j: int, mod_exp: int) -> Dict[int, UMatrix]:
+    """b(s) = sum_d z(s, d) at each generator class s, z the section's 2-cocycle.
 
-    The level is min over these pairs of val(sigma(s) sigma(d) - sigma(sd)),
-    K when exact.  When sigma(e) = I and each pair agrees mod w^m, every
-    c = s q with q shorter gives sigma(c) sigma(d) = sigma(s) sigma(q)
-    sigma(d) = sigma(s) sigma(qd) = sigma(cd) mod w^m by induction, so this
-    min is the all-pairs min.  |S| N matmuls, which the next lifting step
-    reuses.
+    b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} - N I): one
+    matmul_sum of N products (n^2 ring dots of length n N) and one matmul
+    per class; b(e) = 0.
     """
-    prods = {s: [sigma[s] @ m for m in sigma] for s in _generator_classes(C)}
-    level = min((m - sigma[C.product(s, d)]).min_valuation()
-                for s, row in prods.items() for d, m in enumerate(row))
-    return prods, level
-
-
-def _cocycle(sigma, sigma_inv, prods, C: FiniteImage, j: int, mod_exp: int) -> Cochain2:
-    """Rows z(s, d) = coords_j of sigma(s) sigma(d) sigma(sd)^{-1} mod w^mod_exp.
-
-    One matmul per row entry on top of the products: |S| N.
-    """
-    rows = {s: [(m @ sigma_inv[C.product(s, d)]).congruence_coords(j).reduce(mod_exp)
-                for d, m in enumerate(row)] for s, row in prods.items()}
-    return Cochain2(C, sigma[0].ring.with_precision(mod_exp), rows,
-                    {s: sigma[s].reduce(mod_exp) for s in rows},
-                    {s: sigma_inv[s].reduce(mod_exp) for s in rows})
-
-
-def _row_sums(sigma_inv, prods, C: FiniteImage, j: int, mod_exp: int) -> Dict[int, UMatrix]:
-    """b(s) = sum_d z(s, d) at each generator class, without the rows.
-
-    b(s) = coords_j(sum_d sigma(s) sigma(d) sigma(sd)^{-1} - N I): n^2 ring
-    dots of length n N per class, in place of N matmuls and N sums.
-    """
-    ring, n = sigma_inv[0].ring, sigma_inv[0].n
+    ring, n = sigma[0].ring, sigma[0].n
     nI = UMatrix.identity(ring, n).scale(ring.from_int(C.order))
-    return {s: _shifted_down(matmul_sum(row, [sigma_inv[C.product(s, d)]
-                                             for d in range(C.order)]) - nI, j).reduce(mod_exp)
-            for s, row in prods.items()}
+    return {s: _shifted_down(sigma[s] @ matmul_sum(sigma, [sigma_inv[C.product(s, d)]
+                                                          for d in range(C.order)]) - nI,
+                             j).reduce(mod_exp)
+            for s in dict.fromkeys(C.generator_indices)}
 
 
 def _average(sums: Dict[int, UMatrix], C: FiniteImage) -> Optional[Dict[int, UMatrix]]:
@@ -239,82 +257,54 @@ def _conj_block(u: UMatrix, uinv: UMatrix) -> List[List[int]]:
             for r in range(n) for t in range(n)]
 
 
-def _left_bfs(C: FiniteImage, classes: Sequence[int]) -> List[Tuple[int, int, int, bool]]:
-    """Edges (s, h, sh, tree) of the left Cayley graph h -> sh, BFS order from e.
+def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], sigma_inv: Sequence[UMatrix],
+               rel: _Relators, z: Sequence[UMatrix]) -> List[UMatrix]:
+    """c(s) per generator with every relator exact mod w^{j + mod_exp}.
 
-    s runs over the generator classes; tree marks the edge that first
-    reaches sh, so the tree edges span C and each element is reached after
-    its parent.  All |S| N edges are listed.
+    z[i] = coords_j(rho(r_i)) over o/w^{mod_exp}, j the step's correction
+    level.  Moving each generator to (I - w^j c(s)) rho(s) moves rho(r) =
+    I + w^j z(r) to I + w^j (z(r) + sum_i e_i A_i c(s_i) A_i^{-1}) mod
+    w^{2j}, over the letters s_i^{+-1} of r (Fox derivatives): e_i = -1 and
+    A_i the prefix before a letter s_i, e_i = +1 and A_i the prefix through
+    a letter s_i^{-1}.  rho is a homomorphism on C mod w^k, so A_i acts
+    through sigma at its class, and equal (s_i, class) terms add up.  One
+    exact solve over o/w^{mod_exp} of |R| n^2 equations in |S| n^2
+    unknowns, one n^2 x n^2 conjugation block per prefix class met.  On
+    the Schreier list this is the coboundary system delta c = z gauge-fixed
+    along C's tree, so solvability is that of the H^2 class of z.
     """
-    seen = [True] + [False] * (C.order - 1)
-    queue = [0]
-    edges = []
-    for h in queue:
-        for s in classes:
-            g = C.product(s, h)
-            edges.append((s, h, g, not seen[g]))
-            if not seen[g]:
-                seen[g] = True
-                queue.append(g)
-    return edges
-
-
-def _solve_h2_linear(z: Cochain2) -> Dict[int, UMatrix]:
-    """Exact coboundary solve delta c = z, gauge-fixed along the left BFS tree.
-
-    The unknowns are c(s) at the generator classes, |S| n^2 of them, and
-    they are what is returned.  With c(e) = 0, each tree edge h -> sh sets
-    c(sh) = s.c(h) + c(s) - z(s, h) (on the edges leaving e this is c(s)
-    itself, as z(s, e) = 0).  So c(g) = const(g) + sum of y.c(s') over the
-    terms (s', y) of g: one per letter s' of the tree word of g, y the
-    product of the letters left of it.  The equations are the |S| N - N + 1
-    non-tree edges, n^2 each; their coefficients are sums of n^2 x n^2
-    conjugation blocks (one block per element met), O(|S| N D n^4) to
-    build for a tree of depth D against O(|S|^3 N n^6) to eliminate.  An
-    element acts through the product of the class actions along its tree
-    word: mod w^mod_exp, at most the level of the failure, the section is a
-    homomorphism.  A solution of the full system (every c(g) unknown, every
-    edge an equation) restricts to one of this system, and each solution of
-    this system extends along the tree to one of the full system, so
-    solvability is that of delta c = z; only the particular solution is
-    this system's.
-    """
-    C = z.image
-    ring_q = z.ring
+    ring_q = z[0].ring
     submul = row_submul(ring_q)
-    n = C.elements[0].n
+    n, ngens = sigma[0].n, len(C.generator_indices)
     nn = n * n
-    offset = {s: i * nn for i, s in enumerate(s for s in z.rows if s != 0)}
-    act = {0: UMatrix.identity(ring_q, n), **z.act}
-    act_inv = {0: act[0], **z.act_inv}
     blocks: Dict[int, List[List[int]]] = {}
-    terms: List[List[Tuple[int, int]]] = [[]] * C.order
-    const = [UMatrix.zero(ring_q, n)] * C.order
     rows: List[List[int]] = []
     rhs: List[int] = []
-    for s, h, g, tree in _left_bfs(C, list(z.rows)):
-        # s.c(h) + c(s) - z(s, h) as terms and a constant; the edge says it is c(g).
-        moved = [(t, C.product(s, y)) for t, y in terms[h]] + ([(s, 0)] if s else [])
-        c0 = act[s] @ const[h] @ act_inv[s] - z.rows[s][h]
-        if tree:
-            terms[g], const[g] = moved, c0
-            act[g], act_inv[g] = act[s] @ act[h], act_inv[h] @ act_inv[s]
-            continue
-        coef = Counter(moved)
-        coef.subtract(terms[g])
-        eq = [[0] * (len(offset) * nn) for _ in range(nn)]
-        for (t, y), k in coef.items():
-            if k:
+    for w, zr in zip(rel.words, z):
+        fox: Dict[Tuple[int, int], int] = {}
+        c = 0
+        for x in w.letters:
+            s = abs(x) - 1
+            if x > 0:
+                fox[s, c] = fox.get((s, c), 0) - 1
+                c = C.product(c, C.generator_indices[s])
+            else:
+                c = C.product(c, C.inverse(C.generator_indices[s]))
+                fox[s, c] = fox.get((s, c), 0) + 1
+        eq = [[0] * (ngens * nn) for _ in range(nn)]
+        for (s, y), e in fox.items():
+            if e:
                 if y not in blocks:
-                    blocks[y] = _conj_block(act[y], act_inv[y])
-                o, f = offset[t], ring_q.from_int(-k)
+                    blocks[y] = _conj_block(sigma[y].reduce(ring_q.precision),
+                                            sigma_inv[y].reduce(ring_q.precision))
+                o, f = s * nn, ring_q.from_int(-e)
                 for acc, brow in zip(eq, blocks[y]):
                     acc[o:o + nn] = submul(acc[o:o + nn], f, brow)
         rows.extend(eq)
-        rhs.extend(x for r in (const[g] - c0).rows for x in r)
+        rhs.extend(ring_q.neg(v) for r in zr.rows for v in r)
     x = solve_linear(rows, rhs, ring_q).particular
-    return {s: UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
-            for s, o in offset.items()}
+    return [UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
+            for o in range(0, ngens * nn, nn)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,60 +313,60 @@ def _solve_h2_linear(z: Cochain2) -> Dict[int, UMatrix]:
 
 
 def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix],
-               prods: Dict[int, List[UMatrix]], k: int):
+               rel: _Relators, k: int):
     """One lifting step at defect level k on the carried image C.
 
-    sigma is the section that the generator images span along C's tree and
-    prods its products sigma(s) sigma(d), which measured level k.  Returns
-    the corrected generator images (I - w^j c(s)) sigma(s), I at the class
-    e, with their section, its products and the ledger step, whose level is
-    that section's: (2 + 2|S|) N matmuls, |S| N more on a fallback.
+    sigma is the section that the generator images span along C's tree;
+    the relator list measured level k on them.  Averaging moves the
+    generators to (I - w^j c(s)) sigma(s) at their classes (I at the class
+    e); the Fox solve, taken when averaging is obstructed or falls short of
+    level min(2j, K), moves each generator image by its own c(s).  Returns
+    the new images, their section and the ledger step, whose level is the
+    relator list's on the new images.
     """
     ring, n = sigma[0].ring, sigma[0].n
     j = k - C.p_part
     target = min(2 * j, ring.precision)
     mod_exp = target - j
     sigma_inv = _tree_section(C, [g.inv() for g in gens], inverse=True)
-    z = None
-    if C.p_part:
-        z = _cocycle(sigma, sigma_inv, prods, C, j, mod_exp)
-        if any(v.min_valuation() < min(C.p_part, mod_exp)
-               for row in z.rows.values() for v in row):
-            raise RepairError("cocycle values are not divisible by the p-part")
-        sums = {s: sum(row[1:], row[0]) for s, row in z.rows.items()}
-    else:
-        sums = _row_sums(sigma_inv, prods, C, j, mod_exp)
+    sums = _row_sums(sigma, sigma_inv, C, j, mod_exp)
+    if C.p_part and any(b.min_valuation() < min(C.p_part, mod_exp) for b in sums.values()):
+        raise RepairError("cocycle row sums are not divisible by the p-part")
 
-    def corrected(c: Dict[int, UMatrix]):
-        # Both solvers give delta c = z at the generator classes, so the
-        # section that -c spans cancels the failure.
-        new = [(-c[s]).lift_to(ring).congruence_lift(j) @ sigma[s] if s
-               else UMatrix.identity(ring, n) for s in C.generator_indices]
+    def corrected(new: List[UMatrix]):
         new_sigma = _tree_section(C, new)
-        return (new, new_sigma) + _measure(new_sigma, C)
+        return new, new_sigma, _relator_level(rel, new, new_sigma)
+
+    def moved(c: UMatrix, m: UMatrix) -> UMatrix:
+        return (-c).lift_to(ring).congruence_lift(j) @ m
 
     method = "averaging"
     c = _average(sums, C)
-    out = None if c is None else corrected(c)
-    if out is None or out[3] < target:
+    out = None if c is None else corrected(
+        [moved(c[s], sigma[s]) if s else UMatrix.identity(ring, n) for s in C.generator_indices])
+    if out is None or out[2] < target:
         method = "linear-solve"
-        out = corrected(_solve_h2_linear(z or _cocycle(sigma, sigma_inv, prods, C, j, mod_exp)))
-    new, new_sigma, new_prods, level = out
+        z = [(a @ sigma_inv[t]).congruence_coords(j).reduce(mod_exp)
+             for a, t in _relator_values(rel, gens, sigma)]
+        out = corrected([moved(x, g) for x, g in zip(_fox_solve(C, sigma, sigma_inv, rel, z), gens)])
+    new, new_sigma, level = out
     if level < target:
         raise Unsolvable(f"lift step failed to reach level {target} (got {level})", level)
-    return new, new_sigma, new_prods, LedgerStep(level, j, method)
+    return new, new_sigma, LedgerStep(level, j, method)
 
 
 def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteImage,
-                   steps: List[LedgerStep]) -> Sequence[UMatrix]:
+                   steps: List[LedgerStep], relators: Sequence[Word]) -> Sequence[UMatrix]:
     """Lifting steps from defect level k until the images are exact at K.
 
-    C is the image of the generators mod w^k, enumerated once: a step
-    leaves a homomorphism mod w^{k'} on C, k' > k, and the checks on l and
-    k hold at every later level as k only grows.  With l = 0 that
-    homomorphism is injective, as it agrees with C mod w^k, so C's tree
-    and product cache still describe the image; with l > 0 carrying C
-    keeps the original p^l, so each j = k - l meets the certified bound.
+    C is the image of the generators mod w^k, enumerated once, and
+    `relators` the group's relators in the generators; the relator list is
+    decided once from both.  A step leaves a homomorphism mod w^{k'} on C,
+    k' > k, and the checks on l and k hold at every later level as k only
+    grows.  With l = 0 that homomorphism is injective, as it agrees with C
+    mod w^k, so C's tree and product cache still describe the image; with
+    l > 0 carrying C keeps the original p^l, so each j = k - l meets the
+    certified bound.
     """
     K = ring.precision
     l = C.p_part
@@ -386,13 +376,13 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
             "order-2 images route through the involution repair")
     if k <= 2 * l:
         raise HypothesisViolated(f"need defect level k > 2l (k={k}, l={l})")
+    rel = _relator_list(C, relators)
     sigma = _tree_section(C, gens)
-    prods = _measure(sigma, C)[0]
     iterations = 0
     while k < K:
         if iterations >= K:
             raise RepairError("lifting loop exceeded its iteration bound")
-        gens, sigma, prods, step = _lift_step(C, gens, sigma, prods, k)
+        gens, sigma, step = _lift_step(C, gens, sigma, rel, k)
         steps.append(step)
         k = step.defect_val_after
         iterations += 1
@@ -429,7 +419,8 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
     l0 = C0.p_part
     ledger = PrecisionLedger(initial_defect_val=k0, p_part=l0,
                              image_order=C0.order, working_precision=K)
-    gens = _lift_to_exact(ring, rep.images, k0, C0, ledger.steps)
+    gens = _lift_to_exact(ring, rep.images, k0, C0, ledger.steps,
+                          rep.presentation.relators)
     out = rep.with_images(gens)
     if not out.defect().saturated:
         raise RepairError("repaired representation is not exact at precision K")
@@ -660,7 +651,8 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
             continue
         gens = [images[g] for g in v.generators]
         C = closure_of_matrices([g.reduce(k0) for g in gens], k0, cap=cap)
-        gens = _lift_to_exact(ring, gens, k0, C, steps)
+        gens = _lift_to_exact(ring, gens, k0, C, steps,
+                              [Word.parse(r, v.generators) for r in v.relators])
         for name, mat in zip(v.generators, gens):
             images[name] = mat
 

@@ -352,54 +352,6 @@ class RingSpec:
     def norm(self, x: int) -> "NormValue":
         return NormValue.from_valuation(self, self.val(x))
 
-    def scalar(self, raw: int) -> "Scalar":
-        return Scalar(self, raw)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A ring element in canonical form, carrying its ring."""
-
-    ring: RingSpec
-    raw: int
-
-    def _check(self, other: "Scalar") -> None:
-        if self.ring != other.ring:
-            raise RingMismatch("scalars from different rings")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.ring, self.ring.add(self.raw, other.raw))
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.ring, self.ring.sub(self.raw, other.raw))
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.ring, self.ring.mul(self.raw, other.raw))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.ring, self.ring.neg(self.raw))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.ring, self.ring.inv(self.raw))
-
-    def val(self) -> int:
-        return self.ring.val(self.raw)
-
-    def norm(self) -> "NormValue":
-        return self.ring.norm(self.raw)
-
-    def is_zero(self) -> bool:
-        return self.raw == 0
-
-    def __repr__(self) -> str:
-        if self.ring.is_mixed:
-            return f"Scalar({self.raw} mod {self.ring.p}^{self.ring.precision})"
-        coeffs = self.ring.to_coeffs(self.raw)
-        return f"Scalar({coeffs} over F_{self.ring.p}[X]/(X^{self.ring.precision}))"
-
 
 @dataclass(frozen=True)
 class NormValue:

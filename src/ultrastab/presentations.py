@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .local_ring import NormValue, RingMismatch, RingSpec, norm_max
 from .ultranorm_linalg import UMatrix
@@ -60,12 +60,6 @@ class Word:
     @classmethod
     def identity(cls) -> "Word":
         return cls(())
-
-    @classmethod
-    def generator(cls, index: int, power: int = 1) -> "Word":
-        if power >= 0:
-            return cls.make([index + 1] * power)
-        return cls.make([-(index + 1)] * (-power))
 
     @classmethod
     def parse(cls, tokens: Sequence[str], names: Sequence[str]) -> "Word":
@@ -143,9 +137,6 @@ class ApproxRep:
         self.n = n
         self.images = tuple(images)
         self._inverses = tuple(img.inv() for img in self.images)
-
-    def image_of(self, name: str) -> UMatrix:
-        return self.images[self.presentation.generators.index(name)]
 
     def with_images(self, images: Sequence[UMatrix]) -> "ApproxRep":
         return ApproxRep(self.presentation, self.ring, self.n, images)
@@ -255,14 +246,6 @@ class FiniteImage:
             self._inverses[i] = got
         return got
 
-    def element_order(self, i: int) -> int:
-        o = 1
-        j = i
-        while j != 0:
-            j = self.product(j, i)
-            o += 1
-        return o
-
 
 def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
                         cap: int = DEFAULT_CLOSURE_CAP) -> FiniteImage:
@@ -292,3 +275,93 @@ def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
         frontier = new_frontier
     gen_idx = [index[g.rows] for g in reduced]
     return FiniteImage(m, ring, elements, index, tree, gen_idx, ring.p)
+
+
+def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int) -> int:
+    """Order of <x_1..x_ngens | relators> by HLT coset enumeration.
+
+    Hasse-Lyndon-Todd enumeration over the trivial subgroup (Holt, Eick,
+    O'Brien, Handbook of Computational Group Theory, 5.1-5.2): each live
+    coset in turn has every relator scanned and filled from it, then its
+    undefined table entries defined, and a coincidence merges cosets into
+    the smaller representative.  Column 2i is letter x_{i+1}, column 2i + 1
+    its inverse.  At most about cap * sum |r| table steps.  Raises
+    CapExceeded when a definition would make more than `cap` cosets live;
+    an infinite group always does.
+    """
+    table: List[List[Optional[int]]] = [[None] * (2 * ngens)]
+    rep = [0]
+    live = 1
+    words = [[2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in r.letters] for r in relators]
+
+    def find(c: int) -> int:
+        while rep[c] != c:
+            c = rep[c]
+        return c
+
+    def define(c: int, x: int) -> None:
+        nonlocal live
+        if live >= cap:
+            raise CapExceeded(f"coset enumeration exceeded cap {cap}")
+        table.append([None] * (2 * ngens))
+        rep.append(len(rep))
+        live += 1
+        table[c][x] = len(table) - 1
+        table[-1][x ^ 1] = c
+
+    def merge(a: int, b: int, queue: List[int]) -> None:
+        nonlocal live
+        a, b = find(a), find(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            rep[b] = a
+            live -= 1
+            queue.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        queue: List[int] = []
+        merge(a, b, queue)
+        for dead in queue:
+            for x, d in enumerate(table[dead]):
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                u, v = find(dead), find(d)
+                if table[u][x] is not None:
+                    merge(v, table[u][x], queue)
+                elif table[v][x ^ 1] is not None:
+                    merge(u, table[v][x ^ 1], queue)
+                else:
+                    table[u][x], table[v][x ^ 1] = v, u
+
+    def scan_and_fill(c: int, w: List[int]) -> None:
+        f, b, i, j = c, c, 0, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] is not None:
+                f, i = table[f][w[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][w[j] ^ 1] is not None:
+                b, j = table[b][w[j] ^ 1], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][w[i]], table[b][w[i] ^ 1] = b, f
+                return
+            define(f, w[i])
+
+    c = 0
+    while c < len(table):
+        for w in words:
+            if rep[c] != c:
+                break
+            scan_and_fill(c, w)
+        if rep[c] == c:
+            for x in range(2 * ngens):
+                if table[c][x] is None:
+                    define(c, x)
+        c += 1
+    return live

@@ -20,7 +20,6 @@ from .local_ring import (
     RingError,
     RingMismatch,
     RingSpec,
-    Scalar,
 )
 
 
@@ -90,9 +89,6 @@ class UMatrix:
     def __hash__(self):
         return hash((self.ring, self.rows))
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.ring, self.rows[i][j])
-
     def __repr__(self) -> str:
         return f"UMatrix({self.n}x{self.n} over {self.ring.mode} p={self.ring.p} K={self.ring.precision})"
 
@@ -148,9 +144,6 @@ class UMatrix:
     def scale(self, c: int) -> "UMatrix":
         mul = self.ring.mul
         return UMatrix(self.ring, self.n, tuple(tuple(mul(c, a) for a in r) for r in self.rows))
-
-    def transpose(self) -> "UMatrix":
-        return UMatrix(self.ring, self.n, tuple(zip(*self.rows)))
 
     def pow_int(self, e: int) -> "UMatrix":
         if e < 0:
@@ -313,23 +306,6 @@ def matmul_sum(lefts: Sequence[UMatrix], rights: Sequence[UMatrix]) -> UMatrix:
 # -- local Smith form and linear solving ------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V = diag(w^{d_1}, ..., w^{d_n}) with U, V invertible."""
-
-    U: UMatrix
-    V: UMatrix
-    diag_vals: Tuple[int, ...]
-
-    def reconstruct(self, a: UMatrix) -> bool:
-        ring = a.ring
-        n = a.n
-        d = self.U @ a @ self.V
-        expect = [[ring.omega_pow(self.diag_vals[i]) if i == j else 0 for j in range(n)]
-                  for i in range(n)]
-        return d.rows == tuple(tuple(r) for r in expect)
-
-
 def row_submul(ring: RingSpec):
     """The row operation (xs, f, ys) -> xs - f * ys over the ring, entrywise."""
     if ring.is_mixed:
@@ -418,15 +394,6 @@ def _smith_raw(ring: RingSpec, rows: List[List[int]], side: List[List[int]]):
             if a:
                 Vt[j] = submul(Vt[j], ring.shift_down(a, d), Vt[t])
     return side, [list(r) for r in zip(*Vt)], diag
-
-
-def smith_local(a: UMatrix) -> SmithDecomposition:
-    U, V, diag = _smith_raw(a.ring, a.rows, UMatrix.identity(a.ring, a.n).rows)
-    return SmithDecomposition(
-        U=UMatrix.from_rows(a.ring, U),
-        V=UMatrix.from_rows(a.ring, V),
-        diag_vals=tuple(diag),
-    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -7,9 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import (
     ApproxRep,
+    CapExceeded,
     DefectTooLarge,
     Presentation,
+    Word,
     closure_of_matrices,
+    enumerate_cosets,
 )
 from ultrastab.homrepair import (
     CharPUnsupported,
@@ -18,20 +22,21 @@ from ultrastab.homrepair import (
     GraphOfGroups,
     HypothesisViolated,
     LedgerStep,
-    Cochain2,
     RepairError,
     _average,
-    _cocycle,
+    _conj_block,
+    _fox_solve,
     _lift_step,
-    _measure,
+    _relator_level,
+    _relator_list,
+    _relator_values,
     _row_sums,
-    _solve_h2_linear,
     _tree_section,
     align_homomorphisms,
     graph_repair,
     repair_finite_image,
 )
-from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, solve_linear
+from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, row_submul, solve_linear
 
 from conftest import random_gl, shifted_random
 
@@ -362,11 +367,102 @@ def _all_pairs_defect_val(sigma, C):
     return best
 
 
+def _cycle(m):
+    return [(i + 1) % m for i in range(m)]
+
+
+# name -> (generators, relators, generator permutations)
+DIFF_GROUPS = {
+    "C2": (["s"], [["s"] * 2], [_cycle(2)]),
+    "C3": (["s"], [["s"] * 3], [_cycle(3)]),
+    "C4": (["s"], [["s"] * 4], [_cycle(4)]),
+    "C5": (["s"], [["s"] * 5], [_cycle(5)]),
+    "S3": (["s", "t"], [["s", "s"], ["t"] * 3, ["s", "t"] * 2], [[1, 0, 2], [1, 2, 0]]),
+    "D4": (["r", "s"], [["r"] * 4, ["s", "s"], ["s", "r", "s", "r"]],
+           [[1, 2, 3, 0], [0, 3, 2, 1]]),
+    "S4": (["s", "t"], [["s", "s"], ["t"] * 4, ["s", "t"] * 3],
+           [[1, 0, 2, 3], [1, 2, 3, 0]]),
+}
+
+# DIFF_GROUPS plus S3 with a generator u = s, and with a generator e = 1
+LEVEL_GROUPS = dict(
+    DIFF_GROUPS,
+    S3dup=(["s", "t", "u"], DIFF_GROUPS["S3"][1] + [["u", "s^-1"]],
+           [[1, 0, 2], [1, 2, 0], [1, 0, 2]]),
+    S3id=(["s", "t", "e"], DIFF_GROUPS["S3"][1] + [["e"]], [[1, 0, 2], [1, 2, 0], [0, 1, 2]]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(LEVEL_GROUPS)), st.sampled_from(["zp", "fpx"]),
+       st.sampled_from([2, 3, 5, 7]), st.integers(3, 10), st.booleans(), st.data(),
+       st.integers(0, 2 ** 32))
+def test_relator_level_is_section_defect(group, mode, p, K, conjugate, data, seed):
+    # generator images that agree on each class of C (a repeated class gets
+    # the same image, the class e gets I): the level of the group's relators,
+    # which present C, and that of C's Schreier relators are both the
+    # all-pairs defect of the section the images span
+    names, relators, perms = LEVEL_GROUPS[group]
+    ring = RingSpec(mode, p, K)
+    rng = random.Random(seed)
+    n = len(perms[0])
+    u = random_gl(ring, n, rng) if conjugate else UMatrix.identity(ring, n)
+    images = {}
+    for perm in perms:
+        if tuple(perm) not in images:
+            noise = data.draw(st.integers(1, K))
+            images[tuple(perm)] = (UMatrix.identity(ring, n) if perm == sorted(perm) else
+                                   u @ _perm_matrix(ring, perm) @ u.inv()
+                                   + shifted_random(ring, n, rng, noise))
+    gens = [images[tuple(perm)] for perm in perms]
+    C = closure_of_matrices([g.reduce(1) for g in gens], 1)
+    sigma = _tree_section(C, gens)
+    want = _all_pairs_defect_val(sigma, C)
+    own = _relator_list(C, Presentation.make(names, relators).relators)
+    assert own.edges == ()
+    schreier = _relator_list(C, [])
+    assert len(schreier.words) == len(gens) * C.order - C.order + 1
+    assert _relator_level(own, gens, sigma) == want == _relator_level(schreier, gens, sigma)
+
+
+def test_coset_enumeration_orders():
+    ring = RingSpec("zp", 5, 3)
+    for names, relators, perms in LEVEL_GROUPS.values():
+        C = closure_of_matrices([_perm_matrix(ring, perm) for perm in perms], 3)
+        got = enumerate_cosets(len(names), Presentation.make(names, relators).relators,
+                               2 * C.order)
+        assert got == C.order
+    # S4 passes through more than 24 live cosets before it closes at 24
+    s4 = Presentation.make(*DIFF_GROUPS["S4"][:2]).relators
+    with pytest.raises(CapExceeded):
+        enumerate_cosets(2, s4, 24)
+    # two lists that do not present their image: S4 without (st)^3, and the
+    # BS(2,3) vertex <s>, which has no relators while its image is Z/5
+    rng = random.Random(3)
+    for names, relators, perms in ((["s", "t"], [["s", "s"], ["t"] * 4], DIFF_GROUPS["S4"][2]),
+                                   (["s"], [], [_cycle(5)])):
+        pres = Presentation.make(names, relators)
+        n = len(perms[0])
+        gens = [_perm_matrix(ring, perm) + shifted_random(ring, n, rng, 1) for perm in perms]
+        C = closure_of_matrices([g.reduce(1) for g in gens], 1)
+        with pytest.raises(CapExceeded):
+            enumerate_cosets(len(names), pres.relators, 2 * C.order)
+        rel = _relator_list(C, pres.relators)
+        assert len(rel.edges) == len(rel.words) == len(names) * C.order - C.order + 1
+        # each Schreier word w(h) g w(hg)^-1 takes the value sigma(h) rho(g) sigma(hg)^-1
+        sigma = _tree_section(C, gens)
+        free = ApproxRep(Presentation.free(names), ring, n, gens)
+        for w, (a, t) in zip(rel.words, _relator_values(rel, gens, sigma)):
+            assert (free.eval_word(w) @ sigma[t]).rows == a.rows
+    assert rel.words == (Word((1,) * 5),)
+
+
 S3_D4_PERMS = [
     [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
     [[[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
      [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]],
 ]
+S3_D4_PRESENTATIONS = [Presentation.make(*DIFF_GROUPS[g][:2]) for g in ("S3", "D4")]
 
 
 def _random_section(C, ring, rng, low):
@@ -377,35 +473,31 @@ def _random_section(C, ring, rng, low):
         for e in C.elements[1:]]
 
 
-def test_generator_rows_give_section_defect(rng):
-    seen = set()
-    for ring in (RingSpec("zp", 2, 8), RingSpec("zp", 3, 6), RingSpec("fpx", 5, 6)):
-        K = ring.precision
-        for perms in S3_D4_PERMS:
-            gens = [UMatrix.from_int_rows(ring, m) for m in perms]
-            C = closure_of_matrices([g.reduce(2) for g in gens], 2)
-            for _ in range(6):
-                sigma = _random_section(C, ring, rng, rng.randrange(1, K))
-                got = _measure(sigma, C)[1]
-                assert got == _all_pairs_defect_val(sigma, C)
-                seen.add(got)
-            # exact along the rows of one generator class s, not along the others:
-            # sigma(d) = rho(d) (I + w^L E), E constant on each coset <s> d
-            n = len(perms[0])
-            for s in C.generator_indices:
-                E = [None] * C.order
-                for d in range(C.order):
-                    if E[d] is None:
-                        twist = UMatrix.identity(ring, n)
-                        if d != 0:
-                            twist = twist + shifted_random(ring, n, rng, 3)
-                        c = d
-                        while E[c] is None:
-                            E[c] = twist
-                            c = C.product(s, c)
-                sigma = [e.lift_to(ring) @ E[d] for d, e in enumerate(C.elements)]
-                assert _measure(sigma, C)[1] == _all_pairs_defect_val(sigma, C) < K
-    assert len(seen) > 3  # the check met several distinct levels
+# A 2-cochain of a section, at some element pairs (a, b): z[a, b] over `ring`,
+# with act[a] = sigma(a) and act_inv[a] = sigma(a)^-1 over the same ring.
+Cochain = namedtuple("Cochain", "image ring z act act_inv")
+
+
+def _cocycle(sigma, C, pairs, j, mod_exp):
+    """Reference: z(a, b) = coords_j of sigma(a) sigma(b) sigma(ab)^-1 mod w^mod_exp."""
+    sigma_inv = [m.inv() for m in sigma]
+    z = {(a, b): (sigma[a] @ sigma[b] @ sigma_inv[C.product(a, b)])
+         .congruence_coords(j).reduce(mod_exp) for a, b in pairs}
+    return Cochain(C, sigma[0].ring.with_precision(mod_exp), z,
+                   [m.reduce(mod_exp) for m in sigma], [m.reduce(mod_exp) for m in sigma_inv])
+
+
+def _classes(C):
+    """The generator classes in generator order, e left out unless it is all."""
+    return [s for s in dict.fromkeys(C.generator_indices) if s] or [0]
+
+
+def _left_rows(C):
+    return [(s, d) for s in _classes(C) for d in range(C.order)]
+
+
+def _right_rows(C):
+    return [(d, s) for d in range(C.order) for s in C.generator_indices]
 
 
 def _full_average(sigma, C, level, mod_exp):
@@ -429,8 +521,8 @@ def _full_average(sigma, C, level, mod_exp):
 
 def test_generator_rows_give_full_average(rng):
     # on random sections the averaged cochain at the generator classes, from
-    # the dot-kernel row sums and from the summed rows alike, is the average
-    # of the full N^2 cocycle table there, and None exactly when that is
+    # the dot-kernel row sums and from the summed cocycle rows alike, is the
+    # average of the full N^2 cocycle table there, and None exactly when that is
     obstructed = 0
     for ring, k in ((RingSpec("zp", 5, 8), 3), (RingSpec("fpx", 5, 8), 3),
                     (RingSpec("zp", 2, 10), 5), (RingSpec("zp", 3, 12), 5)):
@@ -441,54 +533,51 @@ def test_generator_rows_give_full_average(rng):
             mod_exp = min(2 * j, ring.precision) - j
             for _ in range(3):
                 sigma = _random_section(C, ring, rng, k)
-                sigma_inv = [m.inv() for m in sigma]
-                prods = _measure(sigma, C)[0]
-                z = _cocycle(sigma, sigma_inv, prods, C, j, mod_exp)
+                z = _cocycle(sigma, C, _left_rows(C), j, mod_exp).z
                 want = _full_average(sigma, C, j, mod_exp)
                 obstructed += want is None
-                for sums in (_row_sums(sigma_inv, prods, C, j, mod_exp),
-                             {s: sum(row[1:], row[0]) for s, row in z.rows.items()}):
+                summed = {s: sum((z[s, d] for d in range(1, C.order)), z[s, 0])
+                          for s in _classes(C)}
+                for sums in (_row_sums(sigma, [m.inv() for m in sigma], C, j, mod_exp), summed):
                     got = _average(sums, C)
                     if want is None:
                         assert got is None
                     else:
-                        assert list(got) == list(z.rows)
+                        assert list(got) == _classes(C)
                         assert [m.rows for m in got.values()] == [want[s].rows for s in got]
     assert 0 < obstructed < 24  # both outcomes of the p-part division were met
 
 
 def _full_system_solve(z):
     """Reference: delta c = z with every c(g), g != e, unknown ((N - 1) n^2
-    unknowns) and an equation at every generator row (|S| N n^2)."""
+    unknowns) and the equation a.c(b) + c(a) - c(ab) = z(a, b) at every pair
+    of z (n^2 each), a.X = sigma(a) X sigma(a)^-1."""
     C, ring_q = z.image, z.ring
     n, N = C.elements[0].n, C.order
-    nvars = (N - 1) * n * n
     rows, rhs = [], []
 
     def var(e, a, b):
         return (e - 1) * n * n + a * n + b
 
-    for s, zrow in z.rows.items():
-        us, uinv = z.act[s], z.act_inv[s]
-        for d in range(N):
-            sd = C.product(s, d)
-            for r in range(n):
-                for t in range(n):
-                    row = [0] * nvars
-                    if d != 0:  # s.c(d) contributes u[r][a] uinv[b][t] per entry (a, b)
-                        for a in range(n):
-                            for b in range(n):
-                                j = var(d, a, b)
-                                row[j] = ring_q.add(row[j], ring_q.mul(us.rows[r][a],
-                                                                       uinv.rows[b][t]))
-                    if sd != 0:
-                        j = var(sd, r, t)
-                        row[j] = ring_q.sub(row[j], ring_q.one)
-                    if s != 0:
-                        j = var(s, r, t)
-                        row[j] = ring_q.add(row[j], ring_q.one)
-                    rows.append(row)
-                    rhs.append(zrow[d].rows[r][t])
+    for (a, b), zab in z.z.items():
+        ab = C.product(a, b)
+        ua, uinv = z.act[a], z.act_inv[a]
+        for r in range(n):
+            for t in range(n):
+                row = [0] * ((N - 1) * n * n)
+                if b != 0:  # a.c(b) contributes u[r][x] uinv[y][t] per entry (x, y)
+                    for x in range(n):
+                        for y in range(n):
+                            i = var(b, x, y)
+                            row[i] = ring_q.add(row[i], ring_q.mul(ua.rows[r][x], uinv.rows[y][t]))
+                if ab != 0:
+                    i = var(ab, r, t)
+                    row[i] = ring_q.sub(row[i], ring_q.one)
+                if a != 0:
+                    i = var(a, r, t)
+                    row[i] = ring_q.add(row[i], ring_q.one)
+                rows.append(row)
+                rhs.append(zab.rows[r][t])
     x = solve_linear(rows, rhs, ring_q).particular
     return [UMatrix.zero(ring_q, n)] + [
         UMatrix(ring_q, n, tuple(tuple(x[var(e, a, b)] for b in range(n)) for a in range(n)))
@@ -496,90 +585,176 @@ def _full_system_solve(z):
 
 
 def _coboundary_matches(c, z):
-    """delta c = z at all |S| N generator rows: s.c(d) - c(sd) + c(s) = z(s, d)."""
+    """delta c = z at every pair of z: a.c(b) + c(a) - c(ab) = z(a, b)."""
     C = z.image
-    return all((z.act[s] @ c[d] @ z.act_inv[s] - c[C.product(s, d)] + c[s]).rows
-               == z.rows[s][d].rows for s in z.rows for d in range(C.order))
+    return all((z.act[a] @ c[b] @ z.act_inv[a] + c[a] - c[C.product(a, b)]).rows == v.rows
+               for (a, b), v in z.z.items())
 
 
-def _agree_with_full_system(z):
-    """Both solvers agree on solvability; the gauge-fixed solution solves delta c = z."""
+def _solvable(solve):
     try:
-        _full_system_solve(z)
-        solvable = True
+        return solve()
     except Unsolvable:
-        solvable = False
-    try:
-        c = _extend_along_tree(_solve_h2_linear(z), z)
-    except Unsolvable:
-        assert not solvable
+        return None
+
+
+def _agree_with_full_system(C, sigma, sigma_inv, rel, values):
+    """The Fox solve of the Schreier list with right-hand sides `values` and
+    the full system on the right rows z(h, g) (values at the Schreier edges,
+    0 on tree edges) agree on solvability, and the Fox solution extended
+    along C's tree, c(hg) = c(h) + h.c(g), solves the full system."""
+    ring_q = values[0].ring
+    z = Cochain(C, ring_q, {(d, s): UMatrix.zero(ring_q, sigma[0].n) for d, s in _right_rows(C)},
+                [m.reduce(ring_q.precision) for m in sigma],
+                [m.reduce(ring_q.precision) for m in sigma_inv])
+    for (h, g, _), v in zip(rel.edges, values):
+        z.z[h, C.generator_indices[g]] = v
+    full = _solvable(lambda: _full_system_solve(z))
+    fox = _solvable(lambda: _fox_solve(C, sigma, sigma_inv, rel, values))
+    assert (full is None) == (fox is None)
+    if fox is None:
         return False
-    assert solvable and _coboundary_matches(c, z)
+    c = [UMatrix.zero(ring_q, sigma[0].n)]
+    for parent, g in C.tree[1:]:
+        c.append(c[parent] + z.act[parent] @ fox[g] @ z.act_inv[parent])
+    assert _coboundary_matches(c, z)
     return True
 
 
-def _extend_along_tree(gen, z):
-    """c on all of C from its generator-class values, c(e) = 0: each left
-    tree edge h -> sh sets c(sh) = s.c(h) + c(s) - z(s, h)."""
-    C, ring_q = z.image, z.ring
-    n = C.elements[0].n
-    seen, queue = {0}, [0]
-    c = {0: UMatrix.zero(ring_q, n)}
-    for h in queue:
-        for s in z.rows:
-            g = C.product(s, h)
-            if g not in seen:
-                seen.add(g)
-                queue.append(g)
-                c[g] = z.act[s] @ c[h] @ z.act_inv[s] + gen[s] - z.rows[s][h]
-    return [c[g] for g in range(C.order)]
-
-
-def test_gauge_fixed_solve_matches_full_system(rng):
-    # cocycles of random sections with p | N, and the same generator rows with
-    # one value moved (z(s, e) = 0 kept), which is mostly not a coboundary
-    outcomes = set()
+def test_fox_solve_matches_full_system(rng):
+    # p | N.  On the Schreier list, with the relator values of random generator
+    # images and with one value moved (mostly no longer a coboundary), the Fox
+    # solve agrees with the full coboundary system; on the group's own list its
+    # solution makes every relator exact at level j + mod_exp.  The old
+    # gauge-fixed solve, the reference step's fallback, agrees with the full
+    # system on the left rows of the same images' section.
+    outcomes, old = set(), set()
     for ring in (RingSpec("zp", 2, 8), RingSpec("zp", 3, 8), RingSpec("zp", 2, 12),
                  RingSpec("fpx", 2, 8), RingSpec("fpx", 3, 6)):
-        for perms, extra in itertools.product(S3_D4_PERMS, (1, 2)):
+        for (perms, pres), extra in itertools.product(zip(S3_D4_PERMS, S3_D4_PRESENTATIONS),
+                                                      (1, 2)):
+            n = len(perms[0])
             gens = [UMatrix.from_int_rows(ring, m) for m in perms]
             l = closure_of_matrices([g.reduce(1) for g in gens], 1).p_part
             k = 2 * l + extra  # the lifting hypothesis k > 2l
             if l == 0 or k >= ring.precision:
                 continue
+            gens = [g + shifted_random(ring, n, rng, k) for g in gens]
             C = closure_of_matrices([g.reduce(k) for g in gens], k)
             j = k - l
             mod_exp = min(2 * j, ring.precision) - j
-            for _ in range(2):
-                sigma = _random_section(C, ring, rng, k)
-                z = _cocycle(sigma, [m.inv() for m in sigma], _measure(sigma, C)[0],
-                             C, j, mod_exp)
-                outcomes.add(_agree_with_full_system(z))
-                s = rng.choice(list(z.rows))
-                d = rng.randrange(1, C.order)
-                moved = dict(z.rows)
-                moved[s] = list(moved[s])
-                moved[s][d] = moved[s][d] + shifted_random(z.ring, C.elements[0].n, rng, 0)
-                outcomes.add(_agree_with_full_system(
-                    Cochain2(C, z.ring, moved, z.act, z.act_inv)))
-    assert outcomes == {True, False}
+            sigma = _tree_section(C, gens)
+            sigma_inv = [m.inv() for m in sigma]
+            for rel in (_relator_list(C, []), _relator_list(C, pres.relators)):
+                values = [(a @ sigma_inv[t]).congruence_coords(j).reduce(mod_exp)
+                          for a, t in _relator_values(rel, gens, sigma)]
+                if not rel.edges:
+                    c = _fox_solve(C, sigma, sigma_inv, rel, values)
+                    new = [(-x).lift_to(ring).congruence_lift(j) @ g for x, g in zip(c, gens)]
+                    assert _relator_level(rel, new, _tree_section(C, new)) >= j + mod_exp
+                    continue
+                outcomes.add(_agree_with_full_system(C, sigma, sigma_inv, rel, values))
+                i = rng.randrange(len(values))
+                moved = list(values)
+                moved[i] = moved[i] + shifted_random(moved[i].ring, n, rng, 0)
+                outcomes.add(_agree_with_full_system(C, sigma, sigma_inv, rel, moved))
+            z = _cocycle(sigma, C, _left_rows(C), j, mod_exp)
+            s, d = rng.choice(_classes(C)), rng.randrange(1, C.order)
+            moved = z._replace(z=dict(z.z))
+            moved.z[s, d] = moved.z[s, d] + shifted_random(z.ring, n, rng, 0)
+            for cochain in (z, moved):
+                full = _solvable(lambda: _full_system_solve(cochain)) is not None
+                ref = _solvable(lambda: _extend_along_tree(_gauge_fixed_solve(cochain), cochain))
+                assert full == (ref is not None) and (ref is None or _coboundary_matches(ref, cochain))
+                old.add(full)
+    assert outcomes == old == {True, False}
 
 
-def test_gauge_fixed_solve_trivial_image():
-    # N = 1: no unknowns; the one edge e -> e asks z(e, e) = 0
+def test_fox_solve_trivial_image(rng):
+    # N = 1: the Schreier list is the generators themselves, z(g) = coords_k(g),
+    # and the Fox solve c(g) = z(g) moves each to I - w^{2k} z(g)^2; averaging
+    # sends both to I at once
     ring = RingSpec("zp", 3, 6)
-    ident = UMatrix.identity(ring, 2)
-    C = closure_of_matrices([ident.reduce(2), ident.reduce(2)], 2)
+    one = UMatrix.identity(ring, 2)
+    k = 2
+    gens = [one + shifted_random(ring, 2, rng, k) for _ in range(2)]
+    C = closure_of_matrices([g.reduce(k) for g in gens], k)
     assert C.order == 1
-    z = _cocycle([ident], [ident], _measure([ident], C)[0], C, 2, 2)
-    assert _agree_with_full_system(z)
-    bad = Cochain2(C, z.ring, {0: [UMatrix.identity(z.ring, 2)]}, z.act, z.act_inv)
-    assert not _agree_with_full_system(bad)
+    rel = _relator_list(C, [])
+    assert rel.words == (Word((1,)), Word((2,)))
+    values = [g.congruence_coords(k).reduce(k) for g in gens]
+    c = _fox_solve(C, [one], [one], rel, values)
+    assert [x.rows for x in c] == [v.rows for v in values]
+    new = [(-x).lift_to(ring).congruence_lift(k) @ g for x, g in zip(c, gens)]
+    assert _relator_level(rel, new, [one]) >= 2 * k
+    got, _, step = _lift_step(C, gens, [one], rel, k)
+    assert [g.rows for g in got] == [one.rows] * 2 and step == LedgerStep(6, 2, "averaging")
 
 
 # ---------------------------------------------------------------------------
-# Differential test of the lifting loop against a per-level reference step
+# Differential test of the lifting loop against the old per-level step
 # ---------------------------------------------------------------------------
+
+
+def _left_bfs(C, classes):
+    """Edges (s, h, sh, tree) of the left Cayley graph h -> sh in BFS order from e."""
+    seen, queue, edges = {0}, [0], []
+    for h in queue:
+        for s in classes:
+            g = C.product(s, h)
+            edges.append((s, h, g, g not in seen))
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+    return edges
+
+
+def _gauge_fixed_solve(z):
+    """Reference (the old fallback): delta c = z on the left rows, c(e) = 0,
+    with c(s) at the generator classes the only unknowns.  Each left tree edge
+    h -> sh sets c(sh) = s.c(h) + c(s) - z(s, h), so c(g) is a constant plus
+    y.c(s') summed over the letters s' of g's tree word, y the product of the
+    letters left of s'; the equations are the non-tree edges."""
+    C, ring_q = z.image, z.ring
+    submul = row_submul(ring_q)
+    n = C.elements[0].n
+    nn = n * n
+    classes = _classes(C)
+    offset = {s: i * nn for i, s in enumerate(s for s in classes if s)}
+    terms = [[]] * C.order
+    const = [UMatrix.zero(ring_q, n)] * C.order
+    rows, rhs = [], []
+    for s, h, g, tree in _left_bfs(C, classes):
+        moved = [(t, C.product(s, y)) for t, y in terms[h]] + ([(s, 0)] if s else [])
+        c0 = z.act[s] @ const[h] @ z.act_inv[s] - z.z[s, h]
+        if tree:
+            terms[g], const[g] = moved, c0
+            continue
+        coef = Counter(moved)
+        coef.subtract(terms[g])
+        eq = [[0] * (len(offset) * nn) for _ in range(nn)]
+        for (t, y), e in coef.items():
+            if e:
+                block = _conj_block(z.act[y], z.act_inv[y])
+                o, f = offset[t], ring_q.from_int(-e)
+                for acc, brow in zip(eq, block):
+                    acc[o:o + nn] = submul(acc[o:o + nn], f, brow)
+        rows.extend(eq)
+        rhs.extend(x for r in (const[g] - c0).rows for x in r)
+    x = solve_linear(rows, rhs, ring_q).particular
+    return {s: UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
+            for s, o in offset.items()}
+
+
+def _extend_along_tree(gen, z):
+    """c on all of C from its generator-class values, c(e) = 0: each left
+    tree edge h -> sh sets c(sh) = s.c(h) + c(s) - z(s, h)."""
+    C = z.image
+    c = [UMatrix.zero(z.ring, C.elements[0].n)] * C.order
+    for s, h, g, tree in _left_bfs(C, _classes(C)):
+        if tree:
+            c[g] = z.act[s] @ c[h] @ z.act_inv[s] + gen.get(s, c[0]) - z.z[s, h]
+    return c
 
 
 def _reference_average(z):
@@ -591,16 +766,11 @@ def _reference_average(z):
     if a >= ring_q.precision:
         return None
     order = ring_q.from_int(C.order)
-    sums = {s: sum(row[1:], row[0]) for s, row in z.rows.items()}
+    sums = {s: sum((z.z[s, d] for d in range(1, C.order)), z.z[s, 0]) for s in _classes(C)}
     b = [UMatrix.zero(ring_q, n)] * C.order
-    seen, queue = {0}, [0]
-    for h in queue:
-        for s in z.rows:
-            g = C.product(s, h)
-            if g not in seen:
-                seen.add(g)
-                queue.append(g)
-                b[g] = z.act[s] @ b[h] @ z.act_inv[s] + sums[s] - z.rows[s][h].scale(order)
+    for s, h, g, tree in _left_bfs(C, _classes(C)):
+        if tree:
+            b[g] = z.act[s] @ b[h] @ z.act_inv[s] + sums[s] - z.z[s, h].scale(order)
     minv = ring_q.inv(ring_q.from_int(C.unit_part))
     c = []
     for bg in b:
@@ -613,10 +783,11 @@ def _reference_average(z):
 
 
 def _reference_step(ring, gens, k):
-    """One lifting step as a closure at level k, a cocycle built from its own
-    section and a correction of the section at every element, whose
-    all-pairs defect is the level recorded.  Also returns the level that
-    each correction tried reached, by method."""
+    """One lifting step as the old code took it: a closure at level k, the
+    cocycle of its own section on the left rows and a correction of the
+    section at every element (averaged, else by the gauge-fixed solve),
+    whose all-pairs defect is the level recorded.  Also returns the level
+    that each correction tried reached, by method."""
     K = ring.precision
     C = closure_of_matrices([g.reduce(k) for g in gens], k)
     a = C.p_part
@@ -628,15 +799,8 @@ def _reference_step(ring, gens, k):
     target = min(2 * j, K)
     mod_exp = target - j
     sigma = _tree_section(C, gens)
-    sigma_inv = [m.inv() for m in sigma]
-    classes = sorted(set(C.generator_indices) - {0}) or [0]
-    rows = {s: [(sigma[s] @ sigma[d] @ sigma_inv[C.product(s, d)])
-                .congruence_coords(j).reduce(mod_exp) for d in range(C.order)]
-            for s in classes}
-    z = Cochain2(C, ring.with_precision(mod_exp), rows,
-                 {s: sigma[s].reduce(mod_exp) for s in classes},
-                 {s: sigma_inv[s].reduce(mod_exp) for s in classes})
-    if any(v.min_valuation() < min(a, mod_exp) for row in rows.values() for v in row):
+    z = _cocycle(sigma, C, _left_rows(C), j, mod_exp)
+    if any(v.min_valuation() < min(a, mod_exp) for v in z.z.values()):
         raise RepairError("cocycle values are not divisible by the p-part")
 
     def corrected(c):
@@ -650,29 +814,11 @@ def _reference_step(ring, gens, k):
         tried[method] = measured
     if measured < target:
         method = "linear-solve"
-        new_gens, measured = corrected(_extend_along_tree(_solve_h2_linear(z), z))
+        new_gens, measured = corrected(_extend_along_tree(_gauge_fixed_solve(z), z))
         tried[method] = measured
         if measured < target:
             raise Unsolvable("reference step fell short", measured)
     return new_gens, LedgerStep(measured, j, method), tried
-
-
-def _cycle(m):
-    return [(i + 1) % m for i in range(m)]
-
-
-# name -> (generators, relators, generator permutations)
-DIFF_GROUPS = {
-    "C2": (["s"], [["s"] * 2], [_cycle(2)]),
-    "C3": (["s"], [["s"] * 3], [_cycle(3)]),
-    "C4": (["s"], [["s"] * 4], [_cycle(4)]),
-    "C5": (["s"], [["s"] * 5], [_cycle(5)]),
-    "S3": (["s", "t"], [["s", "s"], ["t"] * 3, ["s", "t"] * 2], [[1, 0, 2], [1, 2, 0]]),
-    "D4": (["r", "s"], [["r"] * 4, ["s", "s"], ["s", "r", "s", "r"]],
-           [[1, 2, 3, 0], [0, 3, 2, 1]]),
-    "S4": (["s", "t"], [["s", "s"], ["t"] * 4, ["s", "t"] * 3],
-           [[1, 0, 2, 3], [1, 2, 3, 0]]),
-}
 
 
 @settings(max_examples=120, deadline=None)
@@ -687,13 +833,13 @@ DIFF_GROUPS = {
 @example("C4", "zp", 2, 12, 6, True, 7)
 @example("C3", "zp", 2, 10, 2, True, 0)
 def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate, seed):
-    # the carried-section loop against the per-level reference step on the
-    # same inputs: the same exception, a level that is the all-pairs defect
-    # of the section the new generators span and never below the level of
-    # the reference's section corrected by the same method, and the
-    # repair's own contract on the way out.  The loop may average where the
-    # reference fell back (its averaged section fell short of the target),
-    # and then record a level below the reference's linear-solve level.
+    # the relator-list loop against the old per-level step on the same
+    # inputs: the same exception, a level that is the all-pairs defect of
+    # the section the new generators span and never below the level of the
+    # reference's section corrected by the same method, and the repair's own
+    # contract on the way out.  The loop may average where the reference
+    # fell back (its averaged section fell short of the target), and then
+    # record a level below the reference's linear-solve level.
     gen_names, relators, perms = DIFF_GROUPS[group]
     ring = RingSpec(mode, p, K)
     rng = random.Random(seed)
@@ -717,9 +863,10 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
         assert outcome(lambda: repair_finite_image(rep))[1] is DefectTooLarge
         return
     C = closure_of_matrices([g.reduce(k0) for g in rep.images], k0)
+    rel = _relator_list(C, rep.presentation.relators)
+    assert rel.edges == ()  # each of these presentations presents its image
     gens, k, steps = list(rep.images), k0, []
     sigma = _tree_section(C, gens)
-    prods = _measure(sigma, C)[0]
     err = None
     while k < K:
         # the loop checks l and k once, before its first step
@@ -728,12 +875,12 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
         elif k <= 2 * C.p_part:
             err = HypothesisViolated
         else:
-            new, err = outcome(lambda: _lift_step(C, gens, sigma, prods, k))
+            new, err = outcome(lambda: _lift_step(C, gens, sigma, rel, k))
         ref, ref_err = outcome(lambda: _reference_step(ring, gens, k))
         assert err is ref_err
         if err:
             break
-        gens, sigma, prods, step = new
+        gens, sigma, step = new
         assert step.defect_val_after == _all_pairs_defect_val(_tree_section(C, gens), C)
         assert step.defect_val_after >= ref[2][step.method]
         assert step.method == ref[1].method or ref[1].method == "linear-solve"
@@ -750,3 +897,51 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
                for r in fixed.presentation.relators)
     assert rep.rep_dist(fixed) <= NormValue.from_valuation(ring, k0 - C.p_part)
     assert C.order % ledger.image_order == 0
+
+
+# name -> (generators, relators, generator permutations), images with p | N for some p
+FOX_SHAPES = {
+    # the BS(2,3) vertex <s> has no relators of its own, so its list is C's
+    # Schreier list; s^5 only sets the input's level
+    "BS23": (["s"], [["s"] * 5], [_cycle(5)]),
+    "C2": DIFF_GROUPS["C2"], "C3": DIFF_GROUPS["C3"], "C4": DIFF_GROUPS["C4"],
+    "S3": DIFF_GROUPS["S3"], "D4": DIFF_GROUPS["D4"],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FOX_SHAPES)), st.data(), st.integers(6, 12),
+       st.integers(1, 11), st.booleans(), st.integers(0, 2 ** 32))
+def test_fox_step_raises_as_reference_step(shape, data, K, level, conjugate, seed):
+    # one step at the input's level on random p | N inputs, BS(2,3) vertex
+    # images among them: the Fox step and the old step raise the same
+    # exception, Unsolvable included, and a step that returns reaches its target
+    names, relators, perms = FOX_SHAPES[shape]
+    n = len(perms[0])
+    order = closure_of_matrices([_perm_matrix(RingSpec("zp", 2, 1), perm) for perm in perms],
+                                1).order
+    p = data.draw(st.sampled_from([q for q in (2, 3, 5) if order % q == 0]))
+    ring = RingSpec("zp", p, K)
+    rng = random.Random(seed)
+    u = random_gl(ring, n, rng) if conjugate else UMatrix.identity(ring, n)
+    rep = ApproxRep(Presentation.make(names, relators), ring, n,
+                    [u @ _perm_matrix(ring, perm) @ u.inv()
+                     + shifted_random(ring, n, rng, min(level, K - 1)) for perm in perms])
+    k = rep.defect().valuation
+    assume(1 <= k < K)
+    C = closure_of_matrices([g.reduce(k) for g in rep.images], k)
+    assume(k > 2 * C.p_part)
+    own = [] if shape == "BS23" else rep.presentation.relators
+
+    def outcome(fn):
+        try:
+            return fn(), None
+        except (RepairError, Unsolvable) as e:
+            return None, type(e)
+
+    new, err = outcome(lambda: _lift_step(C, rep.images, _tree_section(C, rep.images),
+                                          _relator_list(C, own), k))
+    _, ref_err = outcome(lambda: _reference_step(ring, rep.images, k))
+    assert err is ref_err
+    if not err:
+        assert new[2].defect_val_after >= min(2 * (k - C.p_part), K)

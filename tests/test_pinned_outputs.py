@@ -63,9 +63,9 @@ CASES = {   # id -> (repair and its arguments, SHA-256 of images and ledger)
     "S3/fpx/p5/K8/k3": (_finite_image("fpx", 5, 8, 3, 3),
         "cc8052d2771468ece044b156039b9a00adfa57eec93190be019606b2e173fd0a"),
     # p | N: every step takes the linear solve; its images are the particular
-    # solution of the gauge-fixed system, its ledger that of any solution
+    # solution of the relators' Fox system, its ledger that of any solution
     "S3/zp/p2/K8/k3": (_finite_image("zp", 2, 8, 3, 4),
-        "f36cfc93abdd7a30de244dd0e200452026b723c3970177929c24ad7a34f01110"),
+        "7ea6570db48149c083bd870f6687761b40b1a8254ec36efae1137174f2e147fc"),
     "S3/zp/p3/K12/k4": (_finite_image("zp", 3, 12, 4, 5),
         "229c98e0ecbb643a42905ac7d55dffe362af871306ff6b1398ca323c359ecd6c"),
     # each amalgamation is one exact Sylvester solve: its conjugator is that

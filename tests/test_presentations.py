@@ -124,7 +124,8 @@ def test_finite_image_cyclic():
     assert C.order == 3
     assert C.p_part == 0
     assert C.unit_part == 3
-    assert C.element_order(C.generator_indices[0]) == 3
+    s = C.generator_indices[0]
+    assert s != 0 and C.product(s, C.product(s, s)) == 0  # s has order 3
     assert C.inverse(C.generator_indices[0]) == C.product(
         C.generator_indices[0], C.generator_indices[0])
 
