@@ -212,7 +212,13 @@ def _load_cyclic(params):
 
 
 def _load_commutator(params):
-    return RingSpec.from_json(params["ring"]), int(params["n"]), int(params["a"])
+    ring = RingSpec.from_json(params["ring"])
+    n, a = int(params["n"]), int(params["a"])
+    if n < 2:
+        raise InputError(f"n must be >= 2, got {n}")
+    if not 1 <= a < ring.precision:
+        raise InputError(f"a must be in [1, {ring.precision}), got {a}")
+    return ring, n, a
 
 
 def _cyclic_params(ring: RingSpec, i: int, x: int) -> dict:

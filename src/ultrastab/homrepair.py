@@ -8,20 +8,22 @@ matrices).  C is enumerated once per repair, by BFS at the first defect
 level (|S| N matmuls), and one relator list is decided with it: the
 group's own relators R when coset enumeration shows they present C,
 otherwise the Schreier relators of C's BFS tree (|S| N - N + 1 of them).
-The lifting loop reads only that list and the section sigma that the
-generator images span along C's tree.  One step at level k, j = k - l,
-costs in n x n matmuls:
+The BFS keeps C's right Cayley table, so products in C (the Schreier
+edges, the classes sd, the Fox prefixes) are walks through that table
+and cost no matmul.  The lifting loop reads only that list and the
+section sigma that the generator images span along C's tree.  One step
+at level k, j = k - l, costs in n x n matmuls:
 
 - the section and its inverse along the tree (2N);
 - the row sums b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} -
   N I) of the section-failure 2-cocycle at the generator classes, one
-  matmul_sum of N products per class (|S| N), and their average c(s) =
-  b(s) / N: exact for the unit part of N, at the cost of the recorded
-  precision for p^l;
-- the corrected generators (I - w^j c(s)) sigma(s) and the list's level,
-  min over r of val(rho(r) - I): sum |r| matmuls on R, one per Schreier
-  relator (sigma(h) rho(g) against sigma(hg)), which is the all-pairs
-  level of the section;
+  matmul_sum of N products and one matmul per class (|S| N + |S|), and
+  their average c(s) = b(s) / N: exact for the unit part of N, at the
+  cost of the recorded precision for p^l;
+- the corrected generators (I - w^j c(s)) sigma(s) (|S|) and the list's
+  level, min over r of val(rho(r) - I): sum (|r| - 1) matmuls on R, one
+  per Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
+  all-pairs level of the section;
 - when averaging is obstructed or falls short of level min(2j, K), one
   exact solve of the list's Fox system: each generator moves by its own
   c(s), |R| n^2 equations in |S| n^2 unknowns, built from one n^2 x n^2
@@ -216,8 +218,8 @@ def _row_sums(sigma, sigma_inv, C: FiniteImage, j: int, mod_exp: int) -> Dict[in
     """b(s) = sum_d z(s, d) at each generator class s, z the section's 2-cocycle.
 
     b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} - N I): one
-    matmul_sum of N products (n^2 ring dots of length n N) and one matmul
-    per class; b(e) = 0.
+    matmul_sum of N products (one kernel product of n N terms per row) and
+    one matmul per class; b(e) = 0.
     """
     ring, n = sigma[0].ring, sigma[0].n
     nI = UMatrix.identity(ring, n).scale(ring.from_int(C.order))

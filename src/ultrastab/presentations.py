@@ -136,7 +136,7 @@ class ApproxRep:
         self.ring = ring
         self.n = n
         self.images = tuple(images)
-        self._inverses = tuple(img.inv() for img in self.images)
+        self._inverses: Dict[int, UMatrix] = {}  # generator index -> image inverse, on first use
 
     def with_images(self, images: Sequence[UMatrix]) -> "ApproxRep":
         return ApproxRep(self.presentation, self.ring, self.n, images)
@@ -144,8 +144,14 @@ class ApproxRep:
     def eval_word(self, w: Word) -> UMatrix:
         out = UMatrix.identity(self.ring, self.n)
         for x in w.letters:
-            out = out @ (self.images[x - 1] if x > 0 else self._inverses[-x - 1])
+            out = out @ (self.images[x - 1] if x > 0 else self._inverse(-x - 1))
         return out
+
+    def _inverse(self, i: int) -> UMatrix:
+        got = self._inverses.get(i)
+        if got is None:
+            got = self._inverses[i] = self.images[i].inv()
+        return got
 
     def defect(self) -> NormValue:
         ident = UMatrix.identity(self.ring, self.n)
@@ -195,18 +201,20 @@ class FiniteImage:
     element 0 is the identity and tree[i] = (parent, generator) records
     the BFS tree edge that first reached element i > 0, so that
     elements[i] = elements[parent] @ generators[generator] (tree[0] is
-    (-1, -1)).  Products are looked up lazily and cached so large groups
+    (-1, -1)).  right[c][g] is the index of elements[c] @ generators[g],
+    the right Cayley table that the closure computes anyway, so products
+    cost table lookups and no matmul; they are cached so large groups
     never materialize an order-squared table.
     """
 
     def __init__(self, level: int, ring: RingSpec, elements: List[UMatrix],
-                 index: Dict[Tuple, int], tree: List[Tuple[int, int]],
+                 tree: List[Tuple[int, int]], right: List[List[int]],
                  generator_indices: List[int], p: int):
         self.level = level
         self.ring = ring
         self.elements = elements
-        self.index = index
         self.tree = tree
+        self.right = right
         self.generator_indices = generator_indices
         self.order = len(elements)
         n = self.order
@@ -219,17 +227,18 @@ class FiniteImage:
         self._products: Dict[Tuple[int, int], int] = {}
         self._inverses: Dict[int, int] = {}
 
-    def index_of(self, mat: UMatrix) -> int:
-        try:
-            return self.index[mat.rows]
-        except KeyError:
-            raise PresentationError("matrix is not an element of the finite image")
-
     def product(self, i: int, j: int) -> int:
+        """Index of elements[i] @ elements[j]: j's tree word walked through `right`."""
         key = (i, j)
         got = self._products.get(key)
         if got is None:
-            got = self.index_of(self.elements[i] @ self.elements[j])
+            word = []
+            while j:
+                j, g = self.tree[j]
+                word.append(g)
+            got = i
+            for g in reversed(word):
+                got = self.right[got][g]
             self._products[key] = got
         return got
 
@@ -249,7 +258,11 @@ class FiniteImage:
 
 def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
                         cap: int = DEFAULT_CLOSURE_CAP) -> FiniteImage:
-    """BFS closure of a list of matrices over the precision-m ring."""
+    """BFS closure of a list of matrices over the precision-m ring.
+
+    |S| N matmuls for N elements and |S| generators, each recorded in the
+    right Cayley table.
+    """
     if not reduced:
         raise PresentationError("need at least one generator")
     ring = reduced[0].ring
@@ -258,23 +271,28 @@ def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
     elements = [ident]
     index = {ident.rows: 0}
     tree: List[Tuple[int, int]] = [(-1, -1)]
+    right: List[List[int]] = []
     frontier = [0]
     while frontier:
         new_frontier = []
         for ei in frontier:
             base = elements[ei]
+            row = []
             for gi, g in enumerate(reduced):
                 prod = base @ g
-                if prod.rows not in index:
+                got = index.get(prod.rows)
+                if got is None:
                     if len(elements) >= cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
-                    index[prod.rows] = len(elements)
+                    got = index[prod.rows] = len(elements)
                     elements.append(prod)
                     tree.append((ei, gi))
-                    new_frontier.append(len(elements) - 1)
+                    new_frontier.append(got)
+                row.append(got)
+            right.append(row)
         frontier = new_frontier
     gen_idx = [index[g.rows] for g in reduced]
-    return FiniteImage(m, ring, elements, index, tree, gen_idx, ring.p)
+    return FiniteImage(m, ring, elements, tree, right, gen_idx, ring.p)
 
 
 def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int) -> int:

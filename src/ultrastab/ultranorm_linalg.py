@@ -5,13 +5,31 @@ p^{-(minimum entry valuation)}.  Invertibility over the local ring is
 detected on the residue field; inverses, the local Smith form and the
 linear solver use unit-pivot elimination, which is exact here because
 every nonzero element is a unit times a power of the uniformizer.
+
+Every product, UMatrix.__matmul__ and matmul_sum alike, goes through one
+kernel (_product_rows): each row of the right factor is packed into one
+integer (Kronecker substitution), so row r of a product is one
+sum(map(mul, row, packed)) of L = n (or n * len(lefts)) big-int products
+of an element, b bits, by a packed row of n fields, then n field reads.
+Z/p^K fields are 2 bits(p^K - 1) + bits(L) wide and each is read with one
+% p^K; F_p[X]/(X^K) fields are (2K - 1) W bits, W the ring's slot width,
+and the row is reduced by one slotwise multiply-shift per SUM_TERMS
+products (a mask for p = 2).  An n x n product thus costs n sums of n
+big-int products of b by about 2 n b bits and n^2 field reads, against
+n^2 sums of n products of b by b bits entry by entry: twice the big-int
+work for n times fewer interpreter steps, which pays while b is small
+against the interpreter's cost per step.  A matrix keeps its packed rows
+for its next product as a right factor; the layout of a product, its
+field width and reduction constants, is built once per ring, n and
+number of terms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import lshift, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .local_ring import (
@@ -42,12 +60,13 @@ class Unsolvable(RingError):
 class UMatrix:
     """Immutable n x n matrix over a RingSpec, entries in canonical raw form."""
 
-    __slots__ = ("ring", "n", "rows")
+    __slots__ = ("ring", "n", "rows", "_packed")
 
     def __init__(self, ring: RingSpec, n: int, rows: Tuple[Tuple[int, ...], ...]):
         self.ring = ring
         self.n = n
         self.rows = rows
+        self._packed = None  # (layout, packed rows) of the last right-factor use
 
     # -- constructors -----------------------------------------------------
 
@@ -78,7 +97,7 @@ class UMatrix:
     # -- basics -------------------------------------------------------------
 
     def _check(self, other: "UMatrix") -> None:
-        if self.ring != other.ring or self.n != other.n:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.n != other.n:
             raise RingMismatch("matrices over different rings or shapes")
 
     def __eq__(self, other: object) -> bool:
@@ -94,34 +113,21 @@ class UMatrix:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _packed_rows(self, lay: "_Layout") -> List[int]:
+        """This matrix's rows packed at `lay`'s width, kept for its next product."""
+        got = self._packed
+        if got is None or got[0].width != lay.width:
+            got = self._packed = (lay, lay.pack(self.rows))
+        return got[1]
+
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
-        ring = self.ring
-        cols = tuple(zip(*other.rows))
-        if ring.is_mixed:
-            M = ring.modulus
-            rows = tuple(
-                tuple(sum(map(mul, arow, bcol)) % M for bcol in cols)
-                for arow in self.rows
-            )
-        elif self.n > SUM_TERMS:
-            dot = ring.dot
-            rows = tuple(tuple(dot(arow, bcol) for bcol in cols) for arow in self.rows)
-        elif ring.p == 2:
-            low = ring._low
-            rows = tuple(tuple(sum(map(mul, arow, bcol)) & low for bcol in cols)
-                         for arow in self.rows)
-        else:
-            # RingSpec._reduce_acc inlined: each entry is one sum of n <= SUM_TERMS
-            # products, truncated and reduced slotwise mod p
-            p = ring.p
-            full, m, s, qmask = ring._reduction
-            rows = tuple(
-                tuple(t - p * (((t * m) >> s) & qmask)
-                      for t in (sum(map(mul, arow, bcol)) & full for bcol in cols))
-                for arow in self.rows
-            )
-        return UMatrix(ring, self.n, rows)
+        ring, n = self.ring, self.n
+        got = other._packed
+        if got is None or got[0].terms != n:
+            lay = _layout(ring, n, n)
+            got = lay, other._packed_rows(lay)
+        return UMatrix(ring, n, _product_rows(got[0], self.rows, got[1]))
 
     def __add__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
@@ -219,28 +225,25 @@ class UMatrix:
     # -- inverse -------------------------------------------------------------
 
     def inv(self) -> "UMatrix":
-        ring = self.ring
-        n = self.n
-        m = [list(r) for r in self.rows]
-        aug = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+        """Gauss-Jordan elimination on [self | I] with unit pivots."""
+        ring, n = self.ring, self.n
+        submul = row_submul(ring)
+        m = [list(r) + [ring.one if i == j else ring.zero for j in range(n)]
+             for i, r in enumerate(self.rows)]
         for col in range(n):
             piv = next((r for r in range(col, n) if ring.is_unit(m[r][col])), None)
             if piv is None:
                 raise NonInvertible("matrix has non-unit determinant")
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
-                aug[col], aug[piv] = aug[piv], aug[col]
             pinv = ring.inv(m[col][col])
-            m[col] = [ring.mul(pinv, a) for a in m[col]]
-            aug[col] = [ring.mul(pinv, a) for a in aug[col]]
+            # columns left of col are zero in every row but their pivot's
+            pivot_row = m[col][col:] = [ring.mul(pinv, a) for a in m[col][col:]]
             for r in range(n):
-                if r == col:
-                    continue
                 f = m[r][col]
-                if f:
-                    m[r] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(m[r], m[col])]
-                    aug[r] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(aug[r], aug[col])]
-        return UMatrix(ring, n, tuple(tuple(r) for r in aug))
+                if f and r != col:
+                    m[r][col:] = submul(m[r][col:], f, pivot_row)
+        return UMatrix(ring, n, tuple(tuple(r[n:]) for r in m))
 
     # -- congruence coordinates -------------------------------------------------
 
@@ -285,22 +288,103 @@ class UMatrix:
 
 
 def matmul_sum(lefts: Sequence[UMatrix], rights: Sequence[UMatrix]) -> UMatrix:
-    """sum_i lefts[i] @ rights[i]: one ring dot of length n * len(lefts) per entry.
+    """sum_i lefts[i] @ rights[i], with no intermediate matrix.
 
-    Entry (r, t) is row r of the lefts laid end to end against column t of
-    the rights laid end to end, so a sum of m products costs n^2 dots and
-    no intermediate matrix.
+    Row r is row r of the lefts laid end to end against the packed rows of
+    the rights laid end to end: one kernel product with n * len(lefts)
+    terms per row.
     """
     ring, n = lefts[0].ring, lefts[0].n
     for m in itertools.chain(lefts, rights):
         lefts[0]._check(m)
     if len(lefts) != len(rights):
         raise RingError("matmul_sum needs as many left factors as right ones")
+    lay = _layout(ring, n, n * len(lefts))
+    packed = list(itertools.chain.from_iterable(m._packed_rows(lay) for m in rights))
     rows = [list(itertools.chain.from_iterable(r)) for r in zip(*(m.rows for m in lefts))]
-    cols = [list(itertools.chain.from_iterable(c))
-            for c in zip(*(zip(*m.rows) for m in rights))]
-    dot = ring.dot
-    return UMatrix(ring, n, tuple(tuple(dot(r, c) for c in cols) for r in rows))
+    return UMatrix(ring, n, _product_rows(lay, rows, packed))
+
+
+# -- the product kernel -------------------------------------------------------
+
+
+class _Layout:
+    """How the right factor of a product of n x n matrices over a ring is packed.
+
+    Row a of the right factor becomes one integer, the entry of column t
+    in the field at bit width * t; a sum of `terms` products of an entry
+    by a field fits each field with no carry into the next.
+    """
+
+    __slots__ = ("width", "terms", "shifts", "mask", "modulus", "p", "reduction")
+
+    def __init__(self, ring: RingSpec, n: int, terms: int):
+        self.terms = terms
+        self.p = ring.p
+        if ring.is_mixed:
+            self.modulus = ring.modulus
+            self.width = 2 * (self.modulus - 1).bit_length() + terms.bit_length()
+            self.mask = (1 << self.width) - 1
+        else:
+            self.modulus = 0
+            self.width = (2 * ring.precision - 1) * ring._w
+            self.mask = (1 << (ring.precision * ring._w)) - 1
+        self.shifts = range(0, n * self.width, self.width)
+        if ring.is_mixed:
+            return
+        # the ring's reduction constants repeated in every field
+        spread = sum(1 << sh for sh in self.shifts)
+        full, m, s, qmask = ring._reduction
+        if ring.p == 2:
+            full = ring._low  # keeping bit 0 of each slot is the whole reduction
+        self.reduction = (full * spread, m, s, qmask * spread)
+
+    def pack(self, rows) -> List[int]:
+        shifts = self.shifts
+        return [sum(map(lshift, r, shifts)) for r in rows]
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(ring: RingSpec, n: int, terms: int) -> _Layout:
+    """The layout for n x n products over `ring` with `terms` terms a row,
+    built once; a packed right factor keeps its layout, so __matmul__
+    looks one up only to pack."""
+    return _Layout(ring, n, terms)
+
+
+def _product_rows(lay: _Layout, lrows, packed: List[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Rows of lrows @ (the matrix whose rows lay.pack gave as `packed`), canonical.
+
+    Each of lrows is as long as `packed`.  Cost per row: len(packed)
+    big-int products of an element by a packed row, then one shift, mask
+    and reduction per field.
+    """
+    shifts, mask = lay.shifts, lay.mask
+    if lay.modulus:
+        M = lay.modulus
+        return tuple(tuple([((t >> sh) & mask) % M for sh in shifts])
+                     for t in [sum(map(mul, row, packed)) for row in lrows])
+    p = lay.p
+    full, m, s, qmask = lay.reduction
+    out = []
+    if len(packed) <= SUM_TERMS:
+        for row in lrows:
+            t = sum(map(mul, row, packed)) & full
+            if p != 2:
+                t -= p * (((t * m) >> s) & qmask)
+            out.append(tuple([(t >> sh) & mask for sh in shifts]))
+        return tuple(out)
+    # longer rows are reduced after every SUM_TERMS products
+    cuts = range(0, len(packed), SUM_TERMS)
+    chunks = [packed[i:i + SUM_TERMS] for i in cuts]
+    for row in lrows:
+        t = 0
+        for i, chunk in zip(cuts, chunks):
+            t = (t + sum(map(mul, row[i:i + SUM_TERMS], chunk))) & full
+            if p != 2:
+                t -= p * (((t * m) >> s) & qmask)
+        out.append(tuple([(t >> sh) & mask for sh in shifts]))
+    return tuple(out)
 
 
 # -- local Smith form and linear solving ------------------------------------
@@ -314,10 +398,14 @@ def row_submul(ring: RingSpec):
         def submul(xs, f, ys):
             return [(x - f * y) % M for x, y in zip(xs, ys)]
     else:
-        sub, mul = ring.sub, ring.mul
+        # one RingSpec._reduce_acc(x + (-f) y) per entry, inlined
+        p, neg = ring.p, ring.neg
+        full, m, s, qmask = ring._reduction
 
         def submul(xs, f, ys):
-            return [sub(x, mul(f, y)) for x, y in zip(xs, ys)]
+            g = neg(f)
+            return [t - p * (((t * m) >> s) & qmask)
+                    for t in [(x + g * y) & full for x, y in zip(xs, ys)]]
     return submul
 
 

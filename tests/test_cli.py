@@ -331,6 +331,19 @@ def test_cmd_verify_witness_commutator(tmp_path):
     assert main(["verify", cert_path, "--input", unrelated]) == 1
 
 
+def test_commutator_bad_input_exits_2(tmp_path, capsys):
+    # n < 2, a < 1 and a >= K are inputs, not failed witnesses; a >= K
+    # would otherwise write A = B = 0
+    for extra in (["--n", "0"], ["--a", "-1"], ["--a", "5", "--precision", "3"]):
+        assert main(["witness", "--kind", "commutator", "--ring", "zp", "--p", "2",
+                     "--out", str(tmp_path / "w.json"), "--cert", str(tmp_path / "c.json")]
+                    + extra) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error") == 3 and "Traceback" not in err
+    assert "n must be >= 2" in err and "a must be in [1, 3)" in err
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_env_caps(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ULTRASTAB_CAPS", '{"wreath_index_cap": 1}')
     assert main(["claims", "--max-i", "2", "--p", "2"]) == 2  # cap now too low

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -128,6 +129,68 @@ def test_finite_image_cyclic():
     assert s != 0 and C.product(s, C.product(s, s)) == 0  # s has order 3
     assert C.inverse(C.generator_indices[0]) == C.product(
         C.generator_indices[0], C.generator_indices[0])
+
+
+def _perm_matrix(ring, perm):
+    n = len(perm)
+    return UMatrix.from_int_rows(ring, [[int(perm[j] == i) for j in range(n)] for i in range(n)])
+
+
+def _assert_products_from_table(C, pairs):
+    # each table product is the closure element equal to the matrix product
+    where = {e.rows: i for i, e in enumerate(C.elements)}
+    for i, j in pairs:
+        assert C.product(i, j) == where[(C.elements[i] @ C.elements[j]).rows]
+
+
+@pytest.mark.parametrize("perms,order", [
+    ([[1, 0, 2], [1, 2, 0]], 6),                  # S3
+    ([[1, 2, 3, 0], [0, 3, 2, 1]], 8),            # D4
+    ([[1, 0, 2, 3], [1, 2, 3, 0]], 24),           # S4
+])
+def test_products_read_the_cayley_table(perms, order):
+    ring = RingSpec("zp", 5, 2)
+    C = closure_of_matrices([_perm_matrix(ring, q) for q in perms], 2)
+    assert C.order == order
+    _assert_products_from_table(C, [(i, j) for i in range(order) for j in range(order)])
+    assert all(C.product(i, C.inverse(i)) == 0 for i in range(order))
+
+
+def test_products_in_a_deep_tree():
+    # (Z/3001)^x is cyclic of order 3000; with one generator the BFS tree is
+    # a path deeper than the recursion limit, and products walk it iteratively
+    ring = RingSpec("zp", 3001, 1)
+    g = next(x for x in range(2, 3001)
+             if all(pow(x, 3000 // q, 3001) != 1 for q in (2, 3, 5)))
+    C = closure_of_matrices([UMatrix.from_int_rows(ring, [[g]])], 1, cap=3000)
+    assert C.order == 3000
+    deepest, depth = C.order - 1, 0
+    c = deepest
+    while c:
+        c, depth = C.tree[c][0], depth + 1
+    assert depth > sys.getrecursionlimit()
+    rng = random.Random(3000)
+    pairs = [(rng.randrange(3000), rng.randrange(3000)) for _ in range(200)]
+    _assert_products_from_table(C, pairs + [(deepest, deepest), (1, deepest), (deepest, 0)])
+    assert C.product(deepest, C.inverse(deepest)) == 0
+
+
+def test_eval_word_inverse_letters(monkeypatch):
+    # a BS(2,3) relator t s^3 t^-1 s^-2 reads both inverses; the images are
+    # inverted on first use, never at construction
+    ring = RingSpec("zp", 3, 6)
+    rng = random.Random(23)
+    pres = Presentation.make(["s", "t"], [["t", "s", "s", "s", "t^-1", "s^-1", "s^-1"]])
+    s, t = random_gl(ring, 3, rng), random_gl(ring, 3, rng)
+    want = (t @ s @ s @ s @ t.inv() @ s.inv() @ s.inv()).rows
+    calls = []
+    inv = UMatrix.inv
+    monkeypatch.setattr(UMatrix, "inv", lambda self: calls.append(self) or inv(self))
+    rep = ApproxRep(pres, ring, 3, [s, t])
+    assert calls == []
+    assert rep.eval_word(pres.relators[0]).rows == want
+    assert rep.eval_word(pres.relators[0]).rows == want
+    assert len(calls) == 2
 
 
 def test_finite_image_gl1_order2():

@@ -202,6 +202,78 @@ def test_matmul_sum_matches_sum_of_products(mode, p, K, n, m, extreme, seed):
     assert matmul_sum(lefts, rights).rows == want.rows
 
 
+# -- the product kernel against the schoolbook product ------------------------
+
+
+def _schoolbook(ring, a_rows, b_rows):
+    """The triple loop over RingSpec.mul and RingSpec.add."""
+    n = len(a_rows)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for k in range(n):
+                acc = ring.add(acc, ring.mul(a_rows[i][k], b_rows[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _kernel_matrix(ring, n, rng, extreme):
+    """Random entries, or with `extreme` mostly the largest: p^K - 1 in Z/p^K,
+    every coefficient p - 1 in F_p[X]/(X^K)."""
+    top = ring.from_int(-1) if ring.is_mixed else ring.from_coeffs([ring.p - 1] * ring.precision)
+    return UMatrix(ring, n, tuple(tuple(top if extreme and rng.random() < 0.8
+                                        else ring.random_raw(rng) for _ in range(n))
+                                  for _ in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 3, 5, 1021]), st.integers(1, 64),
+       st.integers(1, 32), st.booleans(), st.integers(0, 2 ** 32))
+@example("zp", 1021, 64, 32, True, 0)     # widest elements, largest n
+@example("fpx", 1021, 64, 17, True, 1)    # widest slots, one product past SUM_TERMS
+@example("fpx", 2, 64, 32, True, 2)
+@example("zp", 2, 8, 24, True, 3)
+@example("fpx", 5, 8, 24, False, 4)
+def test_matmul_matches_schoolbook(mode, p, K, n, extreme, seed):
+    # both ways a product reads the right factor: packed on a miss, and
+    # from its cache on a hit
+    ring = RingSpec(mode, p, K)
+    rng = random.Random(seed)
+    a, b = _kernel_matrix(ring, n, rng, extreme), _kernel_matrix(ring, n, rng, extreme)
+    want = _schoolbook(ring, a.rows, b.rows)
+    assert (a @ b).rows == want                      # miss: b's rows are packed
+    assert (a @ b).rows == want                      # hit
+    assert (b @ a).rows == _schoolbook(ring, b.rows, a.rows)   # b as a left factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 3, 5, 1021]), st.integers(1, 64),
+       st.integers(1, 8), st.integers(1, 24), st.booleans(), st.integers(0, 2 ** 32))
+@example("fpx", 1021, 64, 4, 24, True, 0)  # 96 products a row, six reductions
+@example("zp", 1021, 64, 8, 24, True, 1)
+@example("fpx", 2, 64, 3, 17, True, 2)
+@example("fpx", 5, 8, 4, 24, True, 3)      # six reductions over F_5[X]/(X^8)
+def test_matmul_sum_matches_schoolbook(mode, p, K, n, m, extreme, seed):
+    # n m products a row cross SUM_TERMS for m > 16 / n; the rights are read
+    # from their cache on the second call, at the width matmul_sum packed
+    # them, and read again by a single product afterwards (repacked for
+    # Z/p^K's narrower fields)
+    ring = RingSpec(mode, p, K)
+    rng = random.Random(seed)
+    lefts = [_kernel_matrix(ring, n, rng, extreme) for _ in range(m)]
+    rights = [_kernel_matrix(ring, n, rng, extreme) for _ in range(m)]
+    want = _schoolbook(ring, lefts[0].rows, rights[0].rows)
+    for a, b in zip(lefts[1:], rights[1:]):
+        want = tuple(tuple(ring.add(x, y) for x, y in zip(r, t))
+                     for r, t in zip(want, _schoolbook(ring, a.rows, b.rows)))
+    assert matmul_sum(lefts, rights).rows == want
+    assert matmul_sum(lefts, rights).rows == want
+    assert (lefts[0] @ rights[0]).rows == _schoolbook(ring, lefts[0].rows, rights[0].rows)
+
+
 def test_monomial_commutant_swap_example():
     ring = RingSpec("zp", 2, 6)
     p_mat = UMatrix.from_int_rows(ring, [[0, 1], [1, 0]])
