@@ -4,7 +4,6 @@ representations over truncated local rings."""
 from .local_ring import NormValue, RingSpec
 from .presentations import ApproxRep, FiniteImage, Presentation, Word
 from .ultranorm_linalg import (
-    SolveResult,
     UMatrix,
     Unsolvable,
     nearest_monomial_commutant,
@@ -18,7 +17,7 @@ from .homrepair import (
     graph_repair,
     repair_finite_image,
 )
-from .char2_involutions import BGForm, bg_blockform, frobenius_power_witness, involution_repair
+from .char2_involutions import BGForm, bg_blockform, involution_repair
 from .witnesses import (
     HdistCertificate,
     build_unstable_generators,

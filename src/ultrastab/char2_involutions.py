@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .local_ring import NormValue, RingError, RingSpec
+from .local_ring import RingError, RingSpec
 from .ultranorm_linalg import UMatrix
 
 
@@ -365,23 +365,3 @@ def _repair_rec(a: UMatrix, dval: int) -> UMatrix:
     lifted = tuple(tuple(ring.shift_up(x, j) for x in row) for row in m_fixed.rows)
     return ident + UMatrix(ring, n, lifted)
 
-
-def frobenius_power_witness(a: UMatrix, k: int) -> NormValue:
-    """||(I + A)^{p^k} - I||, asserted equal to ||A^{p^k}||.
-
-    In characteristic p the two sides agree identically; the pair of
-    independent evaluations is the sharpness witness for the quadratic
-    estimate (the repair distance cannot beat the p^k-th root).
-    """
-    if a.ring.is_mixed:
-        raise PreconditionViolated("witness requires equal characteristic")
-    ring = a.ring
-    ident = UMatrix.identity(ring, a.n)
-    q = ring.p ** k
-    lhs = ((ident + a).pow_int(q) - ident).matnorm()
-    rhs = a.pow_int(q).matnorm()
-    if lhs != rhs:
-        raise ReductionFailed("Frobenius power identity failed")
-    if not lhs <= a.matnorm().pow(q):
-        raise ReductionFailed("Frobenius witness exceeded its norm bound")
-    return lhs

@@ -341,27 +341,6 @@ def check_vpfree_part(g: GBSGraph, p: int) -> VpfreePart:
     return VpfreePart(met=False)
 
 
-def enumerate_cycles_valuation_check(g: GBSGraph, p: int, max_len: int = 8) -> bool:
-    """Reference decision by explicit cycle enumeration (small graphs only)."""
-    directed = g.directed_edges()
-    adj: Dict[str, List[DirectedEdge]] = {}
-    for e in directed:
-        adj.setdefault(e.src, []).append(e)
-
-    def walk(v: str, start: str, total: int, depth: int) -> bool:
-        if depth > 0 and v == start and total != 0:
-            return True
-        if depth >= max_len:
-            return False
-        for e in adj.get(v, []):
-            if walk(e.dst, start, total + _nu(p, e.w_plus) - _nu(p, e.w_minus),
-                    depth + 1):
-                return True
-        return False
-
-    return any(walk(v, v, 0, 0) for v in g.vertices)
-
-
 def gbs_vertex_order_bound(g: GBSGraph, p: int,
                            report: CriterionReport) -> Dict[str, int]:
     """Per-vertex bound l on the p-part of generator orders in finite quotients.

@@ -25,9 +25,9 @@ at level k, j = k - l, costs in n x n matmuls:
   per Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
   all-pairs level of the section;
 - when averaging is obstructed or falls short of level min(2j, K), one
-  exact solve of the list's Fox system: each generator moves by its own
-  c(s), |R| n^2 equations in |S| n^2 unknowns, built from one n^2 x n^2
-  conjugation block per prefix class.
+  exact solve of the list's Fox system for one particular solution: each
+  generator moves by its own c(s), |R| n^2 equations in |S| n^2
+  unknowns, built from one n^2 x n^2 conjugation block per prefix class.
 
 Each amalgamation is glued by one exact conjugation: for edge-word images
 x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
@@ -39,6 +39,7 @@ trusted: every step re-measures the defect and distance it claims.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,7 +56,7 @@ from .presentations import (
     closure_of_matrices,
     enumerate_cosets,
 )
-from .ultranorm_linalg import UMatrix, Unsolvable, matmul_sum, row_submul, solve_linear
+from .ultranorm_linalg import UMatrix, Unsolvable, matmul_sum, solve_linear
 
 
 class RepairError(RuntimeError):
@@ -248,15 +249,34 @@ def _average(sums: Dict[int, UMatrix], C: FiniteImage) -> Optional[Dict[int, UMa
     return out
 
 
-def _conj_block(u: UMatrix, uinv: UMatrix) -> List[List[int]]:
-    """The n^2 x n^2 matrix of M -> u M u^{-1} on row-major entries.
+def _conj_block(ring: RingSpec, u, uinv) -> List[int]:
+    """The n^2 x n^2 matrix of M -> u M u^{-1} on row-major entries, flat.
 
-    Row (r, t), column (a, b) holds u[r][a] uinv[b][t].
+    u and uinv are raw rows at the ring's precision or above.  Entry
+    (r, t), (a, b), at index (r n + t) n^2 + a n + b, is u[r][a] uinv[b][t],
+    one product and one reduction.
     """
-    mul = u.ring.mul
-    n = u.n
-    return [[mul(ura, uinv.rows[b][t]) for ura in u.rows[r] for b in range(n)]
-            for r in range(n) for t in range(n)]
+    cols = list(zip(*uinv))
+    if ring.is_mixed:
+        M = ring.modulus
+        return [x * y % M for ur in u for col in cols for x in ur for y in col]
+    mul = ring.mul
+    return [mul(x, y) for ur in u for col in cols for x in ur for y in col]
+
+
+def _combine(ring: RingSpec, terms: Sequence[Tuple[int, List[int]]]) -> List[int]:
+    """sum e B over the (integer e, flat block B) terms, one reduction per entry."""
+    if not ring.is_mixed:
+        es = [ring.from_int(e) for e, _ in terms]
+        return [ring.dot(es, xs) for xs in zip(*(b for _, b in terms))]
+    M = ring.modulus
+    (e, b), *rest = terms
+    if not rest:
+        return [e * x % M for x in b]
+    acc = [e * x for x in b]
+    for e, b in rest:
+        acc = [a + e * x for a, x in zip(acc, b)]
+    return [a % M for a in acc]
 
 
 def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], sigma_inv: Sequence[UMatrix],
@@ -271,15 +291,18 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], sigma_inv: Sequence[UMa
     a letter s_i^{-1}.  rho is a homomorphism on C mod w^k, so A_i acts
     through sigma at its class, and equal (s_i, class) terms add up.  One
     exact solve over o/w^{mod_exp} of |R| n^2 equations in |S| n^2
-    unknowns, one n^2 x n^2 conjugation block per prefix class met.  On
-    the Schreier list this is the coboundary system delta c = z gauge-fixed
-    along C's tree, so solvability is that of the H^2 class of z.
+    unknowns.  The n^2 x n^2 conjugation block of each prefix class met is
+    built once from sigma's raw entries (n^4 products), and the block of
+    each (relator, generator) pair sums its terms with one reduction per
+    entry.  On the Schreier list this is the coboundary system delta c = z
+    gauge-fixed along C's tree, so solvability is that of the H^2 class of
+    z.
     """
     ring_q = z[0].ring
-    submul = row_submul(ring_q)
     n, ngens = sigma[0].n, len(C.generator_indices)
     nn = n * n
-    blocks: Dict[int, List[List[int]]] = {}
+    blocks: Dict[int, List[int]] = {}
+    zero = [0] * (nn * nn)
     rows: List[List[int]] = []
     rhs: List[int] = []
     for w, zr in zip(rel.words, z):
@@ -293,18 +316,17 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], sigma_inv: Sequence[UMa
             else:
                 c = C.product(c, C.inverse(C.generator_indices[s]))
                 fox[s, c] = fox.get((s, c), 0) + 1
-        eq = [[0] * (ngens * nn) for _ in range(nn)]
+        terms: List[List[Tuple[int, List[int]]]] = [[] for _ in range(ngens)]
         for (s, y), e in fox.items():
             if e:
                 if y not in blocks:
-                    blocks[y] = _conj_block(sigma[y].reduce(ring_q.precision),
-                                            sigma_inv[y].reduce(ring_q.precision))
-                o, f = s * nn, ring_q.from_int(-e)
-                for acc, brow in zip(eq, blocks[y]):
-                    acc[o:o + nn] = submul(acc[o:o + nn], f, brow)
-        rows.extend(eq)
+                    blocks[y] = _conj_block(ring_q, sigma[y].rows, sigma_inv[y].rows)
+                terms[s].append((e, blocks[y]))
+        eqs = [_combine(ring_q, t) if t else zero for t in terms]
+        rows.extend(list(itertools.chain.from_iterable(eq[o:o + nn] for eq in eqs))
+                    for o in range(0, nn * nn, nn))
         rhs.extend(ring_q.neg(v) for r in zr.rows for v in r)
-    x = solve_linear(rows, rhs, ring_q).particular
+    x = solve_linear(rows, rhs, ring_q)
     return [UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
             for o in range(0, ngens * nn, nn)]
 
@@ -455,7 +477,8 @@ def align_homomorphisms(x: UMatrix, y: UMatrix, cap: int = DEFAULT_CLOSURE_CAP
     has n^2 equations in n^2 unknowns and is solvable whenever k > 2l (the
     conjugacy theorem for close homomorphisms of a finite group).  Cost:
     three closures of N matmuls each, one inversion and one n^2 x n^2
-    Smith elimination, O(n^6).  T is re-measured at K before returning.
+    elimination for one particular solution, O(n^6).  T is re-measured at
+    K before returning.
     """
     ring = x.ring
     n = x.n
@@ -478,11 +501,13 @@ def align_homomorphisms(x: UMatrix, y: UMatrix, cap: int = DEFAULT_CLOSURE_CAP
     j = k - l
     ring_q = ring.with_precision(K - j)
     xinv = x.inv()
-    rows = _conj_block(y.reduce(K - j), xinv.reduce(K - j))
+    nn = n * n
+    block = _conj_block(ring_q, y.rows, xinv.rows)
+    rows = [block[i * nn:i * nn + nn] for i in range(nn)]
     for i, row in enumerate(rows):
         row[i] = ring_q.sub(row[i], ring_q.one)
     d = (y @ xinv).congruence_coords(j).reduce(K - j)
-    sol = solve_linear(rows, [ring_q.neg(v) for r in d.rows for v in r], ring_q).particular
+    sol = solve_linear(rows, [ring_q.neg(v) for r in d.rows for v in r], ring_q)
     t = UMatrix(ring_q, n, tuple(tuple(sol[r * n:r * n + n]) for r in range(n)))
     t = t.lift_to(ring).congruence_lift(j)
     got = ((t @ x) - (y @ t)).min_valuation()

@@ -2,9 +2,11 @@
 
 The norm of a matrix is the largest norm of an entry, equivalently
 p^{-(minimum entry valuation)}.  Invertibility over the local ring is
-detected on the residue field; inverses, the local Smith form and the
-linear solver use unit-pivot elimination, which is exact here because
-every nonzero element is a unit times a power of the uniformizer.
+detected on the residue field; inverses and the linear solver use
+unit-pivot elimination, which is exact here because every nonzero
+element is a unit times a power of the uniformizer.  The solver returns
+one particular solution, back-substituted through the pivot rows: the
+elimination's products plus rank^2 / 2, and no Smith form V.
 
 Every product, UMatrix.__matmul__ and matmul_sum alike, goes through one
 kernel (_product_rows): each row of the right factor is packed into one
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import lshift, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .local_ring import (
     SUM_TERMS,
@@ -387,7 +388,7 @@ def _product_rows(lay: _Layout, lrows, packed: List[int]) -> Tuple[Tuple[int, ..
     return tuple(out)
 
 
-# -- local Smith form and linear solving ------------------------------------
+# -- linear solving ----------------------------------------------------------
 
 
 def row_submul(ring: RingSpec):
@@ -409,147 +410,97 @@ def row_submul(ring: RingSpec):
     return submul
 
 
-def _smith_raw(ring: RingSpec, rows: List[List[int]], side: List[List[int]]):
-    """Bring a rectangular raw matrix to diagonal uniformizer powers.
+def solve_linear(rows, b: Sequence[int], ring: RingSpec) -> Tuple[int, ...]:
+    """One solution x of A x = b over the ring; raises Unsolvable with the obstruction.
 
-    Returns (side', V, diag) with V (nc x nc) invertible and U @ A @ V
-    diagonal for the invertible U (nr x nr) of the row operations; U itself
-    is never formed, every row operation is applied to the nr-row block
-    `side` instead, so side' = U @ side (pass b to read U @ b, the identity
-    to read U).  Pivots are chosen with minimal valuation, ties broken by
-    lowest row then column index.  Step t only updates the entries that a
-    later step reads: rows and columns after t of the matrix, all of V and
-    all of `side`.  Rows above t and columns left of t are zero there
-    already, so pivots and every nonzero operation are those of the full
-    elimination.  Cost: about sum over t of (nr - t)(nc - t) products for
-    the matrix, nc^2 per pivot for V and nr w per pivot for a side of
-    width w.
+    A is a rectangular list of raw rows.  Rows of the augmented [A | b]
+    are eliminated with pivots of minimal valuation, the first in
+    row-major order from (t, t); pivot valuations never decrease, so the
+    scan stops at the first entry of the previous pivot's valuation, and
+    skips the rows of A it has found zero from column t on, which stay so.
+    Column swaps are kept as a permutation P, and pivot row t, scaled so
+    that its pivot is w^{d_t}, is w^{d_t} times row t of a unit
+    upper-triangular W.  The local Smith form U A V = D thus has V =
+    P W^{-1}, and x = V y, y_t = (U b)_t / w^{d_t}, is back-substituted
+    through W; the free coordinates (beyond the rank) are 0.  Cost: about
+    sum over t of (nr - t)(nc + 1 - t) products for the elimination and
+    rank^2 / 2 for the back-substitution.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    K = ring.precision
-    m = [list(r) for r in rows]
-    side = [list(r) for r in side]
-    Vt = [[ring.one if i == j else 0 for j in range(nc)] for i in range(nc)]  # columns of V
-    submul = row_submul(ring)
-    diag: List[int] = []
-    steps = min(nr, nc)
-    for t in range(steps):
-        best = None
-        best_v = K
-        for i in range(t, nr):
-            mi = m[i]
-            for j in range(t, nc):
-                a = mi[j]
-                if a:
-                    v = ring.val(a)
-                    if v < best_v:
-                        best_v = v
-                        best = (i, j)
-                        if v == 0:
-                            break
-            if best_v == 0:
-                break
-        if best is None:
-            diag.extend([K] * (steps - t))
-            break
-        bi, bj = best
-        if bi != t:
-            m[t], m[bi] = m[bi], m[t]
-            side[t], side[bi] = side[bi], side[t]
-        if bj != t:
-            for r in m[t:]:
-                r[t], r[bj] = r[bj], r[t]
-            Vt[t], Vt[bj] = Vt[bj], Vt[t]
-        d = best_v
-        diag.append(d)
-        uinv = ring.inv(ring.shift_down(m[t][t], d))
-        # Row t scaled so that its pivot is exactly w^d; only its entries
-        # right of the pivot are read again.
-        right = [ring.mul(uinv, a) for a in m[t][t + 1:]]
-        side[t] = [ring.mul(uinv, a) for a in side[t]]
-        # Clear column t below the pivot; the column itself is not read again.
-        for i in range(t + 1, nr):
-            mi = m[i]
-            a = mi[t]
-            if a:
-                f = ring.shift_down(a, d)
-                mi[t + 1:] = submul(mi[t + 1:], f, right)
-                side[i] = submul(side[i], f, side[t])
-        # Clear row t by column operations, which act on V alone: column t
-        # is zero off the pivot.
-        for j, a in enumerate(right, t + 1):
-            if a:
-                Vt[j] = submul(Vt[j], ring.shift_down(a, d), Vt[t])
-    return side, [list(r) for r in zip(*Vt)], diag
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """One particular solution plus the valuation lattice of the kernel.
-
-    kernel lists pairs (valuation, generator): for each column variable a
-    vector v such that w^{valuation} * anything times v stays a solution;
-    valuation K means the coordinate is unconstrained only at zero.
-    """
-
-    particular: Tuple[int, ...]
-    kernel: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    diag_vals: Tuple[int, ...]
-
-
-def solve_linear(a, b: Sequence[int], ring: Optional[RingSpec] = None) -> SolveResult:
-    """Solve A x = b over the ring; raises Unsolvable with the obstruction.
-
-    A may be a UMatrix or a rectangular list of raw rows (with ring given).
-    """
-    if isinstance(a, UMatrix):
-        ring = a.ring
-        rows = a.rows
-    else:
-        if ring is None:
-            raise RingError("ring required for raw input")
-        rows = a
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if len(b) != nr:
         raise RingError("right-hand side has wrong length")
     K = ring.precision
-    side, V, diag = _smith_raw(ring, rows, [[x] for x in b])
-    c = [r[0] for r in side]
-    y = [0] * nc
-    for i in range(nr):
-        d = diag[i] if i < len(diag) else K
-        ci = c[i]
-        if i < nc:
-            if d >= K:
-                if ci != 0:
-                    raise Unsolvable(
-                        f"zero row demands nonzero value (valuation {ring.val(ci)})",
-                        ring.val(ci),
-                    )
-                y[i] = 0
-            else:
-                if ring.val(ci) < d:
-                    raise Unsolvable(
-                        f"obstruction at pivot {i}: valuation {ring.val(ci)} < {d}",
-                        ring.val(ci),
-                    )
-                y[i] = ring.shift_down(ci, d)
-        else:
-            if ci != 0:
-                raise Unsolvable(
-                    f"inconsistent row {i} (valuation {ring.val(ci)})", ring.val(ci)
-                )
-    x = tuple(ring.dot(V[i], y) for i in range(nc))
-    kernel = []
-    for j in range(nc):
-        d = diag[j] if j < len(diag) else K
-        kv = max(K - d, 0)
-        gen = tuple(ring.shift_up(V[i][j], kv) for i in range(nc))
-        if kv < K:
-            kernel.append((kv, gen))
-    return SolveResult(particular=x, kernel=tuple(kernel), diag_vals=tuple(diag))
+    val, ring_mul, shift_down = ring.val, ring.mul, ring.shift_down
+    submul = row_submul(ring)
+    m = [list(r) + [c] for r, c in zip(rows, b)]
+    perm = list(range(nc))  # perm[q]: the column of A at position q
+    diag: List[int] = []
+    # zero[i]: row i of A is zero from column t on; row operations leave it so
+    zero = [False] * nr
+    d = 0
+    for t in range(min(nr, nc)):
+        best = None
+        best_v = K
+        for i in range(t, nr):
+            if zero[i]:
+                continue
+            mi = m[i]
+            live = False
+            for j in range(t, nc):
+                a = mi[j]
+                if a:
+                    live = True
+                    v = val(a)
+                    if v < best_v:
+                        best_v = v
+                        best = (i, j)
+                        if v == d:
+                            break
+            zero[i] = not live
+            if best_v == d:
+                break
+        if best is None:
+            break
+        d = best_v
+        diag.append(d)
+        bi, bj = best
+        m[t], m[bi] = m[bi], m[t]
+        zero[t], zero[bi] = zero[bi], zero[t]
+        if bj != t:
+            for r in m:
+                r[t], r[bj] = r[bj], r[t]
+            perm[t], perm[bj] = perm[bj], perm[t]
+        # Row t scaled so that its pivot is exactly w^d; only its entries
+        # right of the pivot are read again.
+        mt = m[t]
+        uinv = ring.inv(shift_down(mt[t], d))
+        mt[t + 1:] = right = [ring_mul(uinv, a) if a else 0 for a in mt[t + 1:]]
+        # Clear column t below the pivot; the column itself is not read again.
+        for mi in m[t + 1:]:
+            a = mi[t]
+            if a:
+                mi[t + 1:] = submul(mi[t + 1:], shift_down(a, d), right)
+    rank = len(diag)
+    for i, r in enumerate(m):
+        c = r[nc]
+        if i < rank:
+            if val(c) < diag[i]:
+                raise Unsolvable(f"obstruction at pivot {i}: valuation {val(c)} < {diag[i]}",
+                                 val(c))
+        elif c:
+            v = val(c)
+            raise Unsolvable(f"zero row demands nonzero value (valuation {v})" if i < nc
+                             else f"inconsistent row {i} (valuation {v})", v)
+    z = [0] * rank
+    for t in range(rank - 1, -1, -1):
+        d, r = diag[t], m[t]
+        w = r[t + 1:rank] if d == 0 else [shift_down(a, d) for a in r[t + 1:rank]]
+        z[t] = ring.sub(shift_down(r[nc], d), ring.dot(w, z[t + 1:]))
+    x = [0] * nc
+    for q, zq in zip(perm, z):
+        x[q] = zq
+    return tuple(x)
 
 
 # -- monomial commutant ------------------------------------------------------

@@ -751,6 +751,20 @@ def _ball_matrices(center: UMatrix, level: int):
         yield UMatrix(ring, n, tuple(tuple(r) for r in rows))
 
 
+class _Replay:
+    """An iterator's items, drawn once: each pass replays what earlier passes
+    drew, then draws on."""
+
+    def __init__(self, items):
+        self._items, self._seen = items, []
+
+    def __iter__(self):
+        yield from self._seen
+        for x in self._items:
+            self._seen.append(x)
+            yield x
+
+
 def commutator_witness_oracle(ring: RingSpec, n: int, a: int,
                               cap: int = DEFAULT_ENUM_CAP) -> CommutatorOracleResult:
     """True nearest-commuting-pair distance for the commutator witness.
@@ -759,6 +773,9 @@ def commutator_witness_oracle(ring: RingSpec, n: int, a: int,
     invertible pairs, by descending over congruence balls: the minimum is
     p^{-m} for the deepest level m at which a commuting pair exists in the
     two balls.  Searching each ball exhaustively keeps the result exact.
+    Each matrix of the second ball is built, and tested for invertibility,
+    once per level rather than once per matrix of the first, and only as
+    far as the search reads it.
     """
     A, B = make_commutator_witness(ring, n, a)
     ident = UMatrix.identity(ring, n)
@@ -772,12 +789,13 @@ def commutator_witness_oracle(ring: RingSpec, n: int, a: int,
                 raise CapExceeded(
                     f"ball search at level {level} needs {ball_size ** 2} pairs")
         found = False
+        second = _Replay((b2, b2.is_gl()) for b2 in _ball_matrices(cb, level))
         for b1 in _ball_matrices(ca, level):
             if not b1.is_gl():
                 continue
-            for b2 in _ball_matrices(cb, level):
+            for b2, gl in second:
                 pairs += 1
-                if not b2.is_gl():
+                if not gl:
                     continue
                 if (b1 @ b2).rows == (b2 @ b1).rows:
                     found = True

@@ -7,13 +7,28 @@ from ultrastab.local_ring import RingSpec
 from ultrastab.char2_involutions import (
     PreconditionViolated,
     bg_blockform,
-    frobenius_power_witness,
     involution_repair,
 )
 from ultrastab.ultranorm_linalg import UMatrix
 
 from conftest import random_gl, shifted_random
 
+
+
+def frobenius_power_witness(a, k):
+    """||(I + A)^{p^k} - I||, asserted equal to ||A^{p^k}||.
+
+    In characteristic p the two sides agree identically; the pair of
+    independent evaluations is the sharpness witness for the quadratic
+    estimate (the repair distance cannot beat the p^k-th root).
+    """
+    assert not a.ring.is_mixed, "witness requires equal characteristic"
+    ident = UMatrix.identity(a.ring, a.n)
+    q = a.ring.p ** k
+    lhs = ((ident + a).pow_int(q) - ident).matnorm()
+    assert lhs == a.pow_int(q).matnorm(), "Frobenius power identity failed"
+    assert lhs <= a.matnorm().pow(q), "Frobenius witness exceeded its norm bound"
+    return lhs
 
 def _ring(K=10):
     return RingSpec("fpx", 2, K)

@@ -5,10 +5,37 @@ from ultrastab.gbs_criteria import (
     GBSError,
     GBSGraph,
     check_pifree_criterion,
-    enumerate_cycles_valuation_check,
     gbs_vertex_order_bound,
 )
 
+
+
+def _nu(p, m):
+    """The p-adic valuation of a nonzero integer."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
+def enumerate_cycles_valuation_check(g, p, max_len=8):
+    """Reference decision by explicit cycle enumeration (small graphs only):
+    some closed walk of at most max_len directed edges has a nonzero total
+    of nu_p(w_+) - nu_p(w_-)."""
+    adj = {}
+    for e in g.directed_edges():
+        adj.setdefault(e.src, []).append(e)
+
+    def walk(v, start, total, depth):
+        if depth > 0 and v == start and total != 0:
+            return True
+        if depth >= max_len:
+            return False
+        return any(walk(e.dst, start, total + _nu(p, e.w_plus) - _nu(p, e.w_minus), depth + 1)
+                   for e in adj.get(v, []))
+
+    return any(walk(v, v, 0, 0) for v in g.vertices)
 
 def test_graph_validation():
     with pytest.raises(GBSError):

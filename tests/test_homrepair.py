@@ -578,7 +578,7 @@ def _full_system_solve(z):
                     row[i] = ring_q.add(row[i], ring_q.one)
                 rows.append(row)
                 rhs.append(zab.rows[r][t])
-    x = solve_linear(rows, rhs, ring_q).particular
+    x = solve_linear(rows, rhs, ring_q)
     return [UMatrix.zero(ring_q, n)] + [
         UMatrix(ring_q, n, tuple(tuple(x[var(e, a, b)] for b in range(n)) for a in range(n)))
         for e in range(1, N)]
@@ -735,13 +735,13 @@ def _gauge_fixed_solve(z):
         eq = [[0] * (len(offset) * nn) for _ in range(nn)]
         for (t, y), e in coef.items():
             if e:
-                block = _conj_block(z.act[y], z.act_inv[y])
+                block = _conj_block(ring_q, z.act[y].rows, z.act_inv[y].rows)
                 o, f = offset[t], ring_q.from_int(-e)
-                for acc, brow in zip(eq, block):
+                for acc, brow in zip(eq, (block[i:i + nn] for i in range(0, nn * nn, nn))):
                     acc[o:o + nn] = submul(acc[o:o + nn], f, brow)
         rows.extend(eq)
         rhs.extend(x for r in (const[g] - c0).rows for x in r)
-    x = solve_linear(rows, rhs, ring_q).particular
+    x = solve_linear(rows, rhs, ring_q)
     return {s: UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
             for s, o in offset.items()}
 

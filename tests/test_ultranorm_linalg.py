@@ -13,9 +13,9 @@ from ultrastab.ultranorm_linalg import (
     NotMonomial,
     UMatrix,
     Unsolvable,
-    _smith_raw,
     matmul_sum,
     nearest_monomial_commutant,
+    row_submul,
     solve_linear,
 )
 
@@ -93,13 +93,100 @@ def test_congruence_group_law(rng):
             assert (lhs - rhs).min_valuation() >= k
 
 
+# -- the local Smith form, the solver's oracle --------------------------------
+
+
+def smith_raw(ring, rows, side):
+    """Bring a rectangular raw matrix to diagonal uniformizer powers.
+
+    Returns (side', V, diag) with V (nc x nc) invertible and U @ A @ V
+    diagonal for the invertible U (nr x nr) of the row operations; U itself
+    is never formed, every row operation is applied to the nr-row block
+    `side` instead, so side' = U @ side (pass b to read U @ b, the identity
+    to read U).  Pivots are chosen with minimal valuation, ties broken by
+    lowest row then column index, and the row operations clear each pivot
+    column, the column operations (on V alone) each pivot row.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    K = ring.precision
+    m = [list(r) for r in rows]
+    side = [list(r) for r in side]
+    Vt = [[ring.one if i == j else 0 for j in range(nc)] for i in range(nc)]  # columns of V
+    submul = row_submul(ring)
+    diag = []
+    steps = min(nr, nc)
+    for t in range(steps):
+        best, best_v = None, K
+        for i in range(t, nr):
+            for j in range(t, nc):
+                a = m[i][j]
+                if a and ring.val(a) < best_v:
+                    best_v, best = ring.val(a), (i, j)
+        if best is None:
+            diag.extend([K] * (steps - t))
+            break
+        bi, bj = best
+        m[t], m[bi] = m[bi], m[t]
+        side[t], side[bi] = side[bi], side[t]
+        for r in m[t:]:
+            r[t], r[bj] = r[bj], r[t]
+        Vt[t], Vt[bj] = Vt[bj], Vt[t]
+        d = best_v
+        diag.append(d)
+        uinv = ring.inv(ring.shift_down(m[t][t], d))
+        right = [ring.mul(uinv, a) for a in m[t][t + 1:]]
+        side[t] = [ring.mul(uinv, a) for a in side[t]]
+        for i in range(t + 1, nr):
+            a = m[i][t]
+            if a:
+                f = ring.shift_down(a, d)
+                m[i][t + 1:] = submul(m[i][t + 1:], f, right)
+                side[i] = submul(side[i], f, side[t])
+        for j, a in enumerate(right, t + 1):
+            if a:
+                Vt[j] = submul(Vt[j], ring.shift_down(a, d), Vt[t])
+    return side, [list(r) for r in zip(*Vt)], diag
+
+
+def smith_solve(rows, b, ring):
+    """(x, kernel, diag) from the Smith form: x = V y, y = D^{-1} U b with the
+    free coordinates 0, and per column j of V the pair (valuation, w^valuation
+    times column j) spanning the solutions of A x = 0, valuation K - d_j.
+    Raises Unsolvable where U b leaves the image of D."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    K = ring.precision
+    side, V, diag = smith_raw(ring, rows, [[x] for x in b])
+    y = [0] * nc
+    for i, (ci,) in enumerate(side):
+        v = ring.val(ci)
+        if i >= nc:
+            if ci:
+                raise Unsolvable(f"inconsistent row {i} (valuation {v})", v)
+        elif diag[i] >= K:
+            if ci:
+                raise Unsolvable(f"zero row demands nonzero value (valuation {v})", v)
+        elif v < diag[i]:
+            raise Unsolvable(f"obstruction at pivot {i}: valuation {v} < {diag[i]}", v)
+        else:
+            y[i] = ring.shift_down(ci, diag[i])
+    x = tuple(ring.dot(row, y) for row in V)
+    kernel = []
+    for j in range(nc):
+        kv = max(K - (diag[j] if j < len(diag) else K), 0)
+        if kv < K:
+            kernel.append((kv, tuple(ring.shift_up(V[i][j], kv) for i in range(nc))))
+    return x, tuple(kernel), tuple(diag)
+
+
 def test_smith_reconstruction(rng):
     for mode, p, K, n in [("zp", 2, 5, 3), ("zp", 3, 4, 4), ("fpx", 2, 5, 3)]:
         ring = RingSpec(mode, p, K)
         for _ in range(40):
             a = UMatrix.random(ring, n, rng)
-            # with the identity as side block, _smith_raw returns U itself
-            U, V, diag = _smith_raw(ring, a.rows, UMatrix.identity(ring, n).rows)
+            # with the identity as side block, smith_raw returns U itself
+            U, V, diag = smith_raw(ring, a.rows, UMatrix.identity(ring, n).rows)
             U, V = UMatrix.from_rows(ring, U), UMatrix.from_rows(ring, V)
             assert U.is_gl() and V.is_gl()
             assert diag == sorted(diag)
@@ -111,15 +198,13 @@ def test_smith_reconstruction(rng):
 def test_solve_examples():
     ring = RingSpec("zp", 2, 3)
     a = UMatrix.from_int_rows(ring, [[2]])
-    res = solve_linear(a, [4])
-    assert res.particular == (2,)
-    assert res.kernel[0][0] == 2  # solutions {2, 6} mod 8
+    assert solve_linear(a.rows, [4], ring) == (2,)
+    assert smith_solve(a.rows, [4], ring)[1][0][0] == 2  # solutions {2, 6} mod 8
     with pytest.raises(Unsolvable) as ei:
-        solve_linear(a, [1])
+        solve_linear(a.rows, [1], ring)
     assert ei.value.obstruction_valuation == 0
     ident = UMatrix.identity(ring, 3)
-    res = solve_linear(ident, [1, 2, 3])
-    assert res.particular == (1, 2, 3)
+    assert solve_linear(ident.rows, [1, 2, 3], ring) == (1, 2, 3)
 
 
 def test_solve_random_verified(rng):
@@ -129,13 +214,69 @@ def test_solve_random_verified(rng):
         a = UMatrix.random(ring, n, rng)
         x = [ring.random_raw(rng) for _ in range(n)]
         b = [ring.dot(row, x) for row in a.rows]
-        res = solve_linear(a, b)
-        check = [ring.dot(row, res.particular) for row in a.rows]
+        got = solve_linear(a.rows, b, ring)
+        check = [ring.dot(row, got) for row in a.rows]
         assert check == b
         # kernel vectors are honest solutions of Ax = 0
-        for kv, gen in res.kernel:
+        for kv, gen in smith_solve(a.rows, b, ring)[1]:
             img = [ring.dot(row, gen) for row in a.rows]
             assert all(v == 0 for v in img)
+
+
+@st.composite
+def _solver_systems(draw):
+    """(ring, rows, b): up to 12 x 12 over both modes, p in {2, 3, 5, 1021},
+    K up to 16; entries of every valuation, zero rows, rows that combine
+    earlier ones, and b consistent by construction or drawn freely."""
+    ring = RingSpec(draw(st.sampled_from(["zp", "fpx"])), draw(st.sampled_from([2, 3, 5, 1021])),
+                    draw(st.integers(1, 16)))
+    nr, nc = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    K = ring.precision
+
+    def entry():
+        v = rng.choice([0, 0, 0, 1, 2, K, rng.randrange(K + 1)])
+        return ring.shift_up(ring.random_raw(rng), v)
+
+    rows = []
+    for i in range(nr):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * nc)
+        elif kind < 0.35 and i:
+            c, r1, r2 = entry(), rows[rng.randrange(i)], rows[rng.randrange(i)]
+            rows.append([ring.add(ring.mul(c, x), y) for x, y in zip(r1, r2)])
+        else:
+            rows.append([entry() for _ in range(nc)])
+    if draw(st.booleans()):
+        x = [ring.random_raw(rng) for _ in range(nc)]
+        b = [ring.dot(r, x) for r in rows]
+    else:
+        b = [entry() for _ in range(nr)]
+    return ring, rows, b
+
+
+FPX34 = RingSpec("fpx", 3, 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_solver_systems())
+@example((RingSpec("zp", 2, 1), [[0, 0]], [1]))                  # zero row demands 1
+@example((FPX34, [[FPX34.from_coeffs([0, 1])], [0], [FPX34.from_coeffs([0, 2])]],
+          [0, 0, 1]))                                            # inconsistent row 2
+def test_solve_linear_matches_smith_oracle(system):
+    # the particular solution is the Smith form's V y bit for bit, and an
+    # unsolvable system raises with the oracle's message and valuation
+    ring, rows, b = system
+    try:
+        want = smith_solve(rows, b, ring)[0]
+    except Unsolvable as exc:
+        with pytest.raises(Unsolvable) as ei:
+            solve_linear(rows, b, ring)
+        assert str(ei.value) == str(exc)
+        assert ei.value.obstruction_valuation == exc.obstruction_valuation
+        return
+    assert solve_linear(rows, b, ring) == want
 
 
 TINY_RINGS = (RingSpec("zp", 2, 3), RingSpec("zp", 3, 2), RingSpec("fpx", 2, 3))
@@ -165,7 +306,8 @@ def _tiny_systems(draw):
 @example((TINY_RINGS[2], [[0, 0], [0, 0]], [0, 0]))              # all rows zero
 def test_solve_linear_matches_enumeration(system):
     # every x in R^nc is tried: a solution exists exactly when solve_linear
-    # returns one, and the kernel lattice it reports counts all solutions
+    # returns one, and the kernel lattice of the Smith oracle counts all
+    # solutions
     ring, rows, b = system
     nc = len(rows[0])
     sols = {x for x in itertools.product(ring.iter_all(), repeat=nc)
@@ -174,9 +316,8 @@ def test_solve_linear_matches_enumeration(system):
         with pytest.raises(Unsolvable):
             solve_linear(rows, b, ring)
         return
-    res = solve_linear(rows, b, ring)
-    assert tuple(res.particular) in sols
-    diag = res.diag_vals
+    assert solve_linear(rows, b, ring) in sols
+    diag = smith_solve(rows, b, ring)[2]
     K = ring.precision
     assert math.prod(ring.p ** (diag[j] if j < len(diag) else K) for j in range(nc)) == len(sols)
 
