@@ -7,12 +7,19 @@ zero, which fixes a swap-block shape; the congruence level of the shape
 is then raised one X-digit at a time by solving a residue-field linear
 system for a corrector.  The repair recurses on the small block, with a
 rescaling branch for matrices congruent to the identity.
+
+Cost per recursion level on an n x n input with l swap pairs and small
+block size s = n - 2l: one GF(2) elimination of the (n^2 - s^2) x n^2
+digit system, whose matrix depends only on n and l; then per digit one
+n x n inverse, three matmuls and n^2 - s^2 residual reads, the
+right-hand side costing one parity per system row.  A level with l = 0
+(every small block the repair recurses on) lifts no digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .local_ring import RingError, RingSpec
 from .ultranorm_linalg import UMatrix
@@ -32,55 +39,68 @@ def _require_char2(ring: RingSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra helpers (dense lists of 0/1 ints)
+# GF(2) elimination on int-packed rows (bit c of a row is its column c)
 # ---------------------------------------------------------------------------
 
 
-def _gf2_solve(rows: List[List[int]], rhs: List[int]) -> Optional[List[int]]:
-    """One solution of rows * x = rhs over GF(2), or None."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    nr = len(m)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c]), None)
+def _gf2_rref(rows: Sequence[int], ncols: int) -> Tuple[List[int], List[int]]:
+    """Reduced row echelon form over GF(2) of the first ncols columns.
+
+    Column by column, the pivot is the first row at or below the next pivot
+    row; it is swapped up and cleared from every other row.  Returns the
+    rows (row i is the pivot row of pivots[i]) and the pivot columns.
+    """
+    m = list(rows)
+    pivots: List[int] = []
+    for c in range(ncols):
+        bit = 1 << c
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i] & bit), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                m[i] = [(a ^ b) for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        for i, row in enumerate(m):
+            if i != r and row & bit:
+                m[i] = row ^ prow
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if m[i][nc]:
+    return m, pivots
+
+
+def _gf2_solver(rows: Sequence[int], ncols: int) -> Callable[[int], Optional[int]]:
+    """Eliminate rows . x = b over GF(2) once, for any number of b.
+
+    Each row carries the identity on its input row index above column
+    ncols, so every echelon row records which input rows it sums; the
+    pivots read only the first ncols columns.  The returned function maps
+    b (bit i is the right-hand side of row i) to the solution with free
+    coordinates 0 (bit c is x_c), or None when the system is inconsistent.
+    """
+    m, pivots = _gf2_rref([row | 1 << (ncols + i) for i, row in enumerate(rows)], ncols)
+    combos = [row >> ncols for row in m]
+    rank = len(pivots)
+
+    def solve(b: int) -> Optional[int]:
+        if any((combo & b).bit_count() & 1 for combo in combos[rank:]):
             return None
-    x = [0] * nc
-    for i, c in enumerate(pivots):
-        x[c] = m[i][nc]
-    return x
+        return sum(1 << c for c, combo in zip(pivots, combos) if (combo & b).bit_count() & 1)
 
-
-def _gf2_inv(a):
-    n = len(a)
-    m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            raise ReductionFailed("residue matrix not invertible")
-        m[c], m[piv] = m[piv], m[c]
-        for i in range(n):
-            if i != c and m[i][c]:
-                m[i] = [(x ^ y) for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+    return solve
 
 
 # ---------------------------------------------------------------------------
 # Brawley--Gamble block form
 # ---------------------------------------------------------------------------
+
+
+def _swap_plus(ring: RingSpec, n: int, l: int, block: Sequence[Sequence[int]]) -> UMatrix:
+    """swap_l (+) block: l swapped coordinate pairs, then the s x s block."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(l):
+        rows[i][l + i] = rows[l + i][i] = ring.one
+    for i, brow in enumerate(block):
+        rows[2 * l + i][2 * l:] = brow
+    return UMatrix(ring, n, tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -93,15 +113,7 @@ class BGForm:
     level: int
 
     def target_rows(self, ring: RingSpec, n: int) -> Tuple[Tuple[int, ...], ...]:
-        l = self.swap_count
-        rows = [[0] * n for _ in range(n)]
-        for i in range(l):
-            rows[i][l + i] = ring.one
-            rows[l + i][i] = ring.one
-        for i in range(n - 2 * l):
-            for j in range(n - 2 * l):
-                rows[2 * l + i][2 * l + j] = self.B.rows[i][j]
-        return tuple(tuple(r) for r in rows)
+        return _swap_plus(ring, n, self.swap_count, self.B.rows).rows
 
     def check(self, a: UMatrix) -> bool:
         n = a.n
@@ -113,88 +125,47 @@ class BGForm:
         return level_ok and (small.n == 0 or (small - ident).min_valuation() >= 1)
 
 
-def _residue_bits(a: UMatrix) -> List[List[int]]:
-    return [[x & 1 for x in row] for row in a.residue_rows()]
+def _initial_basis_change(a: UMatrix) -> Tuple[UMatrix, int]:
+    """Conjugator P over F_2 for which the residue of P A P^-1 is swap_l (+) I.
 
-
-def _initial_basis_change(a: UMatrix) -> Tuple[List[List[int]], int]:
-    """GF(2) basis in which the residue of A is swap_l (+) I.
-
-    N = A + I is square zero over F_2; pairs (v, Av) for a basis v of a
-    complement of ker N, then a completion of im N inside ker N, give the
-    swap-plus-identity shape.
+    N = A + I is square zero over F_2.  One echelon form of N gives its
+    pivot columns c (the e_c span a complement of ker N, and w_c = N e_c
+    span im N) and a basis of ker N.  The pairs (e_c, A e_c) = (e_c,
+    e_c + w_c), then a completion of the w_c to a basis of ker N, are the
+    columns of Q = P^-1.
     """
     n = a.n
-    abar = _residue_bits(a)
-    nbar = [[abar[i][j] ^ (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    # column echelon to find pivot columns (a basis of the image) .. work on copy
-    m = [row[:] for row in nbar]
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(n):
-            if i != r and m[i][c]:
-                m[i] = [(x ^ y) for x, y in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-    l = r
-    vs = [[1 if i == c else 0 for i in range(n)] for c in pivot_cols]
-    ws = [[sum(nbar[i][j] & v[j] for j in range(n)) & 1 for i in range(n)] for v in vs]
-    # kernel of N: complete ws to a basis of ker using echelon of N
-    kernel: List[List[int]] = []
-    m = [row[:] for row in nbar]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(n):
-            if i != r and m[i][c]:
-                m[i] = [(x ^ y) for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        v = [0] * n
-        v[fc] = 1
-        for c, rr in pivots.items():
-            if m[rr][fc]:
-                v[c] = 1
-        kernel.append(v)
-    # greedily extend ws to a basis of the kernel
-    def reduce_against(v, basis):
-        v = v[:]
+    # bit j of row i is N[i][j]; bit i of column j likewise
+    nrows = [sum(x << j for j, x in enumerate(row)) ^ 1 << i
+             for i, row in enumerate(a.residue_rows())]
+    m, pivots = _gf2_rref(nrows, n)
+    ws = [sum((row >> c & 1) << i for i, row in enumerate(nrows)) for c in pivots]
+    kernel = [1 << fc | sum(1 << c for c, row in zip(pivots, m) if row >> fc & 1)
+              for fc in range(n) if fc not in pivots]
+
+    # greedily extend the w_c to a basis of the kernel, leading bit = lowest
+    basis: List[Tuple[int, int]] = []
+
+    def reduce_against(v: int) -> int:
         for b, lead in basis:
-            if v[lead]:
-                v = [(x ^ y) for x, y in zip(v, b)]
+            if v >> lead & 1:
+                v ^= b
         return v
 
-    basis = []
     for w in ws:
-        red = reduce_against(w, basis)
-        lead = next(i for i, x in enumerate(red) if x)
-        basis.append((red, lead))
+        red = reduce_against(w)
+        basis.append((red, (red & -red).bit_length() - 1))
     us = []
     for v in kernel:
-        red = reduce_against(v, basis)
-        lead = next((i for i, x in enumerate(red) if x), None)
-        if lead is not None:
-            basis.append((red, lead))
+        red = reduce_against(v)
+        if red:
+            basis.append((red, (red & -red).bit_length() - 1))
             us.append(v)
-    # swap pairs are (v, A v) = (v, v + w): A maps each onto the other
-    bs = [[(x ^ y) for x, y in zip(v, w)] for v, w in zip(vs, ws)]
-    cols = vs + bs + us
+    cols = [1 << c for c in pivots] + [1 << c ^ w for c, w in zip(pivots, ws)] + us
     if len(cols) != n:
         raise ReductionFailed("residue basis construction is incomplete")
-    # Q maps e_i to the i-th basis vector (as columns); we need P = Q^{-1}
-    q = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return _gf2_inv(q), l
+    q = [[col >> i & 1 for col in cols] for i in range(n)]
+    return UMatrix.from_int_rows(a.ring, q).inv(), len(pivots)
 
 
 def bg_blockform(a: UMatrix, k: int) -> BGForm:
@@ -203,7 +174,12 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
     Requires ||A^2 - I|| <= 2^{-k} over F_2[X]/(X^K) with k >= 1.  The
     conjugator is built over the residue field and then improved one digit
     at a time; each digit asks for a GF(2) corrector E with
-    R + [E, D] supported only on the small block.
+    R + [E, D] supported only on the small block, D = swap_l (+) I.  That
+    system's matrix depends only on n and l, so it is eliminated once
+    ((n^2 - s^2) x n^2 with s = n - 2l); each of the k - 1 digits then
+    costs one n x n inverse, three matmuls, n^2 - s^2 residual reads and
+    one parity per system row.  With l = 0 the system is empty and no
+    digit is lifted.
     """
     _require_char2(a.ring)
     ring = a.ring
@@ -211,75 +187,36 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
     K = ring.precision
     if k < 1 or k > K:
         raise PreconditionViolated(f"level must satisfy 1 <= k <= K, got {k}")
-    ident = UMatrix.identity(ring, n)
-    if ((a @ a) - ident).min_valuation() < k:
+    if ((a @ a) - UMatrix.identity(ring, n)).min_valuation() < k:
         raise PreconditionViolated("matrix is not an involution at the requested level")
 
-    pbits, l = _initial_basis_change(a)
-    p_mat = UMatrix.from_int_rows(ring, pbits)
-    small = n - 2 * l
-
-    def dbar_rows() -> List[List[int]]:
-        rows = [[0] * n for _ in range(n)]
-        for i in range(l):
-            rows[i][l + i] = 1
-            rows[l + i][i] = 1
-        for i in range(small):
-            rows[2 * l + i][2 * l + i] = 1
-        return rows
-
-    dbar = dbar_rows()
-    for j in range(1, k):
+    p_mat, l = _initial_basis_change(a)
+    # with no swap pair every entry lies in the B block: the digit system is
+    # empty, every corrector E is 0 and the residue-field P is already final
+    last = k if l else 1
+    if last > 1:
+        outside = [(r, c) for r in range(n) for c in range(n) if r < 2 * l or c < 2 * l]
+        # (E D - D E)[r][c] = E[r][sigma(c)] + E[sigma(r)][c], sigma the swap of D
+        sigma = list(range(l, 2 * l)) + list(range(l)) + list(range(2 * l, n))
+        solve = _gf2_solver([1 << (r * n + sigma[c]) ^ 1 << (sigma[r] * n + c)
+                             for r, c in outside], n * n)
+    for j in range(1, last + 1):
         conj = p_mat @ a @ p_mat.inv()
+        if j == last:
+            break
         # residual digit: R = ((P A P^{-1} - D_j) / X^j) mod X, where D_j is
         # the current target (swap block plus whatever sits in the B block).
-        diff = [[conj.rows[r][c] for c in range(n)] for r in range(n)]
-        for i in range(l):
-            diff[i][l + i] = ring.sub(diff[i][l + i], ring.one)
-            diff[l + i][i] = ring.sub(diff[l + i][i], ring.one)
-        rbits = [[0] * n for _ in range(n)]
-        ok = True
-        for r in range(n):
-            for c in range(n):
-                x = diff[r][c]
-                inside_b = r >= 2 * l and c >= 2 * l
-                if inside_b:
-                    continue
-                if x and ring.val(x) < j:
-                    ok = False
-                rbits[r][c] = ring.digit(x, j)
-        if not ok:
+        diff = conj - _swap_plus(ring, n, l, [row[2 * l:] for row in conj.rows[2 * l:]])
+        if diff.min_valuation() < j:
             raise ReductionFailed("block congruence degraded during lifting")
-        # solve R + E D - D E == 0 outside the B block, unknown E in M_n(F_2)
-        rows = []
-        rhs = []
-        for r in range(n):
-            for c in range(n):
-                if r >= 2 * l and c >= 2 * l:
-                    continue
-                row = [0] * (n * n)
-                for t in range(n):
-                    if dbar[t][c]:
-                        row[r * n + t] ^= 1
-                    if dbar[r][t]:
-                        row[t * n + c] ^= 1
-                rows.append(row)
-                rhs.append(rbits[r][c])
-        sol = _gf2_solve(rows, rhs) if rows else [0] * (n * n)
-        if sol is None:
+        x = solve(sum(ring.digit(diff.rows[r][c], j) << i for i, (r, c) in enumerate(outside)))
+        if x is None:
             raise ReductionFailed(f"digit-lifting system unsolvable at digit {j}")
-        ebits = [[sol[r * n + c] for c in range(n)] for r in range(n)]
         # P <- (I + X^j E) P
-        e_mat = UMatrix.from_int_rows(ring, ebits)
-        shift = UMatrix(ring, n, tuple(tuple(ring.shift_up(x, j) for x in row)
-                                       for row in e_mat.rows))
-        p_mat = (ident + shift) @ p_mat
+        ebits = [[x >> (r * n + c) & 1 for c in range(n)] for r in range(n)]
+        p_mat = UMatrix.from_int_rows(ring, ebits).congruence_lift(j) @ p_mat
 
-    conj = p_mat @ a @ p_mat.inv()
-    bring = ring
-    brows = tuple(tuple(conj.rows[2 * l + i][2 * l + j] for j in range(small))
-                  for i in range(small))
-    b_mat = UMatrix(bring, small, brows)
+    b_mat = UMatrix(ring, n - 2 * l, tuple(row[2 * l:] for row in conj.rows[2 * l:]))
     form = BGForm(P=p_mat, swap_count=l, B=b_mat, level=k)
     if not form.check(a):
         raise ReductionFailed("block form failed its own verification")
@@ -327,28 +264,13 @@ def _repair_rec(a: UMatrix, dval: int) -> UMatrix:
     form = bg_blockform(a, dval)
     l = form.swap_count
     if l > 0:
-        small = n - 2 * l
-        conj = form.P @ a @ form.P.inv()
-        if small == 0:
-            b_rep = None
-        else:
-            brows = tuple(tuple(conj.rows[2 * l + i][2 * l + j] for j in range(small))
-                          for i in range(small))
-            b_mat = UMatrix(ring, small, brows)
-            bdval = ((b_mat @ b_mat) - UMatrix.identity(ring, small)).min_valuation()
+        b_rep = form.B
+        if b_rep.n:
+            bdval = ((b_rep @ b_rep) - UMatrix.identity(ring, b_rep.n)).min_valuation()
             if bdval < dval:
                 raise ReductionFailed("small block lost defect depth")
-            b_rep = _repair_rec(b_mat, bdval)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(l):
-            rows[i][l + i] = ring.one
-            rows[l + i][i] = ring.one
-        if b_rep is not None:
-            for i in range(small):
-                for j in range(small):
-                    rows[2 * l + i][2 * l + j] = b_rep.rows[i][j]
-        fixed = UMatrix(ring, n, tuple(tuple(r) for r in rows))
-        return form.P.inv() @ fixed @ form.P
+            b_rep = _repair_rec(b_rep, bdval)
+        return form.P.inv() @ _swap_plus(ring, n, l, b_rep.rows) @ form.P
     # l == 0: A = I + X^j M with j maximal; either I is near enough or the
     # defect rescales by X^{-j} and the recursion drops to the swap branch.
     j = (a - ident).min_valuation()
@@ -357,11 +279,7 @@ def _repair_rec(a: UMatrix, dval: int) -> UMatrix:
     half = dval // 2
     if j >= half + (dval % 2):
         return ident
-    m_rows = tuple(tuple(ring.shift_down(x, j) for x in row) for row in (a - ident).rows)
-    inner = ident + UMatrix(ring, n, m_rows)
+    inner = ident + a.congruence_coords(j)
     inner_dval = ((inner @ inner) - ident).min_valuation()
     inner_fixed = _repair_rec(inner, inner_dval)
-    m_fixed = inner_fixed - ident
-    lifted = tuple(tuple(ring.shift_up(x, j) for x in row) for row in m_fixed.rows)
-    return ident + UMatrix(ring, n, lifted)
-
+    return (inner_fixed - ident).congruence_lift(j)

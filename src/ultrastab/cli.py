@@ -44,7 +44,7 @@ from .certificates import (
     digest,
     encode_val,
 )
-from .char2_involutions import involution_repair
+from .char2_involutions import ReductionFailed, involution_repair
 from .gbs_criteria import GBSGraph, check_pifree_criterion, gbs_vertex_order_bound
 from .homrepair import (
     CharPUnsupported,
@@ -340,6 +340,7 @@ EXIT_CODES = {
     Unsolvable: (1, "verification failed"),
     VerificationFailure: (1, "verification failed"),
     RepairError: (1, "verification failed"),
+    ReductionFailed: (1, "verification failed"),
     WitnessError: (1, "verification failed"),
 }
 

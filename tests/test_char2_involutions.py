@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrastab.local_ring import RingSpec
 from ultrastab.char2_involutions import (
     PreconditionViolated,
+    _gf2_solver,
     bg_blockform,
     involution_repair,
 )
@@ -29,6 +31,92 @@ def frobenius_power_witness(a, k):
     assert lhs == a.pow_int(q).matnorm(), "Frobenius power identity failed"
     assert lhs <= a.matnorm().pow(q), "Frobenius witness exceeded its norm bound"
     return lhs
+
+
+def gf2_solve(rows, rhs):
+    """One solution of rows * x = rhs over GF(2), or None (dense 0/1 lists).
+
+    The reference for the once-eliminated solver: Gauss-Jordan on the
+    augmented [rows | rhs], pivot the first row at or below the next pivot
+    row, free coordinates 0.
+    """
+    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+    nr = len(m)
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                m[i] = [(a ^ b) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    for i in range(r, nr):
+        if m[i][nc]:
+            return None
+    x = [0] * nc
+    for i, c in enumerate(pivots):
+        x[c] = m[i][nc]
+    return x
+
+
+def _check_solver(rows, nc, rhs_list):
+    """The solver eliminated once agrees with the oracle on every b."""
+    nr = len(rows)
+    dense = [[row >> c & 1 for c in range(nc)] for row in rows]
+    solve = _gf2_solver(rows, nc)
+    solved = 0
+    for b in rhs_list:
+        want = gf2_solve(dense, [b >> i & 1 for i in range(nr)])
+        got = solve(b)
+        if want is None:
+            assert got is None
+        else:
+            assert got == sum(bit << c for c, bit in enumerate(want))
+            solved += 1
+    return solved
+
+
+def test_gf2_solver_examples():
+    # x0 = 1 and x0 = 0 at once: inconsistent unless both sides agree
+    assert _check_solver([0b1, 0b1], 1, [0b00, 0b11, 0b01, 0b10]) == 2
+    # a zero row, a duplicate and a sum: rank 2 of 5 rows in 3 unknowns
+    rows = [0b011, 0b000, 0b110, 0b011, 0b101]
+    assert _check_solver(rows, 3, range(1 << 5)) == 4
+    solve = _gf2_solver(rows, 3)
+    assert solve(0b00000) == 0 and solve(0b00010) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.data())
+def test_gf2_solver_matches_oracle(nr, nc, data):
+    rows = []
+    for _ in range(nr):
+        kind = data.draw(st.sampled_from(["random", "zero", "copy", "sum"]))
+        if kind == "zero":
+            rows.append(0)
+        elif kind == "copy" and rows:
+            rows.append(data.draw(st.sampled_from(rows)))
+        elif kind == "sum" and len(rows) > 1:
+            rows.append(data.draw(st.sampled_from(rows)) ^ data.draw(st.sampled_from(rows)))
+        else:
+            rows.append(data.draw(st.integers(0, (1 << nc) - 1)))
+    rhs_list = []
+    for consistent in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        if consistent:   # b = rows . x0
+            x0 = data.draw(st.integers(0, (1 << nc) - 1))
+            rhs_list.append(sum(((row & x0).bit_count() & 1) << i
+                                for i, row in enumerate(rows)))
+        else:
+            rhs_list.append(data.draw(st.integers(0, (1 << nr) - 1)))
+    _check_solver(rows, nc, rhs_list)
+
 
 def _ring(K=10):
     return RingSpec("fpx", 2, K)

@@ -11,6 +11,7 @@ import pytest
 import ultrastab
 from ultrastab import cli
 from ultrastab.cli import main
+from ultrastab.char2_involutions import ReductionFailed
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups
 from ultrastab.local_ring import RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
@@ -433,6 +434,23 @@ def test_unsolvable_exits_1(tmp_path, monkeypatch, capsys):
     path, _ = _z3_rep_file(tmp_path)
     assert main(["repair", path, "--mode", "finite-image"]) == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_involution_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # a failed self-check of the involution repair is a failed repair: exit 1
+    # with the message, not a traceback, from both repair and verify
+    cert_path, verify_args = _involution_files(tmp_path)
+    rep_path = verify_args[1]
+
+    def failing(a):
+        raise ReductionFailed("block form failed its own verification")
+    monkeypatch.setattr(cli, "involution_repair", failing)
+    capsys.readouterr()
+    for argv in (["repair", rep_path, "--mode", "involution"],
+                 ["verify", cert_path] + verify_args):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "verification failed: block form failed its own verification")
 
 
 def test_cmd_verify_honors_caps(tmp_path):

@@ -2,7 +2,9 @@
 
 SHA-256 digests of the repaired images and of the precision ledger for a
 fixed-seed set of finite-image repairs (p prime to |C| and p dividing
-|C|) and of BS(2,3) graph repairs.  A change that moves any output bit,
+|C|) and of BS(2,3) graph repairs, and of the repaired matrix for a
+fixed-seed set of characteristic-2 involution repairs (perturbed conjugates
+of block swaps over F_2[X]/(X^K)).  A change that moves any output bit,
 ledger level or step method fails here; a change meant to do so must say
 so and re-pin.
 """
@@ -13,12 +15,13 @@ import random
 import pytest
 
 from ultrastab.certificates import canonical_json
+from ultrastab.char2_involutions import involution_repair
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
 from ultrastab.ultranorm_linalg import UMatrix
 
-from conftest import shifted_random
+from conftest import random_gl, shifted_random
 
 
 def _perm(images):
@@ -88,3 +91,62 @@ def _digest(fn, args):
 def test_pinned_output_digest(case):
     (fn, args), expected = CASES[case]
     assert _digest(fn, args) == expected
+
+
+def _involution(n, K, swaps, k, seed):
+    """u (swaps block swaps (+) I) u^-1 plus noise of valuation >= k over F_2[X]/(X^K)."""
+    ring, rng = RingSpec("fpx", 2, K), random.Random(seed)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(swaps):
+        rows[i][i] = rows[swaps + i][swaps + i] = 0
+        rows[i][swaps + i] = rows[swaps + i][i] = 1
+    u = random_gl(ring, n, rng)
+    return u @ UMatrix.from_int_rows(ring, rows) @ u.inv() + shifted_random(ring, n, rng, k)
+
+
+INVOLUTION_CASES = {   # id -> (n, K, swaps, noise level, seed), SHA-256 of the repair
+    "n1/K4/l0/k1": ((1, 4, 0, 1, 18),
+        "f32262ce1128dc2874094b209b3ada8e1bd5d40080de85441ab443b23bd5a25c"),
+    "n1/K10/l0/k3": ((1, 10, 0, 3, 2),
+        "7c9d5c4161f19658ea51c6f7b98793f8b763c57a1ff4c487aa64d2e0050ec31f"),
+    "n1/K16/l0/k5": ((1, 16, 0, 5, 3),
+        "3bfe4b534328ab20c1f4a7c428980f3fabf54716a84e6da9220288e433e62348"),
+    "n2/K4/l1/k1": ((2, 4, 1, 1, 4),
+        "acdb4d5701f400dc92fae0dde7927be988bff870e5738b752ddd6a32bcc0d555"),
+    "n2/K10/l0/k2": ((2, 10, 0, 2, 5),
+        "29cdb739ff53b3a902df58e470a5b797fffca34949410b9be985a3a1b31abb9a"),
+    "n2/K16/l1/k9": ((2, 16, 1, 9, 6),
+        "b9cbb26e46762bf4bb91bd6e214dd217871a345addc68796ed97ae59fc0230cb"),
+    "n5/K4/l2/k2": ((5, 4, 2, 2, 7),
+        "203ebcb5fa768231e5e6b96308c2d945cc4cc59b67093811122079efd3e66c6c"),
+    "n5/K10/l1/k3": ((5, 10, 1, 3, 8),
+        "3359aec167daecf692028c8e87d95ab63ffe6799a0009f184cb59946b44030bf"),
+    "n5/K16/l0/k5": ((5, 16, 0, 5, 9),
+        "0eaf32dd2522213b317c191f60dcda9a1e3a7004c797d35ff63942f66f07164c"),
+    "n8/K4/l2/k3": ((8, 4, 2, 3, 10),
+        "27599e5243c6160b0ed4bbee15259c32606356a1eec97f3757c35a995650cb58"),
+    "n8/K10/l4/k1": ((8, 10, 4, 1, 11),
+        "5ade7ca00dcdf94a23f03636ad1b748c4fda6fc5e1a4ad6990a4a0d5145dbadc"),
+    "n8/K16/l3/k7": ((8, 16, 3, 7, 12),
+        "bb4d000c7a9717ddd9ee414a63fc39253288992429148fa51be65030211159fd"),
+    "n12/K4/l3/k1": ((12, 4, 3, 1, 13),
+        "97a90264823239ad51b3836cbbb5e08ad80a155ec59b4eb583661f8673004cab"),
+    "n12/K10/l5/k4": ((12, 10, 5, 4, 14),
+        "0f97da9f41a240dc18b0d94190ce0b312cc2d7a164e26ad0ca0ec3ec6cc21599"),
+    "n12/K10/l0/k2": ((12, 10, 0, 2, 15),
+        "3e458cf7dfc9889167122bb2e3f2ab494eab230078afb6ff538a081762daa85b"),
+    "n12/K16/l6/k15": ((12, 16, 6, 15, 16),
+        "78b6e1385f30db70ce6b7fbf7a42b65ce2afe6a42a52f6a7e467f4f5e77d5405"),
+    "n12/K16/l2/k12": ((12, 16, 2, 12, 17),
+        "70e7b7e8e751c7250ff14903f5a8a1bbbb8a33ad05951b35b9745848aa024da5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVOLUTION_CASES))
+def test_pinned_involution_digest(case):
+    shape, expected = INVOLUTION_CASES[case]
+    a = _involution(*shape)
+    dval = ((a @ a) - UMatrix.identity(a.ring, a.n)).min_valuation()
+    assert 1 <= dval < a.ring.precision
+    out = involution_repair(a)
+    assert hashlib.sha256(canonical_json(out.to_json()).encode()).hexdigest() == expected
