@@ -13,7 +13,8 @@ block size s = n - 2l: one GF(2) elimination of the (n^2 - s^2) x n^2
 digit system, whose matrix depends only on n and l; then per digit one
 n x n inverse, three matmuls and n^2 - s^2 residual reads, the
 right-hand side costing one parity per system row.  A level with l = 0
-(every small block the repair recurses on) lifts no digit.
+(every small block the repair recurses on) is told by A == I mod X and
+builds no block form.
 """
 
 from __future__ import annotations
@@ -261,21 +262,20 @@ def _repair_rec(a: UMatrix, dval: int) -> UMatrix:
     if n == 1:
         # |x^2 - 1| = |x - 1|^2 in characteristic 2, so 1 is close enough.
         return ident
-    form = bg_blockform(a, dval)
-    l = form.swap_count
-    if l > 0:
+    # A == I mod X exactly when the block form has no swap pair (l = 0)
+    j = (a - ident).min_valuation()
+    if j == 0:
+        form = bg_blockform(a, dval)
         b_rep = form.B
         if b_rep.n:
             bdval = ((b_rep @ b_rep) - UMatrix.identity(ring, b_rep.n)).min_valuation()
             if bdval < dval:
                 raise ReductionFailed("small block lost defect depth")
             b_rep = _repair_rec(b_rep, bdval)
-        return form.P.inv() @ _swap_plus(ring, n, l, b_rep.rows) @ form.P
-    # l == 0: A = I + X^j M with j maximal; either I is near enough or the
-    # defect rescales by X^{-j} and the recursion drops to the swap branch.
-    j = (a - ident).min_valuation()
-    if j >= K:
-        return a
+        return form.P.inv() @ _swap_plus(ring, n, form.swap_count, b_rep.rows) @ form.P
+    # l == 0: A = I + X^j M with j >= 1 maximal (j < K, as A^2 != I); either
+    # I is near enough or the defect rescales by X^{-j} and the recursion
+    # drops to the swap branch.
     half = dval // 2
     if j >= half + (dval % 2):
         return ident

@@ -12,22 +12,26 @@ The BFS keeps C's right Cayley table, so products in C (the Schreier
 edges, the classes sd, the Fox prefixes) are walks through that table
 and cost no matmul.  The lifting loop reads only that list and the
 section sigma that the generator images span along C's tree.  One step
-at level k, j = k - l, costs in n x n matmuls:
+at level k, j = k - l, takes one of two methods, chosen by l alone, and
+costs in n x n matmuls:
 
-- the section and its inverse along the tree (2N);
-- the row sums b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} -
-  N I) of the section-failure 2-cocycle at the generator classes, one
-  matmul_sum of N products and one matmul per class (|S| N + |S|), and
-  their average c(s) = b(s) / N: exact for the unit part of N, at the
-  cost of the recorded precision for p^l;
-- the corrected generators (I - w^j c(s)) sigma(s) (|S|) and the list's
-  level, min over r of val(rho(r) - I): sum (|r| - 1) matmuls on R, one
-  per Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
-  all-pairs level of the section;
-- when averaging is obstructed or falls short of level min(2j, K), one
-  exact solve of the list's Fox system for one particular solution: each
-  generator moves by its own c(s), |R| n^2 equations in |S| n^2
-  unknowns, built from one n^2 x n^2 conjugation block per prefix class.
+- both: the section's inverse along the tree (N), then the corrected
+  generators' section (N) and the list's level, min over r of
+  val(rho(r) - I): sum (|r| - 1) matmuls on R, one per Schreier relator
+  (sigma(h) rho(g) against sigma(hg)), which is the all-pairs level of
+  the section.  That level must reach min(2j, K);
+- l = 0, averaging: the row sums b(s) = coords_j(sigma(s) sum_d sigma(d)
+  sigma(sd)^{-1} - N I) of the section-failure 2-cocycle at the generator
+  classes, one matmul_sum of N products and one matmul per class (|S| N
+  + |S|), their average c(s) = b(s) / N, exact as N is a unit, and the
+  corrected generators (I - w^j c(s)) sigma(s) (|S|);
+- l > 0, the Fox solve: the relator values z(r) = coords_j(rho(r)) on
+  the step's input images (the list's matmuls again, plus one per
+  relator against sigma(t)^{-1}) and one exact solve of the list's Fox
+  system for one particular solution: each generator moves by its own
+  c(s), |R| n^2 equations in |S| n^2 unknowns, built from one n^2 x n^2
+  conjugation block per prefix class (n^4 products each).  No row sums
+  are taken.
 
 Each amalgamation is glued by one exact conjugation: for edge-word images
 x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
@@ -80,7 +84,7 @@ class CharPUnsupported(RepairError):
 class LedgerStep:
     defect_val_after: int
     distance_spent_val: int
-    method: str  # "averaging" or "linear-solve"
+    method: str  # "averaging" (p-part 0), "linear-solve" (p-part > 0) or "conjugation"
 
 
 @dataclass
@@ -220,7 +224,8 @@ def _row_sums(sigma, sigma_inv, C: FiniteImage, j: int, mod_exp: int) -> Dict[in
 
     b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} - N I): one
     matmul_sum of N products (one kernel product of n N terms per row) and
-    one matmul per class; b(e) = 0.
+    one matmul per class; b(e) = 0.  As delta b = N z, b / N solves delta
+    c = z when N is a unit.
     """
     ring, n = sigma[0].ring, sigma[0].n
     nI = UMatrix.identity(ring, n).scale(ring.from_int(C.order))
@@ -228,25 +233,6 @@ def _row_sums(sigma, sigma_inv, C: FiniteImage, j: int, mod_exp: int) -> Dict[in
                                                           for d in range(C.order)]) - nI,
                              j).reduce(mod_exp)
             for s in dict.fromkeys(C.generator_indices)}
-
-
-def _average(sums: Dict[int, UMatrix], C: FiniteImage) -> Optional[Dict[int, UMatrix]]:
-    """c(s) = b(s) / |C| at each generator class, None when obstructed.
-
-    b = sum_h z(., h) satisfies delta b = |C| z, so b / |C| solves delta c
-    = z.  Dividing by the unit part is exact, dividing by the p-part is
-    entrywise.  Summing the cocycle identity gives b(sh) = s.b(h) + b(s) -
-    |C| z(s, h), so by induction along the tree w^l divides b everywhere
-    once it divides b at the generator classes: these decide obstruction.
-    """
-    a = C.p_part
-    out = {}
-    for s, b in sums.items():
-        t = b.scale(b.ring.inv(b.ring.from_int(C.unit_part)))
-        if t.min_valuation() < a:
-            return None
-        out[s] = _shifted_down(t, a)
-    return out
 
 
 def _conj_block(ring: RingSpec, u, uinv) -> List[int]:
@@ -341,39 +327,43 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
     """One lifting step at defect level k on the carried image C.
 
     sigma is the section that the generator images span along C's tree;
-    the relator list measured level k on them.  Averaging moves the
-    generators to (I - w^j c(s)) sigma(s) at their classes (I at the class
-    e); the Fox solve, taken when averaging is obstructed or falls short of
-    level min(2j, K), moves each generator image by its own c(s).  Returns
-    the new images, their section and the ledger step, whose level is the
-    relator list's on the new images.
+    the relator list measured level k on them.  The p-part l of N picks
+    the method.  With l = 0 the generators move to (I - w^j c(s)) sigma(s)
+    at their classes (I at the class e), c(s) = b(s) / N from the row sums
+    (|S| N + 2|S| matmuls).  With l > 0 each generator image moves by its
+    own c(s) from the Fox solve of the relator values z (the list's
+    matmuls plus one per relator, and one |R| n^2 x |S| n^2 solve);
+    w^l must divide z.  Either way the new section (N matmuls) is
+    re-measured on the list and must reach min(2j, K).  Returns the new
+    images, their section and the ledger step, whose level is the relator
+    list's on the new images.
     """
     ring, n = sigma[0].ring, sigma[0].n
-    j = k - C.p_part
+    l = C.p_part
+    j = k - l
     target = min(2 * j, ring.precision)
     mod_exp = target - j
     sigma_inv = _tree_section(C, [g.inv() for g in gens], inverse=True)
-    sums = _row_sums(sigma, sigma_inv, C, j, mod_exp)
-    if C.p_part and any(b.min_valuation() < min(C.p_part, mod_exp) for b in sums.values()):
-        raise RepairError("cocycle row sums are not divisible by the p-part")
-
-    def corrected(new: List[UMatrix]):
-        new_sigma = _tree_section(C, new)
-        return new, new_sigma, _relator_level(rel, new, new_sigma)
 
     def moved(c: UMatrix, m: UMatrix) -> UMatrix:
         return (-c).lift_to(ring).congruence_lift(j) @ m
 
-    method = "averaging"
-    c = _average(sums, C)
-    out = None if c is None else corrected(
-        [moved(c[s], sigma[s]) if s else UMatrix.identity(ring, n) for s in C.generator_indices])
-    if out is None or out[2] < target:
+    if l:
         method = "linear-solve"
         z = [(a @ sigma_inv[t]).congruence_coords(j).reduce(mod_exp)
              for a, t in _relator_values(rel, gens, sigma)]
-        out = corrected([moved(x, g) for x, g in zip(_fox_solve(C, sigma, sigma_inv, rel, z), gens)])
-    new, new_sigma, level = out
+        if any(v.min_valuation() < min(l, mod_exp) for v in z):
+            raise RepairError("relator values are not divisible by the p-part")
+        new = [moved(c, g) for c, g in zip(_fox_solve(C, sigma, sigma_inv, rel, z), gens)]
+    else:
+        method = "averaging"
+        sums = _row_sums(sigma, sigma_inv, C, j, mod_exp)
+        ring_q = ring.with_precision(mod_exp)
+        inv_n = ring_q.inv(ring_q.from_int(C.order))
+        new = [moved(sums[s].scale(inv_n), sigma[s]) if s else UMatrix.identity(ring, n)
+               for s in C.generator_indices]
+    new_sigma = _tree_section(C, new)
+    level = _relator_level(rel, new, new_sigma)
     if level < target:
         raise Unsolvable(f"lift step failed to reach level {target} (got {level})", level)
     return new, new_sigma, LedgerStep(level, j, method)

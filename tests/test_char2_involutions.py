@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrastab import char2_involutions
 from ultrastab.local_ring import RingSpec
 from ultrastab.char2_involutions import (
     PreconditionViolated,
@@ -238,6 +239,31 @@ def test_repair_exhaustive_n2_K2():
         assert 2 * d_best >= dval         # brute force confirms attainability
         checked += 1
     assert checked == 64
+
+
+def test_repair_builds_no_block_form_at_identity_residue(rng, monkeypatch):
+    # A == I mod X has no swap pair: the repair rescales by X^-j without a
+    # block form and builds one only on the rescaled matrix, which has swaps
+    real = char2_involutions.bg_blockform
+    residues = []
+
+    def counted(a, k):
+        residues.append((a - UMatrix.identity(a.ring, a.n)).min_valuation())
+        return real(a, k)
+
+    monkeypatch.setattr(char2_involutions, "bg_blockform", counted)
+    ring = _ring(12)
+    ident = UMatrix.identity(ring, 6)
+    for _ in range(10):
+        u = random_gl(ring, 6, rng)
+        s = u @ _swap_form(ring, 6, 2) @ u.inv()
+        a = (s - ident).congruence_lift(2) + shifted_random(ring, 6, rng, 7)
+        dval = ((a @ a) - ident).min_valuation()
+        assert (a - ident).min_valuation() == 2 and 9 <= dval < 12
+        residues.clear()
+        out = involution_repair(a)
+        assert 2 * (a - out).min_valuation() >= dval
+        assert residues and set(residues) == {0}
 
 
 def test_repair_preconditions():

@@ -23,7 +23,6 @@ from ultrastab.homrepair import (
     HypothesisViolated,
     LedgerStep,
     RepairError,
-    _average,
     _conj_block,
     _fox_solve,
     _lift_step,
@@ -95,14 +94,14 @@ def test_average_solve_precision_loss(rng):
     _, ledger = _repair_checked(_perturbed_z3_rep(ring, 3, rng))
     assert ledger.steps[0].method == "averaging"
     assert ledger.steps[0].distance_spent_val == ledger.initial_defect_val
-    # |C| = 2 at p = 2: the cocycle is taken at level k - l, one digit spent
+    # |C| = 2 at p = 2: the Fox solve corrects at level k - l, one digit spent
     ring10 = RingSpec("zp", 2, 10)
     pres = Presentation.make(["s"], [["s", "s"]])
     rep2 = ApproxRep(pres, ring10, 1,
                      [UMatrix.from_int_rows(ring10, [[-1 + 2 ** 4]])])
     _, ledger2 = _repair_checked(rep2)
     assert ledger2.p_part == 1 and ledger2.image_order == 2
-    assert ledger2.steps[0] == LedgerStep(8, 4, "averaging")
+    assert ledger2.steps[0] == LedgerStep(8, 4, "linear-solve")
 
 
 def test_lift_step_contract(rng):
@@ -118,7 +117,7 @@ def test_lift_step_gl1_linear_example():
     rep = ApproxRep(pres, ring, 1, [UMatrix.from_int_rows(ring, [[-1 + 2 ** 4]])])
     fixed, ledger = _repair_checked(rep)
     assert ledger.p_part == 1
-    assert ledger.steps == [LedgerStep(8, 4, "averaging")]
+    assert ledger.steps == [LedgerStep(8, 4, "linear-solve")]
     assert rep.rep_dist(fixed).valuation == 4
     assert fixed.images[0].rows == ((-1 + 2 ** 7,),)  # an exact involution mod 2^8
 
@@ -501,51 +500,48 @@ def _right_rows(C):
 
 
 def _full_average(sigma, C, level, mod_exp):
-    """Reference: c(g) = (sum over all h of z(g, h)) / |C|, None when obstructed."""
+    """Reference: c(g) = (sum over all h of z(g, h)) / |C|, p not dividing |C|."""
     sigma_inv = [m.inv() for m in sigma]
     ring_q = sigma[0].ring.with_precision(mod_exp)
-    minv = ring_q.inv(ring_q.from_int(C.unit_part))
+    ninv = ring_q.inv(ring_q.from_int(C.order))
     out = []
     for g in range(C.order):
         b = UMatrix.zero(ring_q, sigma[0].n)
         for h in range(C.order):
             z = sigma[g] @ sigma[h] @ sigma_inv[C.product(g, h)]
             b = b + z.congruence_coords(level).reduce(mod_exp)
-        t = b.scale(minv)
-        if t.min_valuation() < C.p_part:
-            return None
-        out.append(UMatrix(ring_q, t.n, tuple(tuple(ring_q.shift_down(x, C.p_part)
-                                                    for x in r) for r in t.rows)))
+        out.append(b.scale(ninv))
     return out
 
 
 def test_generator_rows_give_full_average(rng):
-    # on random sections the averaged cochain at the generator classes, from
-    # the dot-kernel row sums and from the summed cocycle rows alike, is the
-    # average of the full N^2 cocycle table there, and None exactly when that is
-    obstructed = 0
+    # p not dividing N: on random sections the averaged cochain b(s) / N at
+    # the generator classes, from the dot-kernel row sums and from the
+    # summed cocycle rows alike, is the average of the full N^2 cocycle
+    # table there
+    checked = 0
     for ring, k in ((RingSpec("zp", 5, 8), 3), (RingSpec("fpx", 5, 8), 3),
-                    (RingSpec("zp", 2, 10), 5), (RingSpec("zp", 3, 12), 5)):
+                    (RingSpec("zp", 3, 12), 5)):
         for perms in S3_D4_PERMS:
             C = closure_of_matrices([UMatrix.from_int_rows(ring, m).reduce(k)
                                      for m in perms], k)
-            j = k - C.p_part
-            mod_exp = min(2 * j, ring.precision) - j
+            if C.p_part:
+                continue  # S3 at p = 3
+            mod_exp = min(2 * k, ring.precision) - k
+            ring_q = ring.with_precision(mod_exp)
+            ninv = ring_q.inv(ring_q.from_int(C.order))
             for _ in range(3):
                 sigma = _random_section(C, ring, rng, k)
-                z = _cocycle(sigma, C, _left_rows(C), j, mod_exp).z
-                want = _full_average(sigma, C, j, mod_exp)
-                obstructed += want is None
+                z = _cocycle(sigma, C, _left_rows(C), k, mod_exp).z
+                want = _full_average(sigma, C, k, mod_exp)
                 summed = {s: sum((z[s, d] for d in range(1, C.order)), z[s, 0])
                           for s in _classes(C)}
-                for sums in (_row_sums(sigma, [m.inv() for m in sigma], C, j, mod_exp), summed):
-                    got = _average(sums, C)
-                    if want is None:
-                        assert got is None
-                    else:
-                        assert list(got) == _classes(C)
-                        assert [m.rows for m in got.values()] == [want[s].rows for s in got]
-    assert 0 < obstructed < 24  # both outcomes of the p-part division were met
+                for sums in (_row_sums(sigma, [m.inv() for m in sigma], C, k, mod_exp), summed):
+                    assert list(sums) == _classes(C)
+                    assert [b.scale(ninv).rows for b in sums.values()] == [want[s].rows
+                                                                           for s in sums]
+                checked += 1
+    assert checked == 15  # S3 and D4 at p = 5 in both modes, D4 at p = 3
 
 
 def _full_system_solve(z):
@@ -825,9 +821,10 @@ def _reference_step(ring, gens, k):
 @given(st.sampled_from(sorted(DIFF_GROUPS)), st.sampled_from(["zp", "fpx"]),
        st.sampled_from([2, 3, 5, 7]), st.integers(4, 12), st.integers(1, 11), st.booleans(),
        st.integers(0, 2 ** 32))
-# first steps where the loop averages and the reference falls back, at the
-# same level and one level lower, and where the loop's level is higher
-# than the reference's by linear solve and by averaging
+# first steps at p | N where the loop reaches the reference's linear-solve
+# level at input levels 5 and 6 and where it goes higher, and a step with
+# p not dividing N where the loop's averaged level is higher than the
+# reference's
 @example("C4", "zp", 2, 12, 5, False, 0)
 @example("C4", "zp", 2, 12, 6, False, 0)
 @example("C4", "zp", 2, 12, 6, True, 7)
@@ -835,11 +832,12 @@ def _reference_step(ring, gens, k):
 def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate, seed):
     # the relator-list loop against the old per-level step on the same
     # inputs: the same exception, a level that is the all-pairs defect of
-    # the section the new generators span and never below the level of the
-    # reference's section corrected by the same method, and the repair's own
-    # contract on the way out.  The loop may average where the reference
-    # fell back (its averaged section fell short of the target), and then
-    # record a level below the reference's linear-solve level.
+    # the section the new generators span, reaches min(2j, K) and is never
+    # below the level of the reference's section corrected by the same
+    # method, and the repair's own contract on the way out.  The loop
+    # averages exactly when p does not divide N and solves otherwise; the
+    # reference averages first and solves only when that falls short, so
+    # at p | N it may not have solved at all.
     gen_names, relators, perms = DIFF_GROUPS[group]
     ring = RingSpec(mode, p, K)
     rng = random.Random(seed)
@@ -882,8 +880,9 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
             break
         gens, sigma, step = new
         assert step.defect_val_after == _all_pairs_defect_val(_tree_section(C, gens), C)
-        assert step.defect_val_after >= ref[2][step.method]
-        assert step.method == ref[1].method or ref[1].method == "linear-solve"
+        assert (step.method == "linear-solve") == (C.p_part > 0)
+        assert step.defect_val_after >= min(2 * step.distance_spent_val, K)
+        assert step.defect_val_after >= ref[2].get(step.method, -1)
         assert step.distance_spent_val == ref[1].distance_spent_val
         steps.append(step)
         k = step.defect_val_after
