@@ -186,8 +186,8 @@ def _load_graph(files):
 
 def _load_involution(files):
     rep = _load_one_rep(files)
-    if len(rep.images) != 1:
-        raise InputError("involution mode expects a single generator")
+    if len(rep.images) != 1 or [r.letters for r in rep.presentation.relators] != [(1, 1)]:
+        raise InputError("involution mode expects the presentation <s | s s>")
     return rep
 
 
@@ -204,11 +204,13 @@ def _load_monomial(files):
 
 def _load_cyclic(params):
     ring = RingSpec.from_json(params["ring"])
-    x = ring.decode(params["x"])
+    x, i = ring.decode(params["x"]), int(params["i"])
     if not 1 <= ring.val(x) < ring.precision:
         raise InputError(f"x must have valuation in [1, {ring.precision}), "
                          f"got {ring.val(x)}")
-    return ring, int(params["i"]), x
+    if i < 0:
+        raise InputError(f"i must be >= 0, got {i}")
+    return ring, i, x
 
 
 def _load_commutator(params):

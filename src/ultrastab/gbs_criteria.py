@@ -95,11 +95,6 @@ class GBSGraph:
             out.append(fwd.reverse())
         return out
 
-    @classmethod
-    def bs(cls, m: int, n: int) -> "GBSGraph":
-        """The one-loop graph of BS(m, n) = <s, t | t s^n t^{-1} = s^m>."""
-        return cls(("v",), (("v", "v", n, m),))
-
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
@@ -319,7 +314,6 @@ def check_vpfree_part(g: GBSGraph, p: int) -> VpfreePart:
         if pot[e.dst] - pot[e.src] != d:
             # witness cycle: e followed by the tree path dst -> src
             cycle = [e]
-            up: List[DirectedEdge] = []
             cur = e.dst
             root_path_dst: List[DirectedEdge] = []
             while cur in tree_parent:

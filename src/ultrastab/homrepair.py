@@ -11,27 +11,29 @@ otherwise the Schreier relators of C's BFS tree (|S| N - N + 1 of them).
 The BFS keeps C's right Cayley table, so products in C (the Schreier
 edges, the classes sd, the Fox prefixes) are walks through that table
 and cost no matmul.  The lifting loop reads only that list and the
-section sigma that the generator images span along C's tree.  One step
-at level k, j = k - l, takes one of two methods, chosen by l alone, and
-costs in n x n matmuls:
+section sigma that the generator images span along C's tree, one section
+per step.  One step at level k, j = k - l, takes one of two methods,
+chosen by l alone, and costs in n x n matmuls:
 
-- both: the section's inverse along the tree (N), then the corrected
-  generators' section (N) and the list's level, min over r of
-  val(rho(r) - I): sum (|r| - 1) matmuls on R, one per Schreier relator
-  (sigma(h) rho(g) against sigma(hg)), which is the all-pairs level of
-  the section.  That level must reach min(2j, K);
-- l = 0, averaging: the row sums b(s) = coords_j(sigma(s) sum_d sigma(d)
+- both: the corrected generators' section (N) and the list's level, min
+  over r of val(rho(r) - I): sum (|r| - 1) matmuls on R, one per
+  Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
+  all-pairs level of the section.  That level must reach min(2j, K);
+- l = 0, averaging: the section's inverse along the tree (|S| inversions
+  and N matmuls), the row sums b(s) = coords_j(sigma(s) sum_d sigma(d)
   sigma(sd)^{-1} - N I) of the section-failure 2-cocycle at the generator
   classes, one matmul_sum of N products and one matmul per class (|S| N
   + |S|), their average c(s) = b(s) / N, exact as N is a unit, and the
   corrected generators (I - w^j c(s)) sigma(s) (|S|);
 - l > 0, the Fox solve: the relator values z(r) = coords_j(rho(r)) on
   the step's input images (the list's matmuls again, plus one per
-  relator against sigma(t)^{-1}) and one exact solve of the list's Fox
+  relator against sigma(t^{-1})) and one exact solve of the list's Fox
   system for one particular solution: each generator moves by its own
   c(s), |R| n^2 equations in |S| n^2 unknowns, built from one n^2 x n^2
   conjugation block per prefix class (n^4 products each).  No row sums
-  are taken.
+  or inverse section: the list measured level k, so sigma(y) sigma(y^{-1})
+  = I mod w^k, and z and the blocks live mod w^{mod_exp}, mod_exp =
+  min(2j, K) - j <= k.
 
 Each amalgamation is glued by one exact conjugation: for edge-word images
 x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
@@ -200,16 +202,14 @@ def _relator_level(rel: _Relators, gens: Sequence[UMatrix], sigma: Sequence[UMat
 # ---------------------------------------------------------------------------
 
 
-def _tree_section(C: FiniteImage, gens: Sequence[UMatrix], *,
-                  inverse: bool = False) -> List[UMatrix]:
+def _tree_section(C: FiniteImage, gens: Sequence[UMatrix]) -> List[UMatrix]:
     """Section of C along its BFS tree: sigma(c) = sigma(parent) gens[g].
 
-    One matmul per element.  With inverse=True, `gens` holds the inverse
-    generator images and the result is c -> sigma(c)^{-1}.
+    One matmul per element, N - 1 in all; a lifting step builds one.
     """
     out = [UMatrix.identity(gens[0].ring, gens[0].n)]
     for parent, g in C.tree[1:]:
-        out.append(gens[g] @ out[parent] if inverse else out[parent] @ gens[g])
+        out.append(out[parent] @ gens[g])
     return out
 
 
@@ -219,15 +219,20 @@ def _shifted_down(m: UMatrix, k: int) -> UMatrix:
     return UMatrix(m.ring, m.n, tuple(tuple(down(x, k) for x in r) for r in m.rows))
 
 
-def _row_sums(sigma, sigma_inv, C: FiniteImage, j: int, mod_exp: int) -> Dict[int, UMatrix]:
+def _row_sums(sigma, gens, C: FiniteImage, j: int, mod_exp: int) -> Dict[int, UMatrix]:
     """b(s) = sum_d z(s, d) at each generator class s, z the section's 2-cocycle.
 
-    b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} - N I): one
-    matmul_sum of N products (one kernel product of n N terms per row) and
-    one matmul per class; b(e) = 0.  As delta b = N z, b / N solves delta
-    c = z when N is a unit.
+    b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} - N I), sigma
+    the tree section of `gens`, read past level k: so the exact inverse
+    section along the tree (|S| inversions, N matmuls), one matmul_sum of
+    N products (n N terms per row) and one matmul per class; b(e) = 0.  As
+    delta b = N z, b / N solves delta c = z when N is a unit.
     """
     ring, n = sigma[0].ring, sigma[0].n
+    gens_inv = [g.inv() for g in gens]
+    sigma_inv = [sigma[0]]
+    for parent, g in C.tree[1:]:
+        sigma_inv.append(gens_inv[g] @ sigma_inv[parent])
     nI = UMatrix.identity(ring, n).scale(ring.from_int(C.order))
     return {s: _shifted_down(sigma[s] @ matmul_sum(sigma, [sigma_inv[C.product(s, d)]
                                                           for d in range(C.order)]) - nI,
@@ -265,8 +270,8 @@ def _combine(ring: RingSpec, terms: Sequence[Tuple[int, List[int]]]) -> List[int
     return [a % M for a in acc]
 
 
-def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], sigma_inv: Sequence[UMatrix],
-               rel: _Relators, z: Sequence[UMatrix]) -> List[UMatrix]:
+def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], rel: _Relators,
+               z: Sequence[UMatrix]) -> List[UMatrix]:
     """c(s) per generator with every relator exact mod w^{j + mod_exp}.
 
     z[i] = coords_j(rho(r_i)) over o/w^{mod_exp}, j the step's correction
@@ -280,9 +285,9 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], sigma_inv: Sequence[UMa
     unknowns.  The n^2 x n^2 conjugation block of each prefix class met is
     built once from sigma's raw entries (n^4 products), and the block of
     each (relator, generator) pair sums its terms with one reduction per
-    entry.  On the Schreier list this is the coboundary system delta c = z
-    gauge-fixed along C's tree, so solvability is that of the H^2 class of
-    z.
+    entry; sigma(y^{-1}) = sigma(y)^{-1} mod w^k there, as mod_exp <= k.
+    On the Schreier list this is the coboundary system delta c = z
+    gauge-fixed along C's tree, so solvability is that of the H^2 class of z.
     """
     ring_q = z[0].ring
     n, ngens = sigma[0].n, len(C.generator_indices)
@@ -306,7 +311,7 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], sigma_inv: Sequence[UMa
         for (s, y), e in fox.items():
             if e:
                 if y not in blocks:
-                    blocks[y] = _conj_block(ring_q, sigma[y].rows, sigma_inv[y].rows)
+                    blocks[y] = _conj_block(ring_q, sigma[y].rows, sigma[C.inverse(y)].rows)
                 terms[s].append((e, blocks[y]))
         eqs = [_combine(ring_q, t) if t else zero for t in terms]
         rows.extend(list(itertools.chain.from_iterable(eq[o:o + nn] for eq in eqs))
@@ -330,10 +335,11 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
     the relator list measured level k on them.  The p-part l of N picks
     the method.  With l = 0 the generators move to (I - w^j c(s)) sigma(s)
     at their classes (I at the class e), c(s) = b(s) / N from the row sums
-    (|S| N + 2|S| matmuls).  With l > 0 each generator image moves by its
-    own c(s) from the Fox solve of the relator values z (the list's
-    matmuls plus one per relator, and one |R| n^2 x |S| n^2 solve);
-    w^l must divide z.  Either way the new section (N matmuls) is
+    (|S| N + N + 2|S| matmuls).  With l > 0 each generator image moves by
+    its own c(s) from the Fox solve of z(r) = coords_j(a - sigma(t))
+    sigma(t^{-1}), rho(r) = a sigma(t)^{-1} (the list's matmuls plus one
+    per relator, and one |R| n^2 x |S| n^2 solve); w^l must divide z.
+    Either way the new section (N matmuls), the step's one section, is
     re-measured on the list and must reach min(2j, K).  Returns the new
     images, their section and the ledger step, whose level is the relator
     list's on the new images.
@@ -343,21 +349,20 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
     j = k - l
     target = min(2 * j, ring.precision)
     mod_exp = target - j
-    sigma_inv = _tree_section(C, [g.inv() for g in gens], inverse=True)
 
     def moved(c: UMatrix, m: UMatrix) -> UMatrix:
         return (-c).lift_to(ring).congruence_lift(j) @ m
 
     if l:
         method = "linear-solve"
-        z = [(a @ sigma_inv[t]).congruence_coords(j).reduce(mod_exp)
+        z = [(_shifted_down(a - sigma[t], j) @ sigma[C.inverse(t)]).reduce(mod_exp)
              for a, t in _relator_values(rel, gens, sigma)]
         if any(v.min_valuation() < min(l, mod_exp) for v in z):
             raise RepairError("relator values are not divisible by the p-part")
-        new = [moved(c, g) for c, g in zip(_fox_solve(C, sigma, sigma_inv, rel, z), gens)]
+        new = [moved(c, g) for c, g in zip(_fox_solve(C, sigma, rel, z), gens)]
     else:
         method = "averaging"
-        sums = _row_sums(sigma, sigma_inv, C, j, mod_exp)
+        sums = _row_sums(sigma, gens, C, j, mod_exp)
         ring_q = ring.with_precision(mod_exp)
         inv_n = ring_q.inv(ring_q.from_int(C.order))
         new = [moved(sums[s].scale(inv_n), sigma[s]) if s else UMatrix.identity(ring, n)
@@ -370,7 +375,8 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
 
 
 def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteImage,
-                   steps: List[LedgerStep], relators: Sequence[Word]) -> Sequence[UMatrix]:
+                   steps: List[LedgerStep], relators: Sequence[Word]
+                   ) -> Tuple[Sequence[UMatrix], List[UMatrix]]:
     """Lifting steps from defect level k until the images are exact at K.
 
     C is the image of the generators mod w^k, enumerated once, and
@@ -380,7 +386,7 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
     grows.  With l = 0 that homomorphism is injective, as it agrees with C
     mod w^k, so C's tree and product cache still describe the image; with
     l > 0 carrying C keeps the original p^l, so each j = k - l meets the
-    certified bound.
+    certified bound.  Returns the images and their section.
     """
     K = ring.precision
     l = C.p_part
@@ -400,7 +406,21 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
         steps.append(step)
         k = step.defect_val_after
         iterations += 1
-    return gens
+    return gens, sigma
+
+
+def _remeasured(rep: ApproxRep, out: ApproxRep, ledger: PrecisionLedger
+                ) -> Tuple[ApproxRep, PrecisionLedger]:
+    """out exact at K and within the ledger's certified bound of rep, else
+    RepairError; records the distance and marks the ledger verified."""
+    if not out.defect().saturated:
+        raise RepairError("repaired representation is not exact at precision K")
+    dist = rep.rep_dist(out)
+    ledger.final_distance_val = dist.valuation
+    if not dist <= NormValue.from_valuation(rep.ring, ledger.final_distance_bound_val):
+        raise RepairError("repair moved farther than the certified bound")
+    ledger.verified = True
+    return out, ledger
 
 
 def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
@@ -430,24 +450,16 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
         raise DefectTooLarge("defect must be < 1 (some relator fails mod w)")
     # k0 is the defect level, so the reduction mod w^k0 is a homomorphism
     C0 = closure_of_matrices([g.reduce(k0) for g in rep.images], k0, cap=cap)
-    l0 = C0.p_part
-    ledger = PrecisionLedger(initial_defect_val=k0, p_part=l0,
+    ledger = PrecisionLedger(initial_defect_val=k0, p_part=C0.p_part,
                              image_order=C0.order, working_precision=K)
-    gens = _lift_to_exact(ring, rep.images, k0, C0, ledger.steps,
-                          rep.presentation.relators)
-    out = rep.with_images(gens)
-    if not out.defect().saturated:
-        raise RepairError("repaired representation is not exact at precision K")
-    dist = rep.rep_dist(out)
-    ledger.final_distance_val = dist.valuation
-    if not dist <= NormValue.from_valuation(ring, k0 - l0):
-        raise RepairError("repair moved farther than the certified bound")
-    img = closure_of_matrices(list(out.images), K, cap=cap)
-    ledger.image_order = img.order
-    if C0.order % img.order != 0:
+    gens, sigma = _lift_to_exact(ring, rep.images, k0, C0, ledger.steps,
+                                 rep.presentation.relators)
+    # exact at K on a list that presents C, the output has image sigma(C):
+    # its order is read from the last section, with no closure
+    ledger.image_order = len({m.rows for m in sigma})
+    if C0.order % ledger.image_order != 0:
         raise RepairError("repaired image order does not divide |C|")
-    ledger.verified = True
-    return out, ledger
+    return _remeasured(rep, rep.with_images(gens), ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +680,8 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
             continue
         gens = [images[g] for g in v.generators]
         C = closure_of_matrices([g.reduce(k0) for g in gens], k0, cap=cap)
-        gens = _lift_to_exact(ring, gens, k0, C, steps,
-                              [Word.parse(r, v.generators) for r in v.relators])
+        gens, _ = _lift_to_exact(ring, gens, k0, C, steps,
+                                 [Word.parse(r, v.generators) for r in v.relators])
         for name, mat in zip(v.generators, gens):
             images[name] = mat
 
@@ -729,13 +741,5 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
     # with p'-images everywhere it is zero and the estimate is optimal.
     j_min = min((s.distance_spent_val for s in steps), default=k0)
     loss = max(0, k0 - j_min)
-    ledger = PrecisionLedger(initial_defect_val=k0, p_part=loss,
-                             steps=steps, working_precision=K)
-    if not out.defect().saturated:
-        raise RepairError("graph repair left a relator inexact")
-    dist = rep.rep_dist(out)
-    ledger.final_distance_val = dist.valuation
-    if not dist <= NormValue.from_valuation(ring, k0 - loss):
-        raise RepairError("graph repair moved farther than the certified bound")
-    ledger.verified = True
-    return out, ledger
+    return _remeasured(rep, out, PrecisionLedger(initial_defect_val=k0, p_part=loss,
+                                                 steps=steps, working_precision=K))

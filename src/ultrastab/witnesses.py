@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .local_ring import NormValue, RingSpec
 from .presentations import ApproxRep, CapExceeded, Presentation
@@ -269,9 +269,6 @@ class CyclicGroup:
     def inv(self, a):
         return (-a) % self.n
 
-    def elements(self) -> Iterable:
-        return range(self.n)
-
     def order(self) -> int:
         return self.n
 
@@ -424,8 +421,8 @@ def verify_claims(max_i: int, p: int = 2,
     up to max_i the projection of [eta^{t_i} rho eta^{-t_i}, rho] to the
     j-th block group equals that of kappa_i.  Any failure is a hard error.
     """
-    if max_i > index_cap:
-        raise CapExceeded(f"max_i {max_i} outside cap {index_cap}")
+    if not 1 <= max_i <= index_cap:
+        raise CapExceeded(f"max_i {max_i} outside [1, {index_cap}]")
     report = ClaimsReport(max_i=max_i, p=p)
     gens = {i: build_unstable_generators(p, i, index_cap=index_cap)
             for i in range(1, max_i + 1)}

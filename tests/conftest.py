@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ultrastab.gbs_criteria import GBSGraph
 from ultrastab.ultranorm_linalg import UMatrix
 
 
@@ -17,6 +18,11 @@ def shifted_random(ring, n, rng, k):
     base = UMatrix.random(ring, n, rng)
     return UMatrix(ring, n, tuple(tuple(ring.shift_up(x, k) for x in row)
                                   for row in base.rows))
+
+
+def bs_graph(m, n):
+    """The one-loop GBS graph of BS(m, n) = <s, t | t s^n t^{-1} = s^m>."""
+    return GBSGraph(("v",), (("v", "v", n, m),))
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from ultrastab.aux_families import (
     split_section_repair,
 )
 from ultrastab.char2_involutions import involution_repair
-from ultrastab.gbs_criteria import GBSGraph, check_pifree_criterion
+from ultrastab.gbs_criteria import check_pifree_criterion
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
@@ -33,7 +33,7 @@ from ultrastab.witnesses import (
     wreath_rep_defect_certificate,
 )
 
-from conftest import random_gl, shifted_random
+from conftest import bs_graph, random_gl, shifted_random
 
 
 def _report(num, label, elapsed, budget):
@@ -306,7 +306,7 @@ def test_criterion_09_gbs_table():
 
         assert want_pi == divides_exactly_one
         assert want_vp == (nu(m) != nu(n))
-        r = check_pifree_criterion(GBSGraph.bs(m, n), p)
+        r = check_pifree_criterion(bs_graph(m, n), p)
         assert r.pifree.met == want_pi
         assert r.vpfree.met == want_vp
     elapsed = time.time() - t0

@@ -17,7 +17,7 @@ from ultrastab.local_ring import RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
 from ultrastab.ultranorm_linalg import UMatrix, Unsolvable
 
-from conftest import shifted_random
+from conftest import bs_graph, shifted_random
 
 
 def _write(tmp_path, name, obj):
@@ -171,6 +171,41 @@ def _involution_files(tmp_path):
     return cert_path, ["--input", rep_path, "--output", out_path]
 
 
+def test_involution_mode_needs_the_involution_presentation(tmp_path, capsys):
+    # the involution repair solves A^2 = I: a presentation other than
+    # <s | s s> is an input error (exit 2), not a certificate of another map
+    ring = RingSpec("fpx", 2, 8)
+    x = UMatrix(ring, 1, ((ring.from_coeffs([1, 0, 0, 1]),),))
+    out_path = tmp_path / "fixed.json"
+    for relators in ([["s"] * 3], [["s", "s"], ["s"] * 5], []):
+        rep = ApproxRep(Presentation.make(["s"], relators), ring, 1, [x])
+        path = _write(tmp_path, "inv.json", rep.to_json())
+        assert main(["repair", path, "--mode", "involution", "--out", str(out_path),
+                     "--cert", str(tmp_path / "cert.json")]) == 2
+        assert not out_path.exists()
+    err = capsys.readouterr().err
+    assert err.count("expects the presentation <s | s s>") == 3 and "Traceback" not in err
+
+
+def test_index_arguments_below_range_exit_2(tmp_path, capsys):
+    # a negative bad-estimate index and a claims range below 1 are input
+    # errors: no traceback from p ** i, and no pass after zero checks
+    witness = ["witness", "--kind", "badestimate", "--ring", "zp", "--p", "3",
+               "--precision", "6", "--x", '"3"', "--out", str(tmp_path / "w.json"),
+               "--cert", str(tmp_path / "c.json")]
+    assert main(witness + ["--i", "-1"]) == 2
+    assert not (tmp_path / "w.json").exists()
+    for max_i in ("-2", "0"):
+        assert main(["claims", "--max-i", max_i, "--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert err.count("input error") == 3 and "Traceback" not in err
+    assert "i must be >= 0, got -1" in err and "max_i 0 outside [1, " in err
+    assert "passed" not in out
+    # i = 0 is the trivial cyclic group, still a witness
+    assert main(witness + ["--i", "0"]) == 0
+    assert main(["verify", str(tmp_path / "c.json"), "--input", str(tmp_path / "w.json")]) == 0
+
+
 def test_cmd_repair_involution(tmp_path):
     cert_path, (_, _, _, out_path) = _involution_files(tmp_path)
     fixed = ApproxRep.from_json(json.loads(open(out_path).read()))
@@ -207,8 +242,7 @@ def test_cmd_witness_badestimate(tmp_path):
 
 
 def test_cmd_gbs(tmp_path, capsys):
-    from ultrastab.gbs_criteria import GBSGraph
-    path = _write(tmp_path, "g.json", GBSGraph.bs(2, 3).to_json())
+    path = _write(tmp_path, "g.json", bs_graph(2, 3).to_json())
     assert main(["gbs", path, "--p", "3", "--order-bounds"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["pifree_met"] is True
@@ -415,8 +449,7 @@ def test_input_errors(tmp_path, capsys):
     assert err.count("input error") == 8 and "Traceback" not in err
     assert err.count("x must have valuation in [1, 6)") == 4
     # every --p is a prime: anything else is a usage error
-    from ultrastab.gbs_criteria import GBSGraph
-    graph = _write(tmp_path, "g.json", GBSGraph.bs(2, 3).to_json())
+    graph = _write(tmp_path, "g.json", bs_graph(2, 3).to_json())
     for p in ("0", "1", "4", "-2"):
         for argv in (["gbs", graph, "--p", p], ["claims", "--max-i", "1", "--p", p]):
             with pytest.raises(SystemExit) as exc:

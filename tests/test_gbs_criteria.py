@@ -8,6 +8,7 @@ from ultrastab.gbs_criteria import (
     gbs_vertex_order_bound,
 )
 
+from conftest import bs_graph
 
 
 def _nu(p, m):
@@ -56,7 +57,7 @@ def test_bs_classification_table():
         (3, 6, 3): (False, False),
     }
     for (m, n, p), (want_pi, want_vp) in table.items():
-        r = check_pifree_criterion(GBSGraph.bs(m, n), p)
+        r = check_pifree_criterion(bs_graph(m, n), p)
         assert r.pifree.met == want_pi, (m, n, p)
         assert r.vpfree.met == want_vp, (m, n, p)
         expected_class = "optimal" if want_pi else ("linear" if want_vp else "none")
@@ -64,23 +65,23 @@ def test_bs_classification_table():
 
 
 def test_witness_cycles_verify():
-    g = GBSGraph.bs(2, 3)
+    g = bs_graph(2, 3)
     r = check_pifree_criterion(g, 3)
     assert r.pifree.met
     for cyc in r.pifree.cycles:
         assert cyc[0]["from"] == cyc[-1]["to"]  # closed
         assert all(tok["w_minus"] % 3 != 0 for tok in cyc)
         assert any(tok["w_plus"] % 3 == 0 for tok in cyc)
-    r2 = check_pifree_criterion(GBSGraph.bs(4, 6), 2)
+    r2 = check_pifree_criterion(bs_graph(4, 6), 2)
     assert r2.vpfree.met and r2.vpfree.valuation_difference != 0
 
 
 def test_potential_theory_matches_enumeration():
     # exhaustive cross-check on all small multigraphs
     graphs = [
-        GBSGraph.bs(2, 3),
-        GBSGraph.bs(4, 6),
-        GBSGraph.bs(2, 2),
+        bs_graph(2, 3),
+        bs_graph(4, 6),
+        bs_graph(2, 2),
         GBSGraph(("a", "b"), (("a", "b", 2, 3),)),
         GBSGraph(("a", "b"), (("a", "b", 2, 3), ("b", "a", 4, 5))),
         GBSGraph(("a", "b", "c"),
@@ -95,10 +96,10 @@ def test_potential_theory_matches_enumeration():
 
 
 def test_vertex_order_bounds():
-    g = GBSGraph.bs(2, 3)
+    g = bs_graph(2, 3)
     r = check_pifree_criterion(g, 3)
     assert gbs_vertex_order_bound(g, 3, r) == {"v": 0}
-    g2 = GBSGraph.bs(4, 6)
+    g2 = bs_graph(4, 6)
     r2 = check_pifree_criterion(g2, 2)
     assert gbs_vertex_order_bound(g2, 2, r2) == {"v": 1}
 
@@ -114,7 +115,7 @@ def test_path_propagation():
 
 
 def test_criterion_not_met():
-    g = GBSGraph.bs(2, 2)
+    g = bs_graph(2, 2)
     r = check_pifree_criterion(g, 2)
     with pytest.raises(CriterionNotMet):
         gbs_vertex_order_bound(g, 2, r)
@@ -129,5 +130,5 @@ def test_trees_have_no_cycles():
 
 
 def test_json_roundtrip():
-    g = GBSGraph.bs(2, 3)
+    g = bs_graph(2, 3)
     assert GBSGraph.from_json(g.to_json()) == g

@@ -464,12 +464,11 @@ S3_D4_PERMS = [
 S3_D4_PRESENTATIONS = [Presentation.make(*DIFF_GROUPS[g][:2]) for g in ("S3", "D4")]
 
 
-def _random_section(C, ring, rng, low):
-    """sigma(e) = I; every other element lifted with noise of its own level >= low."""
-    n = C.elements[0].n
-    return [UMatrix.identity(ring, n)] + [
-        e.lift_to(ring) + shifted_random(ring, n, rng, rng.randrange(low, ring.precision + 1))
-        for e in C.elements[1:]]
+def _random_gens(ring, perms, rng, low):
+    """The permutation matrices, each with noise of its own level >= low."""
+    return [UMatrix.from_int_rows(ring, m)
+            + shifted_random(ring, len(m), rng, rng.randrange(low, ring.precision + 1))
+            for m in perms]
 
 
 # A 2-cochain of a section, at some element pairs (a, b): z[a, b] over `ring`,
@@ -515,10 +514,11 @@ def _full_average(sigma, C, level, mod_exp):
 
 
 def test_generator_rows_give_full_average(rng):
-    # p not dividing N: on random sections the averaged cochain b(s) / N at
-    # the generator classes, from the dot-kernel row sums and from the
-    # summed cocycle rows alike, is the average of the full N^2 cocycle
-    # table there
+    # p not dividing N: on the tree sections of random generator images the
+    # averaged cochain b(s) / N at the generator classes, from the
+    # dot-kernel row sums (which build their own inverse section) and from
+    # the summed cocycle rows of exact inverses alike, is the average of the
+    # full N^2 cocycle table there
     checked = 0
     for ring, k in ((RingSpec("zp", 5, 8), 3), (RingSpec("fpx", 5, 8), 3),
                     (RingSpec("zp", 3, 12), 5)):
@@ -531,12 +531,13 @@ def test_generator_rows_give_full_average(rng):
             ring_q = ring.with_precision(mod_exp)
             ninv = ring_q.inv(ring_q.from_int(C.order))
             for _ in range(3):
-                sigma = _random_section(C, ring, rng, k)
+                gens = _random_gens(ring, perms, rng, k)
+                sigma = _tree_section(C, gens)
                 z = _cocycle(sigma, C, _left_rows(C), k, mod_exp).z
                 want = _full_average(sigma, C, k, mod_exp)
                 summed = {s: sum((z[s, d] for d in range(1, C.order)), z[s, 0])
                           for s in _classes(C)}
-                for sums in (_row_sums(sigma, [m.inv() for m in sigma], C, k, mod_exp), summed):
+                for sums in (_row_sums(sigma, gens, C, k, mod_exp), summed):
                     assert list(sums) == _classes(C)
                     assert [b.scale(ninv).rows for b in sums.values()] == [want[s].rows
                                                                            for s in sums]
@@ -606,7 +607,7 @@ def _agree_with_full_system(C, sigma, sigma_inv, rel, values):
     for (h, g, _), v in zip(rel.edges, values):
         z.z[h, C.generator_indices[g]] = v
     full = _solvable(lambda: _full_system_solve(z))
-    fox = _solvable(lambda: _fox_solve(C, sigma, sigma_inv, rel, values))
+    fox = _solvable(lambda: _fox_solve(C, sigma, rel, values))
     assert (full is None) == (fox is None)
     if fox is None:
         return False
@@ -645,7 +646,7 @@ def test_fox_solve_matches_full_system(rng):
                 values = [(a @ sigma_inv[t]).congruence_coords(j).reduce(mod_exp)
                           for a, t in _relator_values(rel, gens, sigma)]
                 if not rel.edges:
-                    c = _fox_solve(C, sigma, sigma_inv, rel, values)
+                    c = _fox_solve(C, sigma, rel, values)
                     new = [(-x).lift_to(ring).congruence_lift(j) @ g for x, g in zip(c, gens)]
                     assert _relator_level(rel, new, _tree_section(C, new)) >= j + mod_exp
                     continue
@@ -679,7 +680,7 @@ def test_fox_solve_trivial_image(rng):
     rel = _relator_list(C, [])
     assert rel.words == (Word((1,)), Word((2,)))
     values = [g.congruence_coords(k).reduce(k) for g in gens]
-    c = _fox_solve(C, [one], [one], rel, values)
+    c = _fox_solve(C, [one], rel, values)
     assert [x.rows for x in c] == [v.rows for v in values]
     new = [(-x).lift_to(ring).congruence_lift(k) @ g for x, g in zip(c, gens)]
     assert _relator_level(rel, new, [one]) >= 2 * k
@@ -944,3 +945,56 @@ def test_fox_step_raises_as_reference_step(shape, data, K, level, conjugate, see
     assert err is ref_err
     if not err:
         assert new[2].defect_val_after >= min(2 * (k - C.p_part), K)
+
+
+# (group, mode, p, K): the group's own list (S3) and the Schreier fallback
+# (S4 on the Moore presentation, whose enumeration passes 2N = 48 live
+# cosets), by averaging (p = 5) and by the Fox solve (p = 2, 3; Z/p^K only,
+# as F_p[X] needs a p'-image)
+SECTION_GROUPS = dict(DIFF_GROUPS, S4moore=(
+    ["s", "t"], [["s", "s"], ["t"] * 4, ["s", "t"] * 3, ["s", "t^-1", "s", "t"] * 3,
+                 ["s", "t^-1", "t^-1", "s", "t", "t"] * 2], DIFF_GROUPS["S4"][2]))
+SECTION_CASES = [("S3", "zp", 5, 8), ("S3", "fpx", 5, 8), ("S3", "zp", 2, 10),
+                 ("S3", "zp", 3, 8), ("S4moore", "zp", 5, 8), ("S4moore", "fpx", 5, 8),
+                 ("S4moore", "zp", 3, 8)]
+
+
+@pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
+def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, mode, p, K):
+    # each lifting step builds one tree section (plus the loop's first), a
+    # non-saturated repair closes once, at the defect level, and the image
+    # order it reads from the last section is the order of the output's
+    # closure at K
+    import ultrastab.homrepair as homrepair
+    names, relators, perms = SECTION_GROUPS[group]
+    ring = RingSpec(mode, p, K)
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(homrepair, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(homrepair, name, wrapped)
+
+    counting("_tree_section")
+    counting("closure_of_matrices")
+    for seed in range(3):
+        rng = random.Random(seed)
+        n = len(perms[0])
+        u = random_gl(ring, n, rng) if seed else UMatrix.identity(ring, n)
+        rep = ApproxRep(Presentation.make(names, relators), ring, n,
+                        [u @ _perm_matrix(ring, perm) @ u.inv() + shifted_random(ring, n, rng, 3)
+                         for perm in perms])
+        assert rep.defect().valuation == 3
+        calls.clear()
+        out, ledger = repair_finite_image(rep)
+        assert ledger.verified and ledger.steps
+        C = closure_of_matrices([g.reduce(3) for g in rep.images], 3)
+        assert bool(_relator_list(C, rep.presentation.relators).edges) == (group == "S4moore")
+        method = "linear-solve" if C.p_part else "averaging"
+        assert {s.method for s in ledger.steps} == {method}
+        assert calls["_tree_section"] == 1 + len(ledger.steps)
+        assert calls["closure_of_matrices"] == 1
+        assert ledger.image_order == closure_of_matrices(list(out.images), K).order
