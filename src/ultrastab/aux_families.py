@@ -11,6 +11,7 @@ project every generator image to the quotient and re-embed it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -105,7 +106,7 @@ class TriangularOps:
             for j in range(i):
                 if g[i][j] % m:
                     raise FamilyError("matrix is not upper triangular")
-            if _gcd(g[i][i], m) != 1:
+            if math.gcd(g[i][i], m) != 1:
                 raise FamilyError("diagonal entry is not a unit")
 
     def mul(self, g, h):
@@ -139,19 +140,14 @@ class TriangularOps:
     def project(self, g, k: int):
         return tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
 
-    def embed(self, gk, k: int):
-        n = self.n
+    def embed(self, gk):
+        """gk's k x k block padded with the identity, k = len(gk)."""
+        n, k = self.n, len(gk)
         return tuple(
             tuple(gk[i][j] if (i < k and j < k) else (1 if i == j else 0)
                   for j in range(n))
             for i in range(n)
         )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +265,12 @@ class FiltrationRep:
 
     def defect(self) -> ScaleValue:
         ident = self.ops.identity()
-        worst = None
-        for r in self.presentation.relators:
-            k = self.ops.agree_level(self.eval_word(r), ident)
-            if worst is None or k < worst:
-                worst = k
-        if worst is None or worst >= self.spec.max_level:
-            return ScaleValue(self.spec.max_level, Fraction(0), True)
-        return ScaleValue(worst, self.spec.scale(worst))
+        return _coarsest((filtration_dist(self.eval_word(r), ident, self.spec)
+                          for r in self.presentation.relators), self.spec)
 
     def rep_dist(self, other: "FiltrationRep") -> ScaleValue:
-        worst = None
-        for a, b in zip(self.images, other.images):
-            k = self.ops.agree_level(a, b)
-            if worst is None or k < worst:
-                worst = k
-        if worst is None or worst >= self.spec.max_level:
-            return ScaleValue(self.spec.max_level, Fraction(0), True)
-        return ScaleValue(worst, self.spec.scale(worst))
+        return _coarsest((filtration_dist(a, b, self.spec)
+                          for a, b in zip(self.images, other.images)), self.spec)
 
     def to_json(self) -> dict:
         return {
@@ -338,11 +322,17 @@ def _decode_elem(spec: FiltrationMetricSpec, obj):
 
 
 def filtration_dist(g, h, spec: FiltrationMetricSpec) -> ScaleValue:
-    ops = _ops_for(spec)
-    k = ops.agree_level(g, h)
+    """eps_k for the level k at which g and h agree, below_finest from max_level on."""
+    k = _ops_for(spec).agree_level(g, h)
     if k >= spec.max_level:
         return ScaleValue(spec.max_level, Fraction(0), True)
     return ScaleValue(k, spec.scale(k))
+
+
+def _coarsest(dists, spec: FiltrationMetricSpec) -> ScaleValue:
+    """The distance at the lowest level; below_finest when there is none."""
+    return min(dists, key=lambda d: d.level,
+               default=ScaleValue(spec.max_level, Fraction(0), True))
 
 
 def split_section_repair(rep: FiltrationRep) -> Tuple[FiltrationRep, ScaleValue]:
@@ -360,10 +350,7 @@ def split_section_repair(rep: FiltrationRep) -> Tuple[FiltrationRep, ScaleValue]
     if k == 0:
         raise DefectTooLarge("defect is the full scale; no quotient to use")
     ops = rep.ops
-    if rep.spec.kind == "triangular":
-        new_images = [ops.embed(ops.project(img, k), k) for img in rep.images]
-    else:
-        new_images = [ops.embed(ops.project(img, k)) for img in rep.images]
+    new_images = [ops.embed(ops.project(img, k)) for img in rep.images]
     out = FiltrationRep(rep.presentation, rep.spec, new_images)
     if not out.defect().below_finest:
         raise FamilyError("split-section repair left a relator inexact")

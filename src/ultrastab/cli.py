@@ -180,8 +180,11 @@ def _load_one_rep(files):
 
 
 def _load_graph(files):
-    rep, gog = _paths(files, 2, "a representation file and --gog FILE")
-    return _load_rep(rep), GraphOfGroups.from_json(_load_json(gog))
+    """The representation and its graph of groups; a bad word token fails here, at load."""
+    rep_path, gog_path = _paths(files, 2, "a representation file and --gog FILE")
+    rep, obj = _load_rep(rep_path), _load_json(gog_path)
+    with _malformed(gog_path):
+        return rep, GraphOfGroups.from_json(obj)
 
 
 def _load_involution(files):
@@ -463,6 +466,8 @@ def cmd_claims(args) -> int:
 
 
 def cmd_proptest(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     ok, report = proptests.run_suite(args.suite, args.samples, args.seed)
     _write_json(args.out, report)
     return 0 if ok else 1

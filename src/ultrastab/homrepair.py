@@ -27,13 +27,13 @@ chosen by l alone, and costs in n x n matmuls:
   corrected generators (I - w^j c(s)) sigma(s) (|S|);
 - l > 0, the Fox solve: the relator values z(r) = coords_j(rho(r)) on
   the step's input images (the list's matmuls again, plus one per
-  relator against sigma(t^{-1})) and one exact solve of the list's Fox
-  system for one particular solution: each generator moves by its own
-  c(s), |R| n^2 equations in |S| n^2 unknowns, built from one n^2 x n^2
-  conjugation block per prefix class (n^4 products each).  No row sums
-  or inverse section: the list measured level k, so sigma(y) sigma(y^{-1})
-  = I mod w^k, and z and the blocks live mod w^{mod_exp}, mod_exp =
-  min(2j, K) - j <= k.
+  relator against sigma(t^{-1}), t != e) and one exact solve of the
+  list's Fox system for one particular solution: each generator moves
+  by its own c(s), |R| n^2 equations in |S| n^2 unknowns, built from one
+  n^2 x n^2 conjugation block per prefix class (n^4 products each).  No
+  row sums or inverse section: the list measured level k, so sigma(y)
+  sigma(y^{-1}) = I mod w^k, and z and the blocks live mod w^{mod_exp},
+  mod_exp = min(2j, K) - j <= k.
 
 Each amalgamation is glued by one exact conjugation: for edge-word images
 x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
@@ -61,6 +61,7 @@ from .presentations import (
     Word,
     closure_of_matrices,
     enumerate_cosets,
+    word_value,
 )
 from .ultranorm_linalg import UMatrix, Unsolvable, matmul_sum, solve_linear
 
@@ -172,23 +173,15 @@ def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
                     sigma: Sequence[UMatrix]) -> List[Tuple[UMatrix, int]]:
     """(a, t) per relator r, with rho(r) = a sigma(t)^{-1}.
 
-    A word of the group's list is evaluated letter by letter, sum |r|
+    A word of the group's list is evaluated by `word_value`, |r| - 1
     matmuls and t = e; a Schreier relator is sigma(h) rho(g) against
     sigma(hg), one matmul each.
     """
     if rel.edges:
         return [(sigma[h] @ gens[g], t) for h, g, t in rel.edges]
     inverses: Dict[int, UMatrix] = {}
-    out = []
-    for w in rel.words:
-        a = sigma[0]
-        for i, x in enumerate(w.letters):
-            if x < 0 and x not in inverses:
-                inverses[x] = gens[-x - 1].inv()
-            m = gens[x - 1] if x > 0 else inverses[x]
-            a = a @ m if i else m
-        out.append((a, 0))
-    return out
+    ring, n = sigma[0].ring, sigma[0].n
+    return [(word_value(w, gens, inverses, ring, n), 0) for w in rel.words]
 
 
 def _relator_level(rel: _Relators, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]) -> int:
@@ -338,7 +331,8 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
     (|S| N + N + 2|S| matmuls).  With l > 0 each generator image moves by
     its own c(s) from the Fox solve of z(r) = coords_j(a - sigma(t))
     sigma(t^{-1}), rho(r) = a sigma(t)^{-1} (the list's matmuls plus one
-    per relator, and one |R| n^2 x |S| n^2 solve); w^l must divide z.
+    per relator with t != e, and one |R| n^2 x |S| n^2 solve); w^l must
+    divide z.
     Either way the new section (N matmuls), the step's one section, is
     re-measured on the list and must reach min(2j, K).  Returns the new
     images, their section and the ledger step, whose level is the relator
@@ -355,8 +349,10 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
 
     if l:
         method = "linear-solve"
-        z = [(_shifted_down(a - sigma[t], j) @ sigma[C.inverse(t)]).reduce(mod_exp)
-             for a, t in _relator_values(rel, gens, sigma)]
+        z = []
+        for a, t in _relator_values(rel, gens, sigma):
+            d = _shifted_down(a - sigma[t], j)
+            z.append((d @ sigma[C.inverse(t)] if t else d).reduce(mod_exp))
         if any(v.min_valuation() < min(l, mod_exp) for v in z):
             raise RepairError("relator values are not divisible by the p-part")
         new = [moved(c, g) for c, g in zip(_fox_solve(C, sigma, rel, z), gens)]
@@ -542,6 +538,16 @@ class GogEdge:
 
 @dataclass(frozen=True)
 class GraphOfGroups:
+    """Vertices and edges as given, plus their words parsed once.
+
+    Built, it keeps plain attributes (out of __eq__ and __hash__):
+    `vertex_relators`, by vertex name, the vertex's relators as words in
+    its own generators; `edge_words`, by edge letter, the edge's (source,
+    target) words in the standard presentation's generators; and that
+    presentation.  A token that is not a string or names no generator is
+    a PresentationError here.
+    """
+
     vertices: Tuple[GogVertex, ...]
     edges: Tuple[GogEdge, ...]
 
@@ -562,26 +568,28 @@ class GraphOfGroups:
                 raise PresentationError(f"edge letter {e.letter} clashes with a vertex generator")
         if sum(1 for e in self.edges if e.in_tree) != len(names) - 1:
             raise PresentationError("tree edges must form a spanning tree")
+        gens = tuple(g for v in self.vertices for g in v.generators) + tuple(
+            e.letter for e in self.edges)
+        edge_words = tuple((Word.parse(e.word_source, gens), Word.parse(e.word_target, gens))
+                           for e in self.edges)
+        relators = [Word.parse(r, gens) for v in self.vertices for r in v.relators]
+        for e, (src, tgt) in zip(self.edges, edge_words):
+            t = Word.parse([e.letter], gens)
+            relators.append(t * src * t.inverse() * tgt.inverse())
+            if e.in_tree:
+                relators.append(t)
+        setattr_ = object.__setattr__
+        setattr_(self, "vertex_relators", {v.name: [Word.parse(r, v.generators)
+                                                    for r in v.relators]
+                                           for v in self.vertices})
+        setattr_(self, "edge_words", dict(zip((e.letter for e in self.edges), edge_words)))
+        setattr_(self, "_presentation", Presentation(gens, tuple(relators)))
 
     def vertex(self, name: str) -> GogVertex:
         return next(v for v in self.vertices if v.name == name)
 
     def standard_presentation(self) -> Presentation:
-        gens: List[str] = []
-        for v in self.vertices:
-            gens.extend(v.generators)
-        for e in self.edges:
-            gens.append(e.letter)
-        relators: List[List[str]] = []
-        for v in self.vertices:
-            relators.extend([list(r) for r in v.relators])
-        for e in self.edges:
-            conj = ([e.letter] + list(e.word_source) + [f"{e.letter}^-1"]
-                    + _invert_tokens(e.word_target))
-            relators.append(conj)
-            if e.in_tree:
-                relators.append([e.letter])
-        return Presentation.make(gens, relators)
+        return self._presentation
 
     def to_json(self) -> dict:
         return {
@@ -616,27 +624,6 @@ class GraphOfGroups:
         return cls(vertices, edges)
 
 
-def _invert_tokens(tokens: Sequence[str]) -> List[str]:
-    out = []
-    for tok in reversed(tokens):
-        if tok.endswith("^-1"):
-            out.append(tok[:-3])
-        else:
-            out.append(f"{tok}^-1")
-    return out
-
-
-def _eval_tokens(images: Dict[str, UMatrix], tokens: Sequence[str],
-                 ring: RingSpec, n: int) -> UMatrix:
-    out = UMatrix.identity(ring, n)
-    for tok in tokens:
-        if tok.endswith("^-1"):
-            out = out @ images[tok[:-3]].inv()
-        else:
-            out = out @ images[tok]
-    return out
-
-
 def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
                  ) -> Tuple[ApproxRep, PrecisionLedger]:
     """Repair a representation of a graph-of-groups presentation.
@@ -664,26 +651,25 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
     if k0 < 1:
         raise DefectTooLarge("defect must be < 1")
 
-    images: Dict[str, UMatrix] = {
-        name: rep.images[i] for i, name in enumerate(pres.generators)
-    }
+    where = {name: i for i, name in enumerate(pres.generators)}
+    images = list(rep.images)
     steps: List[LedgerStep] = []
 
     # (1) tree edge letters become the identity.
     for e in gog.edges:
         if e.in_tree:
-            images[e.letter] = UMatrix.identity(ring, n)
+            images[where[e.letter]] = UMatrix.identity(ring, n)
 
     # (2) vertex repairs through their finite images at the defect level.
     for v in gog.vertices:
         if not v.generators:
             continue
-        gens = [images[g] for g in v.generators]
+        idx = [where[g] for g in v.generators]
+        gens = [images[i] for i in idx]
         C = closure_of_matrices([g.reduce(k0) for g in gens], k0, cap=cap)
-        gens, _ = _lift_to_exact(ring, gens, k0, C, steps,
-                                 [Word.parse(r, v.generators) for r in v.relators])
-        for name, mat in zip(v.generators, gens):
-            images[name] = mat
+        gens, _ = _lift_to_exact(ring, gens, k0, C, steps, gog.vertex_relators[v.name])
+        for i, mat in zip(idx, gens):
+            images[i] = mat
 
     # (3) amalgamate along a BFS spanning tree rooted at the first vertex.
     order = {v.name: i for i, v in enumerate(gog.vertices)}
@@ -708,8 +694,8 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
         raise PresentationError("spanning tree does not reach every vertex")
 
     def edge_sides(e: GogEdge) -> Tuple[UMatrix, UMatrix]:
-        src = _eval_tokens(images, e.word_source, ring, n)
-        tgt = _eval_tokens(images, e.word_target, ring, n)
+        inverses: Dict[int, UMatrix] = {}
+        src, tgt = (word_value(w, images, inverses, ring, n) for w in gog.edge_words[e.letter])
         return src, tgt
 
     for e, child in tree_order:
@@ -723,20 +709,19 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
         steps.extend(st)
         tinv = t.inv()
         for g in gog.vertex(child).generators:
-            images[g] = t @ images[g] @ tinv
+            images[where[g]] = t @ images[where[g]] @ tinv
 
     # (4) non-tree edge letters are corrected by conjugators.
     for e in gog.edges:
         if e.in_tree:
             continue
         src, tgt = edge_sides(e)
-        t0 = images[e.letter]
+        t0 = images[where[e.letter]]
         t, st = align_homomorphisms(t0 @ src @ t0.inv(), tgt, cap)
         steps.extend(st)
-        images[e.letter] = t @ t0
+        images[where[e.letter]] = t @ t0
 
-    out = ApproxRep(pres, ring, n,
-                    [images[name] for name in pres.generators])
+    out = ApproxRep(pres, ring, n, images)
     # The certified loss is the shallowest correction level actually spent;
     # with p'-images everywhere it is zero and the estimate is optimal.
     j_min = min((s.distance_spent_val for s in steps), default=k0)

@@ -66,6 +66,8 @@ class Word:
         lookup = {name: i + 1 for i, name in enumerate(names)}
         letters: List[int] = []
         for tok in tokens:
+            if not isinstance(tok, str):
+                raise PresentationError(f"letter {tok!r} is not a string")
             m = _LETTER_RE.match(tok)
             if not m or m.group(1) not in lookup:
                 raise PresentationError(f"unknown letter {tok!r}")
@@ -120,6 +122,24 @@ class Presentation:
         return cls.make(obj["generators"], obj.get("relators", []))
 
 
+def word_value(w: Word, images: Sequence[UMatrix], inverses: Dict[int, UMatrix],
+               ring: RingSpec, n: int) -> UMatrix:
+    """The value of w on generator images: |w| - 1 matmuls, no identity
+    factor, and the identity on the empty word.  A letter x_i^-1 reads
+    inverses[i - 1], the caller's cache, inverting images[i - 1] on first use.
+    """
+    out = None
+    for x in w.letters:
+        if x > 0:
+            m = images[x - 1]
+        else:
+            m = inverses.get(-x - 1)
+            if m is None:
+                m = inverses[-x - 1] = images[-x - 1].inv()
+        out = m if out is None else out @ m
+    return UMatrix.identity(ring, n) if out is None else out
+
+
 class ApproxRep:
     """A finite presentation plus one invertible matrix per generator."""
 
@@ -142,16 +162,7 @@ class ApproxRep:
         return ApproxRep(self.presentation, self.ring, self.n, images)
 
     def eval_word(self, w: Word) -> UMatrix:
-        out = UMatrix.identity(self.ring, self.n)
-        for x in w.letters:
-            out = out @ (self.images[x - 1] if x > 0 else self._inverse(-x - 1))
-        return out
-
-    def _inverse(self, i: int) -> UMatrix:
-        got = self._inverses.get(i)
-        if got is None:
-            got = self._inverses[i] = self.images[i].inv()
-        return got
+        return word_value(w, self.images, self._inverses, self.ring, self.n)
 
     def defect(self) -> NormValue:
         ident = UMatrix.identity(self.ring, self.n)

@@ -436,8 +436,7 @@ def verify_claims(max_i: int, p: int = 2,
             if i == j:
                 continue
             rj, tj = wreath_parameters(j)
-            _, ti_ = wreath_parameters(i)
-            vals = {0 % rj, tj % rj, (-ti_) % rj, (tj - ti_) % rj}
+            vals = {0 % rj, tj % rj, (-ti) % rj, (tj - ti) % rj}
             if len(vals) != 4:
                 raise WitnessError(f"distinctness fails at (i,j)=({i},{j})")
             report.distinctness_checks += 1
@@ -729,16 +728,8 @@ def _ball_matrices(center: UMatrix, level: int):
     ring = center.ring
     n = center.n
     K = ring.precision
-    count = ring.p ** (K - level)
-    offsets = [ring.shift_up(ring.from_int(c), level) for c in range(count)] \
-        if ring.is_mixed else None
-    if offsets is None:
-        offsets = []
-        sub = ring.with_precision(K - level) if level < K else None
-        if sub is None:
-            offsets = [0]
-        else:
-            offsets = [ring.shift_up(raw, level) for raw in sub.iter_all()]
+    offsets = ([ring.shift_up(raw, level) for raw in ring.with_precision(K - level).iter_all()]
+               if level < K else [0])
     entries = [list(row) for row in center.rows]
     slots = [(i, j) for i in range(n) for j in range(n)]
     for combo in itertools.product(offsets, repeat=len(slots)):

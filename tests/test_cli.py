@@ -158,6 +158,41 @@ def test_cmd_verify_graph_before_defect(tmp_path):
     assert main(["verify", bad, "--input", rep_path, "--gog", gog_path]) == 1
 
 
+def test_graph_words_with_powers(tmp_path):
+    # BS(2,3) with its edge words spelled s^3 and s^2: the same repair,
+    # output bytes and verification as the spelled-out tokens
+    rep_path, gog_path, out_path, _ = _bs23_files(tmp_path)
+    gog = json.loads(open(gog_path).read())
+    gog["edges"][0].update(word_source=["s^3"], word_target=["s^2"])
+    power_path = _write(tmp_path, "gog_pow.json", gog)
+    power_out, power_cert = str(tmp_path / "fixed_pow.json"), str(tmp_path / "cert_pow.json")
+    assert main(["repair", rep_path, "--mode", "graph", "--gog", power_path,
+                 "--out", power_out, "--cert", power_cert]) == 0
+    assert open(power_out, "rb").read() == open(out_path, "rb").read()
+    assert main(["verify", power_cert, "--input", rep_path, "--gog", power_path,
+                 "--output", power_out]) == 0
+
+
+def test_graph_bad_tokens_exit_2(tmp_path, capsys):
+    # a token that is not a string, or that names no generator, fails when
+    # the graph is loaded: exit 2, no traceback, nothing written
+    rep_path, gog_path, _, _ = _bs23_files(tmp_path)
+    out_path = tmp_path / "bad_out.json"
+    gog = json.loads(open(gog_path).read())
+    for edge in ({"word_source": [1, 2]}, {"word_target": ["s", 3]},
+                 {"word_source": ["u"]}, {"word_target": ["s^2^-1"]}):
+        bad = dict(gog, edges=[dict(gog["edges"][0], **edge)])
+        assert main(["repair", rep_path, "--mode", "graph", "--gog",
+                     _write(tmp_path, "bad_gog.json", bad), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+    bad = dict(gog, vertices=[dict(gog["vertices"][0], relators=[["s", None]])])
+    assert main(["repair", rep_path, "--mode", "graph", "--gog",
+                 _write(tmp_path, "bad_gog.json", bad), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error") == 5 and "Traceback" not in err
+    assert err.count("is not a string") == 3 and err.count("unknown letter") == 2
+
+
 def _involution_files(tmp_path):
     ring = RingSpec("fpx", 2, 8)
     pres = Presentation.make(["s"], [["s", "s"]])
@@ -259,6 +294,15 @@ def test_cmd_proptest(capsys):
     assert main(["proptest", "ring-laws", "--samples", "50"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["violations"] == 0
+
+
+def test_cmd_proptest_needs_a_sample(capsys):
+    # a suite run on no samples checks nothing: an input error, not a pass
+    for samples in ("0", "-5"):
+        assert main(["proptest", "ring-laws", "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert err.count("--samples must be >= 1") == 2 and "Traceback" not in err
+    assert out == ""
 
 
 def _monomial_files(tmp_path):

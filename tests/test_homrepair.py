@@ -998,3 +998,30 @@ def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, 
         assert calls["_tree_section"] == 1 + len(ledger.steps)
         assert calls["closure_of_matrices"] == 1
         assert ledger.image_order == closure_of_matrices(list(out.images), K).order
+
+
+@pytest.mark.parametrize("group, p, level", [("S3", 2, 3), ("S3", 3, 3), ("C4", 2, 5)])
+def test_fox_step_on_own_list_multiplies_by_no_identity(monkeypatch, group, p, level):
+    # on the group's own list every relator value is rho(r) against sigma(e)
+    # = I, so the p | N step takes z(r) = coords_j(rho(r) - I) with no
+    # product by sigma(e^{-1}) = I
+    names, relators, perms = DIFF_GROUPS[group]
+    ring = RingSpec("zp", p, 12)
+    n = len(perms[0])
+    rng = random.Random(5)
+    u = random_gl(ring, n, rng)
+    rep = ApproxRep(Presentation.make(names, relators), ring, n,
+                    [u @ _perm_matrix(ring, perm) @ u.inv() + shifted_random(ring, n, rng, level)
+                     for perm in perms])
+    k = rep.defect().valuation
+    C = closure_of_matrices([g.reduce(k) for g in rep.images], k)
+    rel = _relator_list(C, rep.presentation.relators)
+    assert C.p_part and not rel.edges
+    sigma = _tree_section(C, rep.images)
+    right_factors = []
+    matmul = UMatrix.__matmul__
+    monkeypatch.setattr(UMatrix, "__matmul__",
+                        lambda a, b: right_factors.append(b.rows) or matmul(a, b))
+    _, _, step = _lift_step(C, rep.images, sigma, rel, k)
+    assert step.method == "linear-solve" and right_factors
+    assert UMatrix.identity(ring, n).rows not in right_factors

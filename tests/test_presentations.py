@@ -193,6 +193,30 @@ def test_eval_word_inverse_letters(monkeypatch):
     assert len(calls) == 2
 
 
+def test_defect_takes_one_matmul_per_letter_after_the_first(monkeypatch):
+    # |r| - 1 matmuls per relator, none by an identity factor, and the empty
+    # word is the identity with none
+    ring = RingSpec("zp", 3, 6)
+    rng = random.Random(29)
+    pres = Presentation.make(["s", "t"], [["s^3"], ["t", "s", "s", "s", "t^-1", "s^-2"],
+                                          ["s", "t^-1"], ["t"]])
+    rep = ApproxRep(pres, ring, 3, [random_gl(ring, 3, rng), random_gl(ring, 3, rng)])
+    calls = []
+    matmul = UMatrix.__matmul__
+    monkeypatch.setattr(UMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    rep.defect()
+    assert len(calls) == sum(len(r) - 1 for r in pres.relators) == 2 + 6 + 1 + 0
+    calls.clear()
+    assert rep.eval_word(Word.identity()).rows == UMatrix.identity(ring, 3).rows
+    assert calls == []
+
+
+def test_word_parse_rejects_non_string_letters():
+    for tokens in ([1], ["s", None], [["s"]]):
+        with pytest.raises(PresentationError, match="is not a string"):
+            Word.parse(tokens, ["s"])
+
+
 def test_finite_image_gl1_order2():
     ring = RingSpec("zp", 2, 8)
     pres = Presentation.make(["s"], [["s", "s"]])
