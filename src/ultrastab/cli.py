@@ -54,7 +54,7 @@ from .homrepair import (
     graph_repair,
     repair_finite_image,
 )
-from .local_ring import RingSpec, _is_prime
+from .local_ring import RingSpec, _is_prime, norm_max
 from .presentations import (
     DEFAULT_CLOSURE_CAP,
     ApproxRep,
@@ -388,15 +388,13 @@ def _first_difference(said, got, path: str):
 
 def cmd_defect(args) -> int:
     rep = _load_rep(args.rep)
-    per_relator = []
     ident = UMatrix.identity(rep.ring, rep.n)
-    for r in rep.presentation.relators:
-        per_relator.append(encode_val(rep.eval_word(r).dist(ident)))
+    dists = [rep.eval_word(r).dist(ident) for r in rep.presentation.relators]
     report = {
         "schema_version": 1,
         "kind": "defect_report",
-        "defect_val": encode_val(rep.defect()),
-        "per_relator_vals": per_relator,
+        "defect_val": encode_val(norm_max(dists, rep.ring)),
+        "per_relator_vals": [encode_val(d) for d in dists],
     }
     _write_json(args.out, report)
     return 0

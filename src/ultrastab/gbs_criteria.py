@@ -9,6 +9,16 @@ divisible by p, reaching every vertex along p-coprime paths), and the
 valuation-mismatch criterion (a cycle whose total positive and negative
 p-valuations differ).  Criteria are sufficient only: a negative report
 carries no instability verdict.
+
+One graph search serves everything: `_bfs_tree`, a BFS from one vertex
+along a list of orientations, O(V + E) per call, with `_tree_path` walking
+a vertex back to its start.  The coprime-cycle criterion runs one BFS per
+candidate edge e (its cycle is e plus the tree path from e.dst back to
+e.src) and one per cycle vertex (each vertex's access path comes from the
+first of those trees that reaches it).  The valuation-mismatch criterion
+and the connectivity check each run one BFS from the first vertex over
+both orientations: the potential is filled in discovery order, and the
+witness cycle is an edge off the potential closed through the tree.
 """
 
 from __future__ import annotations
@@ -60,31 +70,18 @@ class GBSGraph:
     def __post_init__(self):
         if not self.vertices:
             raise GBSError("graph needs at least one vertex")
+        if not all(isinstance(v, str) for v in self.vertices):
+            raise GBSError("vertex names must be strings")
         names = set(self.vertices)
         for src, dst, wm, wp in self.edges:
             if src not in names or dst not in names:
                 raise GBSError("edge endpoint is not a vertex")
+            if type(wm) is not int or type(wp) is not int:
+                raise GBSError("weights must be integers")
             if wm == 0 or wp == 0:
                 raise GBSError("weights must be nonzero")
-        if not self._connected():
+        if len(_bfs_tree(self.vertices[0], self.directed_edges())) < len(self.vertices):
             raise GBSError("graph must be connected")
-
-    def _connected(self) -> bool:
-        if not self.edges and len(self.vertices) == 1:
-            return True
-        adj: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        for src, dst, _, _ in self.edges:
-            adj[src].append(dst)
-            adj[dst].append(src)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def directed_edges(self) -> List[DirectedEdge]:
         """Both orientations of every geometric edge."""
@@ -106,9 +103,10 @@ class GBSGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GBSGraph":
+        if not isinstance(obj["vertices"], list):
+            raise GBSError("vertices must be a list of vertex names")
         return cls(tuple(obj["vertices"]),
-                   tuple((e["from"], e["to"], int(e["w_minus"]), int(e["w_plus"]))
-                         for e in obj["edges"]))
+                   tuple((e["from"], e["to"], e["w_minus"], e["w_plus"]) for e in obj["edges"]))
 
 
 def _edge_token(e: DirectedEdge) -> dict:
@@ -157,135 +155,63 @@ class CriterionReport:
         }
 
 
-def _tarjan_sccs(vertices: Sequence[str], edges: Sequence[DirectedEdge]) -> Dict[str, int]:
-    adj: Dict[str, List[DirectedEdge]] = {v: [] for v in vertices}
-    for e in edges:
-        adj[e.src].append(e)
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    comp: Dict[str, int] = {}
-    stack: List[str] = []
-    counter = [0]
-    comp_count = [0]
-
-    def strongconnect(v: str):
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(pi, len(adj[node])):
-                w = adj[node][k].dst
-                if w not in index:
-                    work[-1] = (node, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                elif on_stack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count[0]
-                    if w == node:
-                        break
-                comp_count[0] += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for v in vertices:
-        if v not in index:
-            strongconnect(v)
-    return comp
-
-
-def _bfs_path(start: str, goal: str, edges: Sequence[DirectedEdge]) -> Optional[List[DirectedEdge]]:
-    if start == goal:
-        return []
+def _bfs_tree(start: str, edges: Sequence[DirectedEdge]) -> Dict[str, Optional[DirectedEdge]]:
+    """Breadth-first search from start along edges: every vertex it reaches,
+    in discovery order, mapped to the edge that reached it (start to None)."""
     adj: Dict[str, List[DirectedEdge]] = {}
     for e in edges:
         adj.setdefault(e.src, []).append(e)
-    prev: Dict[str, DirectedEdge] = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for e in adj.get(v, []):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                prev[e.dst] = e
-                if e.dst == goal:
-                    path = []
-                    cur = goal
-                    while cur != start:
-                        path.append(prev[cur])
-                        cur = prev[cur].src
-                    return list(reversed(path))
-                queue.append(e.dst)
-    return None
+    tree: Dict[str, Optional[DirectedEdge]] = {start: None}
+    order = [start]
+    for v in order:
+        for e in adj.get(v, ()):
+            if e.dst not in tree:
+                tree[e.dst] = e
+                order.append(e.dst)
+    return tree
+
+
+def _tree_path(tree: Dict[str, Optional[DirectedEdge]], v: str) -> List[DirectedEdge]:
+    """The path of a BFS tree from its start to v."""
+    path: List[DirectedEdge] = []
+    while tree[v] is not None:
+        path.append(tree[v])
+        v = tree[v].src
+    return path[::-1]
 
 
 def check_pifree_criterion(g: GBSGraph, p: int) -> CriterionReport:
     """Decide the coprime-cycle criterion at p, with witnesses.
 
     Work in the subgraph H of orientations whose negative weight is coprime
-    to p; a qualifying cycle through an edge with p | w_+ exists exactly
-    when that edge is internal to a strongly connected component of H.
-    Vertex access is then checked in the subgraph of p-coprime positive
-    weights.
+    to p.  An edge e of H with p | w_+ lies on a qualifying cycle exactly
+    when H has a path from e.dst back to e.src; the BFS tree of H from e.dst
+    gives the shortest one.  Every vertex then takes its access path, along
+    p-coprime positive weights, from the first cycle vertex whose BFS tree
+    reaches it.
     """
     directed = g.directed_edges()
     h_edges = [e for e in directed if _nu(p, e.w_minus) == 0]
-    comp = _tarjan_sccs(g.vertices, h_edges)
     cycles: List[List[DirectedEdge]] = []
     cycle_vertices: List[str] = []
     for e in h_edges:
-        if _nu(p, e.w_plus) > 0 and comp[e.src] == comp[e.dst]:
-            inside = [f for f in h_edges if comp[f.src] == comp[e.src]
-                      and comp[f.dst] == comp[e.src]]
-            back = _bfs_path(e.dst, e.src, inside)
-            if back is None:
-                continue
-            cycle = [e] + back
-            cycles.append(cycle)
-            for f in cycle:
-                if f.src not in cycle_vertices:
-                    cycle_vertices.append(f.src)
+        if _nu(p, e.w_plus) > 0:
+            tree = _bfs_tree(e.dst, h_edges)
+            if e.src in tree:
+                cycles.append([e] + _tree_path(tree, e.src))
+                cycle_vertices += [f.src for f in cycles[-1] if f.src not in cycle_vertices]
+    access_edges = [e for e in directed if _nu(p, e.w_plus) == 0]
+    trees = [_bfs_tree(x, access_edges) for x in cycle_vertices]
+    reached = {v: next((t for t in trees if v in t), None) for v in g.vertices}
     part = PifreePart(met=False)
-    if cycles:
-        access_edges = [e for e in directed if _nu(p, e.w_plus) == 0]
-        paths: Dict[str, List[DirectedEdge]] = {}
-        all_reached = True
-        for v in g.vertices:
-            found = None
-            for x in cycle_vertices:
-                path = _bfs_path(x, v, access_edges)
-                if path is not None:
-                    found = path
-                    break
-            if found is None:
-                all_reached = False
-                break
-            paths[v] = found
-        if all_reached:
-            part = PifreePart(
-                met=True,
-                cycles=[[_edge_token(e) for e in c] for c in cycles],
-                access_paths={v: [_edge_token(e) for e in path]
-                              for v, path in paths.items()},
-            )
-    vp = check_vpfree_part(g, p)
-    return CriterionReport(p=p, pifree=part, vpfree=vp)
+    if cycles and all(t is not None for t in reached.values()):
+        part = PifreePart(
+            met=True,
+            cycles=[[_edge_token(e) for e in c] for c in cycles],
+            access_paths={v: [_edge_token(e) for e in _tree_path(t, v)]
+                          for v, t in reached.items()},
+        )
+    return CriterionReport(p=p, pifree=part, vpfree=check_vpfree_part(g, p))
 
 
 def check_vpfree_part(g: GBSGraph, p: int) -> VpfreePart:
@@ -293,40 +219,19 @@ def check_vpfree_part(g: GBSGraph, p: int) -> VpfreePart:
 
     Give each orientation the potential difference d(e) = nu_p(w_+) -
     nu_p(w_-); a qualifying cycle exists exactly when d is not the
-    coboundary of a vertex potential, which a spanning tree detects.
+    coboundary of a vertex potential, which the BFS tree from the first
+    vertex detects.  The witness is an edge e off the potential, then the
+    tree path from e.dst back to the root, then the tree path to e.src.
     """
     directed = g.directed_edges()
-    pot: Dict[str, int] = {g.vertices[0]: 0}
-    tree_parent: Dict[str, DirectedEdge] = {}
-    queue = [g.vertices[0]]
-    adj: Dict[str, List[DirectedEdge]] = {}
+    tree = _bfs_tree(g.vertices[0], directed)
+    pot: Dict[str, int] = {}
+    for v, e in tree.items():
+        pot[v] = 0 if e is None else pot[e.src] + _nu(p, e.w_plus) - _nu(p, e.w_minus)
     for e in directed:
-        adj.setdefault(e.src, []).append(e)
-    while queue:
-        v = queue.pop(0)
-        for e in adj.get(v, []):
-            if e.dst not in pot:
-                pot[e.dst] = pot[v] + _nu(p, e.w_plus) - _nu(p, e.w_minus)
-                tree_parent[e.dst] = e
-                queue.append(e.dst)
-    for e in directed:
-        d = _nu(p, e.w_plus) - _nu(p, e.w_minus)
-        if pot[e.dst] - pot[e.src] != d:
-            # witness cycle: e followed by the tree path dst -> src
-            cycle = [e]
-            cur = e.dst
-            root_path_dst: List[DirectedEdge] = []
-            while cur in tree_parent:
-                root_path_dst.append(tree_parent[cur])
-                cur = tree_parent[cur].src
-            cur = e.src
-            root_path_src: List[DirectedEdge] = []
-            while cur in tree_parent:
-                root_path_src.append(tree_parent[cur])
-                cur = tree_parent[cur].src
-            # dst -> root (reversed edges), then root -> src (forward)
-            cycle += [f.reverse() for f in root_path_dst]
-            cycle += list(reversed(root_path_src))
+        if pot[e.dst] - pot[e.src] != _nu(p, e.w_plus) - _nu(p, e.w_minus):
+            cycle = ([e] + [f.reverse() for f in reversed(_tree_path(tree, e.dst))]
+                     + _tree_path(tree, e.src))
             total = sum(_nu(p, f.w_plus) - _nu(p, f.w_minus) for f in cycle)
             if total == 0:
                 raise GBSError("witness cycle verification failed")

@@ -198,11 +198,13 @@ def _relator_level(rel: _Relators, gens: Sequence[UMatrix], sigma: Sequence[UMat
 def _tree_section(C: FiniteImage, gens: Sequence[UMatrix]) -> List[UMatrix]:
     """Section of C along its BFS tree: sigma(c) = sigma(parent) gens[g].
 
-    One matmul per element, N - 1 in all; a lifting step builds one.
+    One matmul per element whose parent is not the identity (the
+    identity's children are generator images as they are), fewer than N
+    in all; a lifting step builds one.
     """
     out = [UMatrix.identity(gens[0].ring, gens[0].n)]
     for parent, g in C.tree[1:]:
-        out.append(out[parent] @ gens[g])
+        out.append(out[parent] @ gens[g] if parent else gens[g])
     return out
 
 
@@ -225,7 +227,7 @@ def _row_sums(sigma, gens, C: FiniteImage, j: int, mod_exp: int) -> Dict[int, UM
     gens_inv = [g.inv() for g in gens]
     sigma_inv = [sigma[0]]
     for parent, g in C.tree[1:]:
-        sigma_inv.append(gens_inv[g] @ sigma_inv[parent])
+        sigma_inv.append(gens_inv[g] @ sigma_inv[parent] if parent else gens_inv[g])
     nI = UMatrix.identity(ring, n).scale(ring.from_int(C.order))
     return {s: _shifted_down(sigma[s] @ matmul_sum(sigma, [sigma_inv[C.product(s, d)]
                                                           for d in range(C.order)]) - nI,

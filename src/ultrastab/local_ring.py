@@ -423,11 +423,6 @@ class NormValue:
         return NormValue(self.p, min(self.K, other.K), self.exponent + other.exponent,
                          self.exponent + other.exponent >= min(self.K, other.K))
 
-    def pow(self, e: int) -> "NormValue":
-        if self.saturated:
-            return self
-        return NormValue(self.p, self.K, self.exponent * e, self.exponent * e >= self.K)
-
     @property
     def valuation(self) -> int:
         """Integer valuation, with K standing in for saturated."""

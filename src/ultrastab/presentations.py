@@ -175,10 +175,6 @@ class ApproxRep:
             raise RingMismatch("representations are not comparable")
         return norm_max((a.dist(b) for a, b in zip(self.images, other.images)), self.ring)
 
-    def reduce(self, m: int) -> "ApproxRep":
-        return ApproxRep(self.presentation, self.ring.with_precision(m), self.n,
-                         [img.reduce(m) for img in self.images])
-
     def to_json(self) -> dict:
         enc = self.ring.encode
         return {
@@ -271,8 +267,8 @@ def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
                         cap: int = DEFAULT_CLOSURE_CAP) -> FiniteImage:
     """BFS closure of a list of matrices over the precision-m ring.
 
-    |S| N matmuls for N elements and |S| generators, each recorded in the
-    right Cayley table.
+    |S| (N - 1) matmuls for N elements and |S| generators (the identity's
+    products are the generators), each recorded in the right Cayley table.
     """
     if not reduced:
         raise PresentationError("need at least one generator")
@@ -290,7 +286,7 @@ def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
             base = elements[ei]
             row = []
             for gi, g in enumerate(reduced):
-                prod = base @ g
+                prod = base @ g if ei else g
                 got = index.get(prod.rows)
                 if got is None:
                     if len(elements) >= cap:

@@ -152,18 +152,6 @@ class UMatrix:
         mul = self.ring.mul
         return UMatrix(self.ring, self.n, tuple(tuple(mul(c, a) for a in r) for r in self.rows))
 
-    def pow_int(self, e: int) -> "UMatrix":
-        if e < 0:
-            return self.inv().pow_int(-e)
-        result = UMatrix.identity(self.ring, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
-
     # -- precision ---------------------------------------------------------
 
     def reduce(self, m: int) -> "UMatrix":

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ultrastab.gbs_criteria import GBSGraph
+from ultrastab.local_ring import NormValue
 from ultrastab.ultranorm_linalg import UMatrix
 
 
@@ -11,6 +12,24 @@ def random_gl(ring, n, rng):
         m = UMatrix.random(ring, n, rng)
         if m.is_gl():
             return m
+
+
+def matrix_power(m, e):
+    """m^e for e >= 0, by repeated squaring."""
+    result = UMatrix.identity(m.ring, m.n)
+    while e:
+        if e & 1:
+            result = result @ m
+        m = m @ m
+        e >>= 1
+    return result
+
+
+def norm_power(v, e):
+    """The norm v^e for e >= 0, saturated past the precision."""
+    if v.saturated:
+        return v
+    return NormValue(v.p, v.K, v.exponent * e, v.exponent * e >= v.K)
 
 
 def shifted_random(ring, n, rng, k):

@@ -42,6 +42,25 @@ def test_cmd_defect(tmp_path, capsys):
     assert out["defect_val"] == rep.defect().valuation
 
 
+def test_cmd_defect_evaluates_each_relator_once(tmp_path, monkeypatch, capsys):
+    # one evaluation per relator, |r| - 1 matmuls each, serves both the
+    # per-relator values and the defect
+    ring = RingSpec("zp", 3, 6)
+    pres = Presentation.make(["s", "t"], [["s", "s"], ["t", "t", "t"], ["s", "t", "s", "t"]])
+    rng = random.Random(2)
+    rep = ApproxRep(pres, ring, 2, [UMatrix.from_int_rows(ring, [[1, 1], [0, 2]])
+                                    + shifted_random(ring, 2, rng, 2) for _ in range(2)])
+    path = _write(tmp_path, "rep.json", rep.to_json())
+    calls = []
+    matmul = UMatrix.__matmul__
+    monkeypatch.setattr(UMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    assert main(["defect", path]) == 0
+    assert len(calls) == sum(len(r) - 1 for r in pres.relators) == 6
+    out = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
+    assert out["defect_val"] == rep.defect().valuation == min(out["per_relator_vals"])
+
+
 def test_cmd_repair_finite_image(tmp_path):
     path, rep = _z3_rep_file(tmp_path)
     out_path = str(tmp_path / "fixed.json")
@@ -282,6 +301,27 @@ def test_cmd_gbs(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pifree_met"] is True
     assert out["vertex_order_bounds"] == {"v": 0}
+
+
+def test_cmd_gbs_rejects_malformed_graphs(tmp_path, capsys):
+    # a weight that is not an integer, vertices that are not a list and a
+    # vertex name that is not a string are input errors, never read as a
+    # nearby graph
+    good = bs_graph(2, 3).to_json()
+    bad = []
+    for w in (2.5, True, "3"):
+        bad.append(dict(good, edges=[dict(good["edges"][0], w_minus=w)]))
+    bad.append(dict(good, vertices="v"))
+    bad.append({**good, "vertices": ["v", 1]})
+    for i, obj in enumerate(bad):
+        out = tmp_path / f"report{i}.json"
+        assert main(["gbs", _write(tmp_path, f"g{i}.json", obj), "--p", "3",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("input error") == 5 and "Traceback" not in err
+    assert err.count("weights must be integers") == 3
+    assert "vertices must be a list" in err and "vertex names must be strings" in err
 
 
 def test_cmd_claims(capsys):

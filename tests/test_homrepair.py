@@ -37,7 +37,7 @@ from ultrastab.homrepair import (
 )
 from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, row_submul, solve_linear
 
-from conftest import random_gl, shifted_random
+from conftest import matrix_power, random_gl, shifted_random
 
 ORDER3 = [[0, -1], [1, -1]]
 
@@ -135,7 +135,7 @@ def test_repair_optimal_pi_prime(rng):
         assert ledger.verified
         assert 3 % ledger.image_order == 0
         # repaired image really has order dividing 3 at full precision
-        cube = fixed.images[0].pow_int(3)
+        cube = matrix_power(fixed.images[0], 3)
         assert cube.rows == UMatrix.identity(ring, 2).rows
 
 
@@ -1025,3 +1025,29 @@ def test_fox_step_on_own_list_multiplies_by_no_identity(monkeypatch, group, p, l
     _, _, step = _lift_step(C, rep.images, sigma, rel, k)
     assert step.method == "linear-solve" and right_factors
     assert UMatrix.identity(ring, n).rows not in right_factors
+
+
+@pytest.mark.parametrize("group, mode, p, K", [("S3", "zp", 5, 8), ("S3", "zp", 2, 10),
+                                               ("S4moore", "zp", 3, 8)])
+def test_repair_multiplies_by_no_identity(monkeypatch, group, mode, p, K):
+    # the closure, the tree section and the inverse section start from the
+    # identity: its children are the generators (and their inverses), taken
+    # as they are, so no product of a whole repair has an identity factor
+    names, relators, perms = SECTION_GROUPS[group]
+    ring = RingSpec(mode, p, K)
+    n = len(perms[0])
+    rng = random.Random(1)
+    u = random_gl(ring, n, rng)
+    rep = ApproxRep(Presentation.make(names, relators), ring, n,
+                    [u @ _perm_matrix(ring, perm) @ u.inv() + shifted_random(ring, n, rng, 3)
+                     for perm in perms])
+    products = []
+    matmul = UMatrix.__matmul__
+
+    def counting(a, b):
+        products.append((a.rows, b.rows, UMatrix.identity(a.ring, n).rows))
+        return matmul(a, b)
+    monkeypatch.setattr(UMatrix, "__matmul__", counting)
+    out, ledger = repair_finite_image(rep)
+    assert ledger.verified and ledger.steps and products
+    assert not [1 for a, b, ident in products if ident in (a, b)]

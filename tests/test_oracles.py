@@ -15,7 +15,7 @@ from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
 from ultrastab.ultranorm_linalg import UMatrix, solve_linear
 
-from conftest import random_gl, shifted_random
+from conftest import matrix_power, random_gl, shifted_random
 
 
 def test_repair_matches_bruteforce_gl1():
@@ -108,7 +108,7 @@ def test_graph_repair_amalgamated_cyclics(rng):
     # a -> companion of X^2+X+1 times -I has order 6; b -> its square
     m3 = UMatrix.from_int_rows(ring, [[0, -1], [1, -1]])
     m6 = -m3
-    assert m6.pow_int(6).rows == UMatrix.identity(ring, 2).rows
+    assert matrix_power(m6, 6).rows == UMatrix.identity(ring, 2).rows
     b_img = m6 @ m6
     rep0 = ApproxRep(pres, ring, 2, [m6, b_img, UMatrix.identity(ring, 2)])
     assert rep0.defect().saturated

@@ -263,7 +263,8 @@ def test_defect_iff_exact_reduction(rng):
         rep = ApproxRep(pres, ring, 2, [m + shifted_random(ring, 2, rng, k)])
         dval = rep.defect().valuation
         for level in range(1, 8):
-            reduced = rep.reduce(level)
+            reduced = ApproxRep(pres, ring.with_precision(level), 2,
+                                [img.reduce(level) for img in rep.images])
             exact = reduced.defect().saturated
             assert exact == (dval >= level)
 
