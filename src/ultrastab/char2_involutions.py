@@ -10,11 +10,12 @@ rescaling branch for matrices congruent to the identity.
 
 Cost per recursion level on an n x n input with l swap pairs and small
 block size s = n - 2l: one GF(2) elimination of the (n^2 - s^2) x n^2
-digit system, whose matrix depends only on n and l; then per digit one
-n x n inverse, three matmuls and n^2 - s^2 residual reads, the
-right-hand side costing one parity per system row.  A level with l = 0
-(every small block the repair recurses on) is told by A == I mod X and
-builds no block form.
+digit system, whose matrix depends only on n and l; then per digit four
+matmuls and no inverse (the conjugator P and Q = P^-1 are carried
+together, Q's digit factor being a GF(2) series built by xors),
+n^2 - s^2 residual reads and one parity per system row for the
+right-hand side.  A level with l = 0 (every small block the repair
+recurses on) is told by A == I mod X and builds no block form.
 """
 
 from __future__ import annotations
@@ -104,11 +105,51 @@ def _swap_plus(ring: RingSpec, n: int, l: int, block: Sequence[Sequence[int]]) -
     return UMatrix(ring, n, tuple(tuple(r) for r in rows))
 
 
+def _gf2_matrix(ring: RingSpec, rows: Sequence[int], n: int) -> UMatrix:
+    """The 0/1 matrix whose row r has bit c of rows[r] in column c."""
+    return UMatrix.from_int_rows(ring, [[row >> c & 1 for c in range(n)] for row in rows])
+
+
+def _digit_inverse(ring: RingSpec, ebits: Sequence[int], j: int) -> UMatrix:
+    """(I + X^j E)^-1 for a 0/1 matrix E (bit c of ebits[r] is E[r][c]), 1 <= j < K.
+
+    In characteristic 2 the inverse is the series sum of X^{ij} E^i over
+    the i with ij < K (I + X^j E itself when 2j >= K).  The powers E^i are
+    formed on the packed GF(2) rows by xors; term i fills the X^{ij} slot
+    of each entry, so the series is assembled without a ring product.
+    """
+    n = len(ebits)
+    entries = [[0] * n for _ in range(n)]
+    power = [1 << r for r in range(n)]  # E^0
+    for i in range((ring.precision - 1) // j + 1):
+        if i:   # E^i = E^(i-1) E
+            power = [_xor_rows(ebits, row) for row in power]
+        unit = ring.shift_up(ring.one, i * j)
+        for r, row in enumerate(power):
+            for c in range(n):
+                if row >> c & 1:
+                    entries[r][c] |= unit
+    return UMatrix(ring, n, tuple(tuple(r) for r in entries))
+
+
+def _xor_rows(rows: Sequence[int], select: int) -> int:
+    """Sum over GF(2) of the rows whose index is a bit of select."""
+    out = 0
+    for c, row in enumerate(rows):
+        if select >> c & 1:
+            out ^= row
+    return out
+
+
 @dataclass(frozen=True)
 class BGForm:
-    """P A P^{-1} == swap_l (+) B mod X^level, with B == I mod X."""
+    """P A Q == swap_l (+) B mod X^level, with Q = P^-1 and B == I mod X.
+
+    check confirms P Q == I exactly at precision K before it reads P A Q.
+    """
 
     P: UMatrix
+    Q: UMatrix
     swap_count: int
     B: UMatrix
     level: int
@@ -118,7 +159,9 @@ class BGForm:
 
     def check(self, a: UMatrix) -> bool:
         n = a.n
-        conj = self.P @ a @ self.P.inv()
+        if (self.P @ self.Q).rows != UMatrix.identity(a.ring, n).rows:
+            return False
+        conj = self.P @ a @ self.Q
         target = UMatrix(a.ring, n, self.target_rows(a.ring, n))
         level_ok = (conj - target).min_valuation() >= self.level
         small = self.B
@@ -126,14 +169,14 @@ class BGForm:
         return level_ok and (small.n == 0 or (small - ident).min_valuation() >= 1)
 
 
-def _initial_basis_change(a: UMatrix) -> Tuple[UMatrix, int]:
-    """Conjugator P over F_2 for which the residue of P A P^-1 is swap_l (+) I.
+def _initial_basis_change(a: UMatrix) -> Tuple[UMatrix, UMatrix, int]:
+    """Conjugator P over F_2, Q = P^-1 and l with P A Q == swap_l (+) I mod X.
 
     N = A + I is square zero over F_2.  One echelon form of N gives its
     pivot columns c (the e_c span a complement of ker N, and w_c = N e_c
     span im N) and a basis of ker N.  The pairs (e_c, A e_c) = (e_c,
     e_c + w_c), then a completion of the w_c to a basis of ker N, are the
-    columns of Q = P^-1.
+    columns of Q; P = Q^-1 is read from one echelon form of [Q | I].
     """
     n = a.n
     # bit j of row i is N[i][j]; bit i of column j likewise
@@ -165,8 +208,13 @@ def _initial_basis_change(a: UMatrix) -> Tuple[UMatrix, int]:
     cols = [1 << c for c in pivots] + [1 << c ^ w for c, w in zip(pivots, ws)] + us
     if len(cols) != n:
         raise ReductionFailed("residue basis construction is incomplete")
-    q = [[col >> i & 1 for col in cols] for i in range(n)]
-    return UMatrix.from_int_rows(a.ring, q).inv(), len(pivots)
+    qrows = [sum((col >> i & 1) << c for c, col in enumerate(cols)) for i in range(n)]
+    inv_rows, inv_pivots = _gf2_rref([row | 1 << (n + i) for i, row in enumerate(qrows)], n)
+    if len(inv_pivots) != n:
+        raise ReductionFailed("residue basis is not invertible")
+    ring = a.ring
+    return (_gf2_matrix(ring, [row >> n for row in inv_rows], n),
+            _gf2_matrix(ring, qrows, n), len(pivots))
 
 
 def bg_blockform(a: UMatrix, k: int) -> BGForm:
@@ -177,9 +225,11 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
     at a time; each digit asks for a GF(2) corrector E with
     R + [E, D] supported only on the small block, D = swap_l (+) I.  That
     system's matrix depends only on n and l, so it is eliminated once
-    ((n^2 - s^2) x n^2 with s = n - 2l); each of the k - 1 digits then
-    costs one n x n inverse, three matmuls, n^2 - s^2 residual reads and
-    one parity per system row.  With l = 0 the system is empty and no
+    ((n^2 - s^2) x n^2 with s = n - 2l).  P and Q = P^-1 are carried
+    together: each of the k - 1 digits costs four matmuls and no inverse
+    (P A Q, P <- (I + X^j E) P, Q <- Q (I + X^j E)^-1 with the last factor
+    a GF(2) series of at most ceil(K / j) terms), n^2 - s^2 residual reads
+    and one parity per system row.  With l = 0 the system is empty and no
     digit is lifted.
     """
     _require_char2(a.ring)
@@ -191,7 +241,7 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
     if ((a @ a) - UMatrix.identity(ring, n)).min_valuation() < k:
         raise PreconditionViolated("matrix is not an involution at the requested level")
 
-    p_mat, l = _initial_basis_change(a)
+    p_mat, q_mat, l = _initial_basis_change(a)
     # with no swap pair every entry lies in the B block: the digit system is
     # empty, every corrector E is 0 and the residue-field P is already final
     last = k if l else 1
@@ -202,23 +252,24 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
         solve = _gf2_solver([1 << (r * n + sigma[c]) ^ 1 << (sigma[r] * n + c)
                              for r, c in outside], n * n)
     for j in range(1, last + 1):
-        conj = p_mat @ a @ p_mat.inv()
+        conj = p_mat @ a @ q_mat
         if j == last:
             break
-        # residual digit: R = ((P A P^{-1} - D_j) / X^j) mod X, where D_j is
-        # the current target (swap block plus whatever sits in the B block).
+        # residual digit: R = ((P A Q - D_j) / X^j) mod X, where D_j is the
+        # current target (swap block plus whatever sits in the B block).
         diff = conj - _swap_plus(ring, n, l, [row[2 * l:] for row in conj.rows[2 * l:]])
         if diff.min_valuation() < j:
             raise ReductionFailed("block congruence degraded during lifting")
         x = solve(sum(ring.digit(diff.rows[r][c], j) << i for i, (r, c) in enumerate(outside)))
         if x is None:
             raise ReductionFailed(f"digit-lifting system unsolvable at digit {j}")
-        # P <- (I + X^j E) P
-        ebits = [[x >> (r * n + c) & 1 for c in range(n)] for r in range(n)]
-        p_mat = UMatrix.from_int_rows(ring, ebits).congruence_lift(j) @ p_mat
+        # P <- (I + X^j E) P and Q <- Q (I + X^j E)^-1
+        ebits = [x >> (r * n) & ((1 << n) - 1) for r in range(n)]
+        p_mat = _gf2_matrix(ring, ebits, n).congruence_lift(j) @ p_mat
+        q_mat = q_mat @ _digit_inverse(ring, ebits, j)
 
     b_mat = UMatrix(ring, n - 2 * l, tuple(row[2 * l:] for row in conj.rows[2 * l:]))
-    form = BGForm(P=p_mat, swap_count=l, B=b_mat, level=k)
+    form = BGForm(P=p_mat, Q=q_mat, swap_count=l, B=b_mat, level=k)
     if not form.check(a):
         raise ReductionFailed("block form failed its own verification")
     return form
@@ -272,7 +323,7 @@ def _repair_rec(a: UMatrix, dval: int) -> UMatrix:
             if bdval < dval:
                 raise ReductionFailed("small block lost defect depth")
             b_rep = _repair_rec(b_rep, bdval)
-        return form.P.inv() @ _swap_plus(ring, n, form.swap_count, b_rep.rows) @ form.P
+        return form.Q @ _swap_plus(ring, n, form.swap_count, b_rep.rows) @ form.P
     # l == 0: A = I + X^j M with j >= 1 maximal (j < K, as A^2 != I); either
     # I is near enough or the defect rescales by X^{-j} and the recursion
     # drops to the swap branch.

@@ -72,7 +72,11 @@ class GBSGraph:
             raise GBSError("graph needs at least one vertex")
         if not all(isinstance(v, str) for v in self.vertices):
             raise GBSError("vertex names must be strings")
-        names = set(self.vertices)
+        names = set()
+        for v in self.vertices:
+            if v in names:
+                raise GBSError(f"vertex {v!r} is listed more than once")
+            names.add(v)
         for src, dst, wm, wp in self.edges:
             if src not in names or dst not in names:
                 raise GBSError("edge endpoint is not a vertex")

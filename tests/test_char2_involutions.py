@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -8,6 +9,8 @@ from ultrastab import char2_involutions
 from ultrastab.local_ring import RingSpec
 from ultrastab.char2_involutions import (
     PreconditionViolated,
+    _digit_inverse,
+    _gf2_matrix,
     _gf2_solver,
     bg_blockform,
     involution_repair,
@@ -179,6 +182,87 @@ def test_bg_blockform_exhaustive_small():
         assert form.check(m)
         count += 1
     assert count == 28  # 16 X-multiples of square-zero plus 3 * 4 unit lifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 8, 10, 16]), st.integers(1, 12), st.data())
+def test_bg_blockform_carries_the_inverse(K, n, data):
+    # every block form the repair builds, at every recursion level, carries
+    # Q = P^-1 exactly; inv is the oracle here and nowhere in the module
+    ring = _ring(K)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    l = data.draw(st.integers(0, n // 2))
+    k = data.draw(st.integers(1, K))
+    u = random_gl(ring, n, rng)
+    a = u @ _swap_form(ring, n, l) @ u.inv() + shifted_random(ring, n, rng, k)
+    forms = []
+    real = char2_involutions.bg_blockform
+
+    def recorded(b, level):
+        forms.append(real(b, level))
+        return forms[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(char2_involutions, "bg_blockform", recorded)
+        forms.append(bg_blockform(a, k))
+        involution_repair(a)
+    for form in forms:
+        ident = UMatrix.identity(ring, form.P.n)
+        assert (form.P @ form.Q).rows == ident.rows
+        assert form.Q.rows == form.P.inv().rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 8, 10, 16]), st.integers(1, 12), st.data())
+def test_digit_inverse_matches_oracle(K, n, data):
+    ring = _ring(K)
+    ebits = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    factor = _gf2_matrix(ring, ebits, n)
+    for j in range(1, K):
+        got = _digit_inverse(ring, ebits, j)
+        assert got.rows == factor.congruence_lift(j).inv().rows
+        if 2 * j >= K:   # the series stops after I + X^j E
+            assert got.rows == factor.congruence_lift(j).rows
+
+
+def _benchmark_shaped_involution(ring, rng):
+    """A conjugate of swap_5 (+) I_2 over F_2[X]/(X^10) plus noise at level 4."""
+    u = random_gl(ring, 12, rng)
+    return u @ _swap_form(ring, 12, 5) @ u.inv() + shifted_random(ring, 12, rng, 4)
+
+
+def test_check_rejects_a_tampered_inverse(rng):
+    # check re-measures P Q = I at precision K: a Q that is off only at
+    # X^(K-1) still passes the level-k reading of P A Q, and must not pass
+    ring = _ring(10)
+    a = _benchmark_shaped_involution(ring, rng)
+    form = bg_blockform(a, 4)
+    assert form.check(a)
+    assert (form.P @ form.P).rows != UMatrix.identity(ring, 12).rows
+    assert not dataclasses.replace(form, Q=form.P).check(a)
+    for r, c in [(0, 0), (3, 11), (11, 5)]:
+        bump = [[0] * 12 for _ in range(12)]
+        bump[r][c] = 1
+        q_bad = form.Q + UMatrix.from_int_rows(ring, bump).scale(ring.shift_up(ring.one, 9))
+        assert (q_bad - form.Q).min_valuation() == 9
+        assert not dataclasses.replace(form, Q=q_bad).check(a)
+
+
+def test_repair_inverts_no_matrix(rng, monkeypatch):
+    ring = _ring(10)
+    inputs = [_benchmark_shaped_involution(ring, rng) for _ in range(3)]
+    calls = []
+    real = UMatrix.inv
+
+    def counted(self):
+        calls.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(UMatrix, "inv", counted)
+    for a in inputs:
+        out = involution_repair(a)
+        assert (a - out).min_valuation() >= 2
+    assert calls == []
 
 
 def test_repair_scalar_example():

@@ -147,6 +147,17 @@ def test_graph_validation():
         GBSGraph(("a",), (("a", "b", 1, 2),))  # unknown vertex
 
 
+def test_graph_rejects_repeated_vertex():
+    # a repeated name is reported as such, before the connectivity check
+    # that it would otherwise fail
+    for vertices, edges in [(("v", "v"), (("v", "v", 3, 2),)),
+                            (("a", "b", "a"), (("a", "b", 1, 2),))]:
+        with pytest.raises(GBSError) as info:
+            GBSGraph(vertices, edges)
+        assert repr(vertices[-1]) in str(info.value)
+        assert "connected" not in str(info.value)
+
+
 def test_bs_classification_table():
     table = {
         (2, 3, 2): (True, True),
