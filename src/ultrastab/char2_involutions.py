@@ -10,7 +10,8 @@ rescaling branch for matrices congruent to the identity.
 
 Cost per recursion level on an n x n input with l swap pairs and small
 block size s = n - 2l: one GF(2) elimination of the (n^2 - s^2) x n^2
-digit system, whose matrix depends only on n and l; then per digit four
+digit system, whose matrix depends only on n and l, so it is kept for the
+next form of the same (n, l); then per digit four
 matmuls and no inverse (the conjugator P and Q = P^-1 are carried
 together, Q's digit factor being a GF(2) series built by xors),
 n^2 - s^2 residual reads and one parity per system row for the
@@ -20,6 +21,7 @@ recurses on) is told by A == I mod X and builds no block form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -217,6 +219,17 @@ def _initial_basis_change(a: UMatrix) -> Tuple[UMatrix, UMatrix, int]:
             _gf2_matrix(ring, qrows, n), len(pivots))
 
 
+@functools.lru_cache(maxsize=32)
+def _digit_system(n: int, l: int):
+    """The entries (r, c) outside the small block and the solver of the digit
+    system [E, D] = R there, D = swap_l (+) I, eliminated once per (n, l)."""
+    outside = tuple((r, c) for r in range(n) for c in range(n) if r < 2 * l or c < 2 * l)
+    # (E D - D E)[r][c] = E[r][sigma(c)] + E[sigma(r)][c], sigma the swap of D
+    sigma = list(range(l, 2 * l)) + list(range(l)) + list(range(2 * l, n))
+    return outside, _gf2_solver([1 << (r * n + sigma[c]) ^ 1 << (sigma[r] * n + c)
+                                 for r, c in outside], n * n)
+
+
 def bg_blockform(a: UMatrix, k: int) -> BGForm:
     """Verified block form of an approximate involution at level k.
 
@@ -224,8 +237,8 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
     conjugator is built over the residue field and then improved one digit
     at a time; each digit asks for a GF(2) corrector E with
     R + [E, D] supported only on the small block, D = swap_l (+) I.  That
-    system's matrix depends only on n and l, so it is eliminated once
-    ((n^2 - s^2) x n^2 with s = n - 2l).  P and Q = P^-1 are carried
+    system's matrix depends only on n and l, so it is eliminated once per
+    (n, l) ((n^2 - s^2) x n^2 with s = n - 2l).  P and Q = P^-1 are carried
     together: each of the k - 1 digits costs four matmuls and no inverse
     (P A Q, P <- (I + X^j E) P, Q <- Q (I + X^j E)^-1 with the last factor
     a GF(2) series of at most ceil(K / j) terms), n^2 - s^2 residual reads
@@ -246,11 +259,7 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
     # empty, every corrector E is 0 and the residue-field P is already final
     last = k if l else 1
     if last > 1:
-        outside = [(r, c) for r in range(n) for c in range(n) if r < 2 * l or c < 2 * l]
-        # (E D - D E)[r][c] = E[r][sigma(c)] + E[sigma(r)][c], sigma the swap of D
-        sigma = list(range(l, 2 * l)) + list(range(l)) + list(range(2 * l, n))
-        solve = _gf2_solver([1 << (r * n + sigma[c]) ^ 1 << (sigma[r] * n + c)
-                             for r, c in outside], n * n)
+        outside, solve = _digit_system(n, l)
     for j in range(1, last + 1):
         conj = p_mat @ a @ q_mat
         if j == last:

@@ -19,21 +19,22 @@ chosen by l alone, and costs in n x n matmuls:
   over r of val(rho(r) - I): sum (|r| - 1) matmuls on R, one per
   Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
   all-pairs level of the section.  That level must reach min(2j, K);
-- l = 0, averaging: the section's inverse along the tree (|S| inversions
-  and N matmuls), the row sums b(s) = coords_j(sigma(s) sum_d sigma(d)
-  sigma(sd)^{-1} - N I) of the section-failure 2-cocycle at the generator
-  classes, one matmul_sum of N products and one matmul per class (|S| N
-  + |S|), their average c(s) = b(s) / N, exact as N is a unit, and the
-  corrected generators (I - w^j c(s)) sigma(s) (|S|);
+- l = 0, averaging: the cocycle row sums b(s) at the classes s != e,
+  each an integer combination, fixed once per repair, of the values
+  E(h, g) = coords_j(sigma(h) rho(g) sigma(hg)^{-1} - I) on C's Cayley
+  edges (b(s) sums |subtree(c)| E(sb, g) over the tree edges (b, g) -> c):
+  at most 2E matmuls on the E <= |S| N - N + 1 edges read, |S| sums of
+  at most N - 1 values (|S| N n^2 products), c(s) = b(s) / N, exact as
+  N is a unit, and the generators (I - w^j c(s)) sigma(s) (|S|);
 - l > 0, the Fox solve: the relator values z(r) = coords_j(rho(r)) on
   the step's input images (the list's matmuls again, plus one per
   relator against sigma(t^{-1}), t != e) and one exact solve of the
   list's Fox system for one particular solution: each generator moves
   by its own c(s), |R| n^2 equations in |S| n^2 unknowns, built from one
-  n^2 x n^2 conjugation block per prefix class (n^4 products each).  No
-  row sums or inverse section: the list measured level k, so sigma(y)
-  sigma(y^{-1}) = I mod w^k, and z and the blocks live mod w^{mod_exp},
-  mod_exp = min(2j, K) - j <= k.
+  n^2 x n^2 conjugation block per prefix class (n^4 products each).
+  Neither method builds an inverse section: the list measured level k,
+  so sigma(y) sigma(y^{-1}) = I mod w^k, and E, z and the blocks live
+  mod w^{mod_exp}, mod_exp = min(2j, K) - j <= k.
 
 Each amalgamation is glued by one exact conjugation: for edge-word images
 x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
@@ -63,7 +64,7 @@ from .presentations import (
     enumerate_cosets,
     word_value,
 )
-from .ultranorm_linalg import UMatrix, Unsolvable, matmul_sum, solve_linear
+from .ultranorm_linalg import UMatrix, Unsolvable, solve_linear
 
 
 class RepairError(RuntimeError):
@@ -162,11 +163,28 @@ def _relator_list(C: FiniteImage, relators: Sequence[Word]) -> _Relators:
     tree_words: List[Word] = [Word.identity()]
     for parent, g in C.tree[1:]:
         tree_words.append(Word(tree_words[parent].letters + (g + 1,)))
-    edges = tuple((h, g, t) for h in range(C.order)
-                  for g, x in enumerate(C.generator_indices)
-                  if C.tree[t := C.product(h, x)] != (h, g))
+    edges = tuple((h, g, t) for h in range(C.order) for g in range(ngens)
+                  if C.tree[t := C.right[h][g]] != (h, g))
     return _Relators(tuple(Word.make(tree_words[h].letters + (g + 1,))
                            * tree_words[t].inverse() for h, g, t in edges), edges)
+
+
+def _averaging_weights(C: FiniteImage):
+    """The edges (h, g, hg) that `_row_sums` reads, and per class s != e its
+    terms (|subtree(c)|, (sb, g, sc)) at the tree edges (b, g) -> c that s
+    moves off the tree; sc = (sb) x_g is one lookup, |S| N per repair."""
+    size = [1] * C.order
+    for c in range(C.order - 1, 0, -1):
+        size[C.tree[c][0]] += size[c]
+    rows: Dict[int, List[Tuple[int, Tuple[int, int, int]]]] = {}
+    for s in dict.fromkeys(filter(None, C.generator_indices)):
+        sc, rows[s] = [s] * C.order, []
+        for c in range(1, C.order):
+            b, g = C.tree[c]
+            t = sc[c] = C.right[sc[b]][g]
+            if C.tree[t] != (sc[b], g):
+                rows[s].append((size[c], (sc[b], g, t)))
+    return tuple(dict.fromkeys(e for row in rows.values() for _, e in row)), rows
 
 
 def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
@@ -175,10 +193,10 @@ def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
 
     A word of the group's list is evaluated by `word_value`, |r| - 1
     matmuls and t = e; a Schreier relator is sigma(h) rho(g) against
-    sigma(hg), one matmul each.
+    sigma(hg), one matmul each with h != e.
     """
     if rel.edges:
-        return [(sigma[h] @ gens[g], t) for h, g, t in rel.edges]
+        return [(sigma[h] @ gens[g] if h else gens[g], t) for h, g, t in rel.edges]
     inverses: Dict[int, UMatrix] = {}
     ring, n = sigma[0].ring, sigma[0].n
     return [(word_value(w, gens, inverses, ring, n), 0) for w in rel.words]
@@ -208,31 +226,45 @@ def _tree_section(C: FiniteImage, gens: Sequence[UMatrix]) -> List[UMatrix]:
     return out
 
 
-def _shifted_down(m: UMatrix, k: int) -> UMatrix:
-    """m / w^k entrywise; each entry must be divisible by w^k."""
-    down = m.ring.shift_down
-    return UMatrix(m.ring, m.n, tuple(tuple(down(x, k) for x in r) for r in m.rows))
+def _edge_values(C: FiniteImage, pairs, sigma: Sequence[UMatrix], j: int,
+                 mod_exp: int) -> List[UMatrix]:
+    """coords_j(a - sigma(t)) sigma(t^{-1}) mod w^{mod_exp} per (a, t), one
+    matmul if t != e; with a = sigma(h) rho(g), t = hg, the Schreier value E."""
+    ring = sigma[0].ring
+    ring_q, sub, down, low = ring.with_precision(mod_exp), ring.sub, ring.shift_down, ring.low_part
+    out = []
+    for a, t in pairs:
+        d = UMatrix(ring_q, a.n, tuple(tuple([low(down(sub(x, y), j), mod_exp)
+                                              for x, y in zip(ra, rb)])
+                                       for ra, rb in zip(a.rows, sigma[t].rows)))
+        out.append(d @ sigma[C.inverse(t)].reduce(mod_exp) if t else d)
+    return out
 
 
-def _row_sums(sigma, gens, C: FiniteImage, j: int, mod_exp: int) -> Dict[int, UMatrix]:
-    """b(s) = sum_d z(s, d) at each generator class s, z the section's 2-cocycle.
+def _row_sums(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix],
+              weights, j: int, mod_exp: int) -> Dict[int, UMatrix]:
+    """b(s) = sum_d z(s, d) at each generator class s != e, z the section's 2-cocycle.
 
-    b(s) = coords_j(sigma(s) sum_d sigma(d) sigma(sd)^{-1} - N I), sigma
-    the tree section of `gens`, read past level k: so the exact inverse
-    section along the tree (|S| inversions, N matmuls), one matmul_sum of
-    N products (n N terms per row) and one matmul per class; b(e) = 0.  As
-    delta b = N z, b / N solves delta c = z when N is a unit.
+    Along a tree edge (b, g) -> c, sigma(s) sigma(c) sigma(sc)^{-1} =
+    (I + w^j z(s, b)) (I + w^j E(sb, g)), E(h, g) the Schreier edge value
+    coords_j(sigma(h) rho(g) sigma(hg)^{-1} - I), zero on the tree edges.
+    So z(s, c) = z(s, b) + E(sb, g) mod w^{2j}, z(s, e) = 0, and b(s) is
+    the sum over the tree edges of |subtree(c)| E(sb, g).  A tree edge's g
+    is the first generator of its class, so (e, g) is on the tree and
+    h != e on every weighted edge.  Cost: the E weighted edges' values
+    (at most 2E matmuls), then |S| sums of at most N - 1 of them, one
+    reduction per entry; no inversion.  b / N solves delta c = z when N is
+    a unit, as delta b = N z.
     """
-    ring, n = sigma[0].ring, sigma[0].n
-    gens_inv = [g.inv() for g in gens]
-    sigma_inv = [sigma[0]]
-    for parent, g in C.tree[1:]:
-        sigma_inv.append(gens_inv[g] @ sigma_inv[parent] if parent else gens_inv[g])
-    nI = UMatrix.identity(ring, n).scale(ring.from_int(C.order))
-    return {s: _shifted_down(sigma[s] @ matmul_sum(sigma, [sigma_inv[C.product(s, d)]
-                                                          for d in range(C.order)]) - nI,
-                             j).reduce(mod_exp)
-            for s in dict.fromkeys(C.generator_indices)}
+    edges, rows = weights
+    ring_q, n = sigma[0].ring.with_precision(mod_exp), sigma[0].n
+    values = dict(zip(edges, ([x for r in v.rows for x in r] for v in _edge_values(
+        C, [(sigma[h] @ gens[g], t) for h, g, t in edges], sigma, j, mod_exp))))
+    sums = {}
+    for s, row in rows.items():
+        flat = _combine(ring_q, [(w, values[e]) for w, e in row])
+        sums[s] = UMatrix(ring_q, n, tuple(tuple(flat[o:o + n]) for o in range(0, n * n, n)))
+    return sums
 
 
 def _conj_block(ring: RingSpec, u, uinv) -> List[int]:
@@ -323,22 +355,20 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], rel: _Relators,
 
 
 def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix],
-               rel: _Relators, k: int):
+               rel: _Relators, weights, k: int):
     """One lifting step at defect level k on the carried image C.
 
     sigma is the section that the generator images span along C's tree;
     the relator list measured level k on them.  The p-part l of N picks
     the method.  With l = 0 the generators move to (I - w^j c(s)) sigma(s)
     at their classes (I at the class e), c(s) = b(s) / N from the row sums
-    (|S| N + N + 2|S| matmuls).  With l > 0 each generator image moves by
-    its own c(s) from the Fox solve of z(r) = coords_j(a - sigma(t))
-    sigma(t^{-1}), rho(r) = a sigma(t)^{-1} (the list's matmuls plus one
-    per relator with t != e, and one |R| n^2 x |S| n^2 solve); w^l must
-    divide z.
-    Either way the new section (N matmuls), the step's one section, is
-    re-measured on the list and must reach min(2j, K).  Returns the new
-    images, their section and the ledger step, whose level is the relator
-    list's on the new images.
+    read with `weights`, C's `_averaging_weights`.  With l > 0 (weights
+    None) each generator image moves by its own c(s) from the Fox solve of
+    z(r) = coords_j(a - sigma(t)) sigma(t^{-1}), rho(r) = a sigma(t)^{-1};
+    w^l must divide z.  Either way the new section (N matmuls), the step's
+    one section, is re-measured on the list and must reach min(2j, K).
+    Returns the new images, their section and the ledger step, whose level
+    is the relator list's on the new images.
     """
     ring, n = sigma[0].ring, sigma[0].n
     l = C.p_part
@@ -351,16 +381,13 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
 
     if l:
         method = "linear-solve"
-        z = []
-        for a, t in _relator_values(rel, gens, sigma):
-            d = _shifted_down(a - sigma[t], j)
-            z.append((d @ sigma[C.inverse(t)] if t else d).reduce(mod_exp))
+        z = _edge_values(C, _relator_values(rel, gens, sigma), sigma, j, mod_exp)
         if any(v.min_valuation() < min(l, mod_exp) for v in z):
             raise RepairError("relator values are not divisible by the p-part")
         new = [moved(c, g) for c, g in zip(_fox_solve(C, sigma, rel, z), gens)]
     else:
         method = "averaging"
-        sums = _row_sums(sigma, gens, C, j, mod_exp)
+        sums = _row_sums(C, gens, sigma, weights, j, mod_exp)
         ring_q = ring.with_precision(mod_exp)
         inv_n = ring_q.inv(ring_q.from_int(C.order))
         new = [moved(sums[s].scale(inv_n), sigma[s]) if s else UMatrix.identity(ring, n)
@@ -395,12 +422,13 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
     if k <= 2 * l:
         raise HypothesisViolated(f"need defect level k > 2l (k={k}, l={l})")
     rel = _relator_list(C, relators)
+    weights = None if l else _averaging_weights(C)
     sigma = _tree_section(C, gens)
     iterations = 0
     while k < K:
         if iterations >= K:
             raise RepairError("lifting loop exceeded its iteration bound")
-        gens, sigma, step = _lift_step(C, gens, sigma, rel, k)
+        gens, sigma, step = _lift_step(C, gens, sigma, rel, weights, k)
         steps.append(step)
         k = step.defect_val_after
         iterations += 1

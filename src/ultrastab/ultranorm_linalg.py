@@ -8,28 +8,25 @@ element is a unit times a power of the uniformizer.  The solver returns
 one particular solution, back-substituted through the pivot rows: the
 elimination's products plus rank^2 / 2, and no Smith form V.
 
-Every product, UMatrix.__matmul__ and matmul_sum alike, goes through one
-kernel (_product_rows): each row of the right factor is packed into one
-integer (Kronecker substitution), so row r of a product is one
-sum(map(mul, row, packed)) of L = n (or n * len(lefts)) big-int products
+Every product goes through one kernel (_product_rows): each row of the
+right factor is packed into one integer (Kronecker substitution), so row
+r of a product is one sum(map(mul, row, packed)) of n big-int products
 of an element, b bits, by a packed row of n fields, then n field reads.
-Z/p^K fields are 2 bits(p^K - 1) + bits(L) wide and each is read with one
+Z/p^K fields are 2 bits(p^K - 1) + bits(n) wide and each is read with one
 % p^K; F_p[X]/(X^K) fields are (2K - 1) W bits, W the ring's slot width,
 and the row is reduced by one slotwise multiply-shift per SUM_TERMS
 products (a mask for p = 2).  An n x n product thus costs n sums of n
 big-int products of b by about 2 n b bits and n^2 field reads, against
 n^2 sums of n products of b by b bits entry by entry: twice the big-int
 work for n times fewer interpreter steps, which pays while b is small
-against the interpreter's cost per step.  A matrix keeps its packed rows
-for its next product as a right factor; the layout of a product, its
-field width and reduction constants, is built once per ring, n and
-number of terms.
+against the interpreter's cost per step.  A matrix packs its rows on its
+first use as a right factor and keeps them; the layout, a product's
+field width and reduction constants, is built once per ring and n.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from operator import lshift, mul
 from typing import List, Sequence, Tuple
 
@@ -67,7 +64,7 @@ class UMatrix:
         self.ring = ring
         self.n = n
         self.rows = rows
-        self._packed = None  # (layout, packed rows) of the last right-factor use
+        self._packed = None  # (layout, packed rows), made on first use as a right factor
 
     # -- constructors -----------------------------------------------------
 
@@ -114,21 +111,13 @@ class UMatrix:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _packed_rows(self, lay: "_Layout") -> List[int]:
-        """This matrix's rows packed at `lay`'s width, kept for its next product."""
-        got = self._packed
-        if got is None or got[0].width != lay.width:
-            got = self._packed = (lay, lay.pack(self.rows))
-        return got[1]
-
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
-        ring, n = self.ring, self.n
         got = other._packed
-        if got is None or got[0].terms != n:
-            lay = _layout(ring, n, n)
-            got = lay, other._packed_rows(lay)
-        return UMatrix(ring, n, _product_rows(got[0], self.rows, got[1]))
+        if got is None:
+            lay = _layout(self.ring, self.n)
+            got = other._packed = (lay, [sum(map(lshift, r, lay.shifts)) for r in other.rows])
+        return UMatrix(self.ring, self.n, _product_rows(got[0], self.rows, got[1]))
 
     def __add__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
@@ -276,24 +265,6 @@ class UMatrix:
         return cls(ring, n, rows)
 
 
-def matmul_sum(lefts: Sequence[UMatrix], rights: Sequence[UMatrix]) -> UMatrix:
-    """sum_i lefts[i] @ rights[i], with no intermediate matrix.
-
-    Row r is row r of the lefts laid end to end against the packed rows of
-    the rights laid end to end: one kernel product with n * len(lefts)
-    terms per row.
-    """
-    ring, n = lefts[0].ring, lefts[0].n
-    for m in itertools.chain(lefts, rights):
-        lefts[0]._check(m)
-    if len(lefts) != len(rights):
-        raise RingError("matmul_sum needs as many left factors as right ones")
-    lay = _layout(ring, n, n * len(lefts))
-    packed = list(itertools.chain.from_iterable(m._packed_rows(lay) for m in rights))
-    rows = [list(itertools.chain.from_iterable(r)) for r in zip(*(m.rows for m in lefts))]
-    return UMatrix(ring, n, _product_rows(lay, rows, packed))
-
-
 # -- the product kernel -------------------------------------------------------
 
 
@@ -301,18 +272,17 @@ class _Layout:
     """How the right factor of a product of n x n matrices over a ring is packed.
 
     Row a of the right factor becomes one integer, the entry of column t
-    in the field at bit width * t; a sum of `terms` products of an entry
-    by a field fits each field with no carry into the next.
+    in the field at bit width * t; a sum of n products of an entry by a
+    field fits each field with no carry into the next.
     """
 
-    __slots__ = ("width", "terms", "shifts", "mask", "modulus", "p", "reduction")
+    __slots__ = ("width", "shifts", "mask", "modulus", "p", "reduction")
 
-    def __init__(self, ring: RingSpec, n: int, terms: int):
-        self.terms = terms
+    def __init__(self, ring: RingSpec, n: int):
         self.p = ring.p
         if ring.is_mixed:
             self.modulus = ring.modulus
-            self.width = 2 * (self.modulus - 1).bit_length() + terms.bit_length()
+            self.width = 2 * (self.modulus - 1).bit_length() + n.bit_length()
             self.mask = (1 << self.width) - 1
         else:
             self.modulus = 0
@@ -328,25 +298,16 @@ class _Layout:
             full = ring._low  # keeping bit 0 of each slot is the whole reduction
         self.reduction = (full * spread, m, s, qmask * spread)
 
-    def pack(self, rows) -> List[int]:
-        shifts = self.shifts
-        return [sum(map(lshift, r, shifts)) for r in rows]
 
-
-@functools.lru_cache(maxsize=256)
-def _layout(ring: RingSpec, n: int, terms: int) -> _Layout:
-    """The layout for n x n products over `ring` with `terms` terms a row,
-    built once; a packed right factor keeps its layout, so __matmul__
-    looks one up only to pack."""
-    return _Layout(ring, n, terms)
+# one layout per ring and n, looked up by __matmul__ only to pack a right factor
+_layout = functools.lru_cache(maxsize=256)(_Layout)
 
 
 def _product_rows(lay: _Layout, lrows, packed: List[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Rows of lrows @ (the matrix whose rows lay.pack gave as `packed`), canonical.
+    """Rows of lrows @ (the matrix whose rows are packed at lay.shifts), canonical.
 
-    Each of lrows is as long as `packed`.  Cost per row: len(packed)
-    big-int products of an element by a packed row, then one shift, mask
-    and reduction per field.
+    Cost per row: n big-int products of an element by a packed row, then
+    one shift, mask and reduction per field.
     """
     shifts, mask = lay.shifts, lay.mask
     if lay.modulus:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -263,6 +264,20 @@ def test_repair_inverts_no_matrix(rng, monkeypatch):
         out = involution_repair(a)
         assert (a - out).min_valuation() >= 2
     assert calls == []
+
+
+def test_digit_system_is_eliminated_once_per_shape(rng, monkeypatch):
+    # the digit system depends on (n, l) alone, so three repairs whose top
+    # block forms share (n, l) = (12, 5) eliminate each system they meet once
+    calls = collections.Counter()
+    real = char2_involutions._gf2_solver
+    monkeypatch.setattr(char2_involutions, "_gf2_solver",
+                        lambda rows, ncols: calls.update([(ncols, len(rows))]) or real(rows, ncols))
+    char2_involutions._digit_system.cache_clear()
+    ring = _ring(10)
+    for a in [_benchmark_shaped_involution(ring, rng) for _ in range(3)]:
+        assert (a - involution_repair(a)).min_valuation() >= 2
+    assert calls[144, 144 - 4] == 1 and set(calls.values()) == {1}
 
 
 def test_repair_scalar_example():

@@ -23,6 +23,7 @@ from ultrastab.homrepair import (
     HypothesisViolated,
     LedgerStep,
     RepairError,
+    _averaging_weights,
     _conj_block,
     _fox_solve,
     _lift_step,
@@ -464,13 +465,6 @@ S3_D4_PERMS = [
 S3_D4_PRESENTATIONS = [Presentation.make(*DIFF_GROUPS[g][:2]) for g in ("S3", "D4")]
 
 
-def _random_gens(ring, perms, rng, low):
-    """The permutation matrices, each with noise of its own level >= low."""
-    return [UMatrix.from_int_rows(ring, m)
-            + shifted_random(ring, len(m), rng, rng.randrange(low, ring.precision + 1))
-            for m in perms]
-
-
 # A 2-cochain of a section, at some element pairs (a, b): z[a, b] over `ring`,
 # with act[a] = sigma(a) and act_inv[a] = sigma(a)^-1 over the same ring.
 Cochain = namedtuple("Cochain", "image ring z act act_inv")
@@ -513,36 +507,46 @@ def _full_average(sigma, C, level, mod_exp):
     return out
 
 
-def test_generator_rows_give_full_average(rng):
-    # p not dividing N: on the tree sections of random generator images the
-    # averaged cochain b(s) / N at the generator classes, from the
-    # dot-kernel row sums (which build their own inverse section) and from
-    # the summed cocycle rows of exact inverses alike, is the average of the
-    # full N^2 cocycle table there
-    checked = 0
-    for ring, k in ((RingSpec("zp", 5, 8), 3), (RingSpec("fpx", 5, 8), 3),
-                    (RingSpec("zp", 3, 12), 5)):
-        for perms in S3_D4_PERMS:
-            C = closure_of_matrices([UMatrix.from_int_rows(ring, m).reduce(k)
-                                     for m in perms], k)
-            if C.p_part:
-                continue  # S3 at p = 3
-            mod_exp = min(2 * k, ring.precision) - k
-            ring_q = ring.with_precision(mod_exp)
-            ninv = ring_q.inv(ring_q.from_int(C.order))
-            for _ in range(3):
-                gens = _random_gens(ring, perms, rng, k)
-                sigma = _tree_section(C, gens)
-                z = _cocycle(sigma, C, _left_rows(C), k, mod_exp).z
-                want = _full_average(sigma, C, k, mod_exp)
-                summed = {s: sum((z[s, d] for d in range(1, C.order)), z[s, 0])
-                          for s in _classes(C)}
-                for sums in (_row_sums(sigma, gens, C, k, mod_exp), summed):
-                    assert list(sums) == _classes(C)
-                    assert [b.scale(ninv).rows for b in sums.values()] == [want[s].rows
-                                                                           for s in sums]
-                checked += 1
-    assert checked == 15  # S3 and D4 at p = 5 in both modes, D4 at p = 3
+# LEVEL_GROUPS plus A4, of order 12
+AVERAGING_GROUPS = dict(LEVEL_GROUPS, A4=(["a", "b"], [["a"] * 3, ["b"] * 2, ["a", "b"] * 3],
+                                          [[1, 2, 0, 3], [1, 0, 3, 2]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(AVERAGING_GROUPS)), st.sampled_from(["zp", "fpx"]),
+       st.sampled_from([5, 7, 11]), st.integers(4, 12), st.integers(1, 11),
+       st.integers(0, 2 ** 32))
+@example("S3dup", "zp", 5, 8, 3, 0)
+@example("S3id", "fpx", 7, 8, 3, 1)
+@example("S4", "fpx", 5, 8, 3, 2)
+@example("A4", "zp", 11, 12, 5, 3)
+def test_generator_rows_give_full_average(group, mode, p, K, k, seed):
+    # p not dividing N: on the tree sections of random generator images,
+    # repeated and trivial generator classes among them, the row sums from
+    # the Schreier edge values and the summed cocycle rows of exact inverses
+    # alike, divided by N, are the average of the full N^2 cocycle table at
+    # each generator class but e
+    perms = AVERAGING_GROUPS[group][2]
+    ring = RingSpec(mode, p, K)
+    n = len(perms[0])
+    k = min(k, K - 1)
+    rng = random.Random(seed)
+    gens = [_perm_matrix(ring, perm) + shifted_random(ring, n, rng, rng.randrange(k, K + 1))
+            for perm in perms]
+    C = closure_of_matrices([g.reduce(k) for g in gens], k)
+    assume(C.p_part == 0)
+    mod_exp = min(2 * k, K) - k
+    ring_q = ring.with_precision(mod_exp)
+    ninv = ring_q.inv(ring_q.from_int(C.order))
+    sigma = _tree_section(C, gens)
+    classes = [s for s in dict.fromkeys(C.generator_indices) if s]
+    z = _cocycle(sigma, C, [(s, d) for s in classes for d in range(C.order)], k, mod_exp).z
+    want = _full_average(sigma, C, k, mod_exp)
+    summed = {s: sum((z[s, d] for d in range(1, C.order)), z[s, 0]) for s in classes}
+    sums = _row_sums(C, gens, sigma, _averaging_weights(C), k, mod_exp)
+    for got in (sums, summed):
+        assert list(got) == classes
+        assert [b.scale(ninv).rows for b in got.values()] == [want[s].rows for s in classes]
 
 
 def _full_system_solve(z):
@@ -684,7 +688,7 @@ def test_fox_solve_trivial_image(rng):
     assert [x.rows for x in c] == [v.rows for v in values]
     new = [(-x).lift_to(ring).congruence_lift(k) @ g for x, g in zip(c, gens)]
     assert _relator_level(rel, new, [one]) >= 2 * k
-    got, _, step = _lift_step(C, gens, [one], rel, k)
+    got, _, step = _lift_step(C, gens, [one], rel, _averaging_weights(C), k)
     assert [g.rows for g in got] == [one.rows] * 2 and step == LedgerStep(6, 2, "averaging")
 
 
@@ -864,6 +868,7 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
     C = closure_of_matrices([g.reduce(k0) for g in rep.images], k0)
     rel = _relator_list(C, rep.presentation.relators)
     assert rel.edges == ()  # each of these presentations presents its image
+    weights = None if C.p_part else _averaging_weights(C)
     gens, k, steps = list(rep.images), k0, []
     sigma = _tree_section(C, gens)
     err = None
@@ -874,7 +879,7 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
         elif k <= 2 * C.p_part:
             err = HypothesisViolated
         else:
-            new, err = outcome(lambda: _lift_step(C, gens, sigma, rel, k))
+            new, err = outcome(lambda: _lift_step(C, gens, sigma, rel, weights, k))
         ref, ref_err = outcome(lambda: _reference_step(ring, gens, k))
         assert err is ref_err
         if err:
@@ -940,7 +945,7 @@ def test_fox_step_raises_as_reference_step(shape, data, K, level, conjugate, see
             return None, type(e)
 
     new, err = outcome(lambda: _lift_step(C, rep.images, _tree_section(C, rep.images),
-                                          _relator_list(C, own), k))
+                                          _relator_list(C, own), None, k))
     _, ref_err = outcome(lambda: _reference_step(ring, rep.images, k))
     assert err is ref_err
     if not err:
@@ -953,7 +958,10 @@ def test_fox_step_raises_as_reference_step(shape, data, K, level, conjugate, see
 # as F_p[X] needs a p'-image)
 SECTION_GROUPS = dict(DIFF_GROUPS, S4moore=(
     ["s", "t"], [["s", "s"], ["t"] * 4, ["s", "t"] * 3, ["s", "t^-1", "s", "t"] * 3,
-                 ["s", "t^-1", "t^-1", "s", "t", "t"] * 2], DIFF_GROUPS["S4"][2]))
+                 ["s", "t^-1", "t^-1", "s", "t", "t"] * 2], DIFF_GROUPS["S4"][2]),
+    # <s, t, u | s^2> with u in the class of s: on C's Schreier list the
+    # edge (e, u) leaves the tree
+    S3dupschreier=(["s", "t", "u"], [["s", "s"]], LEVEL_GROUPS["S3dup"][2]))
 SECTION_CASES = [("S3", "zp", 5, 8), ("S3", "fpx", 5, 8), ("S3", "zp", 2, 10),
                  ("S3", "zp", 3, 8), ("S4moore", "zp", 5, 8), ("S4moore", "fpx", 5, 8),
                  ("S4moore", "zp", 3, 8)]
@@ -1022,17 +1030,19 @@ def test_fox_step_on_own_list_multiplies_by_no_identity(monkeypatch, group, p, l
     matmul = UMatrix.__matmul__
     monkeypatch.setattr(UMatrix, "__matmul__",
                         lambda a, b: right_factors.append(b.rows) or matmul(a, b))
-    _, _, step = _lift_step(C, rep.images, sigma, rel, k)
+    _, _, step = _lift_step(C, rep.images, sigma, rel, None, k)
     assert step.method == "linear-solve" and right_factors
     assert UMatrix.identity(ring, n).rows not in right_factors
 
 
 @pytest.mark.parametrize("group, mode, p, K", [("S3", "zp", 5, 8), ("S3", "zp", 2, 10),
-                                               ("S4moore", "zp", 3, 8)])
+                                               ("S4moore", "zp", 3, 8),
+                                               ("S3dupschreier", "fpx", 5, 8)])
 def test_repair_multiplies_by_no_identity(monkeypatch, group, mode, p, K):
-    # the closure, the tree section and the inverse section start from the
-    # identity: its children are the generators (and their inverses), taken
-    # as they are, so no product of a whole repair has an identity factor
+    # the closure and the tree section start from the identity: its children
+    # are the generators, taken as they are, and the relator and edge values
+    # skip every factor sigma(e), so no product of a whole repair has an
+    # identity factor
     names, relators, perms = SECTION_GROUPS[group]
     ring = RingSpec(mode, p, K)
     n = len(perms[0])
@@ -1051,3 +1061,36 @@ def test_repair_multiplies_by_no_identity(monkeypatch, group, mode, p, K):
     out, ledger = repair_finite_image(rep)
     assert ledger.verified and ledger.steps and products
     assert not [1 for a, b, ident in products if ident in (a, b)]
+
+
+# (group, mode, p, K): relators with no inverse letter, so that measuring
+# them inverts nothing; the repeated class u = s is spelled u s, as s^2 = 1
+NO_INVERSE_GROUPS = dict(
+    SECTION_GROUPS,
+    S3dup=(["s", "t", "u"], DIFF_GROUPS["S3"][1] + [["u", "s"]], LEVEL_GROUPS["S3dup"][2]),
+    S3id=LEVEL_GROUPS["S3id"],
+    S3schreier=(["s", "t"], [["s", "s"]], DIFF_GROUPS["S3"][2]))
+
+
+@pytest.mark.parametrize("group, mode, p, K", [
+    ("S3", "zp", 5, 8), ("S3", "fpx", 7, 10), ("S4", "fpx", 5, 8), ("S4", "zp", 11, 12),
+    ("S3dup", "zp", 7, 8), ("S3id", "fpx", 5, 8), ("S3schreier", "zp", 5, 12)])
+def test_averaging_repair_inverts_no_matrix(monkeypatch, group, mode, p, K):
+    # p not dividing N: the row sums read the Schreier edge values against
+    # sigma(t^{-1}), so a repair, from its first defect to its re-measure,
+    # inverts no matrix
+    names, relators, perms = NO_INVERSE_GROUPS[group]
+    ring = RingSpec(mode, p, K)
+    n = len(perms[0])
+    rng = random.Random(2)
+    u = random_gl(ring, n, rng)
+    rep = ApproxRep(Presentation.make(names, relators), ring, n,
+                    [u @ _perm_matrix(ring, perm) @ u.inv() + shifted_random(ring, n, rng, 3)
+                     for perm in perms])
+    inversions = Counter()
+    inv = UMatrix.inv
+    monkeypatch.setattr(UMatrix, "inv", lambda m: inversions.update([m.n]) or inv(m))
+    out, ledger = repair_finite_image(rep)
+    assert ledger.verified and ledger.steps
+    assert {s.method for s in ledger.steps} == {"averaging"}
+    assert not inversions

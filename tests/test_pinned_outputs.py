@@ -44,9 +44,24 @@ def _perturbed(pres, ring, perms, k, seed):
                                      + shifted_random(ring, n, rng, k) for m in perms])
 
 
-def _finite_image(mode, p, K, k, seed):
-    pres = Presentation.make(["s", "t"], S3_RELATORS)
-    return repair_finite_image, (_perturbed(pres, RingSpec(mode, p, K), S3_PERMS, k, seed),)
+def _finite_image(mode, p, K, k, seed, names=("s", "t"), relators=S3_RELATORS,
+                  perms=S3_PERMS):
+    pres = Presentation.make(list(names), relators)
+    return repair_finite_image, (_perturbed(pres, RingSpec(mode, p, K), perms, k, seed),)
+
+
+S4_AVERAGING = dict(relators=[["s", "s"], ["t"] * 4, ["s", "t"] * 3],
+                    perms=(_perm([1, 0, 2, 3]), _perm([1, 2, 3, 0])))
+A4_AVERAGING = dict(names=("a", "b"), relators=[["a"] * 3, ["b"] * 2, ["a", "b"] * 3],
+                    perms=(_perm([1, 2, 0, 3]), _perm([1, 0, 3, 2])))
+# u is a second perturbed transposition in the class of s, so the edge (e, u)
+# leaves C's tree; e is a perturbed identity, the generator class e
+S3_DUPLICATE = dict(names=("s", "t", "u"), relators=S3_RELATORS + [["u", "s^-1"]],
+                    perms=S3_PERMS + (S3_PERMS[0],))
+S3_TRIVIAL = dict(names=("s", "t", "e"), relators=S3_RELATORS + [["e"]],
+                  perms=S3_PERMS + (_perm([0, 1, 2]),))
+# <s, t | s^2> does not present S3: the repair measures C's Schreier relators
+S3_SCHREIER = dict(relators=[["s", "s"]])
 
 
 def _bs23(p, k, seed):
@@ -65,6 +80,22 @@ CASES = {   # id -> (repair and its arguments, SHA-256 of images and ledger)
         "fb7374017ee0f3cdc9a737cc446b4f12535c2ee12a2eff3927b63093593ab4b4"),
     "S3/fpx/p5/K8/k3": (_finite_image("fpx", 5, 8, 3, 3),
         "cc8052d2771468ece044b156039b9a00adfa57eec93190be019606b2e173fd0a"),
+    # averaging on larger images, repeated and trivial generator classes and
+    # the Schreier list
+    "S4/zp/p5/K8/k3": (_finite_image("zp", 5, 8, 3, 8, **S4_AVERAGING),
+        "a065de72e21731b062b50cfcf614557e9ce70960ed8b62e215eb5a16d6ed65a1"),
+    "S4/fpx/p5/K8/k3": (_finite_image("fpx", 5, 8, 3, 9, **S4_AVERAGING),
+        "a9990796fab52c652695f82da16805691827761d8a72a2e8f728aa0af16053c6"),
+    "A4/zp/p5/K10/k3": (_finite_image("zp", 5, 10, 3, 10, **A4_AVERAGING),
+        "9bf19ca5657b1cd99d377748901649a816a72a70768782587eed95ab4aafa337"),
+    "S3dup/zp/p7/K8/k3": (_finite_image("zp", 7, 8, 3, 11, **S3_DUPLICATE),
+        "e754bdcd37809afc7ab97aa0c3c5b203f39b05c1b89ba5bb53a58fbfa56cb75e"),
+    "S3dup/fpx/p5/K8/k3": (_finite_image("fpx", 5, 8, 3, 12, **S3_DUPLICATE),
+        "07c96e65748c462073928b819e11067c44dc77555cca450519ed97e377838855"),
+    "S3id/fpx/p5/K8/k3": (_finite_image("fpx", 5, 8, 3, 13, **S3_TRIVIAL),
+        "af4c49bcb3e747537b3b07dbe344cbff16dca3552d46b81c95ef90144fc7928d"),
+    "S3schreier/zp/p5/K12/k4": (_finite_image("zp", 5, 12, 4, 14, **S3_SCHREIER),
+        "afe373d566ecc8fc265bda4edc08fde9801cc7c7453535efe0185f5e8874810d"),
     # p | N: every step takes the linear solve; its images are the particular
     # solution of the relators' Fox system, its ledger that of any solution
     "S3/zp/p2/K8/k3": (_finite_image("zp", 2, 8, 3, 4),

@@ -13,7 +13,6 @@ from ultrastab.ultranorm_linalg import (
     NotMonomial,
     UMatrix,
     Unsolvable,
-    matmul_sum,
     nearest_monomial_commutant,
     row_submul,
     solve_linear,
@@ -322,27 +321,6 @@ def test_solve_linear_matches_enumeration(system):
     assert math.prod(ring.p ** (diag[j] if j < len(diag) else K) for j in range(nc)) == len(sols)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 5, 257]), st.integers(1, 16),
-       st.integers(1, 4), st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32))
-def test_matmul_sum_matches_sum_of_products(mode, p, K, n, m, extreme, seed):
-    # one dot of length n m per entry against m products and m - 1 sums; the
-    # extreme inputs are mostly p - 1 in every digit, the largest slot sums
-    ring = RingSpec(mode, p, K)
-    rng = random.Random(seed)
-    top = ring.from_int(-1) if ring.is_mixed else ring.from_coeffs([p - 1] * K)
-
-    def entry():
-        return top if extreme and rng.random() < 0.8 else ring.random_raw(rng)
-
-    lefts, rights = ([UMatrix(ring, n, tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
-                      for _ in range(m)] for _ in range(2))
-    want = lefts[0] @ rights[0]
-    for a, b in zip(lefts[1:], rights[1:]):
-        want = want + a @ b
-    assert matmul_sum(lefts, rights).rows == want.rows
-
-
 # -- the product kernel against the schoolbook product ------------------------
 
 
@@ -388,31 +366,6 @@ def test_matmul_matches_schoolbook(mode, p, K, n, extreme, seed):
     assert (a @ b).rows == want                      # miss: b's rows are packed
     assert (a @ b).rows == want                      # hit
     assert (b @ a).rows == _schoolbook(ring, b.rows, a.rows)   # b as a left factor
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 3, 5, 1021]), st.integers(1, 64),
-       st.integers(1, 8), st.integers(1, 24), st.booleans(), st.integers(0, 2 ** 32))
-@example("fpx", 1021, 64, 4, 24, True, 0)  # 96 products a row, six reductions
-@example("zp", 1021, 64, 8, 24, True, 1)
-@example("fpx", 2, 64, 3, 17, True, 2)
-@example("fpx", 5, 8, 4, 24, True, 3)      # six reductions over F_5[X]/(X^8)
-def test_matmul_sum_matches_schoolbook(mode, p, K, n, m, extreme, seed):
-    # n m products a row cross SUM_TERMS for m > 16 / n; the rights are read
-    # from their cache on the second call, at the width matmul_sum packed
-    # them, and read again by a single product afterwards (repacked for
-    # Z/p^K's narrower fields)
-    ring = RingSpec(mode, p, K)
-    rng = random.Random(seed)
-    lefts = [_kernel_matrix(ring, n, rng, extreme) for _ in range(m)]
-    rights = [_kernel_matrix(ring, n, rng, extreme) for _ in range(m)]
-    want = _schoolbook(ring, lefts[0].rows, rights[0].rows)
-    for a, b in zip(lefts[1:], rights[1:]):
-        want = tuple(tuple(ring.add(x, y) for x, y in zip(r, t))
-                     for r, t in zip(want, _schoolbook(ring, a.rows, b.rows)))
-    assert matmul_sum(lefts, rights).rows == want
-    assert matmul_sum(lefts, rights).rows == want
-    assert (lefts[0] @ rights[0]).rows == _schoolbook(ring, lefts[0].rows, rights[0].rows)
 
 
 def test_monomial_commutant_swap_example():
