@@ -406,7 +406,7 @@ def cmd_repair(args) -> int:
 
 def cmd_witness(args) -> int:
     x = json.loads(args.x) if args.x else None
-    ring = RingSpec(args.ring, args.p, args.precision)
+    ring = RingSpec.of(args.ring, args.p, args.precision)
     params = {"ring": ring.describe(), "i": args.i, "n": args.n, "a": args.a,
               "x": ring.encode(ring.uniformizer()) if x is None else x}
     return _produce(args, "witness-" + args.kind, params)

@@ -10,14 +10,19 @@ with val(x) = K exactly when x is zero at this precision.
 Equal characteristic packs the K coefficients of an element into one
 integer, coefficient i in the W-bit slot at bit W*i (Kronecker
 substitution).  The slot width W depends on p alone, so raw values keep
-their meaning across precisions, and K is at most K_MAX.  W leaves room
-for any sum of up to SUM_TERMS products plus two reduced terms, so one
-integer multiply computes a truncated polynomial product with no carries
-between slots, and one multiply-shift divides every slot by p at once
-(Granlund-Montgomery division by an invariant integer).  A product, a
-sum, a difference or a dot product of at most SUM_TERMS terms therefore
-costs one big-int product per term plus O(1) big-int operations on K*W
-bits, with no loop over the slots; p = 2 reduces with xor and a mask.
+their meaning across precisions, and K is at most K_MAX.  A slot holds
+any sum of up to SUM_TERMS products plus two reduced terms, b bits, so
+one integer multiply computes a truncated polynomial product with no
+carries between slots.  At p = 2 a mask reduces every slot at once and
+W = b (11 bits).  For odd p one multiply-shift divides every slot by p
+(Granlund-Montgomery division by an invariant integer); it runs on the
+even and the odd slots apart, so each slot's product with the multiplier
+may spill into the next slot but never reaches the next slot of its
+parity, and W = b + 1 (14 bits at p = 3, 16 at p = 5, 31 at p = 1021).
+A product or a dot product of at most SUM_TERMS terms therefore costs
+one big-int product per term plus O(1) big-int operations on K*W bits,
+with no loop over the slots; a sum or difference, whose slots stay below
+2p, takes one conditional subtraction of p in every slot.
 """
 
 from __future__ import annotations
@@ -40,14 +45,18 @@ def _slot_width(p: int):
     """(W, s, m): slot width and the multiply-shift t -> (t * m) >> s = t // p.
 
     A slot of an unreduced sum holds less than 2^b, b = bitlen(SUM_TERMS *
-    K_MAX * (p-1)^2 + 2p).  With s = b + ceil(log2 p) and m = ceil(2^s / p),
-    (t * m) >> s equals t // p for every t < 2^b, and t * m < 2^W with
-    W = b + bitlen(m), so the per-slot quotients never overlap.
+    K_MAX * (p-1)^2 + 2p).  At p = 2 the reduction is a mask: W = b and no
+    multiply-shift (s = m = 0).  For odd p, s = b + bitlen(p - 1) and m =
+    ceil(2^s / p) make (t * m) >> s equal t // p for every t < 2^b, and
+    t * m < 2^(b + bitlen(m)) <= 2^(2W) with W = ceil((b + bitlen(m)) / 2),
+    so a slot's product never reaches the next slot of its parity.
     """
     b = (SUM_TERMS * K_MAX * (p - 1) ** 2 + 2 * p).bit_length()
+    if p == 2:
+        return b, 0, 0
     s = b + (p - 1).bit_length()
     m = -(-(1 << s) // p)
-    return b + m.bit_length(), s, m
+    return -(-(b + m.bit_length()) // 2), s, m
 
 
 class RingError(ValueError):
@@ -75,9 +84,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+_RINGS: dict = {}  # (mode, p, K) -> the first RingSpec made with these fields
+
+
 @dataclass(frozen=True)
 class RingSpec:
-    """A truncated local ring: mode, residue characteristic p, precision K."""
+    """A truncated local ring: mode, residue characteristic p, precision K.
+
+    RingSpec.of, with_precision and from_json return one ring object per
+    (mode, p, K), the first one made; a ring built directly is equal to it.
+    """
 
     mode: str
     p: int
@@ -90,26 +106,43 @@ class RingSpec:
             raise RingError(f"p must be prime, got {self.p}")
         if self.precision < 1:
             raise RingError(f"precision must be >= 1, got {self.precision}")
+        if self.mode == EQUAL_CHAR and self.precision > K_MAX:
+            raise RingError(f"equal-characteristic precision must be <= {K_MAX}, "
+                            f"got {self.precision}")
         # plain attributes, not fields: they stay out of __eq__ and __hash__
         setattr_ = object.__setattr__
+        setattr_(self, "_interned", _RINGS.setdefault((self.mode, self.p, self.precision), self))
         setattr_(self, "is_mixed", self.mode == MIXED_CHAR)
         if self.is_mixed:
             setattr_(self, "_modulus", self.p ** self.precision)
             return
-        if self.precision > K_MAX:
-            raise RingError(f"equal-characteristic precision must be <= {K_MAX}, "
-                            f"got {self.precision}")
-        w, s, m = _slot_width(self.p)
+        p, K = self.p, self.precision
+        w, s, m = _slot_width(p)
         slot_mask = (1 << w) - 1
-        full = (1 << (w * self.precision)) - 1     # all bits of the first K slots
-        low = full // slot_mask                    # 1 in each of the first K slots
+        full = (1 << (w * K)) - 1                   # all bits of the first K slots
+        low = full // slot_mask                     # 1 in each of the first K slots
         setattr_(self, "_w", w)
         setattr_(self, "_slot_mask", slot_mask)
+        setattr_(self, "_full", full)
         setattr_(self, "_low", low)
-        setattr_(self, "_p_slots", self.p * low)   # p in each slot: x + P - y >= 0
-        # (full, m, s, qmask): _reduce_acc's constants, qmask keeping the
-        # quotient bits of each slot after the shift
-        setattr_(self, "_reduction", (full, m, s, ((1 << (w - s)) - 1) * low))
+        if p == 2:
+            return                                  # keeping bit 0 of each slot reduces
+        setattr_(self, "_p_slots", p * low)         # p in each slot: x + P - y >= 0
+        # add, sub and neg: a slot below 2p reaches bit c after adding
+        # 2^c - p exactly when it is >= p
+        c = (2 * p - 1).bit_length()
+        setattr_(self, "_small_reduction", (c, ((1 << c) - p) * low))
+        # _reduce_acc: the even slots, and the quotient bits of the even
+        # slots and of the odd slots
+        pairs = (K + 1) // 2
+        even = slot_mask * (((1 << (2 * w * pairs)) - 1) // ((1 << (2 * w)) - 1))
+        qmask = ((1 << (m.bit_length() - (p - 1).bit_length())) - 1) * low
+        setattr_(self, "_reduction", (full, even, m, s, qmask & even, qmask & ~even))
+
+    @classmethod
+    def of(cls, mode: str, p: int, precision: int) -> "RingSpec":
+        """The one ring object of (mode, p, precision)."""
+        return _RINGS.get((mode, p, precision)) or cls(mode, p, precision)
 
     # -- basic structure ------------------------------------------------
 
@@ -124,10 +157,10 @@ class RingSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RingSpec":
-        return cls(obj["mode"], int(obj["p"]), int(obj["precision"]))
+        return cls.of(obj["mode"], int(obj["p"]), int(obj["precision"]))
 
     def with_precision(self, m: int) -> "RingSpec":
-        return RingSpec(self.mode, self.p, m)
+        return RingSpec.of(self.mode, self.p, m)
 
     # -- raw element constructors ----------------------------------------
 
@@ -182,21 +215,21 @@ class RingSpec:
             return (x + y) % self._modulus
         if self.p == 2:
             return x ^ y
-        return self._reduce_acc(x + y)
+        return self._reduce_small(x + y)
 
     def neg(self, x: int) -> int:
         if self.is_mixed:
             return (-x) % self._modulus
         if self.p == 2:
             return x
-        return self._reduce_acc(self._p_slots - x)
+        return self._reduce_small(self._p_slots - x)
 
     def sub(self, x: int, y: int) -> int:
         if self.is_mixed:
             return (x - y) % self._modulus
         if self.p == 2:
             return x ^ y
-        return self._reduce_acc(x + self._p_slots - y)
+        return self._reduce_small(x + self._p_slots - y)
 
     def mul(self, x: int, y: int) -> int:
         if self.is_mixed:
@@ -205,15 +238,23 @@ class RingSpec:
             return (x * y) & self._low
         return self._reduce_acc(x * y)
 
+    def _reduce_small(self, t: int) -> int:
+        """Subtract p from every slot of t that is >= p; slots must be < 2p."""
+        c, lift = self._small_reduction
+        return t - self.p * (((t + lift) >> c) & self._low)
+
     def _reduce_acc(self, t: int) -> int:
         """Reduce an unreduced slot-packed sum mod p in every slot, truncated at K.
 
         t must be a sum of at most SUM_TERMS products of reduced elements
         plus at most two reduced elements (or P), so no slot has carried.
         """
-        full, m, s, qmask = self._reduction
+        if self.p == 2:
+            return t & self._low
+        full, even, m, s, qeven, qodd = self._reduction
         t &= full
-        return t - self.p * (((t * m) >> s) & qmask)
+        e = t & even
+        return t - self.p * ((((e * m) >> s) & qeven) | ((((t ^ e) * m) >> s) & qodd))
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """Exact sum of products; the workhorse of matrix multiplication."""
@@ -282,7 +323,7 @@ class RingSpec:
             return 0
         if self.is_mixed:
             return (x * self.p ** k) % self._modulus
-        return (x << (self._w * k)) & self._reduction[0]
+        return (x << (self._w * k)) & self._full
 
     def shift_down(self, x: int, k: int) -> int:
         """Exact division by w^k; requires val(x) >= k."""

@@ -14,19 +14,20 @@ r of a product is one sum(map(mul, row, packed)) of n big-int products
 of an element, b bits, by a packed row of n fields, then n field reads.
 Z/p^K fields are 2 bits(p^K - 1) + bits(n) wide and each is read with one
 % p^K; F_p[X]/(X^K) fields are (2K - 1) W bits, W the ring's slot width,
-and the row is reduced by one slotwise multiply-shift per SUM_TERMS
-products (a mask for p = 2).  An n x n product thus costs n sums of n
+and the row is reduced per SUM_TERMS products by the ring's slotwise
+multiply-shift, once on the even and once on the odd slots of the row
+(a mask for p = 2).  An n x n product thus costs n sums of n
 big-int products of b by about 2 n b bits and n^2 field reads, against
 n^2 sums of n products of b by b bits entry by entry: twice the big-int
 work for n times fewer interpreter steps, which pays while b is small
 against the interpreter's cost per step.  A matrix packs its rows on its
 first use as a right factor and keeps them; the layout, a product's
-field width and reduction constants, is built once per ring and n.
+field width and reduction constants, is built once per ring and n and
+found by the interned ring's identity.
 """
 
 from __future__ import annotations
 
-import functools
 from operator import lshift, mul
 from typing import List, Sequence, Tuple
 
@@ -273,12 +274,17 @@ class _Layout:
 
     Row a of the right factor becomes one integer, the entry of column t
     in the field at bit width * t; a sum of n products of an entry by a
-    field fits each field with no carry into the next.
+    field fits each field with no carry into the next.  An F_p[X]/(X^K)
+    field is 2K - 1 slots wide, so it starts at slot t (2K - 1) of the
+    row: the ring's even and odd slot masks of _reduce_acc swap in every
+    odd field, which keeps the parity of each slot that of its index in
+    the whole row (adjacent fields at K = 1).
     """
 
-    __slots__ = ("width", "shifts", "mask", "modulus", "p", "reduction")
+    __slots__ = ("ring", "width", "shifts", "mask", "modulus", "p", "reduction")
 
     def __init__(self, ring: RingSpec, n: int):
+        self.ring = ring  # held, so that the id _layout keys it by stays taken
         self.p = ring.p
         if ring.is_mixed:
             self.modulus = ring.modulus
@@ -287,20 +293,33 @@ class _Layout:
         else:
             self.modulus = 0
             self.width = (2 * ring.precision - 1) * ring._w
-            self.mask = (1 << (ring.precision * ring._w)) - 1
+            self.mask = ring._full
         self.shifts = range(0, n * self.width, self.width)
         if ring.is_mixed:
             return
         # the ring's reduction constants repeated in every field
         spread = sum(1 << sh for sh in self.shifts)
-        full, m, s, qmask = ring._reduction
-        if ring.p == 2:
-            full = ring._low  # keeping bit 0 of each slot is the whole reduction
-        self.reduction = (full * spread, m, s, qmask * spread)
+        if ring.p == 2:  # keeping bit 0 of each slot is the whole reduction
+            self.reduction = (ring._low * spread, 0, 0, 0, 0, 0)
+            return
+        full, even, m, s, qeven, qodd = ring._reduction
+        odd_fields = sum(1 << sh for sh in self.shifts[1::2])
+        even_fields = spread - odd_fields
+        self.reduction = (full * spread, even * even_fields + (full ^ even) * odd_fields, m, s,
+                          qeven * even_fields + qodd * odd_fields,
+                          qodd * even_fields + qeven * odd_fields)
 
 
-# one layout per ring and n, looked up by __matmul__ only to pack a right factor
-_layout = functools.lru_cache(maxsize=256)(_Layout)
+_layouts: dict = {}  # (id of the interned ring, n) -> _Layout
+
+
+def _layout(ring: RingSpec, n: int) -> _Layout:
+    """One layout per ring and n, looked up by __matmul__ only to pack a right factor."""
+    key = (id(ring._interned), n)
+    lay = _layouts.get(key)
+    if lay is None:
+        lay = _layouts[key] = _Layout(ring._interned, n)
+    return lay
 
 
 def _product_rows(lay: _Layout, lrows, packed: List[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -315,13 +334,14 @@ def _product_rows(lay: _Layout, lrows, packed: List[int]) -> Tuple[Tuple[int, ..
         return tuple(tuple([((t >> sh) & mask) % M for sh in shifts])
                      for t in [sum(map(mul, row, packed)) for row in lrows])
     p = lay.p
-    full, m, s, qmask = lay.reduction
+    full, even, m, s, qeven, qodd = lay.reduction
     out = []
     if len(packed) <= SUM_TERMS:
         for row in lrows:
             t = sum(map(mul, row, packed)) & full
             if p != 2:
-                t -= p * (((t * m) >> s) & qmask)
+                e = t & even
+                t -= p * ((((e * m) >> s) & qeven) | ((((t ^ e) * m) >> s) & qodd))
             out.append(tuple([(t >> sh) & mask for sh in shifts]))
         return tuple(out)
     # longer rows are reduced after every SUM_TERMS products
@@ -332,7 +352,8 @@ def _product_rows(lay: _Layout, lrows, packed: List[int]) -> Tuple[Tuple[int, ..
         for i, chunk in zip(cuts, chunks):
             t = (t + sum(map(mul, row[i:i + SUM_TERMS], chunk))) & full
             if p != 2:
-                t -= p * (((t * m) >> s) & qmask)
+                e = t & even
+                t -= p * ((((e * m) >> s) & qeven) | ((((t ^ e) * m) >> s) & qodd))
         out.append(tuple([(t >> sh) & mask for sh in shifts]))
     return tuple(out)
 
@@ -347,15 +368,24 @@ def row_submul(ring: RingSpec):
 
         def submul(xs, f, ys):
             return [(x - f * y) % M for x, y in zip(xs, ys)]
+    elif ring.p == 2:
+        low = ring._low
+
+        def submul(xs, f, ys):
+            return [(x + f * y) & low for x, y in zip(xs, ys)]
     else:
         # one RingSpec._reduce_acc(x + (-f) y) per entry, inlined
         p, neg = ring.p, ring.neg
-        full, m, s, qmask = ring._reduction
+        full, even, m, s, qeven, qodd = ring._reduction
 
         def submul(xs, f, ys):
             g = neg(f)
-            return [t - p * (((t * m) >> s) & qmask)
-                    for t in [(x + g * y) & full for x, y in zip(xs, ys)]]
+            out = []
+            for x, y in zip(xs, ys):
+                t = (x + g * y) & full
+                e = t & even
+                out.append(t - p * ((((e * m) >> s) & qeven) | ((((t ^ e) * m) >> s) & qodd)))
+            return out
     return submul
 
 

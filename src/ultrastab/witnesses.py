@@ -52,7 +52,7 @@ def make_badestimate_rep(p: int, i: int, x: int, K: int,
     |(1+x)^{p^i} - 1| and is checked against p^{-i}|x| (mixed
     characteristic) respectively |x|^{p^i} (equal characteristic).
     """
-    ring = RingSpec(mode, p, K)
+    ring = RingSpec.of(mode, p, K)
     vx = ring.val(x)
     if vx < 1 or vx >= K:
         raise WitnessError("x must have valuation in [1, K)")
@@ -108,7 +108,8 @@ class HdistCertificate:
     """A certified distance-to-homomorphisms statement.
 
     ExactTruncated: the value is the exact minimum over the enumerated
-    homomorphisms at precision K, with the minimizers recorded.
+    homomorphisms at precision K, with the minimizers recorded as raw
+    elements of ring and written through ring.encode.
     ExtensionLowerBound: the value bounds the distance below using exact
     cyclotomic valuations (it refers to the untruncated ring of integers).
     """
@@ -118,12 +119,13 @@ class HdistCertificate:
     minimizers: Tuple[int, ...] = ()
     enumeration_count: int = 0
     cyclotomic_data: Tuple[Tuple[int, Fraction], ...] = ()
+    ring: Optional[RingSpec] = None
 
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
             "value": self.value.encode(),
-            "minimizers": [str(u) for u in self.minimizers],
+            "minimizers": [self.ring.encode(u) for u in self.minimizers],
             "enumeration_count": self.enumeration_count,
             "cyclotomic_data": [[j, [v.numerator, v.denominator]]
                                 for j, v in self.cyclotomic_data],
@@ -158,7 +160,7 @@ def hdist_gl1_cyclic(rep: ApproxRep, cap: int = DEFAULT_ENUM_CAP) -> HdistCertif
         raise WitnessError("no roots of unity found; the unit group is broken")
     return HdistCertificate(mode="ExactTruncated", value=best,
                             minimizers=tuple(sorted(minimizers)),
-                            enumeration_count=len(units))
+                            enumeration_count=len(units), ring=ring)
 
 
 def _binomial_row(m: int) -> List[int]:
@@ -557,7 +559,7 @@ def make_wreath_rep(gens: UnstableGenerators, x: int, K: int,
     presented) and all defect statements live in the accompanying
     certificate.
     """
-    ring = RingSpec("zp", gens.p, K)
+    ring = RingSpec.of("zp", gens.p, K)
     wmap = WreathMatrixMap(gens.p, gens.i, x, ring)
     if wmap.degree > dim_cap:
         raise CapExceeded(f"matrix degree {wmap.degree} exceeds cap {dim_cap}")
@@ -647,7 +649,7 @@ def wreath_rep_defect_certificate(gens: UnstableGenerators, x: int, K: int
     comes from build_unstable_generators, which checks kappa and delta.
     """
     p, i = gens.p, gens.i
-    ring = RingSpec("zp", p, K)
+    ring = RingSpec.of("zp", p, K)
     wmap = WreathMatrixMap(p, i, x, ring)
     outer = gens.outer
     q, u_pow = wmap.q, wmap.powers

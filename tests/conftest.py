@@ -7,13 +7,6 @@ from ultrastab.local_ring import NormValue
 from ultrastab.ultranorm_linalg import UMatrix
 
 
-def random_gl(ring, n, rng):
-    while True:
-        m = UMatrix.random(ring, n, rng)
-        if m.is_gl():
-            return m
-
-
 def matrix_power(m, e):
     """m^e for e >= 0, by repeated squaring."""
     result = UMatrix.identity(m.ring, m.n)

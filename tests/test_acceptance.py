@@ -22,6 +22,7 @@ from ultrastab.gbs_criteria import check_pifree_criterion
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
+from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 from ultrastab.witnesses import (
     build_unstable_generators,
@@ -33,7 +34,7 @@ from ultrastab.witnesses import (
     wreath_rep_defect_certificate,
 )
 
-from conftest import bs_graph, random_gl, shifted_random
+from conftest import bs_graph, shifted_random
 
 
 def _report(num, label, elapsed, budget):

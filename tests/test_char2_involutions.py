@@ -16,9 +16,10 @@ from ultrastab.char2_involutions import (
     bg_blockform,
     involution_repair,
 )
+from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 
-from conftest import matrix_power, norm_power, random_gl, shifted_random
+from conftest import matrix_power, norm_power, shifted_random
 
 
 

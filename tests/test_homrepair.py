@@ -5,6 +5,7 @@ from collections import Counter, namedtuple
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ultrastab import local_ring
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import (
     ApproxRep,
@@ -36,9 +37,10 @@ from ultrastab.homrepair import (
     graph_repair,
     repair_finite_image,
 )
+from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, row_submul, solve_linear
 
-from conftest import matrix_power, random_gl, shifted_random
+from conftest import matrix_power, shifted_random
 
 ORDER3 = [[0, -1], [1, -1]]
 
@@ -1094,3 +1096,27 @@ def test_averaging_repair_inverts_no_matrix(monkeypatch, group, mode, p, K):
     assert ledger.verified and ledger.steps
     assert {s.method for s in ledger.steps} == {"averaging"}
     assert not inversions
+
+
+@pytest.mark.parametrize("mode,p", [("fpx", 5), ("zp", 2)])
+def test_repair_builds_one_ring_per_precision(mode, p, monkeypatch):
+    # a repair reads its input through RingSpec.from_json and reduces through
+    # with_precision; each (mode, p, K) it meets is built once
+    ring = RingSpec(mode, p, 8)
+    perms = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    pres = Presentation.make(["s", "t"], [["s", "s"], ["t"] * 3, ["s", "t"] * 2])
+    rng = random.Random(p)
+    obj = ApproxRep(pres, ring, 3, [UMatrix.from_int_rows(ring, m) + shifted_random(ring, 3, rng, 3)
+                                    for m in perms]).to_json()
+    monkeypatch.setattr(local_ring, "_RINGS", {})
+    made = Counter()
+    post_init = RingSpec.__post_init__
+
+    def counting(self):
+        made[self.mode, self.p, self.precision] += 1
+        post_init(self)
+    monkeypatch.setattr(RingSpec, "__post_init__", counting)
+    fixed, ledger = repair_finite_image(ApproxRep.from_json(obj))
+    assert fixed.defect().saturated and len(ledger.steps) >= 2
+    assert len(made) >= 3 and set(made.values()) == {1}
+    assert set(made) == {(r.mode, r.p, r.precision) for r in local_ring._RINGS.values()}

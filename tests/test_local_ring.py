@@ -13,7 +13,8 @@ from ultrastab.local_ring import (
     RingError,
     RingSpec,
 )
-from ultrastab.ultranorm_linalg import UMatrix
+from ultrastab.proptests import _schoolbook
+from ultrastab.ultranorm_linalg import UMatrix, row_submul
 
 from conftest import norm_power
 
@@ -356,18 +357,51 @@ def test_large_p_products(p, K, n):
     _check_matmul(ring, square(), square())
 
 
-@pytest.mark.parametrize("p", PRIMES)
+def _school_dot(ring, xs, ys):
+    """Sum of products by proptests._schoolbook, term by term."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = _schoolbook(ring, acc, _schoolbook(ring, x, y)[1])[0]
+    return acc
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 257, 1021))
 def test_largest_slot_sums(p):
-    # all coefficients p - 1 at K = K_MAX: coefficient d of a sum of n
-    # products is n (d + 1) (p - 1)^2 = n (d + 1) mod p
+    # every coefficient p - 1 at K = K_MAX fills a slot to its bound: the
+    # dot product's second chunk adds SUM_TERMS such products to a reduced
+    # term that is p - 1 in every slot, and row_submul adds (p - 1)^2 K
+    # to p - 1; the kernel cuts its rows at SUM_TERMS products the same way
     ring = RingSpec(EQUAL_CHAR, p, K_MAX)
     top = ring.from_coeffs([p - 1] * K_MAX)
-    expect = lambda n: [n * (d + 1) % p for d in range(K_MAX)]
-    assert ring.to_coeffs(ring.mul(top, top)) == expect(1)
-    for n in (SUM_TERMS, SUM_TERMS + 1, 40):
-        assert ring.to_coeffs(ring.dot([top] * n, [top] * n)) == expect(n)
-    m = UMatrix(ring, 40, ((top,) * 40,) * 40)
-    assert {tuple(ring.to_coeffs(x)) for row in (m @ m).rows for x in row} == {tuple(expect(40))}
+    ones = ring.from_coeffs([1] * K_MAX)       # -ones = top
+    assert ring.mul(top, top) == _schoolbook(ring, top, top)[1]
+    xs = [top] + [0] * (SUM_TERMS - 1) + [top] * SUM_TERMS
+    ys = [ring.one] + [0] * (SUM_TERMS - 1) + [top] * SUM_TERMS
+    for n in (SUM_TERMS, 2 * SUM_TERMS):
+        assert ring.dot(xs[-n:], ys[-n:]) == _school_dot(ring, xs[-n:], ys[-n:])
+    minus = ring.from_int(p - 1)
+    for f in (ones, top):
+        neg_f = _schoolbook(ring, minus, f)[1]
+        assert row_submul(ring)([top] * 3, f, [top] * 3) == \
+            [_schoolbook(ring, top, _schoolbook(ring, neg_f, top)[1])[0]] * 3
+    for n in (SUM_TERMS, SUM_TERMS + 1):
+        m = UMatrix(ring, n, ((top,) * n,) * n)
+        assert set((m @ m).rows) == {(_school_dot(ring, [top] * n, [top] * n),) * n}
+    # every row xs against a right factor whose row i is ys[i] in every column
+    n = 2 * SUM_TERMS
+    a = UMatrix(ring, n, (tuple(xs),) * n)
+    b = UMatrix(ring, n, tuple((y,) * n for y in ys))
+    assert set((a @ b).rows) == {(_school_dot(ring, xs, ys),) * n}
+
+
+def test_one_ring_object_per_mode_p_precision():
+    for mode in (MIXED_CHAR, EQUAL_CHAR):
+        ring = RingSpec.of(mode, 5, 8)
+        assert ring.with_precision(3) is ring.with_precision(3) is RingSpec.of(mode, 5, 3)
+        assert ring.with_precision(8) is ring
+        assert RingSpec.from_json(ring.describe()) is ring
+        assert RingSpec(mode, 5, 8) == ring           # built directly: equal
+        assert UMatrix.identity(ring, 2).reduce(3).ring is ring.with_precision(3)
 
 
 def test_equal_char_precision_cap():

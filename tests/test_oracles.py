@@ -13,9 +13,10 @@ import pytest
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
+from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix, solve_linear
 
-from conftest import matrix_power, random_gl, shifted_random
+from conftest import matrix_power, shifted_random
 
 
 def test_repair_matches_bruteforce_gl1():

@@ -4,24 +4,28 @@ SHA-256 digests of the repaired images and of the precision ledger for a
 fixed-seed set of finite-image repairs (p prime to |C| and p dividing
 |C|) and of BS(2,3) graph repairs, and of the repaired matrix for a
 fixed-seed set of characteristic-2 involution repairs (perturbed conjugates
-of block swaps over F_2[X]/(X^K)).  A change that moves any output bit,
+of block swaps over F_2[X]/(X^K)), and of the certificate of a few
+Z/p^K bad-estimate witnesses.  A change that moves any output bit,
 ledger level or step method fails here; a change meant to do so must say
 so and re-pin.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from ultrastab.certificates import canonical_json
 from ultrastab.char2_involutions import involution_repair
+from ultrastab.cli import main
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
+from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 
-from conftest import random_gl, shifted_random
+from conftest import shifted_random
 
 
 def _perm(images):
@@ -181,3 +185,22 @@ def test_pinned_involution_digest(case):
     assert 1 <= dval < a.ring.precision
     out = involution_repair(a)
     assert hashlib.sha256(canonical_json(out.to_json()).encode()).hexdigest() == expected
+
+
+BADESTIMATE_CASES = {   # (p, K, i, x) -> SHA-256 of the Z/p^K witness certificate
+    (3, 6, 1, 3): "582b5e9528f46f10db401bbbb42b52460a2beedf54fe8c97b61a8c9613c66a09",
+    (3, 12, 4, 3): "414814f4b60e5b288aee3a999d2815dee6dc47e4caf45c35a1931df42e787226",
+    (2, 10, 2, 4): "2438e8665fb576fb5be6d20f55b16612dea9ab732d71eaad50145786fd2a2383",
+    (5, 6, 1, 5): "db74a4d88214ea44d782f98cbd59b8eadf6bea50fa627681ad3f5db63d163f23",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BADESTIMATE_CASES))
+def test_pinned_badestimate_certificate(case, tmp_path):
+    p, K, i, x = case
+    cert = tmp_path / "c.json"
+    assert main(["witness", "--kind", "badestimate", "--ring", "zp", "--p", str(p),
+                 "--precision", str(K), "--i", str(i), "--x", f'"{x}"',
+                 "--out", str(tmp_path / "w.json"), "--cert", str(cert)]) == 0
+    digest = hashlib.sha256(canonical_json(json.loads(cert.read_text())).encode()).hexdigest()
+    assert digest == BADESTIMATE_CASES[case]

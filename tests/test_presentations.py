@@ -12,9 +12,10 @@ from ultrastab.presentations import (
     Word,
     closure_of_matrices,
 )
+from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 
-from conftest import random_gl, shifted_random
+from conftest import shifted_random
 
 
 def _image(rep, m):

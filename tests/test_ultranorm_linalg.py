@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ultrastab.local_ring import NormValue, RingSpec
+from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import (
     MonomialBoundExceeded,
     NonInvertible,
@@ -18,7 +19,6 @@ from ultrastab.ultranorm_linalg import (
     solve_linear,
 )
 
-from conftest import random_gl
 
 
 def test_matnorm_examples():

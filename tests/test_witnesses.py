@@ -79,6 +79,7 @@ def _check_roots_against_scan(ring, order, g):
     hd = hdist_gl1_cyclic(rep)
     assert hd.enumeration_count == len(scanned)
     assert list(hd.minimizers) == [u for u in scanned if dists[u] == max(dists.values())]
+    assert [ring.decode(u) for u in hd.to_json()["minimizers"]] == list(hd.minimizers)
 
 
 # ring sizes up to 6561, so that the scan stays cheap
@@ -117,6 +118,15 @@ def test_hdist_examples():
     assert hd2.value.exponent == 2
     assert 63 in hd2.minimizers
     assert hd2.enumeration_count == 4
+
+
+def test_fpx_minimizers_are_coefficient_lists():
+    # the certificate writes elements, not the slot-packed integers
+    ring = RingSpec("fpx", 3, 4)
+    hd = hdist_gl1_cyclic(make_badestimate_rep(3, 1, ring.from_coeffs([0, 1]), 4, mode="fpx"))
+    written = hd.to_json()["minimizers"]
+    assert written[0] == [1, 0, 0, 0] and len(written) == hd.enumeration_count == 9
+    assert [ring.decode(c) for c in written] == list(hd.minimizers) == roots_of_unity(ring, 3)
 
 
 def test_hdist_exact_hom_input():
