@@ -110,7 +110,8 @@ def _env_caps() -> dict:
 
 @dataclass
 class RunConfig:
-    """The caps: ULTRASTAB_CAPS sets them, --cap-* overrides it."""
+    """The caps: ULTRASTAB_CAPS sets them, the --cap-* flags that a
+    subcommand has override it."""
 
     closure_cap: int = DEFAULT_CLOSURE_CAP
     enum_cap: int = DEFAULT_ENUM_CAP
@@ -121,7 +122,7 @@ class RunConfig:
     def from_args(cls, args) -> "RunConfig":
         cfg = cls(**_env_caps())
         for cap, dest in CAPS.items():
-            if getattr(args, dest) is not None:
+            if getattr(args, dest, None) is not None:
                 setattr(cfg, cap, getattr(args, dest))
         return cfg
 
@@ -484,10 +485,12 @@ def _prime(text: str) -> int:
     return p
 
 
-def _add_common(sp, out: bool = True) -> None:
+def _add_common(sp, *caps: str, out: bool = True) -> None:
+    """--out, and a --cap-* flag for each cap the subcommand reads."""
     if out:
         sp.add_argument("--out", default=None, help="output artifact path (stdout if omitted)")
-    for dest in CAPS.values():
+    for cap in caps:
+        dest = CAPS[cap]
         sp.add_argument("--" + dest.replace("_", "-"), type=int, default=None, dest=dest)
 
 
@@ -511,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", required=True, choices=_kinds("repair-"))
     sp.add_argument("--gog", default=None, help="graph-of-groups JSON (graph mode)")
     sp.add_argument("--cert", default=None, help="certificate output path")
-    _add_common(sp)
+    _add_common(sp, "closure_cap")
 
     sp = sub.add_parser("witness", help="construct an instability witness")
     sp.add_argument("--kind", required=True, choices=_kinds("witness-"))
@@ -523,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--cert", default=None)
-    _add_common(sp)
+    _add_common(sp, "enum_cap", "dim_cap", "wreath_index_cap")
 
     sp = sub.add_parser("monomial", help="nearest exact commutant of a monomial matrix")
     sp.add_argument("p_file")
@@ -540,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("claims", help="verify the wreath construction claims")
     sp.add_argument("--max-i", type=int, default=3, dest="max_i")
     sp.add_argument("--p", type=_prime, default=2)
-    _add_common(sp)
+    _add_common(sp, "wreath_index_cap")
 
     sp = sub.add_parser("proptest", help="run a property-test suite")
     sp.add_argument("suite", choices=proptests.SUITES)
@@ -556,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="input file (repeat for monomial: P, then D); a witness's artifact")
     sp.add_argument("--output", default=None, help="artifact of a repair or monomial")
     sp.add_argument("--gog", default=None)
-    _add_common(sp, out=False)  # verify writes no artifact, only its exit code
+    _add_common(sp, *CAPS, out=False)  # verify writes no artifact, only its exit code
 
     return ap
 

@@ -8,17 +8,20 @@ matrices).  C is enumerated once per repair, by BFS at the first defect
 level (|S| N matmuls), and one relator list is decided with it: the
 group's own relators R when coset enumeration shows they present C,
 otherwise the Schreier relators of C's BFS tree (|S| N - N + 1 of them).
-The BFS keeps C's right Cayley table, so products in C (the Schreier
-edges, the classes sd, the Fox prefixes) are walks through that table
-and cost no matmul.  The lifting loop reads only that list and the
-section sigma that the generator images span along C's tree, one section
-per step.  One step at level k, j = k - l, takes one of two methods,
-chosen by l alone, and costs in n x n matmuls:
+C is kept as tables alone: its right Cayley table and that table's
+inverse columns, so a product in C by a letter x_g^{+-1} (the Schreier
+edges, the classes sd, the Fox prefixes) is one table read and costs no
+matmul, and an inverse class walks its tree word.  The lifting loop reads
+only that list and the section sigma that the generator images span
+along C's tree, one section per step.  One step at level k, j = k - l,
+takes one of two methods, chosen by l alone, and costs in n x n matmuls:
 
 - both: the corrected generators' section (N) and the list's level, min
   over r of val(rho(r) - I): sum (|r| - 1) matmuls on R, one per
   Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
-  all-pairs level of the section.  That level must reach min(2j, K);
+  all-pairs level of the section.  That level must reach min(2j, K).
+  The list is evaluated once per level: this re-measure's values are the
+  next step's input;
 - l = 0, averaging: the cocycle row sums b(s) at the classes s != e,
   each an integer combination, fixed once per repair, of the values
   E(h, g) = coords_j(sigma(h) rho(g) sigma(hg)^{-1} - I) on C's Cayley
@@ -27,9 +30,10 @@ chosen by l alone, and costs in n x n matmuls:
   at most N - 1 values (|S| N n^2 products), c(s) = b(s) / N, exact as
   N is a unit, and the generators (I - w^j c(s)) sigma(s) (|S|);
 - l > 0, the Fox solve: the relator values z(r) = coords_j(rho(r)) on
-  the step's input images (the list's matmuls again, plus one per
-  relator against sigma(t^{-1}), t != e) and one exact solve of the
-  list's Fox system for one particular solution: each generator moves
+  the step's input images, read from the values that measured level k
+  (none of the list's matmuls again, one matmul per relator against
+  sigma(t^{-1}), t != e), and one exact solve of the list's Fox system
+  for one particular solution: each generator moves
   by its own c(s), |R| n^2 equations in |S| n^2 unknowns, built from one
   n^2 x n^2 conjugation block per prefix class (n^4 products each).
   Neither method builds an inverse section: the list measured level k,
@@ -202,12 +206,6 @@ def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
     return [(word_value(w, gens, inverses, ring, n), 0) for w in rel.words]
 
 
-def _relator_level(rel: _Relators, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]) -> int:
-    """min over the list of val(rho(r) - I), K when every relator is exact."""
-    return min(((a - sigma[t]).min_valuation() for a, t in _relator_values(rel, gens, sigma)),
-               default=sigma[0].ring.precision)
-
-
 # ---------------------------------------------------------------------------
 # Section machinery
 # ---------------------------------------------------------------------------
@@ -330,9 +328,9 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], rel: _Relators,
             s = abs(x) - 1
             if x > 0:
                 fox[s, c] = fox.get((s, c), 0) - 1
-                c = C.product(c, C.generator_indices[s])
+                c = C.right[c][s]
             else:
-                c = C.product(c, C.inverse(C.generator_indices[s]))
+                c = C.back[s][c]
                 fox[s, c] = fox.get((s, c), 0) + 1
         terms: List[List[Tuple[int, List[int]]]] = [[] for _ in range(ngens)]
         for (s, y), e in fox.items():
@@ -355,20 +353,22 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], rel: _Relators,
 
 
 def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix],
-               rel: _Relators, weights, k: int):
+               values, rel: _Relators, weights, k: int):
     """One lifting step at defect level k on the carried image C.
 
     sigma is the section that the generator images span along C's tree;
-    the relator list measured level k on them.  The p-part l of N picks
-    the method.  With l = 0 the generators move to (I - w^j c(s)) sigma(s)
-    at their classes (I at the class e), c(s) = b(s) / N from the row sums
-    read with `weights`, C's `_averaging_weights`.  With l > 0 (weights
-    None) each generator image moves by its own c(s) from the Fox solve of
-    z(r) = coords_j(a - sigma(t)) sigma(t^{-1}), rho(r) = a sigma(t)^{-1};
-    w^l must divide z.  Either way the new section (N matmuls), the step's
-    one section, is re-measured on the list and must reach min(2j, K).
-    Returns the new images, their section and the ledger step, whose level
-    is the relator list's on the new images.
+    the relator list measured level k on them, with the values (a, t) of
+    `_relator_values`, rho(r) = a sigma(t)^{-1}.  The p-part l of N picks
+    the method.  With l = 0 (values unread) the generators move to
+    (I - w^j c(s)) sigma(s) at their classes (I at the class e), c(s) =
+    b(s) / N from the row sums read with `weights`, C's
+    `_averaging_weights`.  With l > 0 (weights None) each generator image
+    moves by its own c(s) from the Fox solve of z(r) = coords_j(a -
+    sigma(t)) sigma(t^{-1}); w^l must divide z.  Either way the new section
+    (N matmuls), the step's one section, is re-measured on the list, one
+    evaluation, and must reach min(2j, K).  Returns the new images, their
+    section, the re-measure's values and the ledger step, whose level is
+    the relator list's on the new images.
     """
     ring, n = sigma[0].ring, sigma[0].n
     l = C.p_part
@@ -381,7 +381,7 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
 
     if l:
         method = "linear-solve"
-        z = _edge_values(C, _relator_values(rel, gens, sigma), sigma, j, mod_exp)
+        z = _edge_values(C, values, sigma, j, mod_exp)
         if any(v.min_valuation() < min(l, mod_exp) for v in z):
             raise RepairError("relator values are not divisible by the p-part")
         new = [moved(c, g) for c, g in zip(_fox_solve(C, sigma, rel, z), gens)]
@@ -393,10 +393,11 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
         new = [moved(sums[s].scale(inv_n), sigma[s]) if s else UMatrix.identity(ring, n)
                for s in C.generator_indices]
     new_sigma = _tree_section(C, new)
-    level = _relator_level(rel, new, new_sigma)
+    values = _relator_values(rel, new, new_sigma)
+    level = min(((a - new_sigma[t]).min_valuation() for a, t in values), default=ring.precision)
     if level < target:
         raise Unsolvable(f"lift step failed to reach level {target} (got {level})", level)
-    return new, new_sigma, LedgerStep(level, j, method)
+    return new, new_sigma, values, LedgerStep(level, j, method)
 
 
 def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteImage,
@@ -409,9 +410,11 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
     decided once from both.  A step leaves a homomorphism mod w^{k'} on C,
     k' > k, and the checks on l and k hold at every later level as k only
     grows.  With l = 0 that homomorphism is injective, as it agrees with C
-    mod w^k, so C's tree and product cache still describe the image; with
-    l > 0 carrying C keeps the original p^l, so each j = k - l meets the
-    certified bound.  Returns the images and their section.
+    mod w^k, so C's tables still describe the image; with l > 0 carrying C
+    keeps the original p^l, so each j = k - l meets the certified bound.
+    The list is evaluated once per level: with l > 0 once before the first
+    step, and each step's re-measure hands its values to the next step.
+    Returns the images and their section.
     """
     K = ring.precision
     l = C.p_part
@@ -424,11 +427,12 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
     rel = _relator_list(C, relators)
     weights = None if l else _averaging_weights(C)
     sigma = _tree_section(C, gens)
+    values = _relator_values(rel, gens, sigma) if l else None
     iterations = 0
     while k < K:
         if iterations >= K:
             raise RepairError("lifting loop exceeded its iteration bound")
-        gens, sigma, step = _lift_step(C, gens, sigma, rel, weights, k)
+        gens, sigma, values, step = _lift_step(C, gens, sigma, values, rel, weights, k)
         steps.append(step)
         k = step.defect_val_after
         iterations += 1
@@ -466,8 +470,7 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
                                  working_precision=K, verified=True)
         ledger.final_distance_val = K
         try:
-            ledger.image_order = closure_of_matrices(list(rep.images), K,
-                                                     cap=cap).order
+            ledger.image_order = closure_of_matrices(list(rep.images), cap=cap).order
         except CapExceeded:
             pass
         return rep, ledger
@@ -475,7 +478,7 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
     if k0 < 1:
         raise DefectTooLarge("defect must be < 1 (some relator fails mod w)")
     # k0 is the defect level, so the reduction mod w^k0 is a homomorphism
-    C0 = closure_of_matrices([g.reduce(k0) for g in rep.images], k0, cap=cap)
+    C0 = closure_of_matrices([g.reduce(k0) for g in rep.images], cap=cap)
     ledger = PrecisionLedger(initial_defect_val=k0, p_part=C0.p_part,
                              image_order=C0.order, working_precision=K)
     gens, sigma = _lift_to_exact(ring, rep.images, k0, C0, ledger.steps,
@@ -514,9 +517,9 @@ def align_homomorphisms(x: UMatrix, y: UMatrix, cap: int = DEFAULT_CLOSURE_CAP
     k = (x - y).min_valuation()
     if k >= K:
         return UMatrix.identity(ring, n), []
-    C = closure_of_matrices([y.reduce(k)], k, cap=cap)
+    C = closure_of_matrices([y.reduce(k)], cap=cap)
     for m in (x, y):
-        order = closure_of_matrices([m], K, cap=cap).order
+        order = closure_of_matrices([m], cap=cap).order
         if order != C.order:
             raise HypothesisViolated(
                 f"edge subgroup grows under precision refinement "
@@ -573,9 +576,12 @@ class GraphOfGroups:
     Built, it keeps plain attributes (out of __eq__ and __hash__):
     `vertex_relators`, by vertex name, the vertex's relators as words in
     its own generators; `edge_words`, by edge letter, the edge's (source,
-    target) words in the standard presentation's generators; and that
-    presentation.  A token that is not a string or names no generator is
-    a PresentationError here.
+    target) words in the standard presentation's generators; `tree_order`,
+    the (edge, child vertex) pairs of a BFS of the tree edges from the
+    first vertex, in the order the amalgamations glue them; and the
+    standard presentation.  A token that is not a string or names no
+    generator, and tree edges that do not form a spanning tree, are a
+    PresentationError here.
     """
 
     vertices: Tuple[GogVertex, ...]
@@ -598,6 +604,24 @@ class GraphOfGroups:
                 raise PresentationError(f"edge letter {e.letter} clashes with a vertex generator")
         if sum(1 for e in self.edges if e.in_tree) != len(names) - 1:
             raise PresentationError("tree edges must form a spanning tree")
+        order = {name: i for i, name in enumerate(names)}
+        adjacency: Dict[str, List[GogEdge]] = {name: [] for name in names}
+        for e in self.edges:
+            if e.in_tree:
+                adjacency[e.source].append(e)
+                adjacency[e.target].append(e)
+        visited = {names[0]}
+        queue = [names[0]]
+        tree_order: List[Tuple[GogEdge, str]] = []
+        for cur in queue:
+            for e in sorted(adjacency[cur], key=lambda e: order[e.source] + order[e.target]):
+                other = e.target if e.source == cur else e.source
+                if other not in visited:
+                    visited.add(other)
+                    queue.append(other)
+                    tree_order.append((e, other))
+        if len(visited) != len(names):
+            raise PresentationError("spanning tree does not reach every vertex")
         gens = tuple(g for v in self.vertices for g in v.generators) + tuple(
             e.letter for e in self.edges)
         edge_words = tuple((Word.parse(e.word_source, gens), Word.parse(e.word_target, gens))
@@ -613,6 +637,7 @@ class GraphOfGroups:
                                                     for r in v.relators]
                                            for v in self.vertices})
         setattr_(self, "edge_words", dict(zip((e.letter for e in self.edges), edge_words)))
+        setattr_(self, "tree_order", tree_order)
         setattr_(self, "_presentation", Presentation(gens, tuple(relators)))
 
     def vertex(self, name: str) -> GogVertex:
@@ -696,39 +721,18 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
             continue
         idx = [where[g] for g in v.generators]
         gens = [images[i] for i in idx]
-        C = closure_of_matrices([g.reduce(k0) for g in gens], k0, cap=cap)
+        C = closure_of_matrices([g.reduce(k0) for g in gens], cap=cap)
         gens, _ = _lift_to_exact(ring, gens, k0, C, steps, gog.vertex_relators[v.name])
         for i, mat in zip(idx, gens):
             images[i] = mat
-
-    # (3) amalgamate along a BFS spanning tree rooted at the first vertex.
-    order = {v.name: i for i, v in enumerate(gog.vertices)}
-    adjacency: Dict[str, List[GogEdge]] = {v.name: [] for v in gog.vertices}
-    for e in gog.edges:
-        if e.in_tree:
-            adjacency[e.source].append(e)
-            adjacency[e.target].append(e)
-    root = gog.vertices[0].name
-    visited = {root}
-    queue = [root]
-    tree_order: List[Tuple[GogEdge, str]] = []  # (edge, child vertex)
-    while queue:
-        cur = queue.pop(0)
-        for e in sorted(adjacency[cur], key=lambda e: order[e.source] + order[e.target]):
-            other = e.target if e.source == cur else e.source
-            if other not in visited:
-                visited.add(other)
-                queue.append(other)
-                tree_order.append((e, other))
-    if len(visited) != len(gog.vertices):
-        raise PresentationError("spanning tree does not reach every vertex")
 
     def edge_sides(e: GogEdge) -> Tuple[UMatrix, UMatrix]:
         inverses: Dict[int, UMatrix] = {}
         src, tgt = (word_value(w, images, inverses, ring, n) for w in gog.edge_words[e.letter])
         return src, tgt
 
-    for e, child in tree_order:
+    # (3) amalgamate along the graph's BFS spanning tree, from the first vertex.
+    for e, child in gog.tree_order:
         src, tgt = edge_sides(e)
         # With t_e = I the relation says src = tgt exactly; conjugate the
         # child's vertex images so that its side lands on the parent's.

@@ -202,79 +202,54 @@ class ApproxRep:
 
 
 class FiniteImage:
-    """The finite subgroup generated by reduced generator images mod w^m.
+    """The finite group C generated by reduced generator images, as tables.
 
-    Elements are stored in deterministic BFS order (by generator index);
-    element 0 is the identity and tree[i] = (parent, generator) records
-    the BFS tree edge that first reached element i > 0, so that
-    elements[i] = elements[parent] @ generators[generator] (tree[0] is
-    (-1, -1)).  right[c][g] is the index of elements[c] @ generators[g],
-    the right Cayley table that the closure computes anyway, so products
-    cost table lookups and no matmul; they are cached so large groups
-    never materialize an order-squared table.
+    Classes are numbered in deterministic BFS order (by generator index);
+    class 0 is the identity and tree[c] = (parent, g) records the BFS tree
+    edge that first reached class c > 0, so c = parent x_g (tree[0] is
+    (-1, -1)).  right[c][g] is the class c x_g, the right Cayley table that
+    the closure computes, and back[g][c] the class c x_g^{-1}, its column g
+    inverted, filled once with N |S| writes.  So a product in C by a letter
+    is one table read and no matmul; C keeps no element matrices.
     """
 
-    def __init__(self, level: int, ring: RingSpec, elements: List[UMatrix],
-                 tree: List[Tuple[int, int]], right: List[List[int]],
+    def __init__(self, tree: List[Tuple[int, int]], right: List[List[int]],
                  generator_indices: List[int], p: int):
-        self.level = level
-        self.ring = ring
-        self.elements = elements
         self.tree = tree
         self.right = right
         self.generator_indices = generator_indices
-        self.order = len(elements)
-        n = self.order
-        l = 0
+        self.order = len(tree)
+        self.back = [[0] * self.order for _ in generator_indices]
+        for c, row in enumerate(right):
+            for g, d in enumerate(row):
+                self.back[g][d] = c
+        n, l = self.order, 0
         while n % p == 0:
             n //= p
             l += 1
         self.p_part = l
-        self.unit_part = n
-        self._products: Dict[Tuple[int, int], int] = {}
-        self._inverses: Dict[int, int] = {}
 
-    def product(self, i: int, j: int) -> int:
-        """Index of elements[i] @ elements[j]: j's tree word walked through `right`."""
-        key = (i, j)
-        got = self._products.get(key)
-        if got is None:
-            word = []
-            while j:
-                j, g = self.tree[j]
-                word.append(g)
-            got = i
-            for g in reversed(word):
-                got = self.right[got][g]
-            self._products[key] = got
-        return got
-
-    def inverse(self, i: int) -> int:
-        got = self._inverses.get(i)
-        if got is None:
-            j = i
-            while True:
-                nxt = self.product(j, i)
-                if nxt == 0:
-                    got = j
-                    break
-                j = nxt
-            self._inverses[i] = got
-        return got
+    def inverse(self, c: int) -> int:
+        """The class c^{-1}: c's tree word read upward through `back`, O(depth) reads."""
+        out = 0
+        while c:
+            c, g = self.tree[c]
+            out = self.back[g][out]
+        return out
 
 
-def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
+def closure_of_matrices(reduced: Sequence[UMatrix],
                         cap: int = DEFAULT_CLOSURE_CAP) -> FiniteImage:
-    """BFS closure of a list of matrices over the precision-m ring.
+    """BFS closure of a list of matrices over their ring.
 
     |S| (N - 1) matmuls for N elements and |S| generators (the identity's
     products are the generators), each recorded in the right Cayley table.
+    The element matrices live only during the search.
     """
     if not reduced:
         raise PresentationError("need at least one generator")
     ring = reduced[0].ring
-    n = reduced[0].n
-    ident = UMatrix.identity(ring, n)
+    ident = UMatrix.identity(ring, reduced[0].n)
     elements = [ident]
     index = {ident.rows: 0}
     tree: List[Tuple[int, int]] = [(-1, -1)]
@@ -298,8 +273,7 @@ def closure_of_matrices(reduced: Sequence[UMatrix], m: int,
                 row.append(got)
             right.append(row)
         frontier = new_frontier
-    gen_idx = [index[g.rows] for g in reduced]
-    return FiniteImage(m, ring, elements, tree, right, gen_idx, ring.p)
+    return FiniteImage(tree, right, [index[g.rows] for g in reduced], ring.p)
 
 
 def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int) -> int:

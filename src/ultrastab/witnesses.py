@@ -35,10 +35,6 @@ class WitnessError(RuntimeError):
     pass
 
 
-class P2Unsupported(WitnessError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Cyclic bad-estimate representations
 # ---------------------------------------------------------------------------
@@ -225,8 +221,11 @@ def hdist_lowerbound_diag(p: int, i: int, x: int, ring: RingSpec) -> HdistCertif
     Valid for every matrix degree: any homomorphic image of the generator
     has eigenvalues among p^j-th roots of unity in an extension field, and
     the distance is at least min over roots xi of |(1+x) - xi|.  In equal
-    characteristic the only root is 1 and the bound is |x| exactly; for p
-    odd the primitive-root distances come from the Newton polygon.
+    characteristic the only root is 1 and the bound is |x| exactly.  In
+    mixed characteristic the distance to 1 is |x| and to a primitive p^j-th
+    root |xi - 1|, from the Newton polygon, the valuations being distinct;
+    at p = 2 the order-2 root -1 is read exactly, as |x + 2|, since val(x)
+    may equal val(-1 - 1) = 1.
     """
     vx = ring.val(x)
     if vx < 1 or vx >= ring.precision:
@@ -234,18 +233,15 @@ def hdist_lowerbound_diag(p: int, i: int, x: int, ring: RingSpec) -> HdistCertif
     if not ring.is_mixed:
         return HdistCertificate(mode="ExtensionLowerBound",
                                 value=NormValue.from_valuation(ring, vx))
-    if p == 2:
-        raise P2Unsupported("p = 2 is served by the exact truncated analysis")
-    # distance to xi = 1 is |x|; to a primitive p^j-th root it is |xi - 1|
-    # exactly, the valuations being distinct.  The nearest root minimizes
-    # the norm, i.e. maximizes the exponent.
+    # the nearest root minimizes the norm, i.e. maximizes the exponent
     data = []
     best = Fraction(vx)
-    for j in range(1, i + 1):
+    if p == 2:
+        best = max(best, Fraction(ring.val(ring.add(x, ring.from_int(2)))))
+    for j in range(2 if p == 2 else 1, i + 1):
         v = cyclotomic_root_valuation(p, j)
         data.append((j, v))
-        if v > best:
-            best = v
+        best = max(best, v)
     return HdistCertificate(mode="ExtensionLowerBound",
                             value=NormValue(ring.p, ring.precision, best, False),
                             cyclotomic_data=tuple(data))
@@ -604,28 +600,6 @@ def _full_group_generators(gens: UnstableGenerators):
     return [outer.embed_at(gens.gamma, 0), outer.embed_at(gens.zeta, 0), gens.eta]
 
 
-def hdist_involution_diag_bound(ring: RingSpec, i: int, x: int) -> HdistCertificate:
-    """Residual 2-adic analogue of the diagonal lower bound.
-
-    2^j-th roots of unity in extensions of Q_2 are 1, -1 and primitive
-    roots with |xi - 1| = 2^{-1/2^{j-1}}; since val(x) >= 1 the closest is
-    whichever of 1, -1 minimizes |(1+x) - xi| = |x| or |x + 2|.
-    """
-    if not ring.is_mixed or ring.p != 2:
-        raise WitnessError("this bound is specific to mixed characteristic p = 2")
-    vx = ring.val(x)
-    candidates = [Fraction(vx), Fraction(ring.val(ring.add(x, ring.from_int(2))))]
-    data = []
-    for j in range(2, i + 1):
-        v = Fraction(1, 2 ** (j - 1))
-        data.append((j, v))
-        candidates.append(v)
-    best = max(candidates)  # nearest root = smallest norm = largest exponent
-    return HdistCertificate(mode="ExtensionLowerBound",
-                            value=NormValue(2, ring.precision, best, False),
-                            cyclotomic_data=tuple(data))
-
-
 def wreath_rep_defect_certificate(gens: UnstableGenerators, x: int, K: int
                                   ) -> WreathDefectCertificate:
     """Exact defect and distance certificate for the wreath representation.
@@ -680,8 +654,7 @@ def wreath_rep_defect_certificate(gens: UnstableGenerators, x: int, K: int
             if prod.dist_val(img_st) not in (K, structural):
                 raise WitnessError("a generator pair misses the carry lemma")
 
-    hd = (hdist_involution_diag_bound(ring, i, x) if p == 2
-          else hdist_lowerbound_diag(p, i, x, ring))
+    hd = hdist_lowerbound_diag(p, i, x, ring)
     return WreathDefectCertificate(
         p=p, i=i, x=x, K=K, degree=wmap.degree,
         structural_bound_val=structural, probe_val=probe, exact=True,

@@ -32,6 +32,18 @@ def shifted_random(ring, n, rng, k):
                                   for row in base.rows))
 
 
+def class_product(C, i, j):
+    """The class of i j in the finite image C: j's tree word walked through
+    C's right Cayley table, a reference that the package does not keep."""
+    word = []
+    while j:
+        j, g = C.tree[j]
+        word.append(g)
+    for g in reversed(word):
+        i = C.right[i][g]
+    return i
+
+
 def bs_graph(m, n):
     """The one-loop GBS graph of BS(m, n) = <s, t | t s^n t^{-1} = s^m>."""
     return GBSGraph(("v",), (("v", "v", n, m),))

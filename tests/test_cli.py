@@ -212,6 +212,26 @@ def test_graph_bad_tokens_exit_2(tmp_path, capsys):
     assert err.count("is not a string") == 3 and err.count("unknown letter") == 2
 
 
+def test_graph_tree_edges_not_spanning_exit_2(tmp_path, capsys):
+    # vertices a and b with one in_tree self-loop at a: the count of tree
+    # edges is right, yet b is unreached.  The graph fails when it is
+    # loaded, before any vertex repair: exit 2, no output, no traceback
+    rep_path, _, _, _ = _bs23_files(tmp_path)
+    capsys.readouterr()
+    gog = {"schema_version": 1, "kind": "graph_of_groups",
+           "vertices": [{"name": "a", "generators": ["s"], "relators": []},
+                        {"name": "b", "generators": ["u"], "relators": []}],
+           "edges": [{"source": "a", "target": "a", "word_source": [], "word_target": [],
+                      "letter": "t", "in_tree": True}]}
+    out_path = tmp_path / "loop_out.json"
+    assert main(["repair", rep_path, "--mode", "graph", "--gog",
+                 _write(tmp_path, "loop_gog.json", gog), "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("input error") and "does not reach every vertex" in captured.err
+
+
 def _involution_files(tmp_path):
     ring = RingSpec("fpx", 2, 8)
     pres = Presentation.make(["s"], [["s", "s"]])
@@ -540,6 +560,36 @@ def test_input_errors(tmp_path, capsys):
                 main(argv)
             assert exc.value.code == 2
             assert "p must be a prime" in capsys.readouterr().err
+
+
+def test_cap_flags_only_where_a_cap_is_read(tmp_path, capsys):
+    # a subcommand has the --cap-* flags of the caps it reads, and verify all
+    # four; any other cap flag is a usage error (exit 2), not silently inert
+    rep_path, _ = _z3_rep_file(tmp_path)
+    graph = _write(tmp_path, "g.json", bs_graph(2, 3).to_json())
+    commands = {
+        "defect": ["defect", rep_path],
+        "repair": ["repair", rep_path, "--mode", "finite-image"],
+        "witness": ["witness", "--kind", "commutator"],
+        "monomial": ["monomial", rep_path, rep_path],
+        "gbs": ["gbs", graph, "--p", "3"],
+        "claims": ["claims"],
+        "proptest": ["proptest", "ring-laws"],
+    }
+    kept = {"repair": {"closure"}, "witness": {"enum", "dim", "wreath-index"},
+            "claims": {"wreath-index"}}
+    for command, argv in commands.items():
+        for cap in ("closure", "enum", "dim", "wreath-index"):
+            if cap in kept.get(command, ()):
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--cap-" + cap, "5"])
+            assert exc.value.code == 2, (command, cap)
+            assert "unrecognized arguments: --cap-" + cap in capsys.readouterr().err
+    args = cli.build_parser().parse_args(
+        ["verify", "c.json", "--input", rep_path, "--cap-closure", "1", "--cap-enum", "2",
+         "--cap-dim", "3", "--cap-wreath-index", "4"])
+    assert (args.cap_closure, args.cap_enum, args.cap_dim, args.cap_wreath_index) == (1, 2, 3, 4)
 
 
 def test_unsolvable_exits_1(tmp_path, monkeypatch, capsys):

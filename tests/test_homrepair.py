@@ -12,6 +12,7 @@ from ultrastab.presentations import (
     CapExceeded,
     DefectTooLarge,
     Presentation,
+    PresentationError,
     Word,
     closure_of_matrices,
     enumerate_cosets,
@@ -28,7 +29,6 @@ from ultrastab.homrepair import (
     _conj_block,
     _fox_solve,
     _lift_step,
-    _relator_level,
     _relator_list,
     _relator_values,
     _row_sums,
@@ -40,7 +40,7 @@ from ultrastab.homrepair import (
 from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, row_submul, solve_linear
 
-from conftest import matrix_power, shifted_random
+from conftest import class_product, matrix_power, shifted_random
 
 ORDER3 = [[0, -1], [1, -1]]
 
@@ -353,6 +353,23 @@ def test_graph_repair_presentation_mismatch(rng):
         graph_repair(gog, rep)
 
 
+def test_gog_tree_edges_must_span_at_load():
+    # the count check: two vertices and no tree edge; the reach check: as
+    # many tree edges as a spanning tree, but a self-loop at a leaves b
+    # unreached.  Both fail when the graph is built, before any repair
+    a, b = GogVertex("a", ("s",), ()), GogVertex("b", ("u",), ())
+    with pytest.raises(PresentationError, match="must form a spanning tree"):
+        GraphOfGroups((a, b), (GogEdge("a", "b", (), (), "t", False),))
+    loop = {"vertices": [{"name": "a", "generators": ["s"]}, {"name": "b", "generators": ["u"]}],
+            "edges": [{"source": "a", "target": "a", "word_source": [], "word_target": [],
+                       "letter": "t", "in_tree": True}]}
+    with pytest.raises(PresentationError, match="does not reach every vertex"):
+        GraphOfGroups.from_json(loop)
+    # a spanning tree gives its BFS order, (edge, child vertex) from the first vertex
+    edge = GogEdge("b", "a", (), (), "t", True)
+    assert GraphOfGroups((a, b), (edge,)).tree_order == [(edge, "b")]
+
+
 def test_gog_json_roundtrip():
     gog = _bs23_gog()
     rt = GraphOfGroups.from_json(gog.to_json())
@@ -364,9 +381,15 @@ def _all_pairs_defect_val(sigma, C):
     best = sigma[0].ring.precision
     for c in range(C.order):
         for d in range(C.order):
-            v = ((sigma[c] @ sigma[d]) - sigma[C.product(c, d)]).min_valuation()
+            v = ((sigma[c] @ sigma[d]) - sigma[class_product(C, c, d)]).min_valuation()
             best = min(best, v)
     return best
+
+
+def _relator_level(rel, gens, sigma):
+    """min over the list of val(rho(r) - I), K when every relator is exact."""
+    return min(((a - sigma[t]).min_valuation() for a, t in _relator_values(rel, gens, sigma)),
+               default=sigma[0].ring.precision)
 
 
 def _cycle(m):
@@ -417,7 +440,7 @@ def test_relator_level_is_section_defect(group, mode, p, K, conjugate, data, see
                                    u @ _perm_matrix(ring, perm) @ u.inv()
                                    + shifted_random(ring, n, rng, noise))
     gens = [images[tuple(perm)] for perm in perms]
-    C = closure_of_matrices([g.reduce(1) for g in gens], 1)
+    C = closure_of_matrices([g.reduce(1) for g in gens])
     sigma = _tree_section(C, gens)
     want = _all_pairs_defect_val(sigma, C)
     own = _relator_list(C, Presentation.make(names, relators).relators)
@@ -430,7 +453,7 @@ def test_relator_level_is_section_defect(group, mode, p, K, conjugate, data, see
 def test_coset_enumeration_orders():
     ring = RingSpec("zp", 5, 3)
     for names, relators, perms in LEVEL_GROUPS.values():
-        C = closure_of_matrices([_perm_matrix(ring, perm) for perm in perms], 3)
+        C = closure_of_matrices([_perm_matrix(ring, perm) for perm in perms])
         got = enumerate_cosets(len(names), Presentation.make(names, relators).relators,
                                2 * C.order)
         assert got == C.order
@@ -446,7 +469,7 @@ def test_coset_enumeration_orders():
         pres = Presentation.make(names, relators)
         n = len(perms[0])
         gens = [_perm_matrix(ring, perm) + shifted_random(ring, n, rng, 1) for perm in perms]
-        C = closure_of_matrices([g.reduce(1) for g in gens], 1)
+        C = closure_of_matrices([g.reduce(1) for g in gens])
         with pytest.raises(CapExceeded):
             enumerate_cosets(len(names), pres.relators, 2 * C.order)
         rel = _relator_list(C, pres.relators)
@@ -475,7 +498,7 @@ Cochain = namedtuple("Cochain", "image ring z act act_inv")
 def _cocycle(sigma, C, pairs, j, mod_exp):
     """Reference: z(a, b) = coords_j of sigma(a) sigma(b) sigma(ab)^-1 mod w^mod_exp."""
     sigma_inv = [m.inv() for m in sigma]
-    z = {(a, b): (sigma[a] @ sigma[b] @ sigma_inv[C.product(a, b)])
+    z = {(a, b): (sigma[a] @ sigma[b] @ sigma_inv[class_product(C, a, b)])
          .congruence_coords(j).reduce(mod_exp) for a, b in pairs}
     return Cochain(C, sigma[0].ring.with_precision(mod_exp), z,
                    [m.reduce(mod_exp) for m in sigma], [m.reduce(mod_exp) for m in sigma_inv])
@@ -503,7 +526,7 @@ def _full_average(sigma, C, level, mod_exp):
     for g in range(C.order):
         b = UMatrix.zero(ring_q, sigma[0].n)
         for h in range(C.order):
-            z = sigma[g] @ sigma[h] @ sigma_inv[C.product(g, h)]
+            z = sigma[g] @ sigma[h] @ sigma_inv[class_product(C, g, h)]
             b = b + z.congruence_coords(level).reduce(mod_exp)
         out.append(b.scale(ninv))
     return out
@@ -535,7 +558,7 @@ def test_generator_rows_give_full_average(group, mode, p, K, k, seed):
     rng = random.Random(seed)
     gens = [_perm_matrix(ring, perm) + shifted_random(ring, n, rng, rng.randrange(k, K + 1))
             for perm in perms]
-    C = closure_of_matrices([g.reduce(k) for g in gens], k)
+    C = closure_of_matrices([g.reduce(k) for g in gens])
     assume(C.p_part == 0)
     mod_exp = min(2 * k, K) - k
     ring_q = ring.with_precision(mod_exp)
@@ -556,14 +579,14 @@ def _full_system_solve(z):
     unknowns) and the equation a.c(b) + c(a) - c(ab) = z(a, b) at every pair
     of z (n^2 each), a.X = sigma(a) X sigma(a)^-1."""
     C, ring_q = z.image, z.ring
-    n, N = C.elements[0].n, C.order
+    n, N = z.act[0].n, C.order
     rows, rhs = [], []
 
     def var(e, a, b):
         return (e - 1) * n * n + a * n + b
 
     for (a, b), zab in z.z.items():
-        ab = C.product(a, b)
+        ab = class_product(C, a, b)
         ua, uinv = z.act[a], z.act_inv[a]
         for r in range(n):
             for t in range(n):
@@ -590,7 +613,8 @@ def _full_system_solve(z):
 def _coboundary_matches(c, z):
     """delta c = z at every pair of z: a.c(b) + c(a) - c(ab) = z(a, b)."""
     C = z.image
-    return all((z.act[a] @ c[b] @ z.act_inv[a] + c[a] - c[C.product(a, b)]).rows == v.rows
+    return all((z.act[a] @ c[b] @ z.act_inv[a] + c[a] - c[class_product(C, a, b)]).rows
+               == v.rows
                for (a, b), v in z.z.items())
 
 
@@ -638,12 +662,12 @@ def test_fox_solve_matches_full_system(rng):
                                                       (1, 2)):
             n = len(perms[0])
             gens = [UMatrix.from_int_rows(ring, m) for m in perms]
-            l = closure_of_matrices([g.reduce(1) for g in gens], 1).p_part
+            l = closure_of_matrices([g.reduce(1) for g in gens]).p_part
             k = 2 * l + extra  # the lifting hypothesis k > 2l
             if l == 0 or k >= ring.precision:
                 continue
             gens = [g + shifted_random(ring, n, rng, k) for g in gens]
-            C = closure_of_matrices([g.reduce(k) for g in gens], k)
+            C = closure_of_matrices([g.reduce(k) for g in gens])
             j = k - l
             mod_exp = min(2 * j, ring.precision) - j
             sigma = _tree_section(C, gens)
@@ -681,7 +705,7 @@ def test_fox_solve_trivial_image(rng):
     one = UMatrix.identity(ring, 2)
     k = 2
     gens = [one + shifted_random(ring, 2, rng, k) for _ in range(2)]
-    C = closure_of_matrices([g.reduce(k) for g in gens], k)
+    C = closure_of_matrices([g.reduce(k) for g in gens])
     assert C.order == 1
     rel = _relator_list(C, [])
     assert rel.words == (Word((1,)), Word((2,)))
@@ -690,7 +714,7 @@ def test_fox_solve_trivial_image(rng):
     assert [x.rows for x in c] == [v.rows for v in values]
     new = [(-x).lift_to(ring).congruence_lift(k) @ g for x, g in zip(c, gens)]
     assert _relator_level(rel, new, [one]) >= 2 * k
-    got, _, step = _lift_step(C, gens, [one], rel, _averaging_weights(C), k)
+    got, _, _, step = _lift_step(C, gens, [one], None, rel, _averaging_weights(C), k)
     assert [g.rows for g in got] == [one.rows] * 2 and step == LedgerStep(6, 2, "averaging")
 
 
@@ -704,7 +728,7 @@ def _left_bfs(C, classes):
     seen, queue, edges = {0}, [0], []
     for h in queue:
         for s in classes:
-            g = C.product(s, h)
+            g = class_product(C, s, h)
             edges.append((s, h, g, g not in seen))
             if g not in seen:
                 seen.add(g)
@@ -720,7 +744,7 @@ def _gauge_fixed_solve(z):
     letters left of s'; the equations are the non-tree edges."""
     C, ring_q = z.image, z.ring
     submul = row_submul(ring_q)
-    n = C.elements[0].n
+    n = z.act[0].n
     nn = n * n
     classes = _classes(C)
     offset = {s: i * nn for i, s in enumerate(s for s in classes if s)}
@@ -728,7 +752,7 @@ def _gauge_fixed_solve(z):
     const = [UMatrix.zero(ring_q, n)] * C.order
     rows, rhs = [], []
     for s, h, g, tree in _left_bfs(C, classes):
-        moved = [(t, C.product(s, y)) for t, y in terms[h]] + ([(s, 0)] if s else [])
+        moved = [(t, class_product(C, s, y)) for t, y in terms[h]] + ([(s, 0)] if s else [])
         c0 = z.act[s] @ const[h] @ z.act_inv[s] - z.z[s, h]
         if tree:
             terms[g], const[g] = moved, c0
@@ -753,7 +777,7 @@ def _extend_along_tree(gen, z):
     """c on all of C from its generator-class values, c(e) = 0: each left
     tree edge h -> sh sets c(sh) = s.c(h) + c(s) - z(s, h)."""
     C = z.image
-    c = [UMatrix.zero(z.ring, C.elements[0].n)] * C.order
+    c = [UMatrix.zero(z.ring, z.act[0].n)] * C.order
     for s, h, g, tree in _left_bfs(C, _classes(C)):
         if tree:
             c[g] = z.act[s] @ c[h] @ z.act_inv[s] + gen.get(s, c[0]) - z.z[s, h]
@@ -765,7 +789,7 @@ def _reference_average(z):
     generator rows along the left tree, then divided by |C|; None when
     obstructed."""
     C, ring_q = z.image, z.ring
-    n, a = C.elements[0].n, C.p_part
+    n, a = z.act[0].n, C.p_part
     if a >= ring_q.precision:
         return None
     order = ring_q.from_int(C.order)
@@ -774,7 +798,7 @@ def _reference_average(z):
     for s, h, g, tree in _left_bfs(C, _classes(C)):
         if tree:
             b[g] = z.act[s] @ b[h] @ z.act_inv[s] + sums[s] - z.z[s, h].scale(order)
-    minv = ring_q.inv(ring_q.from_int(C.unit_part))
+    minv = ring_q.inv(ring_q.from_int(C.order // ring_q.p ** a))
     c = []
     for bg in b:
         t = bg.scale(minv)
@@ -792,7 +816,7 @@ def _reference_step(ring, gens, k):
     whose all-pairs defect is the level recorded.  Also returns the level
     that each correction tried reached, by method."""
     K = ring.precision
-    C = closure_of_matrices([g.reduce(k) for g in gens], k)
+    C = closure_of_matrices([g.reduce(k) for g in gens])
     a = C.p_part
     if not ring.is_mixed and a > 0:
         raise CharPUnsupported("p-part in equal characteristic")
@@ -867,12 +891,13 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
     if k0 < 1:
         assert outcome(lambda: repair_finite_image(rep))[1] is DefectTooLarge
         return
-    C = closure_of_matrices([g.reduce(k0) for g in rep.images], k0)
+    C = closure_of_matrices([g.reduce(k0) for g in rep.images])
     rel = _relator_list(C, rep.presentation.relators)
     assert rel.edges == ()  # each of these presentations presents its image
     weights = None if C.p_part else _averaging_weights(C)
     gens, k, steps = list(rep.images), k0, []
     sigma = _tree_section(C, gens)
+    values = _relator_values(rel, gens, sigma) if C.p_part else None
     err = None
     while k < K:
         # the loop checks l and k once, before its first step
@@ -881,12 +906,12 @@ def test_lifting_loop_matches_reference_step(group, mode, p, K, level, conjugate
         elif k <= 2 * C.p_part:
             err = HypothesisViolated
         else:
-            new, err = outcome(lambda: _lift_step(C, gens, sigma, rel, weights, k))
+            new, err = outcome(lambda: _lift_step(C, gens, sigma, values, rel, weights, k))
         ref, ref_err = outcome(lambda: _reference_step(ring, gens, k))
         assert err is ref_err
         if err:
             break
-        gens, sigma, step = new
+        gens, sigma, values, step = new
         assert step.defect_val_after == _all_pairs_defect_val(_tree_section(C, gens), C)
         assert (step.method == "linear-solve") == (C.p_part > 0)
         assert step.defect_val_after >= min(2 * step.distance_spent_val, K)
@@ -925,8 +950,8 @@ def test_fox_step_raises_as_reference_step(shape, data, K, level, conjugate, see
     # exception, Unsolvable included, and a step that returns reaches its target
     names, relators, perms = FOX_SHAPES[shape]
     n = len(perms[0])
-    order = closure_of_matrices([_perm_matrix(RingSpec("zp", 2, 1), perm) for perm in perms],
-                                1).order
+    order = closure_of_matrices([_perm_matrix(RingSpec("zp", 2, 1), perm)
+                                 for perm in perms]).order
     p = data.draw(st.sampled_from([q for q in (2, 3, 5) if order % q == 0]))
     ring = RingSpec("zp", p, K)
     rng = random.Random(seed)
@@ -936,7 +961,7 @@ def test_fox_step_raises_as_reference_step(shape, data, K, level, conjugate, see
                      + shifted_random(ring, n, rng, min(level, K - 1)) for perm in perms])
     k = rep.defect().valuation
     assume(1 <= k < K)
-    C = closure_of_matrices([g.reduce(k) for g in rep.images], k)
+    C = closure_of_matrices([g.reduce(k) for g in rep.images])
     assume(k > 2 * C.p_part)
     own = [] if shape == "BS23" else rep.presentation.relators
 
@@ -946,12 +971,13 @@ def test_fox_step_raises_as_reference_step(shape, data, K, level, conjugate, see
         except (RepairError, Unsolvable) as e:
             return None, type(e)
 
-    new, err = outcome(lambda: _lift_step(C, rep.images, _tree_section(C, rep.images),
-                                          _relator_list(C, own), None, k))
+    sigma, rel = _tree_section(C, rep.images), _relator_list(C, own)
+    new, err = outcome(lambda: _lift_step(C, rep.images, sigma,
+                                          _relator_values(rel, rep.images, sigma), rel, None, k))
     _, ref_err = outcome(lambda: _reference_step(ring, rep.images, k))
     assert err is ref_err
     if not err:
-        assert new[2].defect_val_after >= min(2 * (k - C.p_part), K)
+        assert new[3].defect_val_after >= min(2 * (k - C.p_part), K)
 
 
 # (group, mode, p, K): the group's own list (S3) and the Schreier fallback
@@ -969,45 +995,71 @@ SECTION_CASES = [("S3", "zp", 5, 8), ("S3", "fpx", 5, 8), ("S3", "zp", 2, 10),
                  ("S4moore", "zp", 3, 8)]
 
 
+def _section_rep(group, ring, seed):
+    """SECTION_GROUPS[group]'s permutations, conjugated unless seed is 0, plus
+    noise at level 3."""
+    names, relators, perms = SECTION_GROUPS[group]
+    rng = random.Random(seed)
+    n = len(perms[0])
+    u = random_gl(ring, n, rng) if seed else UMatrix.identity(ring, n)
+    rep = ApproxRep(Presentation.make(names, relators), ring, n,
+                    [u @ _perm_matrix(ring, perm) @ u.inv() + shifted_random(ring, n, rng, 3)
+                     for perm in perms])
+    assert rep.defect().valuation == 3
+    return rep
+
+
+def _counting(monkeypatch, calls, name):
+    """Count the calls of homrepair's `name` into calls[name]."""
+    import ultrastab.homrepair as homrepair
+    original = getattr(homrepair, name)
+
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(homrepair, name, wrapped)
+
+
 @pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
 def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, mode, p, K):
     # each lifting step builds one tree section (plus the loop's first), a
     # non-saturated repair closes once, at the defect level, and the image
     # order it reads from the last section is the order of the output's
     # closure at K
-    import ultrastab.homrepair as homrepair
-    names, relators, perms = SECTION_GROUPS[group]
     ring = RingSpec(mode, p, K)
     calls = Counter()
-
-    def counting(name):
-        original = getattr(homrepair, name)
-
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(homrepair, name, wrapped)
-
-    counting("_tree_section")
-    counting("closure_of_matrices")
+    _counting(monkeypatch, calls, "_tree_section")
+    _counting(monkeypatch, calls, "closure_of_matrices")
     for seed in range(3):
-        rng = random.Random(seed)
-        n = len(perms[0])
-        u = random_gl(ring, n, rng) if seed else UMatrix.identity(ring, n)
-        rep = ApproxRep(Presentation.make(names, relators), ring, n,
-                        [u @ _perm_matrix(ring, perm) @ u.inv() + shifted_random(ring, n, rng, 3)
-                         for perm in perms])
-        assert rep.defect().valuation == 3
+        rep = _section_rep(group, ring, seed)
         calls.clear()
         out, ledger = repair_finite_image(rep)
         assert ledger.verified and ledger.steps
-        C = closure_of_matrices([g.reduce(3) for g in rep.images], 3)
+        C = closure_of_matrices([g.reduce(3) for g in rep.images])
         assert bool(_relator_list(C, rep.presentation.relators).edges) == (group == "S4moore")
         method = "linear-solve" if C.p_part else "averaging"
         assert {s.method for s in ledger.steps} == {method}
         assert calls["_tree_section"] == 1 + len(ledger.steps)
         assert calls["closure_of_matrices"] == 1
-        assert ledger.image_order == closure_of_matrices(list(out.images), K).order
+        assert ledger.image_order == closure_of_matrices(list(out.images)).order
+
+
+@pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
+def test_repair_evaluates_its_relator_list_once_per_level(monkeypatch, group, mode, p, K):
+    # each step's re-measure evaluates the relator list once and hands its
+    # values to the next step: a Fox repair (p | N), on the group's own list
+    # (S3 at p = 2, 3) and on the Schreier list (S4 Moore at p = 3), adds
+    # one evaluation before its first step, an averaging repair none
+    ring = RingSpec(mode, p, K)
+    calls = Counter()
+    _counting(monkeypatch, calls, "_relator_values")
+    for seed in range(3):
+        rep = _section_rep(group, ring, seed)
+        calls.clear()
+        _, ledger = repair_finite_image(rep)
+        fox = ledger.p_part > 0
+        assert {s.method for s in ledger.steps} == {"linear-solve" if fox else "averaging"}
+        assert calls["_relator_values"] == len(ledger.steps) + fox
 
 
 @pytest.mark.parametrize("group, p, level", [("S3", 2, 3), ("S3", 3, 3), ("C4", 2, 5)])
@@ -1024,7 +1076,7 @@ def test_fox_step_on_own_list_multiplies_by_no_identity(monkeypatch, group, p, l
                     [u @ _perm_matrix(ring, perm) @ u.inv() + shifted_random(ring, n, rng, level)
                      for perm in perms])
     k = rep.defect().valuation
-    C = closure_of_matrices([g.reduce(k) for g in rep.images], k)
+    C = closure_of_matrices([g.reduce(k) for g in rep.images])
     rel = _relator_list(C, rep.presentation.relators)
     assert C.p_part and not rel.edges
     sigma = _tree_section(C, rep.images)
@@ -1032,7 +1084,8 @@ def test_fox_step_on_own_list_multiplies_by_no_identity(monkeypatch, group, p, l
     matmul = UMatrix.__matmul__
     monkeypatch.setattr(UMatrix, "__matmul__",
                         lambda a, b: right_factors.append(b.rows) or matmul(a, b))
-    _, _, step = _lift_step(C, rep.images, sigma, rel, None, k)
+    _, _, _, step = _lift_step(C, rep.images, sigma, _relator_values(rel, rep.images, sigma),
+                               rel, None, k)
     assert step.method == "linear-solve" and right_factors
     assert UMatrix.identity(ring, n).rows not in right_factors
 

@@ -4,10 +4,10 @@ SHA-256 digests of the repaired images and of the precision ledger for a
 fixed-seed set of finite-image repairs (p prime to |C| and p dividing
 |C|) and of BS(2,3) graph repairs, and of the repaired matrix for a
 fixed-seed set of characteristic-2 involution repairs (perturbed conjugates
-of block swaps over F_2[X]/(X^K)), and of the certificate of a few
-Z/p^K bad-estimate witnesses.  A change that moves any output bit,
-ledger level or step method fails here; a change meant to do so must say
-so and re-pin.
+of block swaps over F_2[X]/(X^K)), of the certificate of a few Z/p^K
+bad-estimate and wreath witnesses, and of the diagonal Hdist lower bound
+at p in {2, 3, 5}.  A change that moves any output bit, ledger level or
+step method fails here; a change meant to do so must say so and re-pin.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ from ultrastab.local_ring import RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
 from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
+from ultrastab.witnesses import hdist_lowerbound_diag
 
 from conftest import shifted_random
 
@@ -204,3 +205,67 @@ def test_pinned_badestimate_certificate(case, tmp_path):
                  "--out", str(tmp_path / "w.json"), "--cert", str(cert)]) == 0
     digest = hashlib.sha256(canonical_json(json.loads(cert.read_text())).encode()).hexdigest()
     assert digest == BADESTIMATE_CASES[case]
+
+
+WREATH_CASES = {   # (p, K, i, x) -> SHA-256 of the wreath witness certificate
+    (2, 12, 1, 2): "f8ece624feb3e293c8aff80e78fa0c7ddf1bd3428b91561f402630c9926ce1a6",
+    (2, 12, 1, 6): "f12f556b886158a8d0dd179c3432e41a184447c8b870d2d757952389c98e3bd2",
+    (3, 8, 1, 3): "db151c2951ae5967b01ae6e2957afdff45607de552b5c1d9b9500f2b1f8ca093",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WREATH_CASES))
+def test_pinned_wreath_certificate(case, tmp_path):
+    p, K, i, x = case
+    cert = tmp_path / "c.json"
+    assert main(["witness", "--kind", "wreath", "--p", str(p), "--precision", str(K),
+                 "--i", str(i), "--x", f'"{x}"', "--out", str(tmp_path / "w.json"),
+                 "--cert", str(cert)]) == 0
+    digest = hashlib.sha256(canonical_json(json.loads(cert.read_text())).encode()).hexdigest()
+    assert digest == WREATH_CASES[case]
+
+
+# (p, i) -> {x: SHA-256 of the diagonal lower bound's JSON over Z/p^12}; at
+# p = 2, x = 2 and x = 6 sit nearer the root -1 than the root 1
+HDIST_CASES = {
+    (2, 1): {2: "ab9f7e19cbab2ddc5c5edeb1f3ed5d5fa5afa728e691ca2c953507db7b1e1b25",
+             4: "ab9f7e19cbab2ddc5c5edeb1f3ed5d5fa5afa728e691ca2c953507db7b1e1b25",
+             6: "a40bc3ec013586e97dde0610f4b035733f4f233b7abb16151f68e0b008b66efd",
+             8: "a40bc3ec013586e97dde0610f4b035733f4f233b7abb16151f68e0b008b66efd"},
+    (2, 2): {2: "82dc44d0d0ea59283d1dd6b1972c2a87dd54dff6dbe42f54dcaf55d1296eb7a7",
+             4: "82dc44d0d0ea59283d1dd6b1972c2a87dd54dff6dbe42f54dcaf55d1296eb7a7",
+             6: "657d8f7297ec6aee96901125565baf7f957e3a401cd2c5a47c1c62a4765820d8",
+             8: "657d8f7297ec6aee96901125565baf7f957e3a401cd2c5a47c1c62a4765820d8"},
+    (2, 3): {2: "ba3a2ded60cea797a9d023948c917df0385178be266a02a8923a2cf9e950b8f3",
+             4: "ba3a2ded60cea797a9d023948c917df0385178be266a02a8923a2cf9e950b8f3",
+             6: "d8329872b722e6a06d3eaf40ed6240d06a576f4884dee9b028ea7e291a064e6e",
+             8: "d8329872b722e6a06d3eaf40ed6240d06a576f4884dee9b028ea7e291a064e6e"},
+    (3, 1): {3: "1ed61d0c9d99a7ff7b456a60ed9aff5fe9429351c2555eab895dbd60c71ffed7",
+             6: "1ed61d0c9d99a7ff7b456a60ed9aff5fe9429351c2555eab895dbd60c71ffed7",
+             9: "4bd058910d87d73912362eec2d91bca730728c76ed1174a889671a4c1c8e3afd"},
+    (3, 2): {3: "709d42c4175920a4a13a9bca32021a9f83f4cdb1b3dbd3c0c8f473d37ec8ad02",
+             6: "709d42c4175920a4a13a9bca32021a9f83f4cdb1b3dbd3c0c8f473d37ec8ad02",
+             9: "37c77d6ad8cc22fcae5a6abf867617400fce74304ed3025a243fe1326edf3d14"},
+    (3, 3): {3: "d8c427488ccfa06efabfa29cde9f4b694e45aba2b2dabe1c819944c4ae7f98fc",
+             6: "d8c427488ccfa06efabfa29cde9f4b694e45aba2b2dabe1c819944c4ae7f98fc",
+             9: "cc44cfa8e06671a03021eb80017648f3f2153ea68bb721894d786f3a9cb23bbc"},
+    (5, 1): {5: "8154552ec60b7f6c9bec540e9754c0596108e1885b5ed5cfb3dc21ef184bb0bb",
+             10: "8154552ec60b7f6c9bec540e9754c0596108e1885b5ed5cfb3dc21ef184bb0bb",
+             25: "306de434b143709c3abc506eec442c9325ca0107aa61dd9787d7382de98b826c"},
+    (5, 2): {5: "18599f3df2a9ba59f22847502015b7493ed8bcb3faf0c4e521fe2b743747a11e",
+             10: "18599f3df2a9ba59f22847502015b7493ed8bcb3faf0c4e521fe2b743747a11e",
+             25: "9ed7937d80874112340ea89501c6e01e9f3d5ac4bdb8f73bdc3088ff7db3cb51"},
+    (5, 3): {5: "bded15f299b62465da06ff56024f72a5273c5bf17b05e27723ae5d5dbf8c21a3",
+             10: "bded15f299b62465da06ff56024f72a5273c5bf17b05e27723ae5d5dbf8c21a3",
+             25: "56d41d5bbee7c6709ac494155facf39e7e25b92a94edbd22ffcc815177e49495"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HDIST_CASES))
+def test_pinned_hdist_lowerbound(case):
+    p, i = case
+    ring = RingSpec("zp", p, 12)
+    got = {x: hashlib.sha256(canonical_json(
+        hdist_lowerbound_diag(p, i, x, ring).to_json()).encode()).hexdigest()
+        for x in HDIST_CASES[case]}
+    assert got == HDIST_CASES[case]

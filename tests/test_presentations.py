@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from ultrastab.homrepair import _tree_section
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import (
     ApproxRep,
@@ -15,12 +16,12 @@ from ultrastab.presentations import (
 from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 
-from conftest import shifted_random
+from conftest import class_product, shifted_random
 
 
 def _image(rep, m):
     """The finite image of rep mod w^m (defect level >= m)."""
-    return closure_of_matrices([img.reduce(m) for img in rep.images], m)
+    return closure_of_matrices([img.reduce(m) for img in rep.images])
 
 
 def test_word_reduction():
@@ -125,11 +126,9 @@ def test_finite_image_cyclic():
     C = _image(rep, 3)
     assert C.order == 3
     assert C.p_part == 0
-    assert C.unit_part == 3
     s = C.generator_indices[0]
-    assert s != 0 and C.product(s, C.product(s, s)) == 0  # s has order 3
-    assert C.inverse(C.generator_indices[0]) == C.product(
-        C.generator_indices[0], C.generator_indices[0])
+    assert s != 0 and C.right[C.right[s][0]][0] == 0  # s has order 3
+    assert C.inverse(s) == C.back[0][0] == C.right[s][0]
 
 
 def _perm_matrix(ring, perm):
@@ -137,11 +136,22 @@ def _perm_matrix(ring, perm):
     return UMatrix.from_int_rows(ring, [[int(perm[j] == i) for j in range(n)] for i in range(n)])
 
 
-def _assert_products_from_table(C, pairs):
-    # each table product is the closure element equal to the matrix product
-    where = {e.rows: i for i, e in enumerate(C.elements)}
+def _assert_tables_from_matrices(C, gens, classes, pairs):
+    # the element matrices are the tree section of the generators, which C
+    # does not keep: at each class c, right and back read the class of c x_g
+    # and c x_g^-1, inverse that of c^-1, and the tree walk through right
+    # that of a general product
+    elements = _tree_section(C, gens)
+    where = {e.rows: i for i, e in enumerate(elements)}
+    assert len(where) == C.order
+    inverses = [g.inv() for g in gens]
+    for c in classes:
+        for g, (x, xinv) in enumerate(zip(gens, inverses)):
+            assert C.right[c][g] == where[(elements[c] @ x).rows]
+            assert C.back[g][c] == where[(elements[c] @ xinv).rows]
+        assert C.inverse(c) == where[elements[c].inv().rows]
     for i, j in pairs:
-        assert C.product(i, j) == where[(C.elements[i] @ C.elements[j]).rows]
+        assert class_product(C, i, j) == where[(elements[i] @ elements[j]).rows]
 
 
 @pytest.mark.parametrize("perms,order", [
@@ -151,19 +161,22 @@ def _assert_products_from_table(C, pairs):
 ])
 def test_products_read_the_cayley_table(perms, order):
     ring = RingSpec("zp", 5, 2)
-    C = closure_of_matrices([_perm_matrix(ring, q) for q in perms], 2)
+    gens = [_perm_matrix(ring, q) for q in perms]
+    C = closure_of_matrices(gens)
     assert C.order == order
-    _assert_products_from_table(C, [(i, j) for i in range(order) for j in range(order)])
-    assert all(C.product(i, C.inverse(i)) == 0 for i in range(order))
+    _assert_tables_from_matrices(C, gens, range(order),
+                                 [(i, j) for i in range(order) for j in range(order)])
+    assert all(class_product(C, i, C.inverse(i)) == 0 for i in range(order))
 
 
 def test_products_in_a_deep_tree():
     # (Z/3001)^x is cyclic of order 3000; with one generator the BFS tree is
-    # a path deeper than the recursion limit, and products walk it iteratively
+    # a path deeper than the recursion limit, and inverses walk it iteratively
     ring = RingSpec("zp", 3001, 1)
     g = next(x for x in range(2, 3001)
              if all(pow(x, 3000 // q, 3001) != 1 for q in (2, 3, 5)))
-    C = closure_of_matrices([UMatrix.from_int_rows(ring, [[g]])], 1, cap=3000)
+    gens = [UMatrix.from_int_rows(ring, [[g]])]
+    C = closure_of_matrices(gens, cap=3000)
     assert C.order == 3000
     deepest, depth = C.order - 1, 0
     c = deepest
@@ -171,9 +184,11 @@ def test_products_in_a_deep_tree():
         c, depth = C.tree[c][0], depth + 1
     assert depth > sys.getrecursionlimit()
     rng = random.Random(3000)
+    classes = [rng.randrange(3000) for _ in range(200)] + [0, 1, deepest]
     pairs = [(rng.randrange(3000), rng.randrange(3000)) for _ in range(200)]
-    _assert_products_from_table(C, pairs + [(deepest, deepest), (1, deepest), (deepest, 0)])
-    assert C.product(deepest, C.inverse(deepest)) == 0
+    _assert_tables_from_matrices(C, gens, classes,
+                                 pairs + [(deepest, deepest), (1, deepest), (deepest, 0)])
+    assert class_product(C, deepest, C.inverse(deepest)) == 0
 
 
 def test_eval_word_inverse_letters(monkeypatch):
@@ -238,7 +253,7 @@ def test_finite_image_trivial():
 def test_finite_image_errors(rng):
     ring = RingSpec("zp", 2, 6)
     with pytest.raises(CapExceeded):
-        closure_of_matrices([random_gl(ring, 3, rng)], 6, cap=2)
+        closure_of_matrices([random_gl(ring, 3, rng)], cap=2)
 
 
 def test_order_divides_gl_order():
@@ -250,7 +265,7 @@ def test_order_divides_gl_order():
     gl_order = 6 * 2 ** (4 * 2)
     for _ in range(10):
         g = random_gl(ring, 2, rng)
-        C = closure_of_matrices([g], 3, cap=10 ** 5)
+        C = closure_of_matrices([g], cap=10 ** 5)
         assert gl_order % C.order == 0
 
 

@@ -9,7 +9,6 @@ from ultrastab.presentations import ApproxRep, CapExceeded, Presentation
 from ultrastab.ultranorm_linalg import UMatrix
 from ultrastab.witnesses import (
     CyclicGroup,
-    P2Unsupported,
     WitnessError,
     WreathGroup,
     WreathMatrixMap,
@@ -18,7 +17,6 @@ from ultrastab.witnesses import (
     commutator_witness_oracle,
     cyclotomic_root_valuation,
     hdist_gl1_cyclic,
-    hdist_involution_diag_bound,
     hdist_lowerbound_diag,
     make_badestimate_rep,
     make_commutator_witness,
@@ -158,6 +156,9 @@ def test_newton_polygon_valuations():
     assert cyclotomic_root_valuation(3, 2) == Fraction(1, 6)
     assert cyclotomic_root_valuation(5, 1) == Fraction(1, 4)
     assert cyclotomic_root_valuation(2, 2) == Fraction(1, 2)
+    # the primitive 2^j-th roots at p = 2 sit at 1/2^(j-1)
+    assert [cyclotomic_root_valuation(2, j) for j in range(1, 6)] == [
+        Fraction(1, 2 ** (j - 1)) for j in range(1, 6)]
 
 
 def test_lowerbound_diag():
@@ -165,10 +166,12 @@ def test_lowerbound_diag():
     assert hdist_lowerbound_diag(3, 2, 9, RingSpec("zp", 3, 8)).value.exponent == 2
     ring = RingSpec("fpx", 2, 6)
     assert hdist_lowerbound_diag(2, 3, ring.from_coeffs([0, 1]), ring).value.exponent == 1
-    with pytest.raises(P2Unsupported):
-        hdist_lowerbound_diag(2, 1, 2, RingSpec("zp", 2, 6))
-    b = hdist_involution_diag_bound(RingSpec("zp", 2, 12), 1, 2)
-    assert b.value.exponent == 2  # min(|2|, |4|) = 2^-2
+    # p = 2 reads the root -1 exactly: min(|2|, |2 + 2|) = 2^-2, and
+    # min(|6|, |6 + 2|) = 2^-3, past the root's own valuation 1
+    ring = RingSpec("zp", 2, 12)
+    assert hdist_lowerbound_diag(2, 1, 2, ring).value.exponent == 2
+    assert hdist_lowerbound_diag(2, 3, 6, ring).value.exponent == 3
+    assert hdist_lowerbound_diag(2, 3, 4, ring).value.exponent == 2
 
 
 def test_wreath_group_axioms(rng):
