@@ -165,10 +165,8 @@ class BGForm:
             return False
         conj = self.P @ a @ self.Q
         target = UMatrix(a.ring, n, self.target_rows(a.ring, n))
-        level_ok = (conj - target).min_valuation() >= self.level
-        small = self.B
-        ident = UMatrix.identity(small.ring, small.n)
-        return level_ok and (small.n == 0 or (small - ident).min_valuation() >= 1)
+        level_ok = conj.dist_valuation(target) >= self.level
+        return level_ok and (self.B.n == 0 or self.B.dist_valuation() >= 1)
 
 
 def _initial_basis_change(a: UMatrix) -> Tuple[UMatrix, UMatrix, int]:
@@ -251,7 +249,7 @@ def bg_blockform(a: UMatrix, k: int) -> BGForm:
     K = ring.precision
     if k < 1 or k > K:
         raise PreconditionViolated(f"level must satisfy 1 <= k <= K, got {k}")
-    if ((a @ a) - UMatrix.identity(ring, n)).min_valuation() < k:
+    if (a @ a).dist_valuation() < k:
         raise PreconditionViolated("matrix is not an involution at the requested level")
 
     p_mat, q_mat, l = _initial_basis_change(a)
@@ -299,14 +297,13 @@ def involution_repair(a: UMatrix) -> UMatrix:
     ring = a.ring
     n = a.n
     K = ring.precision
-    ident = UMatrix.identity(ring, n)
-    dval = ((a @ a) - ident).min_valuation()
+    dval = (a @ a).dist_valuation()
     if dval < 1:
         raise PreconditionViolated("||A^2 - I|| must be < 1")
     out = _repair_rec(a, dval)
-    if ((out @ out) - ident).min_valuation() < K:
+    if (out @ out).dist_valuation() < K:
         raise ReductionFailed("repair did not produce an exact involution")
-    got = (a - out).min_valuation()
+    got = a.dist_valuation(out)
     if 2 * got < dval:
         raise ReductionFailed("repair exceeded the quadratic bound")
     return out
@@ -323,12 +320,12 @@ def _repair_rec(a: UMatrix, dval: int) -> UMatrix:
         # |x^2 - 1| = |x - 1|^2 in characteristic 2, so 1 is close enough.
         return ident
     # A == I mod X exactly when the block form has no swap pair (l = 0)
-    j = (a - ident).min_valuation()
+    j = a.dist_valuation()
     if j == 0:
         form = bg_blockform(a, dval)
         b_rep = form.B
         if b_rep.n:
-            bdval = ((b_rep @ b_rep) - UMatrix.identity(ring, b_rep.n)).min_valuation()
+            bdval = (b_rep @ b_rep).dist_valuation()
             if bdval < dval:
                 raise ReductionFailed("small block lost defect depth")
             b_rep = _repair_rec(b_rep, bdval)
@@ -340,6 +337,6 @@ def _repair_rec(a: UMatrix, dval: int) -> UMatrix:
     if j >= half + (dval % 2):
         return ident
     inner = ident + a.congruence_coords(j)
-    inner_dval = ((inner @ inner) - ident).min_valuation()
+    inner_dval = (inner @ inner).dist_valuation()
     inner_fixed = _repair_rec(inner, inner_dval)
     return (inner_fixed - ident).congruence_lift(j)

@@ -54,7 +54,7 @@ from .homrepair import (
     graph_repair,
     repair_finite_image,
 )
-from .local_ring import RingSpec, _is_prime, norm_max
+from .local_ring import NormValue, RingSpec, _is_prime, norm_max
 from .presentations import (
     DEFAULT_CLOSURE_CAP,
     ApproxRep,
@@ -81,6 +81,7 @@ CAPS_ENV = "ULTRASTAB_CAPS"
 # cap name (the key in ULTRASTAB_CAPS) -> destination of its --cap-* option
 CAPS = {"closure_cap": "cap_closure", "enum_cap": "cap_enum",
         "dim_cap": "cap_dim", "wreath_index_cap": "cap_wreath_index"}
+CLOSURE_MODES = ("finite-image", "graph")  # the repair modes that close a finite image
 
 
 class InputError(ValueError):
@@ -283,8 +284,8 @@ def _run_monomial(inputs, cfg):
     out = nearest_monomial_commutant(P, D)
     return out.to_json(), Certificate(
         "monomial-commutant", digest({"P": p_obj, "D": d_obj}),
-        before={"commutator_defect_val": encode_val(((P @ D) - (D @ P)).matnorm())},
-        after={"distance_val": encode_val((D - out).matnorm())})
+        before={"commutator_defect_val": encode_val((P @ D).dist(D @ P))},
+        after={"distance_val": encode_val(D.dist(out))})
 
 
 def _run_badestimate(inputs, cfg):
@@ -389,8 +390,8 @@ def _first_difference(said, got, path: str):
 
 def cmd_defect(args) -> int:
     rep = _load_rep(args.rep)
-    ident = UMatrix.identity(rep.ring, rep.n)
-    dists = [rep.eval_word(r).dist(ident) for r in rep.presentation.relators]
+    dists = [NormValue.from_valuation(rep.ring, rep.eval_word(r).dist_valuation())
+             for r in rep.presentation.relators]
     report = {
         "schema_version": 1,
         "kind": "defect_report",
@@ -402,6 +403,9 @@ def cmd_defect(args) -> int:
 
 
 def cmd_repair(args) -> int:
+    if args.cap_closure is not None and args.mode not in CLOSURE_MODES:
+        raise InputError(f"--cap-closure is read only in the {' and '.join(CLOSURE_MODES)} "
+                         f"modes, not in {args.mode}")
     return _produce(args, "repair-" + args.mode, [args.rep] + ([args.gog] if args.gog else []))
 
 

@@ -227,14 +227,14 @@ def _tree_section(C: FiniteImage, gens: Sequence[UMatrix]) -> List[UMatrix]:
 def _edge_values(C: FiniteImage, pairs, sigma: Sequence[UMatrix], j: int,
                  mod_exp: int) -> List[UMatrix]:
     """coords_j(a - sigma(t)) sigma(t^{-1}) mod w^{mod_exp} per (a, t), one
-    matmul if t != e; with a = sigma(h) rho(g), t = hg, the Schreier value E."""
+    matmul if t != e; with a = sigma(h) rho(g), t = hg, the Schreier value E.
+    The coordinates cost one RingSpec.row_coords call per row."""
     ring = sigma[0].ring
-    ring_q, sub, down, low = ring.with_precision(mod_exp), ring.sub, ring.shift_down, ring.low_part
+    ring_q, coords = ring.with_precision(mod_exp), ring.row_coords
+    js, ms = itertools.repeat(j), itertools.repeat(mod_exp)
     out = []
     for a, t in pairs:
-        d = UMatrix(ring_q, a.n, tuple(tuple([low(down(sub(x, y), j), mod_exp)
-                                              for x, y in zip(ra, rb)])
-                                       for ra, rb in zip(a.rows, sigma[t].rows)))
+        d = UMatrix(ring_q, a.n, tuple(map(tuple, map(coords, a.rows, sigma[t].rows, js, ms))))
         out.append(d @ sigma[C.inverse(t)].reduce(mod_exp) if t else d)
     return out
 
@@ -341,7 +341,8 @@ def _fox_solve(C: FiniteImage, sigma: Sequence[UMatrix], rel: _Relators,
         eqs = [_combine(ring_q, t) if t else zero for t in terms]
         rows.extend(list(itertools.chain.from_iterable(eq[o:o + nn] for eq in eqs))
                     for o in range(0, nn * nn, nn))
-        rhs.extend(ring_q.neg(v) for r in zr.rows for v in r)
+        for r in zr.rows:
+            rhs.extend(ring_q.row_neg(r))
     x = solve_linear(rows, rhs, ring_q)
     return [UMatrix(ring_q, n, tuple(tuple(x[o + a * n:o + a * n + n]) for a in range(n)))
             for o in range(0, ngens * nn, nn)]
@@ -394,7 +395,7 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
                for s in C.generator_indices]
     new_sigma = _tree_section(C, new)
     values = _relator_values(rel, new, new_sigma)
-    level = min(((a - new_sigma[t]).min_valuation() for a, t in values), default=ring.precision)
+    level = min((a.dist_valuation(new_sigma[t]) for a, t in values), default=ring.precision)
     if level < target:
         raise Unsolvable(f"lift step failed to reach level {target} (got {level})", level)
     return new, new_sigma, values, LedgerStep(level, j, method)
@@ -514,7 +515,7 @@ def align_homomorphisms(x: UMatrix, y: UMatrix, cap: int = DEFAULT_CLOSURE_CAP
     ring = x.ring
     n = x.n
     K = ring.precision
-    k = (x - y).min_valuation()
+    k = x.dist_valuation(y)
     if k >= K:
         return UMatrix.identity(ring, n), []
     C = closure_of_matrices([y.reduce(k)], cap=cap)
@@ -538,10 +539,10 @@ def align_homomorphisms(x: UMatrix, y: UMatrix, cap: int = DEFAULT_CLOSURE_CAP
     for i, row in enumerate(rows):
         row[i] = ring_q.sub(row[i], ring_q.one)
     d = (y @ xinv).congruence_coords(j).reduce(K - j)
-    sol = solve_linear(rows, [ring_q.neg(v) for r in d.rows for v in r], ring_q)
+    sol = solve_linear(rows, [v for r in (-d).rows for v in r], ring_q)
     t = UMatrix(ring_q, n, tuple(tuple(sol[r * n:r * n + n]) for r in range(n)))
     t = t.lift_to(ring).congruence_lift(j)
-    got = ((t @ x) - (y @ t)).min_valuation()
+    got = (t @ x).dist_valuation(y @ t)
     if got < K:
         raise Unsolvable(f"conjugator misses T x = y T at level {got}", got)
     return t, [LedgerStep(K, j, "conjugation")]

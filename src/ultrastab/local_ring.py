@@ -23,6 +23,11 @@ A product or a dot product of at most SUM_TERMS terms therefore costs
 one big-int product per term plus O(1) big-int operations on K*W bits,
 with no loop over the slots; a sum or difference, whose slots stay below
 2p, takes one conditional subtraction of p in every slot.
+
+The row operations (row_add, ..., min_val_diff) do a matrix's entrywise
+arithmetic one row per call, with the mode read once per row; outside
+this module only the product kernel of ultranorm_linalg reads the raw
+format.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Iterator, List, Sequence
+from functools import reduce
+from operator import add, mul, or_, sub, xor
+from typing import Iterator, List, Optional, Sequence
 
 MIXED_CHAR = "zp"   # Z/p^K
 EQUAL_CHAR = "fpx"  # F_p[X]/(X^K)
@@ -346,6 +352,177 @@ class RingSpec:
         if m > self.precision:
             raise RingError("cannot reduce to higher precision")
         return self.low_part(x, m)
+
+    # -- row operations -------------------------------------------------------
+    #
+    # Entrywise arithmetic on a row of raw elements, equal entry by entry to
+    # the scalar operations above, in one call: the mode is read once per
+    # row and each entry costs a few integer operations and no method call.
+    # A row is any sequence; the result is a list.
+
+    def row_add(self, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+        if self.is_mixed:
+            M = self._modulus
+            return [(x + y) % M for x, y in zip(xs, ys)]
+        if self.p == 2:
+            return list(map(xor, xs, ys))
+        c, lift = self._small_reduction
+        p, low = self.p, self._low
+        return [t - p * (((t + lift) >> c) & low) for t in map(add, xs, ys)]
+
+    def row_sub(self, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+        if self.is_mixed:
+            M = self._modulus
+            return [(x - y) % M for x, y in zip(xs, ys)]
+        if self.p == 2:
+            return list(map(xor, xs, ys))
+        c, lift = self._small_reduction
+        p, low, P = self.p, self._low, self._p_slots
+        lift += P
+        return [t + P - p * (((t + lift) >> c) & low) for t in map(sub, xs, ys)]
+
+    def row_neg(self, xs: Sequence[int]) -> List[int]:
+        if self.is_mixed:
+            M = self._modulus
+            return [-x % M for x in xs]
+        if self.p == 2:
+            return list(xs)
+        c, lift = self._small_reduction
+        p, low, P = self.p, self._low, self._p_slots
+        lift += P
+        return [P - x - p * (((lift - x) >> c) & low) for x in xs]
+
+    def row_scale(self, a: int, xs: Sequence[int]) -> List[int]:
+        """a x per entry x."""
+        if self.is_mixed:
+            M = self._modulus
+            return [a * x % M for x in xs]
+        if self.p == 2:
+            low = self._low
+            return [a * x & low for x in xs]
+        p = self.p
+        full, even, m, s, qeven, qodd = self._reduction
+        out = []
+        for x in xs:  # one _reduce_acc(a x) per entry, inlined
+            t = a * x & full
+            e = t & even
+            out.append(t - p * ((((e * m) >> s) & qeven) | ((((t ^ e) * m) >> s) & qodd)))
+        return out
+
+    def row_submul(self, xs: Sequence[int], f: int, ys: Sequence[int]) -> List[int]:
+        """x - f y per entry: the row operation of an elimination."""
+        if self.is_mixed:
+            M = self._modulus
+            return [(x - f * y) % M for x, y in zip(xs, ys)]
+        if self.p == 2:
+            low = self._low
+            return [(x + f * y) & low for x, y in zip(xs, ys)]
+        p, g = self.p, self.neg(f)
+        full, even, m, s, qeven, qodd = self._reduction
+        out = []
+        for x, y in zip(xs, ys):  # one _reduce_acc(x + (-f) y) per entry, inlined
+            t = (x + g * y) & full
+            e = t & even
+            out.append(t - p * ((((e * m) >> s) & qeven) | ((((t ^ e) * m) >> s) & qodd)))
+        return out
+
+    def row_reduce(self, xs: Sequence[int], m: int) -> List[int]:
+        """reduce_raw(x, m) per entry: the row in the precision-m quotient ring."""
+        if m > self.precision:
+            raise RingError("cannot reduce to higher precision")
+        if self.is_mixed:
+            q = self.p ** m
+            return [x % q for x in xs]
+        mask = (1 << (self._w * m)) - 1
+        return [x & mask for x in xs]
+
+    def row_lift(self, xs: Sequence[int], k: int, i: int) -> List[int]:
+        """Row i of I + w^k X, from row i of X: w^k x per entry, plus 1 at entry i."""
+        K = self.precision
+        if k == 0:
+            out = list(xs)
+            out[i] = self.add(out[i], 1)
+            return out
+        if k >= K:
+            out = [0] * len(xs)
+        elif self.is_mixed:
+            M, q = self._modulus, self.p ** k
+            out = [x * q % M for x in xs]
+        else:
+            s, full = self._w * k, self._full
+            out = [(x << s) & full for x in xs]
+        out[i] += 1  # w^k x has no constant term, so adding 1 carries nowhere
+        return out
+
+    def row_coords(self, xs: Sequence[int], ys: Sequence[int], j: int, m: int) -> List[int]:
+        """coords_j(x - y) mod w^m per entry, for 0 <= j <= K: low_part(shift_down(
+        sub(x, y), j), m).  Raises RingError, as shift_down does, when w^j does
+        not divide some x - y."""
+        K = self.precision
+        keep = min(m, K - j)  # shift_down leaves K - j digits
+        if self.is_mixed:
+            ds = list(map(sub, xs, ys))
+            # p^j divides d exactly when it divides gcd(p^j, d_1, ...)
+            P = self.p ** j
+            if math.gcd(P, *ds) != P:
+                raise RingError("element not divisible by w^k")
+            PQ = P * self.p ** keep
+            return [d % PQ // P for d in ds]
+        ds = self.row_sub(xs, ys)
+        s = self._w * j
+        if reduce(or_, ds, 0) & ((1 << s) - 1):  # a digit below w^j
+            raise RingError("element not divisible by w^k")
+        mask = (1 << (self._w * keep)) - 1
+        return [(d >> s) & mask for d in ds]
+
+    def min_val(self, rows: Sequence[Sequence[int]]) -> int:
+        """Least valuation of the entries of a matrix, given by its rows; K if none.
+
+        Z/p^K: gcd(p^K, a_1, ...) = p^min(K, min val), one gcd per row.
+        F_p[X]/(X^K): the slots are canonical digits, so the least valuation
+        is the lowest set bit of the entries' OR over the slot width.
+        """
+        if self.is_mixed:
+            g = self._modulus
+            for r in rows:
+                g = math.gcd(g, *r)
+                if g == 1:
+                    return 0
+            return self.val(g)  # g = p^v, and val(p^K) = K
+        t = 0
+        for r in rows:
+            t = reduce(or_, r, t)
+        return self.val(t)  # the lowest set bit of t is the least entry's
+
+    def min_val_diff(self, rows: Sequence[Sequence[int]],
+                     others: Optional[Sequence[Sequence[int]]] = None) -> int:
+        """min_val of rows - others, others the identity when None; forms neither.
+
+        A difference is read without its reduction: gcd(p^K, x - y) in
+        Z/p^K, and in F_p[X]/(X^K) x XOR y, whose lowest set bit lies in the
+        lowest slot where x and y differ.
+        """
+        if self.is_mixed:
+            g = self._modulus
+            if others is None:
+                for i, r in enumerate(rows):
+                    g = math.gcd(g, *r[:i], r[i] - 1, *r[i + 1:])
+                    if g == 1:
+                        return 0
+            else:
+                for r, q in zip(rows, others):
+                    g = math.gcd(g, *map(sub, r, q))
+                    if g == 1:
+                        return 0
+            return self.val(g)  # g = p^v, and val(p^K) = K
+        t = 0
+        if others is None:
+            for i, r in enumerate(rows):
+                t = reduce(or_, r[i + 1:], reduce(or_, r[:i], t | (r[i] ^ 1)))
+        else:
+            for r, q in zip(rows, others):
+                t = reduce(or_, map(xor, r, q), t)
+        return self.val(t)  # the lowest set bit of t is the least difference's
 
     # -- serialization, enumeration, sampling -------------------------------
 

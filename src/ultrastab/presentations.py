@@ -165,9 +165,10 @@ class ApproxRep:
         return word_value(w, self.images, self._inverses, self.ring, self.n)
 
     def defect(self) -> NormValue:
-        ident = UMatrix.identity(self.ring, self.n)
-        return norm_max((self.eval_word(r).dist(ident) for r in self.presentation.relators),
-                        self.ring)
+        """max over r of dist(rho(r), I), from min_r val(rho(r) - I)."""
+        return NormValue.from_valuation(self.ring, min(
+            (self.eval_word(r).dist_valuation() for r in self.presentation.relators),
+            default=self.ring.precision))
 
     def rep_dist(self, other: "ApproxRep") -> NormValue:
         if (self.presentation != other.presentation or self.ring != other.ring

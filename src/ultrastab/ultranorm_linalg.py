@@ -1,10 +1,14 @@
 """Matrices over a truncated local ring with the entrywise sup ultranorm.
 
 The norm of a matrix is the largest norm of an entry, equivalently
-p^{-(minimum entry valuation)}.  Invertibility over the local ring is
-detected on the residue field; inverses and the linear solver use
-unit-pivot elimination, which is exact here because every nonzero
-element is a unit times a power of the uniformizer.  The solver returns
+p^{-(minimum entry valuation)}.  Entrywise arithmetic (sums, differences,
+negation, scaling, reduction, the congruence coordinates and lift) costs
+one ring row operation per row, and a valuation, of a matrix or of a
+difference, one gcd (Z/p^K) or one OR (F_p[X]/(X^K)) per row, with
+neither the difference nor the identity formed.  Invertibility over the
+local ring is detected on the residue field; inverses and the linear
+solver use unit-pivot elimination, which is exact here because every
+nonzero element is a unit times a power of the uniformizer.  The solver returns
 one particular solution, back-substituted through the pivot rows: the
 elimination's products plus rank^2 / 2, and no Smith form V.
 
@@ -28,8 +32,9 @@ found by the interned ring's identity.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import lshift, mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .local_ring import (
     SUM_TERMS,
@@ -122,32 +127,26 @@ class UMatrix:
 
     def __add__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
-        add = self.ring.add
         return UMatrix(self.ring, self.n,
-                       tuple(tuple(add(a, b) for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.rows, other.rows)))
+                       tuple(map(tuple, map(self.ring.row_add, self.rows, other.rows))))
 
     def __sub__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
-        sub = self.ring.sub
         return UMatrix(self.ring, self.n,
-                       tuple(tuple(sub(a, b) for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.rows, other.rows)))
+                       tuple(map(tuple, map(self.ring.row_sub, self.rows, other.rows))))
 
     def __neg__(self) -> "UMatrix":
-        neg = self.ring.neg
-        return UMatrix(self.ring, self.n, tuple(tuple(neg(a) for a in r) for r in self.rows))
+        return UMatrix(self.ring, self.n, tuple(map(tuple, map(self.ring.row_neg, self.rows))))
 
     def scale(self, c: int) -> "UMatrix":
-        mul = self.ring.mul
-        return UMatrix(self.ring, self.n, tuple(tuple(mul(c, a) for a in r) for r in self.rows))
+        return UMatrix(self.ring, self.n,
+                       tuple(map(tuple, map(self.ring.row_scale, repeat(c), self.rows))))
 
     # -- precision ---------------------------------------------------------
 
     def reduce(self, m: int) -> "UMatrix":
-        ring_m = self.ring.with_precision(m)
-        red = self.ring.reduce_raw
-        return UMatrix(ring_m, self.n, tuple(tuple(red(a, m) for a in r) for r in self.rows))
+        return UMatrix(self.ring.with_precision(m), self.n,
+                       tuple(map(tuple, map(self.ring.row_reduce, self.rows, repeat(m)))))
 
     def lift_to(self, ring: RingSpec) -> "UMatrix":
         """Canonical lift into a higher-precision ring (raw values unchanged)."""
@@ -160,23 +159,21 @@ class UMatrix:
     # -- norm and membership ---------------------------------------------------
 
     def min_valuation(self) -> int:
-        ring = self.ring
-        best = ring.precision
-        for row in self.rows:
-            for a in row:
-                if a:
-                    v = ring.val(a)
-                    if v < best:
-                        best = v
-                        if best == 0:
-                            return 0
-        return best
+        return self.ring.min_val(self.rows)
 
     def matnorm(self) -> NormValue:
         return NormValue.from_valuation(self.ring, self.min_valuation())
 
+    def dist_valuation(self, other: Optional["UMatrix"] = None) -> int:
+        """min_valuation of self - other, other the identity when None,
+        read with neither the difference nor the identity formed."""
+        if other is None:
+            return self.ring.min_val_diff(self.rows)
+        self._check(other)
+        return self.ring.min_val_diff(self.rows, other.rows)
+
     def dist(self, other: "UMatrix") -> NormValue:
-        return (self - other).matnorm()
+        return NormValue.from_valuation(self.ring, self.dist_valuation(other))
 
     def residue_rows(self) -> List[List[int]]:
         """Entries reduced to the residue field F_p."""
@@ -206,7 +203,7 @@ class UMatrix:
     def inv(self) -> "UMatrix":
         """Gauss-Jordan elimination on [self | I] with unit pivots."""
         ring, n = self.ring, self.n
-        submul = row_submul(ring)
+        submul = ring.row_submul
         m = [list(r) + [ring.one if i == j else ring.zero for j in range(n)]
              for i, r in enumerate(self.rows)]
         for col in range(n):
@@ -217,7 +214,7 @@ class UMatrix:
                 m[col], m[piv] = m[piv], m[col]
             pinv = ring.inv(m[col][col])
             # columns left of col are zero in every row but their pivot's
-            pivot_row = m[col][col:] = [ring.mul(pinv, a) for a in m[col][col:]]
+            pivot_row = m[col][col:] = ring.row_scale(pinv, m[col][col:])
             for r in range(n):
                 f = m[r][col]
                 if f and r != col:
@@ -230,19 +227,17 @@ class UMatrix:
         """M with self = I + w^k M exactly; requires dist(self, I) <= p^{-k}."""
         if k < 1:
             raise RingError("congruence level must be >= 1")
-        ring = self.ring
-        diff = self - UMatrix.identity(ring, self.n)
-        if diff.min_valuation() < k:
+        if self.dist_valuation() < k:
             raise NotInBall(f"matrix is not within p^-{k} of the identity")
-        down = ring.shift_down
-        return UMatrix(ring, self.n, tuple(tuple(down(a, k) for a in r) for r in diff.rows))
+        ring = self.ring
+        ident = UMatrix.identity(ring, self.n).rows
+        return UMatrix(ring, self.n, tuple(map(tuple, map(
+            ring.row_coords, self.rows, ident, repeat(k), repeat(ring.precision)))))
 
     def congruence_lift(self, k: int) -> "UMatrix":
         """I + w^k * self; inverse of congruence_coords on canonical inputs."""
-        ring = self.ring
-        up = ring.shift_up
-        shifted = UMatrix(ring, self.n, tuple(tuple(up(a, k) for a in r) for r in self.rows))
-        return UMatrix.identity(ring, self.n) + shifted
+        return UMatrix(self.ring, self.n, tuple(map(tuple, map(
+            self.ring.row_lift, self.rows, repeat(k), range(self.n)))))
 
     # -- serialization ------------------------------------------------------------
 
@@ -361,34 +356,6 @@ def _product_rows(lay: _Layout, lrows, packed: List[int]) -> Tuple[Tuple[int, ..
 # -- linear solving ----------------------------------------------------------
 
 
-def row_submul(ring: RingSpec):
-    """The row operation (xs, f, ys) -> xs - f * ys over the ring, entrywise."""
-    if ring.is_mixed:
-        M = ring.modulus
-
-        def submul(xs, f, ys):
-            return [(x - f * y) % M for x, y in zip(xs, ys)]
-    elif ring.p == 2:
-        low = ring._low
-
-        def submul(xs, f, ys):
-            return [(x + f * y) & low for x, y in zip(xs, ys)]
-    else:
-        # one RingSpec._reduce_acc(x + (-f) y) per entry, inlined
-        p, neg = ring.p, ring.neg
-        full, even, m, s, qeven, qodd = ring._reduction
-
-        def submul(xs, f, ys):
-            g = neg(f)
-            out = []
-            for x, y in zip(xs, ys):
-                t = (x + g * y) & full
-                e = t & even
-                out.append(t - p * ((((e * m) >> s) & qeven) | ((((t ^ e) * m) >> s) & qodd)))
-            return out
-    return submul
-
-
 def solve_linear(rows, b: Sequence[int], ring: RingSpec) -> Tuple[int, ...]:
     """One solution x of A x = b over the ring; raises Unsolvable with the obstruction.
 
@@ -411,7 +378,7 @@ def solve_linear(rows, b: Sequence[int], ring: RingSpec) -> Tuple[int, ...]:
         raise RingError("right-hand side has wrong length")
     K = ring.precision
     val, ring_mul, shift_down = ring.val, ring.mul, ring.shift_down
-    submul = row_submul(ring)
+    submul = ring.row_submul
     m = [list(r) + [c] for r, c in zip(rows, b)]
     perm = list(range(nc))  # perm[q]: the column of A at position q
     diag: List[int] = []
@@ -537,7 +504,7 @@ def nearest_monomial_commutant(p_mat: UMatrix, d_mat: UMatrix) -> UMatrix:
     n = p_mat.n
     K = ring.precision
     sigma, lam = monomial_permutation(p_mat)
-    eps = ((p_mat @ d_mat) - (d_mat @ p_mat)).matnorm()
+    eps = (p_mat @ d_mat).dist(d_mat @ p_mat)
     rows = [[0] * n for _ in range(n)]
     seen = set()
     for i0 in range(n):
@@ -568,9 +535,9 @@ def nearest_monomial_commutant(p_mat: UMatrix, d_mat: UMatrix) -> UMatrix:
             for (i, j, mu_k) in orbit:
                 rows[i][j] = ring.mul(mu_k, d)
     out = UMatrix(ring, n, tuple(tuple(r) for r in rows))
-    if ((p_mat @ out) - (out @ p_mat)).min_valuation() < K:
+    if (p_mat @ out).dist_valuation(out @ p_mat) < K:
         raise RingError("monomial commutant construction failed to commute")
-    achieved = (d_mat - out).matnorm()
+    achieved = d_mat.dist(out)
     if not achieved <= eps:
         raise MonomialBoundExceeded(
             "nearest exact commutant exceeds the commutator defect", out)

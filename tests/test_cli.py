@@ -562,9 +562,30 @@ def test_input_errors(tmp_path, capsys):
             assert "p must be a prime" in capsys.readouterr().err
 
 
-def test_cap_flags_only_where_a_cap_is_read(tmp_path, capsys):
+def test_cap_flags_only_where_a_cap_is_read(tmp_path, monkeypatch, capsys):
     # a subcommand has the --cap-* flags of the caps it reads, and verify all
-    # four; any other cap flag is a usage error (exit 2), not silently inert
+    # four; any other cap flag is a usage error (exit 2), not silently inert.
+    # Of the repair modes only finite-image and graph close an image: the
+    # others refuse --cap-closure as an input error (exit 2, no output), while
+    # ULTRASTAB_CAPS, which sets every cap, is accepted in every mode
+    for tag, (files, mode) in enumerate(((_involution_files, "involution"),
+                                         (_split_section_files, "split-section"))):
+        work = tmp_path / f"mode{tag}"
+        work.mkdir()
+        _, (_, path, _, fixed) = files(work)
+        out_path = work / "capped.json"
+        capsys.readouterr()
+        assert main(["repair", path, "--mode", mode, "--cap-closure", "1",
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert not out_path.exists() and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"input error: --cap-closure is read only in the finite-image and graph "
+            f"modes, not in {mode}"]
+        monkeypatch.setenv("ULTRASTAB_CAPS", '{"closure_cap": 1}')
+        assert main(["repair", path, "--mode", mode, "--out", str(out_path)]) == 0
+        monkeypatch.delenv("ULTRASTAB_CAPS")
+        assert out_path.read_text() == open(fixed).read()
     rep_path, _ = _z3_rep_file(tmp_path)
     graph = _write(tmp_path, "g.json", bs_graph(2, 3).to_json())
     commands = {

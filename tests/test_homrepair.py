@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter, namedtuple
 
 import pytest
@@ -38,7 +39,7 @@ from ultrastab.homrepair import (
     repair_finite_image,
 )
 from ultrastab.proptests import random_gl
-from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, row_submul, solve_linear
+from ultrastab.ultranorm_linalg import UMatrix, Unsolvable, solve_linear
 
 from conftest import class_product, matrix_power, shifted_random
 
@@ -743,7 +744,7 @@ def _gauge_fixed_solve(z):
     y.c(s') summed over the letters s' of g's tree word, y the product of the
     letters left of s'; the equations are the non-tree edges."""
     C, ring_q = z.image, z.ring
-    submul = row_submul(ring_q)
+    submul = ring_q.row_submul
     n = z.act[0].n
     nn = n * n
     classes = _classes(C)
@@ -1149,6 +1150,35 @@ def test_averaging_repair_inverts_no_matrix(monkeypatch, group, mode, p, K):
     assert ledger.verified and ledger.steps
     assert {s.method for s in ledger.steps} == {"averaging"}
     assert not inversions
+
+
+ENTRYWISE_SCALAR_OPS = ("add", "sub", "neg", "shift_down", "shift_up", "low_part", "reduce_raw")
+
+
+@pytest.mark.parametrize("group", ["S4", "S4moore"])
+@pytest.mark.parametrize("mode", ["zp", "fpx"])
+def test_averaging_repair_is_row_level(monkeypatch, group, mode):
+    # every entrywise matrix operation of a repair, from its first defect to
+    # its re-measure, is one RingSpec row operation per row: ultranorm_linalg,
+    # presentations and homrepair call no scalar add, sub, neg, shift or
+    # reduction (scalar calls inside RingSpec itself, as in inv, do not count)
+    ring = RingSpec(mode, 5, 8)
+    rep = _section_rep(group, ring, 1)
+    watched = {"ultrastab.ultranorm_linalg", "ultrastab.presentations", "ultrastab.homrepair"}
+    calls = Counter()
+    for name in ENTRYWISE_SCALAR_OPS:
+        def counted(self, *args, _op=getattr(RingSpec, name), _name=name):
+            caller = sys._getframe(1).f_globals["__name__"]
+            if caller in watched:
+                calls[caller, _name] += 1
+            return _op(self, *args)
+        monkeypatch.setattr(RingSpec, name, counted)
+    out, ledger = repair_finite_image(rep)
+    assert ledger.verified and {s.method for s in ledger.steps} == {"averaging"}
+    assert not calls
+    # the count sees a scalar call: solve_linear's back-substitution subtracts
+    solve_linear([[ring.one]], [ring.one], ring)
+    assert calls["ultrastab.ultranorm_linalg", "sub"] == 1
 
 
 @pytest.mark.parametrize("mode,p", [("fpx", 5), ("zp", 2)])

@@ -14,7 +14,7 @@ from ultrastab.local_ring import (
     RingSpec,
 )
 from ultrastab.proptests import _schoolbook
-from ultrastab.ultranorm_linalg import UMatrix, row_submul
+from ultrastab.ultranorm_linalg import UMatrix
 
 from conftest import norm_power
 
@@ -369,7 +369,7 @@ def _school_dot(ring, xs, ys):
 def test_largest_slot_sums(p):
     # every coefficient p - 1 at K = K_MAX fills a slot to its bound: the
     # dot product's second chunk adds SUM_TERMS such products to a reduced
-    # term that is p - 1 in every slot, and row_submul adds (p - 1)^2 K
+    # term that is p - 1 in every slot, and RingSpec.row_submul adds (p - 1)^2 K
     # to p - 1; the kernel cuts its rows at SUM_TERMS products the same way
     ring = RingSpec(EQUAL_CHAR, p, K_MAX)
     top = ring.from_coeffs([p - 1] * K_MAX)
@@ -382,7 +382,7 @@ def test_largest_slot_sums(p):
     minus = ring.from_int(p - 1)
     for f in (ones, top):
         neg_f = _schoolbook(ring, minus, f)[1]
-        assert row_submul(ring)([top] * 3, f, [top] * 3) == \
+        assert ring.row_submul([top] * 3, f, [top] * 3) == \
             [_schoolbook(ring, top, _schoolbook(ring, neg_f, top)[1])[0]] * 3
     for n in (SUM_TERMS, SUM_TERMS + 1):
         m = UMatrix(ring, n, ((top,) * n,) * n)

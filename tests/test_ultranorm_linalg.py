@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ultrastab.local_ring import NormValue, RingSpec
+from ultrastab.local_ring import NormValue, RingError, RingSpec
 from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import (
     MonomialBoundExceeded,
@@ -15,7 +15,6 @@ from ultrastab.ultranorm_linalg import (
     UMatrix,
     Unsolvable,
     nearest_monomial_commutant,
-    row_submul,
     solve_linear,
 )
 
@@ -112,7 +111,7 @@ def smith_raw(ring, rows, side):
     m = [list(r) for r in rows]
     side = [list(r) for r in side]
     Vt = [[ring.one if i == j else 0 for j in range(nc)] for i in range(nc)]  # columns of V
-    submul = row_submul(ring)
+    submul = ring.row_submul
     diag = []
     steps = min(nr, nc)
     for t in range(steps):
@@ -366,6 +365,125 @@ def test_matmul_matches_schoolbook(mode, p, K, n, extreme, seed):
     assert (a @ b).rows == want                      # miss: b's rows are packed
     assert (a @ b).rows == want                      # hit
     assert (b @ a).rows == _schoolbook(ring, b.rows, a.rows)   # b as a left factor
+
+
+# -- entrywise operations against the per-entry RingSpec results ----------------
+
+ENTRY_KINDS = ["random", "extreme", "zero", "wrap"]
+ENTRY_RINGS = st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 3, 5, 7, 257, 1021])
+
+
+def _entrywise(fn, *mats):
+    """fn applied entry by entry to the rows of the matrices."""
+    return tuple(tuple(map(fn, *rows)) for rows in zip(*mats))
+
+
+def _entry_pair(ring, n, rng, kind):
+    """Matrices (a, b): random or mostly extreme entries, both zero (valuation
+    saturated), or b above a in every entry (in every coefficient in
+    F_p[X]/(X^K)), so that each nonzero a - b wraps below 0."""
+    if kind == "zero":
+        return UMatrix.zero(ring, n), UMatrix.zero(ring, n)
+    b = _kernel_matrix(ring, n, rng, kind == "extreme")
+    if kind != "wrap":
+        return _kernel_matrix(ring, n, rng, kind == "extreme"), b
+    if ring.is_mixed:
+        def below(y):
+            return rng.randrange(y + 1)
+    else:
+        def below(y):
+            return ring.from_coeffs([rng.randrange(c + 1) for c in ring.to_coeffs(y)])
+    return UMatrix(ring, n, _entrywise(below, b.rows)), b
+
+
+def _least_val(ring, rows):
+    return min((ring.val(x) for r in rows for x in r), default=ring.precision)
+
+
+@settings(max_examples=80, deadline=None)
+@given(*ENTRY_RINGS, st.integers(1, 64), st.integers(1, 32), st.sampled_from(ENTRY_KINDS),
+       st.integers(0, 2 ** 32))
+@example("zp", 1021, 64, 32, "extreme", 0)
+@example("fpx", 1021, 64, 32, "extreme", 1)
+@example("fpx", 2, 64, 17, "wrap", 2)
+@example("zp", 2, 8, 24, "zero", 3)
+@example("fpx", 7, 1, 1, "wrap", 4)
+def test_entrywise_ops_match_ring(mode, p, K, n, kind, seed):
+    # each UMatrix entrywise operation, one RingSpec row operation per row,
+    # equals the scalar operation entry by entry
+    ring = RingSpec.of(mode, p, K)
+    rng = random.Random(seed)
+    a, b = _entry_pair(ring, n, rng, kind)
+    assert (a + b).rows == _entrywise(ring.add, a.rows, b.rows)
+    assert (a - b).rows == _entrywise(ring.sub, a.rows, b.rows)
+    assert (b - a).rows == _entrywise(ring.sub, b.rows, a.rows)
+    assert (-a).rows == _entrywise(ring.neg, a.rows)
+    for c in (ring.random_raw(rng), b.rows[0][0], 0, 1):
+        assert a.scale(c).rows == _entrywise(lambda x: ring.mul(c, x), a.rows)
+        assert [ring.row_submul(ra, c, rb) for ra, rb in zip(a.rows, b.rows)] == \
+            [[ring.sub(x, ring.mul(c, y)) for x, y in zip(ra, rb)]
+             for ra, rb in zip(a.rows, b.rows)]
+    m = rng.randint(1, K)
+    red = a.reduce(m)
+    assert red.ring == ring.with_precision(m)
+    assert red.rows == _entrywise(lambda x: ring.reduce_raw(x, m), a.rows)
+    ident = UMatrix.identity(ring, n)
+    assert a.min_valuation() == _least_val(ring, a.rows)
+    assert a.dist_valuation(b) == _least_val(ring, _entrywise(ring.sub, a.rows, b.rows))
+    assert a.dist(b) == NormValue.from_valuation(ring, a.dist_valuation(b))
+    assert a.dist_valuation() == _least_val(ring, _entrywise(ring.sub, a.rows, ident.rows))
+    assert ident.dist_valuation() == K and a.dist_valuation(a) == K
+
+
+@settings(max_examples=80, deadline=None)
+@given(*ENTRY_RINGS, st.integers(1, 64), st.integers(1, 32), st.sampled_from(ENTRY_KINDS),
+       st.integers(0, 64), st.integers(0, 2 ** 32))
+@example("zp", 1021, 64, 32, "extreme", 63, 0)
+@example("fpx", 1021, 64, 32, "wrap", 1, 1)
+@example("fpx", 3, 8, 5, "extreme", 8, 2)
+@example("zp", 2, 1, 1, "zero", 1, 3)
+def test_coords_match_ring(mode, p, K, n, kind, j, seed):
+    # coords_j(a - b) mod w^m row by row equals shift_down then low_part entry
+    # by entry, and raises as shift_down does on an entry that w^j does not
+    # divide; the congruence coordinates and lift match the scalar operations
+    # and a matrix outside the ball raises NotInBall
+    ring = RingSpec.of(mode, p, K)
+    rng = random.Random(seed)
+    j, m = j % (K + 1), rng.randint(1, K + 1)
+    a, b = _entry_pair(ring, n, rng, kind)
+    e = _kernel_matrix(ring, n, rng, kind == "extreme")
+    near = UMatrix(ring, n, _entrywise(lambda x, y: ring.sub(x, ring.shift_up(y, j)),
+                                       a.rows, e.rows))
+    for other in (b, near):
+        for ra, rb in zip(a.rows, other.rows):
+            try:
+                want = [ring.low_part(ring.shift_down(ring.sub(x, y), j), m)
+                        for x, y in zip(ra, rb)]
+            except RingError:
+                with pytest.raises(RingError, match="not divisible"):
+                    ring.row_coords(ra, rb, j, m)
+            else:
+                assert ring.row_coords(ra, rb, j, m) == want
+    if j:  # one entry of a - near moved to valuation j - 1
+        r, c = rng.randrange(n), rng.randrange(n)
+        bad = list(near.rows[r])
+        bad[c] = ring.sub(bad[c], ring.omega_pow(j - 1))
+        with pytest.raises(RingError, match="not divisible"):
+            ring.row_coords(a.rows[r], bad, j, m)
+    k = max(j, 1)
+    ident = UMatrix.identity(ring, n)
+    lifted = a.congruence_lift(k)
+    assert lifted.rows == _entrywise(lambda x, d: ring.add(ring.shift_up(x, k), d),
+                                     a.rows, ident.rows)
+    assert a.congruence_lift(0).rows == (a + ident).rows
+    assert lifted.congruence_coords(k).rows == _entrywise(
+        lambda x, d: ring.shift_down(ring.sub(x, d), k), lifted.rows, ident.rows)
+    if k < K:
+        unit = UMatrix(ring, n, ((1,) + (0,) * (n - 1),) + ((0,) * n,) * (n - 1))
+        outside = unit.congruence_lift(k - 1)  # dist(outside, I) = p^-(k-1)
+        assert outside.dist_valuation() == k - 1
+        with pytest.raises(NotInBall):
+            outside.congruence_coords(k)
 
 
 def test_monomial_commutant_swap_example():
