@@ -4,16 +4,21 @@ The engine turns a representation whose relators fail by at most p^{-k}
 into an exact homomorphism at the working precision, moving each
 generator image by at most p^{l-k} where p^l is the p-part of the finite
 image C (order N, generated by the classes of the |S| generators, n x n
-matrices).  C is enumerated once per repair, by BFS at the first defect
-level (|S| N matmuls), and one relator list is decided with it: the
-group's own relators R when coset enumeration shows they present C,
-otherwise the Schreier relators of C's BFS tree (|S| N - N + 1 of them).
-C is kept as tables alone: its right Cayley table and that table's
-inverse columns, so a product in C by a letter x_g^{+-1} (the Schreier
-edges, the classes sd, the Fox prefixes) is one table read and costs no
-matmul, and an inverse class walks its tree word.  The lifting loop reads
-only that list and the section sigma that the generator images span
-along C's tree, one section per step.  One step at level k, j = k - l,
+matrices).  C is read once per repair at the first defect level k, with
+one relator list: the group's own relators R when coset enumeration
+shows they present C, otherwise the Schreier relators of C's BFS tree
+(|S| N - N + 1 of them).  <S | R> is enumerated once per process.  A
+repair that finds its table recorded reads C from it (fewer than N
+matmuls and N reductions); otherwise it closes C by BFS (|S| (N - 1)
+matmuls) and, unless the record answers, enumerates (about 2N sum |r|
+table steps); a quotient of <S | R> wastes at most N + 1 matmuls and
+reductions on the table first.  C is kept as tables alone: its
+right Cayley table and that table's inverse columns, so a product in C by
+a letter x_g^{+-1} (the Schreier edges, the classes sd, the Fox
+prefixes) is one table read and costs no matmul, and an inverse class
+walks its tree word.  The lifting loop reads only that list and the
+section sigma that the generator images span along C's tree, one section
+per step.  One step at level k, j = k - l,
 takes one of two methods, chosen by l alone, and costs in n x n matmuls:
 
 - both: the corrected generators' section (N) and the list's level, min
@@ -149,21 +154,33 @@ class _Relators:
     edges: Tuple[Tuple[int, int, int], ...] = ()
 
 
+# (generator count, relator words) -> HLT's outcome: `enumerate_cosets`' (most,
+# tree, right) and a FiniteImage per p, or (cap, None) if it failed at cap
+_presented: dict = {}
+
+
 def _relator_list(C: FiniteImage, relators: Sequence[Word]) -> _Relators:
     """The group's relators when they present C, else C's Schreier relators.
 
     The generators map onto C, so when coset enumeration closes at exactly
     |C| cosets the group is C and its relators present C.  The enumeration
-    is capped at 2|C| live cosets.  The Schreier relators, one per non-tree
-    edge of C's right Cayley graph, generate the kernel of the free group
-    onto C, so they always present it.
+    is capped at 2|C| live cosets.  HLT is deterministic, so its outcome is
+    recorded in `_presented` and not repeated: a closed run answers every
+    cap, and a run that failed at a cap of 2|C| or more answers this one.
+    The Schreier relators, one per non-tree edge of C's right Cayley graph,
+    generate the kernel of the free group onto C, so they always present it.
     """
-    ngens = len(C.generator_indices)
-    try:
-        if enumerate_cosets(ngens, relators, 2 * C.order) == C.order:
-            return _Relators(tuple(relators))
-    except CapExceeded:
-        pass
+    ngens, cap = len(C.generator_indices), 2 * C.order
+    key = (ngens, tuple(relators))
+    most, tree, *_ = _presented.get(key, (0, None))
+    if tree is None and most < cap:
+        try:
+            tree, right, most = enumerate_cosets(ngens, relators, cap)
+            _presented[key] = (most, tree, right, {})
+        except CapExceeded:
+            _presented[key] = (cap, None)
+    if tree is not None and len(tree) == C.order and most < cap:
+        return _Relators(tuple(relators))
     tree_words: List[Word] = [Word.identity()]
     for parent, g in C.tree[1:]:
         tree_words.append(Word(tree_words[parent].letters + (g + 1,)))
@@ -171,6 +188,27 @@ def _relator_list(C: FiniteImage, relators: Sequence[Word]) -> _Relators:
                   if C.tree[t := C.right[h][g]] != (h, g))
     return _Relators(tuple(Word.make(tree_words[h].letters + (g + 1,))
                            * tree_words[t].inverse() for h, g, t in edges), edges)
+
+
+def _image(gens: Sequence[UMatrix], k: int, relators: Sequence[Word], cap: int
+           ) -> Tuple[FiniteImage, _Relators, List[UMatrix]]:
+    """C, the relator list and the first section of images on which
+    `relators` hold mod w^k, so that <S | R> maps onto C.
+
+    A closed table of <S | R> in `_presented` with N' <= cap classes is
+    C's when the section along its tree has N' images distinct mod w^k,
+    as the map is then injective.  Otherwise C is the closure at level k.
+    """
+    _, tree, *rest = _presented.get((len(gens), tuple(relators)), (0, None))
+    if tree is not None and len(tree) <= cap:
+        right, images = rest
+        p = gens[0].ring.p
+        C = images.get(p) or images.setdefault(p, FiniteImage(tree, right, list(right[0]), p))
+        sigma = _tree_section(C, gens, k)
+        if sigma is not None:
+            return C, _relator_list(C, relators), sigma
+    C = closure_of_matrices([g.reduce(k) for g in gens], cap=cap)
+    return C, _relator_list(C, relators), _tree_section(C, gens)
 
 
 def _averaging_weights(C: FiniteImage):
@@ -211,16 +249,26 @@ def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
 # ---------------------------------------------------------------------------
 
 
-def _tree_section(C: FiniteImage, gens: Sequence[UMatrix]) -> List[UMatrix]:
+def _tree_section(C: FiniteImage, gens: Sequence[UMatrix], k: int = 0
+                  ) -> Optional[List[UMatrix]]:
     """Section of C along its BFS tree: sigma(c) = sigma(parent) gens[g].
 
     One matmul per element whose parent is not the identity (the
     identity's children are generator images as they are), fewer than N
-    in all; a lifting step builds one.
+    in all; a lifting step builds one.  With k > 0 each image is reduced
+    mod w^k as it is made, and the section is None at the first image
+    equal mod w^k to an earlier one.
     """
     out = [UMatrix.identity(gens[0].ring, gens[0].n)]
+    seen = {out[0].reduce(k).rows} if k else None
     for parent, g in C.tree[1:]:
-        out.append(out[parent] @ gens[g] if parent else gens[g])
+        m = out[parent] @ gens[g] if parent else gens[g]
+        if k:
+            r = m.reduce(k).rows
+            if r in seen:
+                return None
+            seen.add(r)
+        out.append(m)
     return out
 
 
@@ -402,17 +450,17 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
 
 
 def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteImage,
-                   steps: List[LedgerStep], relators: Sequence[Word]
+                   rel: _Relators, sigma: List[UMatrix], steps: List[LedgerStep]
                    ) -> Tuple[Sequence[UMatrix], List[UMatrix]]:
     """Lifting steps from defect level k until the images are exact at K.
 
-    C is the image of the generators mod w^k, enumerated once, and
-    `relators` the group's relators in the generators; the relator list is
-    decided once from both.  A step leaves a homomorphism mod w^{k'} on C,
-    k' > k, and the checks on l and k hold at every later level as k only
-    grows.  With l = 0 that homomorphism is injective, as it agrees with C
-    mod w^k, so C's tables still describe the image; with l > 0 carrying C
-    keeps the original p^l, so each j = k - l meets the certified bound.
+    C is the image of the generators mod w^k, rel the relator list and
+    sigma the generators' section, all three from `_image`.  A step leaves
+    a homomorphism mod w^{k'} on C, k' > k, and the checks on l and k hold
+    at every later level as k only grows.  With l = 0 that homomorphism is
+    injective, as it agrees with C mod w^k, so C's tables still describe
+    the image; with l > 0 carrying C keeps the original p^l, so each
+    j = k - l meets the certified bound.
     The list is evaluated once per level: with l > 0 once before the first
     step, and each step's re-measure hands its values to the next step.
     Returns the images and their section.
@@ -425,9 +473,7 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
             "order-2 images route through the involution repair")
     if k <= 2 * l:
         raise HypothesisViolated(f"need defect level k > 2l (k={k}, l={l})")
-    rel = _relator_list(C, relators)
     weights = None if l else _averaging_weights(C)
-    sigma = _tree_section(C, gens)
     values = _relator_values(rel, gens, sigma) if l else None
     iterations = 0
     while k < K:
@@ -479,11 +525,10 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
     if k0 < 1:
         raise DefectTooLarge("defect must be < 1 (some relator fails mod w)")
     # k0 is the defect level, so the reduction mod w^k0 is a homomorphism
-    C0 = closure_of_matrices([g.reduce(k0) for g in rep.images], cap=cap)
+    C0, rel, sigma = _image(rep.images, k0, rep.presentation.relators, cap)
     ledger = PrecisionLedger(initial_defect_val=k0, p_part=C0.p_part,
                              image_order=C0.order, working_precision=K)
-    gens, sigma = _lift_to_exact(ring, rep.images, k0, C0, ledger.steps,
-                                 rep.presentation.relators)
+    gens, sigma = _lift_to_exact(ring, rep.images, k0, C0, rel, sigma, ledger.steps)
     # exact at K on a list that presents C, the output has image sigma(C):
     # its order is read from the last section, with no closure
     ledger.image_order = len({m.rows for m in sigma})
@@ -722,8 +767,8 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
             continue
         idx = [where[g] for g in v.generators]
         gens = [images[i] for i in idx]
-        C = closure_of_matrices([g.reduce(k0) for g in gens], cap=cap)
-        gens, _ = _lift_to_exact(ring, gens, k0, C, steps, gog.vertex_relators[v.name])
+        C, rel, sigma = _image(gens, k0, gog.vertex_relators[v.name], cap)
+        gens, _ = _lift_to_exact(ring, gens, k0, C, rel, sigma, steps)
         for i, mat in zip(idx, gens):
             images[i] = mat
 

@@ -277,8 +277,9 @@ def closure_of_matrices(reduced: Sequence[UMatrix],
     return FiniteImage(tree, right, [index[g.rows] for g in reduced], ring.p)
 
 
-def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int) -> int:
-    """Order of <x_1..x_ngens | relators> by HLT coset enumeration.
+def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int
+                     ) -> Tuple[List[Tuple[int, int]], List[List[int]], int]:
+    """<x_1..x_ngens | relators> by HLT coset enumeration: (tree, right, most).
 
     Hasse-Lyndon-Todd enumeration over the trivial subgroup (Holt, Eick,
     O'Brien, Handbook of Computational Group Theory, 5.1-5.2): each live
@@ -287,11 +288,14 @@ def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int) -> int:
     the smaller representative.  Column 2i is letter x_{i+1}, column 2i + 1
     its inverse.  At most about cap * sum |r| table steps.  Raises
     CapExceeded when a definition would make more than `cap` cosets live;
-    an infinite group always does.
+    an infinite group always does.  The closed table, the group's regular
+    action, is renumbered by BFS over x_1, x_2, ... as `closure_of_matrices`
+    numbers classes; `most`, the most live cosets a definition met (0 if
+    none), is below a cap c >= 1 exactly when the run closes under c.
     """
     table: List[List[Optional[int]]] = [[None] * (2 * ngens)]
     rep = [0]
-    live = 1
+    live, most = 1, 0
     words = [[2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in r.letters] for r in relators]
 
     def find(c: int) -> int:
@@ -300,9 +304,10 @@ def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int) -> int:
         return c
 
     def define(c: int, x: int) -> None:
-        nonlocal live
+        nonlocal live, most
         if live >= cap:
             raise CapExceeded(f"coset enumeration exceeded cap {cap}")
+        most = max(most, live)
         table.append([None] * (2 * ngens))
         rep.append(len(rep))
         live += 1
@@ -364,4 +369,15 @@ def enumerate_cosets(ngens: int, relators: Sequence[Word], cap: int) -> int:
                 if table[c][x] is None:
                     define(c, x)
         c += 1
-    return live
+    number, queue, tree, right = {0: 0}, [0], [(-1, -1)], []
+    for c in queue:  # grows while read: BFS order
+        row = []
+        for x in range(0, 2 * ngens, 2):
+            d = find(table[c][x])
+            if d not in number:
+                number[d] = len(tree)
+                queue.append(d)
+                tree.append((number[c], x // 2))
+            row.append(number[d])
+        right.append(row)
+    return tree, right, most

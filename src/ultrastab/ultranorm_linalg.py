@@ -377,7 +377,7 @@ def solve_linear(rows, b: Sequence[int], ring: RingSpec) -> Tuple[int, ...]:
     if len(b) != nr:
         raise RingError("right-hand side has wrong length")
     K = ring.precision
-    val, ring_mul, shift_down = ring.val, ring.mul, ring.shift_down
+    val, shift_down = ring.val, ring.shift_down
     submul = ring.row_submul
     m = [list(r) + [c] for r, c in zip(rows, b)]
     perm = list(range(nc))  # perm[q]: the column of A at position q
@@ -421,7 +421,7 @@ def solve_linear(rows, b: Sequence[int], ring: RingSpec) -> Tuple[int, ...]:
         # right of the pivot are read again.
         mt = m[t]
         uinv = ring.inv(shift_down(mt[t], d))
-        mt[t + 1:] = right = [ring_mul(uinv, a) if a else 0 for a in mt[t + 1:]]
+        mt[t + 1:] = right = ring.row_scale(uinv, mt[t + 1:])
         # Clear column t below the pivot; the column itself is not read again.
         for mi in m[t + 1:]:
             a = mi[t]
@@ -440,9 +440,12 @@ def solve_linear(rows, b: Sequence[int], ring: RingSpec) -> Tuple[int, ...]:
                              else f"inconsistent row {i} (valuation {v})", v)
     z = [0] * rank
     for t in range(rank - 1, -1, -1):
-        d, r = diag[t], m[t]
-        w = r[t + 1:rank] if d == 0 else [shift_down(a, d) for a in r[t + 1:rank]]
-        z[t] = ring.sub(shift_down(r[nc], d), ring.dot(w, z[t + 1:]))
+        # w^d divides row t from its pivot on, and its right side (checked
+        # above): one row pass divides both
+        d, row = diag[t], m[t][t + 1:rank] + m[t][nc:]
+        if d:
+            row = ring.row_coords(row, [0] * len(row), d, K)
+        z[t] = ring.sub(row[-1], ring.dot(row[:-1], z[t + 1:]))
     x = [0] * nc
     for q, zq in zip(perm, z):
         x[q] = zq

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from collections import Counter, namedtuple
@@ -29,6 +30,7 @@ from ultrastab.homrepair import (
     _averaging_weights,
     _conj_block,
     _fox_solve,
+    _image,
     _lift_step,
     _relator_list,
     _relator_values,
@@ -455,9 +457,11 @@ def test_coset_enumeration_orders():
     ring = RingSpec("zp", 5, 3)
     for names, relators, perms in LEVEL_GROUPS.values():
         C = closure_of_matrices([_perm_matrix(ring, perm) for perm in perms])
-        got = enumerate_cosets(len(names), Presentation.make(names, relators).relators,
-                               2 * C.order)
-        assert got == C.order
+        tree, right, _ = enumerate_cosets(len(names), Presentation.make(names, relators).relators,
+                                          2 * C.order)
+        assert len(tree) == C.order
+        # the closed table, renumbered by BFS, is the closure's Cayley table
+        assert (tree, right) == (C.tree, C.right)
     # S4 passes through more than 24 live cosets before it closes at 24
     s4 = Presentation.make(*DIFF_GROUPS["S4"][:2]).relators
     with pytest.raises(CapExceeded):
@@ -1023,10 +1027,15 @@ def _counting(monkeypatch, calls, name):
 
 @pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
 def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, mode, p, K):
-    # each lifting step builds one tree section (plus the loop's first), a
-    # non-saturated repair closes once, at the defect level, and the image
-    # order it reads from the last section is the order of the output's
-    # closure at K
+    # each lifting step builds one tree section (plus the loop's first); a
+    # non-saturated repair closes at most once, at the defect level: the
+    # first repair of a presentation closes, and a later one reads C from
+    # the recorded coset table when its relators present the image (S3),
+    # but S4 Moore's enumeration fails its 2N cap, so each of its repairs
+    # closes.  The image order read from the last section is the order of
+    # the output's closure at K
+    import ultrastab.homrepair as homrepair
+    monkeypatch.setattr(homrepair, "_presented", {})
     ring = RingSpec(mode, p, K)
     calls = Counter()
     _counting(monkeypatch, calls, "_tree_section")
@@ -1041,8 +1050,208 @@ def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, 
         method = "linear-solve" if C.p_part else "averaging"
         assert {s.method for s in ledger.steps} == {method}
         assert calls["_tree_section"] == 1 + len(ledger.steps)
-        assert calls["closure_of_matrices"] == 1
+        assert calls["closure_of_matrices"] == (1 if seed == 0 or group == "S4moore" else 0)
         assert ledger.image_order == closure_of_matrices(list(out.images)).order
+    record = homrepair._presented[2, rep.presentation.relators]
+    assert record[1] is None if group == "S4moore" else record[1] == C.tree
+
+
+@pytest.mark.parametrize("group", ["S3", "D4", "S4", "S4moore"])
+@pytest.mark.parametrize("mode", ["zp", "fpx"])
+def test_recorded_coset_table_is_the_closure(monkeypatch, group, mode):
+    # C read from a presentation's recorded coset table has the closure's
+    # tables, on images conjugated (seeds 1, 2) and not (seed 0), and no
+    # closure runs.  S4 Moore closes only past 59 live cosets, above its 2N
+    # = 48, so its table is recorded from a run under a larger cap, and its
+    # list stays Schreier's
+    import ultrastab.homrepair as homrepair
+    monkeypatch.setattr(homrepair, "_presented", {})
+    calls = Counter()
+    _counting(monkeypatch, calls, "closure_of_matrices")
+    names, relators, _ = SECTION_GROUPS[group]
+    pres = Presentation.make(names, relators)
+    tree, right, most = enumerate_cosets(len(names), pres.relators, 100)
+    homrepair._presented[len(names), pres.relators] = (most, tree, right, {})
+    ring = RingSpec(mode, 3, 8)
+    for seed in range(3):
+        rep = _section_rep(group, ring, seed)
+        want = closure_of_matrices([g.reduce(3) for g in rep.images])
+        C, rel, sigma = _image(rep.images, 3, pres.relators, 24)
+        assert not calls
+        for name in ("order", "p_part", "tree", "right", "back", "generator_indices"):
+            assert getattr(C, name) == getattr(want, name)
+        assert [m.rows for m in sigma] == [m.rows for m in _tree_section(want, rep.images)]
+        assert rel == _relator_list(want, pres.relators)
+        assert bool(rel.edges) == (group == "S4moore") == (most >= 2 * C.order)
+
+
+def _outcome(repair, *args):
+    """A repair's output and ledger as JSON text, or its error."""
+    try:
+        out, ledger = repair(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return json.dumps(out.to_json()), json.dumps(ledger.to_json())
+
+
+@pytest.mark.parametrize("group, mode, p, K", SECTION_CASES + [
+    ("D4", "zp", 3, 8), ("S4", "fpx", 5, 8), ("C5", "zp", 5, 8), ("S3dupschreier", "zp", 5, 8)])
+def test_record_hit_repairs_as_a_miss(monkeypatch, group, mode, p, K):
+    # a miss, then a hit of the same input, then a miss after the record is
+    # cleared give byte-identical images and ledgers; only the hit skips the
+    # closure, and a presentation whose enumeration fails its cap (S4 Moore,
+    # <s, t, u | s^2>) misses every time
+    import ultrastab.homrepair as homrepair
+    monkeypatch.setattr(homrepair, "_presented", {})
+    calls = Counter()
+    _counting(monkeypatch, calls, "closure_of_matrices")
+    rep = _section_rep(group, RingSpec(mode, p, K), 1)
+    runs, closures = [], []
+    for clear in (False, False, True):
+        if clear:
+            homrepair._presented.clear()
+        runs.append(_outcome(repair_finite_image, rep))
+        closures.append(calls.pop("closure_of_matrices", 0))
+    assert runs[0] == runs[1] == runs[2]
+    failed = group in ("S4moore", "S3dupschreier")
+    assert closures == [1, 1 if failed else 0, 1]
+
+
+def test_graph_vertex_repair_reads_the_record(monkeypatch):
+    # graph_repair's vertex loop shares the helper: its second repair of an
+    # S3 vertex reads C from the record, with the same output
+    import ultrastab.homrepair as homrepair
+    monkeypatch.setattr(homrepair, "_presented", {})
+    calls = Counter()
+    _counting(monkeypatch, calls, "closure_of_matrices")
+    names, relators, _ = SECTION_GROUPS["S3"]
+    gog = GraphOfGroups((GogVertex("v", tuple(names), tuple(map(tuple, relators))),), ())
+    rep = _section_rep("S3", RingSpec("zp", 5, 8), 2)
+    rep = ApproxRep(gog.standard_presentation(), rep.ring, rep.n, rep.images)
+    runs = []
+    for _ in range(2):
+        runs.append(_outcome(graph_repair, gog, rep))
+        runs.append(calls.pop("closure_of_matrices", 0))
+    assert runs[0] == runs[2] and runs[0][0].startswith("{")
+    assert runs[1::2] == [1, 0]
+
+
+def _quotient_rep(ring, seed):
+    """S3's presentation on images whose t is I mod w^3: C is Z/2, a
+    proper quotient of S3."""
+    names, relators, perms = SECTION_GROUPS["S3"]
+    rng = random.Random(seed)
+    u = random_gl(ring, 3, rng)
+    s = u @ _perm_matrix(ring, perms[0]) @ u.inv() + shifted_random(ring, 3, rng, 3)
+    t = UMatrix.identity(ring, 3) + shifted_random(ring, 3, rng, 3)
+    rep = ApproxRep(Presentation.make(names, relators), ring, 3, [s, t])
+    assert rep.defect().valuation == 3
+    return rep
+
+
+def _odd(perm):
+    """Whether a permutation is odd: n minus its cycle count is."""
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (len(perm) - cycles) % 2 == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["S3", "D4", "S4", "S4moore", "C4", "S3dupschreier"]),
+       st.sampled_from(["zp", "fpx"]), st.sampled_from([2, 3, 5, 7]), st.integers(6, 10),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_random_repairs_read_the_record_as_a_miss(group, mode, p, K, sign, seed):
+    # after a faithful repair records its presentation, a second input, a
+    # faithful one or its sign quotient (each generator sent to (0 1) or
+    # I, an image of order at most 2), repairs as it does with the record
+    # cleared: byte-identical images and ledger, or the same error; this
+    # covers the group's own list, the Schreier list and non-faithful hits
+    import ultrastab.homrepair as homrepair
+    names, relators, perms = SECTION_GROUPS[group]
+    ring = RingSpec(mode, p, K)
+    rng = random.Random(seed)
+    n = len(perms[0])
+    swap = [1, 0] + list(range(2, n))
+    reps = []
+    for quotient in (False, sign):
+        u = random_gl(ring, n, rng)
+        reps.append(ApproxRep(Presentation.make(names, relators), ring, n, [
+            u @ _perm_matrix(ring, (swap if _odd(perm) else sorted(perm)) if quotient else perm)
+            @ u.inv() + shifted_random(ring, n, rng, 3) for perm in perms]))
+    saved = homrepair._presented
+    try:
+        homrepair._presented = {}
+        _outcome(repair_finite_image, reps[0])
+        got = _outcome(repair_finite_image, reps[1])
+        homrepair._presented = {}
+        assert got == _outcome(repair_finite_image, reps[1])
+    finally:
+        homrepair._presented = saved
+
+
+@pytest.mark.parametrize("mode", ["zp", "fpx"])
+def test_quotient_input_takes_the_closure(monkeypatch, mode):
+    # a quotient input misses first (its enumeration fails at 2N = 4), an S3
+    # input then re-enumerates under its larger cap and records S3's table,
+    # and the quotient input tried against that table stops at the first
+    # repeated image, closes, and takes the Schreier list with no
+    # enumeration: its output is the one of a cleared record
+    import ultrastab.homrepair as homrepair
+    monkeypatch.setattr(homrepair, "_presented", {})
+    calls = Counter()
+    _counting(monkeypatch, calls, "closure_of_matrices")
+    _counting(monkeypatch, calls, "enumerate_cosets")
+    ring = RingSpec(mode, 5, 8)
+    quotient, s3 = _quotient_rep(ring, 4), _section_rep("S3", ring, 4)
+    runs = []
+    for rep in (quotient, s3, quotient):
+        runs.append(_outcome(repair_finite_image, rep))
+        runs.append((calls.pop("closure_of_matrices", 0), calls.pop("enumerate_cosets", 0)))
+    assert runs[1::2] == [(1, 1), (1, 1), (1, 0)]
+    assert runs[0] == runs[4] and json.loads(runs[0][1])["image_order"] == 2
+    assert homrepair._presented[2, quotient.presentation.relators][1] is not None
+
+
+def test_record_hit_above_cap_raises_the_closure_error(monkeypatch):
+    # a recorded table of N' classes is read only when N' <= cap; above it
+    # the closure runs and raises its own CapExceeded
+    import ultrastab.homrepair as homrepair
+    monkeypatch.setattr(homrepair, "_presented", {})
+    rep = _section_rep("S3", RingSpec("zp", 5, 8), 3)
+    want = _outcome(repair_finite_image, rep, 6)
+    assert _outcome(repair_finite_image, rep, 6) == want and want[0].startswith("{")
+    with pytest.raises(CapExceeded, match="^closure exceeded cap 5$"):
+        repair_finite_image(rep, 5)
+
+
+def test_failed_record_skips_the_enumeration_under_its_cap(monkeypatch):
+    # HLT is deterministic: an enumeration that failed at cap X is not rerun
+    # for an image with 2N <= X, and is rerun, and its record raised, for a
+    # larger image.  <s | > on cyclic images, and <s, t | s^2> on S3 and D4
+    import ultrastab.homrepair as homrepair
+    monkeypatch.setattr(homrepair, "_presented", {})
+    calls = Counter()
+    _counting(monkeypatch, calls, "enumerate_cosets")
+    ring = RingSpec("zp", 7, 6)
+    rng = random.Random(6)
+    free = Presentation.make(["s"]).relators
+    one_relator = Presentation.make(["s", "t"], [["s", "s"]]).relators
+    for relators, perms, want in ((free, [_cycle(5)], 1), (free, [_cycle(5)], 0),
+                                  (free, [[1, 2, 0, 3, 4]], 0), (free, [_cycle(6)], 1),
+                                  (one_relator, DIFF_GROUPS["S3"][2], 1),
+                                  (one_relator, DIFF_GROUPS["S3"][2], 0),
+                                  (one_relator, DIFF_GROUPS["D4"][2], 1)):
+        n = len(perms[0])
+        gens = [_perm_matrix(ring, perm) + shifted_random(ring, n, rng, 2) for perm in perms]
+        C, rel, _ = _image(gens, 2, relators, 100)
+        assert calls.pop("enumerate_cosets", 0) == want
+        assert len(rel.edges) == len(perms) * C.order - C.order + 1
+        assert homrepair._presented[len(perms), relators] == (2 * C.order, None) or not want
 
 
 @pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
@@ -1176,9 +1385,11 @@ def test_averaging_repair_is_row_level(monkeypatch, group, mode):
     out, ledger = repair_finite_image(rep)
     assert ledger.verified and {s.method for s in ledger.steps} == {"averaging"}
     assert not calls
-    # the count sees a scalar call: solve_linear's back-substitution subtracts
-    solve_linear([[ring.one]], [ring.one], ring)
-    assert calls["ultrastab.ultranorm_linalg", "sub"] == 1
+    # the count sees a scalar call: solve_linear divides its one pivot, w,
+    # by w before inverting its unit part
+    w = ring.omega_pow(1)
+    assert solve_linear([[w]], [w], ring) == (ring.one,)
+    assert calls["ultrastab.ultranorm_linalg", "shift_down"] == 1
 
 
 @pytest.mark.parametrize("mode,p", [("fpx", 5), ("zp", 2)])
