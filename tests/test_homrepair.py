@@ -7,7 +7,7 @@ from collections import Counter, namedtuple
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ultrastab import local_ring
+from ultrastab import homrepair, local_ring
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import (
     ApproxRep,
@@ -1016,7 +1016,6 @@ def _section_rep(group, ring, seed):
 
 def _counting(monkeypatch, calls, name):
     """Count the calls of homrepair's `name` into calls[name]."""
-    import ultrastab.homrepair as homrepair
     original = getattr(homrepair, name)
 
     def wrapped(*args, **kwargs):
@@ -1034,7 +1033,6 @@ def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, 
     # but S4 Moore's enumeration fails its 2N cap, so each of its repairs
     # closes.  The image order read from the last section is the order of
     # the output's closure at K
-    import ultrastab.homrepair as homrepair
     monkeypatch.setattr(homrepair, "_presented", {})
     ring = RingSpec(mode, p, K)
     calls = Counter()
@@ -1064,7 +1062,6 @@ def test_recorded_coset_table_is_the_closure(monkeypatch, group, mode):
     # closure runs.  S4 Moore closes only past 59 live cosets, above its 2N
     # = 48, so its table is recorded from a run under a larger cap, and its
     # list stays Schreier's
-    import ultrastab.homrepair as homrepair
     monkeypatch.setattr(homrepair, "_presented", {})
     calls = Counter()
     _counting(monkeypatch, calls, "closure_of_matrices")
@@ -1101,7 +1098,6 @@ def test_record_hit_repairs_as_a_miss(monkeypatch, group, mode, p, K):
     # cleared give byte-identical images and ledgers; only the hit skips the
     # closure, and a presentation whose enumeration fails its cap (S4 Moore,
     # <s, t, u | s^2>) misses every time
-    import ultrastab.homrepair as homrepair
     monkeypatch.setattr(homrepair, "_presented", {})
     calls = Counter()
     _counting(monkeypatch, calls, "closure_of_matrices")
@@ -1120,7 +1116,6 @@ def test_record_hit_repairs_as_a_miss(monkeypatch, group, mode, p, K):
 def test_graph_vertex_repair_reads_the_record(monkeypatch):
     # graph_repair's vertex loop shares the helper: its second repair of an
     # S3 vertex reads C from the record, with the same output
-    import ultrastab.homrepair as homrepair
     monkeypatch.setattr(homrepair, "_presented", {})
     calls = Counter()
     _counting(monkeypatch, calls, "closure_of_matrices")
@@ -1171,7 +1166,6 @@ def test_random_repairs_read_the_record_as_a_miss(group, mode, p, K, sign, seed)
     # I, an image of order at most 2), repairs as it does with the record
     # cleared: byte-identical images and ledger, or the same error; this
     # covers the group's own list, the Schreier list and non-faithful hits
-    import ultrastab.homrepair as homrepair
     names, relators, perms = SECTION_GROUPS[group]
     ring = RingSpec(mode, p, K)
     rng = random.Random(seed)
@@ -1201,7 +1195,6 @@ def test_quotient_input_takes_the_closure(monkeypatch, mode):
     # and the quotient input tried against that table stops at the first
     # repeated image, closes, and takes the Schreier list with no
     # enumeration: its output is the one of a cleared record
-    import ultrastab.homrepair as homrepair
     monkeypatch.setattr(homrepair, "_presented", {})
     calls = Counter()
     _counting(monkeypatch, calls, "closure_of_matrices")
@@ -1220,7 +1213,6 @@ def test_quotient_input_takes_the_closure(monkeypatch, mode):
 def test_record_hit_above_cap_raises_the_closure_error(monkeypatch):
     # a recorded table of N' classes is read only when N' <= cap; above it
     # the closure runs and raises its own CapExceeded
-    import ultrastab.homrepair as homrepair
     monkeypatch.setattr(homrepair, "_presented", {})
     rep = _section_rep("S3", RingSpec("zp", 5, 8), 3)
     want = _outcome(repair_finite_image, rep, 6)
@@ -1233,7 +1225,6 @@ def test_failed_record_skips_the_enumeration_under_its_cap(monkeypatch):
     # HLT is deterministic: an enumeration that failed at cap X is not rerun
     # for an image with 2N <= X, and is rerun, and its record raised, for a
     # larger image.  <s | > on cyclic images, and <s, t | s^2> on S3 and D4
-    import ultrastab.homrepair as homrepair
     monkeypatch.setattr(homrepair, "_presented", {})
     calls = Counter()
     _counting(monkeypatch, calls, "enumerate_cosets")
