@@ -1,9 +1,11 @@
 """Machine-checkable certificates for repair and witness operations.
 
 A certificate records exact valuations (never floats), the estimate
-class achieved, the precision ledger, and a digest of the inputs.  It is
-closed under verification: re-running the deterministic operation on the
-same inputs must reproduce the whole certificate; any difference fails.
+class achieved, the precision ledger, and a digest of the inputs.  A
+repair's claims are re-measured on its input and output: the digest, the
+norms, the output's exactness and bound, the image's p-part; the ledger's
+steps are a record of the run, checked for consistency only.  A witness
+is re-derived from its parameters and must reproduce whole.
 """
 
 from __future__ import annotations

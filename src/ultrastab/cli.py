@@ -10,12 +10,12 @@ field.
 keyed by the certificate's `operation`.  A row loads its inputs (files
 for the repairs and `monomial`; parameters for the witnesses, which the
 certificate keeps in `witness.params`) and runs, returning the artifact
-and its certificate; the command writes both.  `verify` loads the same
-inputs, runs the same row under the same caps (`--cap-*`, ULTRASTAB_CAPS)
-and compares the whole recomputed certificate with the file,
-reporting the first differing key path; it then compares the recomputed
-artifact, as JSON, with `--output` (repairs and `monomial`, if given) or
-with `--input` (witnesses).
+and its certificate; the command writes both.  `verify` checks a repair's
+claims (digest, norms, exactness, bound, p-part; the ledger's steps are a
+record, checked for consistency) by the row's `measure` on the inputs and
+`--output`, or without it on the artifact of a run; it re-derives a
+witness from its parameters under the caps (`--cap-*`, ULTRASTAB_CAPS)
+and compares it whole.  It names the first failing key path.
 
 Exit codes: 0 success / verification passed, 1 verification failed, 2
 input error (an unreadable or malformed file, an unknown cap) or unmet
@@ -60,6 +60,7 @@ from .presentations import (
     ApproxRep,
     CapExceeded,
     DefectTooLarge,
+    closure_of_matrices,
 )
 from .ultranorm_linalg import UMatrix, Unsolvable, nearest_monomial_commutant
 from .witnesses import (
@@ -163,11 +164,13 @@ def _load_rep(path: str) -> ApproxRep:
 
 class Operation(NamedTuple):
     """`load` turns input file paths (or, for a witness, its parameters)
-    into inputs; `run(inputs, cfg)` returns (artifact JSON, Certificate)."""
+    into inputs; `run(inputs, cfg)` returns (artifact JSON, Certificate).
+    A repair's `measure(inputs, artifact, claimed, cfg)` returns the
+    certificate that its inputs and artifact support; a witness has none."""
 
     load: Callable
     run: Callable
-    witness: bool = False
+    measure: Optional[Callable] = None
 
 
 def _paths(files: List[str], n: int, expected: str) -> List[str]:
@@ -232,22 +235,53 @@ def _cyclic_params(ring: RingSpec, i: int, x: int) -> dict:
     return {"p": ring.p, "i": i, "x": ring.encode(x), "ring": ring.describe()}
 
 
+def _certificate(operation: str, inputs_digest: str, before: NormValue, after: NormValue,
+                 dist: NormValue, ledger: Optional[dict] = None) -> Certificate:
+    """An ApproxRep repair's certificate from its norms.  A lifting repair is
+    optimal when its ledger's bound is the defect (p-part 0); the involution
+    repair is quadratic when 2 val(dist) >= val(defect)."""
+    quadratic = before.saturated or dist.saturated or 2 * dist.valuation >= before.valuation
+    estimate = ("quadratic" if quadratic else "beyond the quadratic bound") if ledger is None \
+        else "optimal" if ledger["final_distance_bound_val"] == ledger["initial_defect_val"] \
+        else "linear"
+    return Certificate(operation, inputs_digest, before={"defect_val": encode_val(before)},
+                       after={"defect_val": encode_val(after), "distance_val": encode_val(dist)},
+                       estimate_class=estimate, ledger=ledger)
+
+
 def _repaired(operation: str, inputs_obj, rep: ApproxRep, fixed: ApproxRep, ledger):
-    """A repair's artifact and certificate.  The involution repair keeps
-    no lifting ledger; its estimate is quadratic, checked here."""
-    before, dist = rep.defect(), rep.rep_dist(fixed)
+    """A repair's artifact and certificate.  A lifting repair's norms are
+    read from the ledger that its final re-measure filled; the involution
+    repair keeps none, so its norms are measured here."""
     if ledger is None:
-        estimate = "quadratic"
-        if not (before.saturated or dist.saturated) and 2 * dist.valuation < before.valuation:
-            raise VerificationFailure("quadratic bound violated")
+        norms = rep.defect(), fixed.defect(), rep.rep_dist(fixed)
     else:
-        estimate = "optimal" if ledger.p_part == 0 else "linear"
-    return fixed.to_json(), Certificate(
-        operation, digest(inputs_obj),
-        before={"defect_val": encode_val(before)},
-        after={"defect_val": encode_val(fixed.defect()), "distance_val": encode_val(dist)},
-        estimate_class=estimate,
-        ledger=None if ledger is None else ledger.to_json())
+        norms = [NormValue.from_valuation(rep.ring, v) for v in (
+            ledger.initial_defect_val, rep.ring.precision, ledger.final_distance_val)]
+    cert = _certificate(operation, digest(inputs_obj), *norms, ledger and ledger.to_json())
+    if cert.estimate_class == "beyond the quadratic bound":
+        raise VerificationFailure("quadratic bound violated")
+    return fixed.to_json(), cert
+
+
+def _split_certificate(inputs_digest: str, rep: FiltrationRep, out: FiltrationRep):
+    """The certificate that rep and out support: out within the defect of rep."""
+    d, moved = rep.defect(), rep.rep_dist(out)
+    within = moved.below_finest or moved.value <= d.value
+    return Certificate("repair-split-section", inputs_digest, before={"defect_level": d.encode()},
+                       after={"defect_level": out.defect().encode(), "distance_level":
+                              moved.encode() if within else "beyond the defect"})
+
+
+def _monomial_certificate(inputs_digest: str, P: UMatrix, D: UMatrix, out: UMatrix):
+    """The certificate that P, D and out support: out commutes with P, within
+    the commutator defect of D."""
+    eps, dist = (P @ D).dist(D @ P), D.dist(out)
+    exact = (P @ out).dist_valuation(out @ P) >= P.ring.precision
+    return Certificate("monomial-commutant", inputs_digest,
+                       before={"commutator_defect_val": encode_val(eps)},
+                       after={"distance_val": encode_val(dist) if exact and dist <= eps
+                              else "no exact commutant within the defect"})
 
 
 # The run functions look the package functions up in this module's globals
@@ -272,20 +306,109 @@ def _run_involution(rep, cfg):
 
 def _run_split_section(inputs, cfg):
     obj, rep = inputs
-    fixed, moved = split_section_repair(rep)
-    return fixed.to_json(), Certificate(
-        "repair-split-section", digest(obj),
-        before={"defect_level": rep.defect().encode()},
-        after={"defect_level": fixed.defect().encode(), "distance_level": moved.encode()})
+    fixed, _ = split_section_repair(rep)
+    return fixed.to_json(), _split_certificate(digest(obj), rep, fixed)
 
 
 def _run_monomial(inputs, cfg):
     (p_obj, d_obj), (P, D) = inputs
     out = nearest_monomial_commutant(P, D)
-    return out.to_json(), Certificate(
-        "monomial-commutant", digest({"P": p_obj, "D": d_obj}),
-        before={"commutator_defect_val": encode_val((P @ D).dist(D @ P))},
-        after={"distance_val": encode_val(D.dist(out))})
+    return out.to_json(), _monomial_certificate(digest({"P": p_obj, "D": d_obj}), P, D, out)
+
+
+class _Mismatch(Exception):
+    """A claim that fails its measure: (key path, file value, measured value)."""
+
+
+def _checked(claimed: dict, inputs_obj, model: dict, artifact: dict, parse):
+    """The artifact parsed, if the certificate's digest is the inputs' (read
+    first: no input is measured for another's certificate) and the artifact
+    has the header of `model`, the input it repairs; else _Mismatch."""
+    head = {key: value for key, value in model.items() if key not in ("images", "entries")}
+    diff = (_first_difference(claimed.get("inputs_digest"), digest(inputs_obj), "inputs_digest")
+            or _first_difference({key: artifact.get(key) for key in head}, head, "output"))
+    try:
+        if not diff:
+            return parse(artifact)
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        diff = "output", "malformed", f"{type(exc).__name__}: {exc}"
+    raise _Mismatch(*diff)
+
+
+def _recorded(steps, k0: int, K: int, bound: int, runs: List[int], conjugation: bool) -> bool:
+    """Whether `steps` reads as a lifting repair's record: per p-part l in
+    `runs` one run of steps by its method (averaging iff l = 0) whose levels
+    rise strictly from above k0 to K, a step from level k spending k - l,
+    then, in a graph, conjugation steps at K; each spends at least `bound`
+    and less than K."""
+    todo, low = list(runs), k0
+    for s in steps if isinstance(steps, list) else [None]:
+        if not (isinstance(s, dict) and len(s) == 3 and type(s.get("defect_val_after")) is int
+                and type(s.get("distance_spent_val")) is int):
+            return False
+        level, spent, method = s["defect_val_after"], s["distance_spent_val"], s.get("method")
+        if not bound <= spent < K:
+            return False
+        if todo and method == ("linear-solve" if todo[0] else "averaging") and \
+                low < level <= K and spent == low - todo[0]:
+            low, todo = (k0, todo[1:]) if level == K else (level, todo)
+        elif todo or not conjugation or (method, level) != ("conjugation", K):
+            return False
+    return not todo
+
+
+def _measure_rep(operation: str, inputs, artifact: dict, claimed: dict, cfg) -> Certificate:
+    """The certificate that an ApproxRep repair's input and artifact support,
+    all measured.  A lifting repair's p-part is that of C, the input's
+    closure mod w^k0, the output's image order its closure's, at most |C|
+    (an exact input is returned as it is); a graph's p-part is the claimed
+    one if at most the largest p-part of the vertex images' closures mod
+    w^k0, those the repair makes.  The claimed steps stay if `_recorded`."""
+    rep, gog = inputs if operation == "repair-graph" else (inputs, None)
+    obj = rep.to_json()
+    out = _checked(claimed, obj if gog is None else {"rep": obj, "gog": gog.to_json()}, obj,
+                   artifact, ApproxRep.from_json)
+    before, after, dist = rep.defect(), out.defect(), rep.rep_dist(out)
+    if operation == "repair-involution":
+        return _certificate(operation, claimed["inputs_digest"], before, after, dist)
+    K, k0, d = rep.ring.precision, before.valuation, dist.valuation
+    if k0 < 1:
+        raise DefectTooLarge("defect must be < 1")
+    where = rep.presentation.generators.index
+    closures = [] if k0 == K else [closure_of_matrices(
+        [rep.images[where(g)].reduce(k0) for g in gens], cap=cfg.closure_cap)
+        for gens in ([v.generators for v in gog.vertices if v.generators] if gog
+                     else [rep.presentation.generators])]
+    runs = [C.p_part for C in closures]
+    said = claimed.get("ledger") if isinstance(claimed.get("ledger"), dict) else {}
+    l, top, order = said.get("p_part"), max(runs, default=0), None
+    if gog is None:
+        l, cap = top, closures[0].order if closures else cfg.closure_cap
+        try:
+            order = closure_of_matrices(list(out.images), cap=cap).order
+        except CapExceeded:
+            order = f"more than {cap}" if closures else None
+    elif not (type(l) is int and 0 <= l <= top):
+        l = f"at most {top}"
+    bound, steps = k0 - (l if type(l) is int else top), said.get("steps")
+    return _certificate(operation, claimed["inputs_digest"], before, after, dist, {
+        "initial_defect_val": k0, "p_part": l, "final_distance_bound_val": bound,
+        "steps": steps if _recorded(steps, k0, K, bound, runs, gog is not None)
+        else "not a record of this repair",
+        "final_distance_val": d if d >= bound else f"{d}, beyond the bound",
+        "image_order": order, "working_precision": K, "verified": True})
+
+
+def _measure_split_section(inputs, artifact, claimed, cfg):
+    obj, rep = inputs
+    out = _checked(claimed, obj, rep.to_json(), artifact, FiltrationRep.from_json)
+    return _split_certificate(claimed["inputs_digest"], rep, out)
+
+
+def _measure_monomial(inputs, artifact, claimed, cfg):
+    (p_obj, d_obj), (P, D) = inputs
+    out = _checked(claimed, {"P": p_obj, "D": d_obj}, D.to_json(), artifact, UMatrix.from_json)
+    return _monomial_certificate(claimed["inputs_digest"], P, D, out)
 
 
 def _run_badestimate(inputs, cfg):
@@ -325,14 +448,18 @@ def _run_commutator(inputs, cfg):
 
 
 OPERATIONS = {
-    "repair-finite-image": Operation(_load_one_rep, _run_finite_image),
-    "repair-graph": Operation(_load_graph, _run_graph),
-    "repair-involution": Operation(_load_involution, _run_involution),
-    "repair-split-section": Operation(_load_split_section, _run_split_section),
-    "monomial-commutant": Operation(_load_monomial, _run_monomial),
-    "witness-badestimate": Operation(_load_cyclic, _run_badestimate, witness=True),
-    "witness-wreath": Operation(_load_cyclic, _run_wreath, witness=True),
-    "witness-commutator": Operation(_load_commutator, _run_commutator, witness=True),
+    "repair-finite-image": Operation(_load_one_rep, _run_finite_image,
+                                     functools.partial(_measure_rep, "repair-finite-image")),
+    "repair-graph": Operation(_load_graph, _run_graph,
+                              functools.partial(_measure_rep, "repair-graph")),
+    "repair-involution": Operation(_load_involution, _run_involution,
+                                   functools.partial(_measure_rep, "repair-involution")),
+    "repair-split-section": Operation(_load_split_section, _run_split_section,
+                                      _measure_split_section),
+    "monomial-commutant": Operation(_load_monomial, _run_monomial, _measure_monomial),
+    "witness-badestimate": Operation(_load_cyclic, _run_badestimate),
+    "witness-wreath": Operation(_load_cyclic, _run_wreath),
+    "witness-commutator": Operation(_load_commutator, _run_commutator),
 }
 
 # exception class -> (exit code, message prefix).  main resolves an error
@@ -428,23 +555,31 @@ def cmd_verify(args) -> int:
         operation = claimed["operation"]
         if operation not in OPERATIONS:
             raise InputError(f"certificate operation {operation!r} is not verifiable here")
-        witness = OPERATIONS[operation].witness
-        if witness and (len(args.input) != 1 or args.output or args.gog):
+        op = OPERATIONS[operation]
+        if op.measure is None and (len(args.input) != 1 or args.output or args.gog):
             raise InputError("a witness certificate is verified against its "
                              "artifact alone: give it as the one --input")
-        source = claimed["witness"]["params"] if witness else (
+        source = claimed["witness"]["params"] if op.measure is None else (
             args.input + ([args.gog] if args.gog else []))
-    artifact_path = args.input[0] if witness else args.output
+    artifact_path = args.output if op.measure else args.input[0]
     expected = _load_json(artifact_path) if artifact_path else None
-    artifact, cert = _run(operation, source, cfg)
-    diff = _first_difference(claimed, cert.to_json(), "")
-    if diff is None and expected is not None:
-        diff = _first_difference(expected, artifact, "input" if witness else "output")
+    try:
+        if op.measure is None:  # a witness, re-derived from its parameters
+            artifact, cert = _run(operation, source, cfg)
+        else:
+            with _malformed(operation):
+                inputs = op.load(source)
+            artifact = expected if artifact_path else op.run(inputs, cfg)[0]
+            cert = op.measure(inputs, artifact, claimed, cfg)
+        diff = _first_difference(claimed, cert.to_json(), "") or (
+            op.measure is None and _first_difference(expected, artifact, "input"))
+    except _Mismatch as exc:
+        diff = exc.args
     if diff:
         where, said, got = diff
-        print(f"FAIL {where}: file says {said!r}, recomputed {got!r}", file=sys.stderr)
+        print(f"FAIL {where}: file says {said!r}, measured {got!r}", file=sys.stderr)
         return 1
-    print("PASS certificate reproduces from inputs")
+    print("PASS every claim of the certificate holds")
     return 0
 
 

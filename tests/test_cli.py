@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ultrastab
-from ultrastab import cli
+from ultrastab import cli, homrepair
 from ultrastab.cli import main
 from ultrastab.char2_involutions import ReductionFailed
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups
@@ -99,12 +101,13 @@ def test_cmd_verify_pass_and_tamper(tmp_path, capsys):
     tampered = _write(tmp_path, "tampered.json", cert)
     assert main(["verify", tampered, "--input", path]) == 1
     assert "FAIL ledger.steps" in capsys.readouterr().err
-    # a forged output, exact too: the identity image of the order-3 generator
+    # a forged output, exact too: the identity image of the order-3 generator,
+    # at a distance the certificate does not claim
     rep = ApproxRep.from_json(json.loads(open(out_path).read()))
     forged = _write(tmp_path, "forged.json",
                     rep.with_images([UMatrix.identity(rep.ring, 2)]).to_json())
     assert main(["verify", cert_path, "--input", path, "--output", forged]) == 1
-    assert "FAIL output.images" in capsys.readouterr().err
+    assert "FAIL after.distance_val: file says 3, measured 0" in capsys.readouterr().err
 
 
 def test_cmd_verify_rejects_out(tmp_path, capsys):
@@ -626,7 +629,8 @@ def test_unsolvable_exits_1(tmp_path, monkeypatch, capsys):
 
 def test_involution_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
     # a failed self-check of the involution repair is a failed repair: exit 1
-    # with the message, not a traceback, from both repair and verify
+    # with the message, not a traceback, from repair and from a verify that
+    # runs it for want of --output.  A verify given --output runs no repair
     cert_path, verify_args = _involution_files(tmp_path)
     rep_path = verify_args[1]
 
@@ -635,10 +639,11 @@ def test_involution_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "involution_repair", failing)
     capsys.readouterr()
     for argv in (["repair", rep_path, "--mode", "involution"],
-                 ["verify", cert_path] + verify_args):
+                 ["verify", cert_path] + verify_args[:2]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(
             "verification failed: block form failed its own verification")
+    assert main(["verify", cert_path] + verify_args) == 0
 
 
 def test_cmd_verify_honors_caps(tmp_path):
@@ -651,12 +656,159 @@ def test_cmd_verify_honors_caps(tmp_path):
     rep = ApproxRep(pres, ring, 3, [s + shifted_random(ring, 3, rng, 3),
                                     t + shifted_random(ring, 3, rng, 3)])
     path = _write(tmp_path, "s3.json", rep.to_json())
-    cert_path = str(tmp_path / "cert.json")
+    cert_path, out_path = str(tmp_path / "cert.json"), str(tmp_path / "fixed.json")
     assert main(["repair", path, "--mode", "finite-image", "--cert", cert_path,
-                 "--out", str(tmp_path / "fixed.json")]) == 0
-    assert main(["verify", cert_path, "--input", path]) == 0
-    # the image S3 has 6 elements: a closure cap of 2 cannot re-derive it
-    assert main(["verify", cert_path, "--input", path, "--cap-closure", "2"]) == 2
+                 "--out", out_path, "--cap-closure", "6"]) == 0
+    # the image S3 has 6 elements: written under a closure cap of 6, the
+    # certificate verifies under it, and a cap of 2 cannot close C, whether
+    # verify measures the given output or runs the repair for want of one
+    for output in (["--output", out_path], []):
+        assert main(["verify", cert_path, "--input", path, "--cap-closure", "6"] + output) == 0
+        assert main(["verify", cert_path, "--input", path, "--cap-closure", "2"] + output) == 2
+
+
+def _swap_involution_files(tmp_path):
+    # a perturbed block swap over F_2[X]/(X^8): at n = 4 an output entry moved
+    # by X^7 breaks A^2 = I, which at n = 1 it cannot, as (a + X^7)^2 = a^2
+    ring, rng = RingSpec("fpx", 2, 8), random.Random(1)
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    rep = ApproxRep(Presentation.make(["s"], [["s", "s"]]), ring, 4,
+                    [UMatrix.from_int_rows(ring, swap) + shifted_random(ring, 4, rng, 3)])
+    rep_path = _write(tmp_path, "swap4.json", rep.to_json())
+    out_path, cert_path = str(tmp_path / "fixed.json"), str(tmp_path / "cert.json")
+    assert main(["repair", rep_path, "--mode", "involution",
+                 "--out", out_path, "--cert", cert_path]) == 0
+    return cert_path, ["--input", rep_path, "--output", out_path]
+
+
+def _moved(obj):
+    """An ApproxRep file with the first entry of its first image moved by w^{K-1}."""
+    rep = ApproxRep.from_json(obj)
+    ring, n = rep.ring, rep.n
+    step = UMatrix(ring, n, tuple(tuple(ring.omega_pow(ring.precision - 1) if i == j == 0 else 0
+                                        for j in range(n)) for i in range(n)))
+    return rep.with_images([rep.images[0] + step] + list(rep.images[1:])).to_json()
+
+
+def _tampers(tmp_path, cert, inputs):
+    """(name, certificate, verify arguments, the key path its FAIL names) per tamper."""
+    rep_path, out_path = inputs[1], inputs[-1]
+    out = ApproxRep.from_json(json.loads(open(out_path).read()))
+    ring, n, ngens = out.ring, out.n, len(out.images)
+    wider = RingSpec(ring.mode, ring.p, ring.precision + 1)
+
+    def arguments(rep=rep_path, output=out_path):
+        return [rep if a == rep_path else output if a == out_path else a for a in inputs]
+
+    def edited(path, value):
+        changed = json.loads(json.dumps(cert))
+        *keys, last = path.split(".")
+        target = changed
+        for key in keys:
+            target = target[key]
+        target[last] = value(target[last])
+        return changed
+
+    moved_out = _write(tmp_path, "moved_out.json", _moved(out.to_json()))
+    moved_in = _write(tmp_path, "moved_in.json", _moved(json.loads(open(rep_path).read())))
+    other_n = _write(tmp_path, "other_n.json", ApproxRep(
+        out.presentation, ring, n + 1, [UMatrix.identity(ring, n + 1)] * ngens).to_json())
+    other_ring = _write(tmp_path, "other_ring.json", ApproxRep(
+        out.presentation, wider, n, [UMatrix.identity(wider, n)] * ngens).to_json())
+    yield "moved output", cert, arguments(output=moved_out), "after.defect_val"
+    yield ("edited distance", edited("after.distance_val", lambda v: 1 if v == "saturated"
+                                     else v + 1), arguments(), "after.distance_val")
+    yield "another input", cert, arguments(rep=moved_in), "inputs_digest"
+    yield "output of another n", cert, arguments(output=other_n), "output.n"
+    yield "output of another ring", cert, arguments(output=other_ring), "output.ring.precision"
+    if cert["ledger"] is not None:
+        assert len(cert["ledger"]["steps"]) >= 2
+        for delta in (1, -1):
+            yield (f"p_part {delta:+d}", edited("ledger.p_part", lambda v: v + delta),
+                   arguments(), "ledger.p_part")
+        yield "steps emptied", edited("ledger.steps", lambda v: []), arguments(), "ledger.steps"
+        yield ("a step's spending edited", edited("ledger.steps", lambda v: [
+            dict(v[0], distance_spent_val=v[0]["distance_spent_val"] + 1)] + v[1:]),
+               arguments(), "ledger.steps")
+        yield ("steps reversed", edited("ledger.steps", lambda v: v[::-1]), arguments(),
+               "ledger.steps")
+
+
+REPAIR_PRODUCERS = {
+    "repair-finite-image": _finite_image_files,
+    "repair-graph": _graph_files,
+    "repair-involution": _swap_involution_files,
+}
+
+
+@pytest.mark.parametrize("operation", sorted(REPAIR_PRODUCERS))
+def test_verify_fails_each_tamper(tmp_path, capsys, operation):
+    # each tampered claim, output or input exits 1 with the key path it fails
+    cert_path, inputs = REPAIR_PRODUCERS[operation](tmp_path)
+    assert main(["verify", cert_path] + inputs) == 0
+    cert = json.loads(open(cert_path).read())
+    for name, tampered, arguments, where in _tampers(tmp_path, cert, inputs):
+        capsys.readouterr()
+        path = _write(tmp_path, "tampered.json", tampered)
+        assert main(["verify", path] + arguments) == 1, name
+        assert capsys.readouterr().err.startswith(f"FAIL {where}: file says "), name
+
+
+def test_verify_runs_no_repair(tmp_path, monkeypatch):
+    # given --output, a repair certificate is checked by measures alone: it
+    # verifies with every repair function raising and the coset record of
+    # homrepair unreadable
+    produced = {}
+    for operation in REPAIR_PRODUCERS.keys() | {"repair-split-section", "monomial-commutant"}:
+        work = tmp_path / operation
+        work.mkdir()
+        produced[operation] = {**PRODUCERS, **REPAIR_PRODUCERS}[operation](work)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran a repair or read the coset record")
+    for name in ("repair_finite_image", "graph_repair", "involution_repair",
+                 "split_section_repair", "nearest_monomial_commutant"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(homrepair, "_presented", type("Unreadable", (dict,), {
+        "get": refuse, "__getitem__": refuse, "__contains__": refuse})())
+    for operation, (cert_path, inputs) in sorted(produced.items()):
+        assert "--output" in inputs
+        assert main(["verify", cert_path] + inputs) == 0, operation
+
+
+# (group -> generators, relators, generator permutations); generator 0 moves
+# point 0, so an output entry (0, 0) moved by w^{K-1} breaks its power relator
+GROUPS = {
+    "S3": (["s", "t"], [["s", "s"], ["t"] * 3, ["s", "t"] * 2], [(1, 0, 2), (1, 2, 0)]),
+    "D4": (["r", "s"], [["r"] * 4, ["s", "s"], ["s", "r"] * 2], [(1, 2, 3, 0), (1, 0, 3, 2)]),
+}
+# (group, ring mode, p, K, defect level k): p | N only over Z/p^K, with k > 2l
+SHAPES = [("S3", "zp", 5, 8, 3), ("S3", "zp", 2, 8, 3), ("S3", "zp", 3, 10, 3),
+          ("S3", "fpx", 5, 8, 3), ("S3", "fpx", 7, 6, 2), ("D4", "zp", 3, 8, 3),
+          ("D4", "zp", 2, 10, 7), ("D4", "fpx", 3, 8, 3), ("D4", "fpx", 5, 6, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_accepts_what_repair_writes(shape, seed):
+    # differential: every certificate that repair writes passes verify in a
+    # process without the coset record, and fails once an output entry moves
+    group, mode, p, K, k = shape
+    names, relators, perms = GROUPS[group]
+    ring, rng = RingSpec(mode, p, K), random.Random(seed)
+    rep = ApproxRep(Presentation.make(names, relators), ring, len(perms[0]), [
+        UMatrix.from_int_rows(ring, [[int(q[j] == i) for j in range(len(q))]
+                                     for i in range(len(q))])
+        + shifted_random(ring, len(q), rng, k) for q in perms])
+    with tempfile.TemporaryDirectory() as work:
+        rep_path = _write(Path(work), "rep.json", rep.to_json())
+        out_path, cert_path = os.path.join(work, "out.json"), os.path.join(work, "cert.json")
+        assert main(["repair", rep_path, "--mode", "finite-image",
+                     "--out", out_path, "--cert", cert_path]) == 0
+        homrepair._presented.clear()
+        assert main(["verify", cert_path, "--input", rep_path, "--output", out_path]) == 0
+        moved = _write(Path(work), "moved.json", _moved(json.loads(open(out_path).read())))
+        assert main(["verify", cert_path, "--input", rep_path, "--output", moved]) == 1
 
 
 # Every operation of the table, produced: (certificate, the verify arguments).
@@ -674,8 +826,9 @@ PRODUCERS = {
 
 @pytest.mark.parametrize("operation", sorted(cli.OPERATIONS))
 def test_cmd_verify_round_trip(tmp_path, capsys, operation):
-    # produce, verify, and verify once more with the estimate class changed,
-    # a field that only the whole-certificate comparison checks
+    # produce, verify, and verify once more with the estimate class changed:
+    # a repair row measures it (from the p-part, from the quadratic bound, or
+    # the constant of split-section and monomial), a witness re-derives it
     cert_path, inputs = PRODUCERS[operation](tmp_path)
     cert = json.loads(open(cert_path).read())
     assert cert["operation"] == operation
@@ -712,6 +865,16 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     witness = ["witness", "--kind", "badestimate", "--p", "3", "--precision", "6",
                "--i", "2", "--x", '"3"']
     capped = witness + ["--cap-enum", "100"]
+    # a repair verified in the process that repaired, which holds its coset
+    # record, and in a new one; and with its output moved, a failed claim
+    work = tmp_path / "s3"
+    work.mkdir()
+    repair_cert, repair_inputs = _finite_image_files(work)
+    rep_path, out_path = repair_inputs[1], repair_inputs[-1]
+    repair = ["repair", rep_path, "--mode", "finite-image", "--out", out_path,
+              "--cert", repair_cert]
+    moved = _write(work, "moved.json", _moved(json.loads(open(out_path).read())))
+    moved_verify = ["verify", repair_cert, "--input", rep_path, "--output", moved]
     pairs = [
         # an append action given twice, then once
         (["verify", monomial_cert] + monomial_inputs, ["verify", witness_cert] + witness_inputs),
@@ -720,12 +883,14 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
         (witness, capped),
         # a usage error, then a valid call
         (["witness", "--kind", "no-such-kind"], witness),
+        (repair, ["verify", repair_cert] + repair_inputs),
+        (repair, moved_verify),
     ]
     for first, second in pairs:
         _in_process(first, capsys)
         got = _in_process(second, capsys)
         assert got == _fresh_process(second, tmp_path), (first, second)
-        assert got[0] == (2 if second is capped else 0)
+        assert got[0] == (2 if second is capped else 1 if second is moved_verify else 0)
 
 
 def _tracing():
@@ -752,7 +917,8 @@ def test_trace_bindings_resolve(tmp_path):
         tracer.uninstall()
     c = tracer.counts
     assert c["cli.repair.calls"] == c["cli.verify.calls"] == 1
-    assert c["homrepair.repair_finite_image.calls"] == 2
+    # the verify, given --output, measures the repair's claims and runs no repair
+    assert c["homrepair.repair_finite_image.calls"] == 1
     assert c["certificates.digest.calls"] == 2
 
 
