@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: defect, repair, witness, monomial, verify, gbs, claims,
-proptest.  All numeric output is exact (integer or rational valuations);
-runs are deterministic (only `proptest` draws random samples, from its
-`--seed`), and artifacts are single JSON files with a schema-version
-field.
+Subcommands: defect, repair, witness, monomial, verify, gbs, claims.
+All numeric output is exact (integer or rational valuations); runs are
+deterministic (the package draws no random numbers), and artifacts are
+single JSON files with a schema-version field.
 
 `repair`, `witness` and `monomial` are rows of one table, `OPERATIONS`,
 keyed by the certificate's `operation`.  A row loads its inputs (files
@@ -35,7 +34,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional
 
-from . import proptests
 from .aux_families import FiltrationRep, split_section_repair
 from .certificates import (
     Certificate,
@@ -494,8 +492,8 @@ def _produce(args, operation: str, source) -> int:
 
 
 def _first_difference(said, got, path: str):
-    """(key path, file value, recomputed value) of the first difference, in
-    sorted key order, between JSON read from a file and a recomputed value
+    """(key path, file value, measured value) of the first difference, in
+    sorted key order, between JSON read from a file and a measured value
     (compared as canonical JSON), or None."""
     if canonical_json(said) == canonical_json(got):
         return None
@@ -603,14 +601,6 @@ def cmd_claims(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_proptest(args) -> int:
-    if args.samples < 1:
-        raise InputError(f"--samples must be >= 1, got {args.samples}")
-    ok, report = proptests.run_suite(args.suite, args.samples, args.seed)
-    _write_json(args.out, report)
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -684,15 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_prime, default=2)
     _add_common(sp, "wreath_index_cap")
 
-    sp = sub.add_parser("proptest", help="run a property-test suite")
-    sp.add_argument("suite", choices=proptests.SUITES)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-
     # no abbreviations: "--out" would otherwise be read as "--output"
-    sp = sub.add_parser("verify", help="re-run an operation and compare its certificate",
-                        allow_abbrev=False)
+    sp = sub.add_parser("verify", allow_abbrev=False,
+                        help="check a certificate: measure a repair's claims, "
+                             "re-derive a witness")
     sp.add_argument("certificate")
     sp.add_argument("--input", required=True, action="append",
                     help="input file (repeat for monomial: P, then D); a witness's artifact")

@@ -25,9 +25,12 @@ with no loop over the slots; a sum or difference, whose slots stay below
 2p, takes one conditional subtraction of p in every slot.
 
 The row operations (row_add, ..., min_val_diff) do a matrix's entrywise
-arithmetic one row per call, with the mode read once per row; outside
-this module only the product kernel of ultranorm_linalg reads the raw
-format.
+arithmetic one row per call, with the mode read once per row.  Outside
+this module three places read the raw format: the product kernel of
+ultranorm_linalg packs rows and reduces their products with the ring's
+slot constants; homrepair's _conj_block and _combine reduce Z/p^K
+products and sums by ring.modulus; and char2_involutions._digit_inverse
+ORs powers of X into the slots of F_2[X]/(X^K) entries.
 """
 
 from __future__ import annotations
@@ -347,12 +350,6 @@ class RingSpec:
             return x % (self.p ** keep)
         return x & ((1 << (self._w * keep)) - 1)
 
-    def reduce_raw(self, x: int, m: int) -> int:
-        """Image of x in the precision-m quotient ring."""
-        if m > self.precision:
-            raise RingError("cannot reduce to higher precision")
-        return self.low_part(x, m)
-
     # -- row operations -------------------------------------------------------
     #
     # Entrywise arithmetic on a row of raw elements, equal entry by entry to
@@ -427,7 +424,7 @@ class RingSpec:
         return out
 
     def row_reduce(self, xs: Sequence[int], m: int) -> List[int]:
-        """reduce_raw(x, m) per entry: the row in the precision-m quotient ring."""
+        """The row in the precision-m quotient ring: low_part(x, m) per entry."""
         if m > self.precision:
             raise RingError("cannot reduce to higher precision")
         if self.is_mixed:
@@ -524,7 +521,7 @@ class RingSpec:
                 t = reduce(or_, map(xor, r, q), t)
         return self.val(t)  # the lowest set bit of t is the least difference's
 
-    # -- serialization, enumeration, sampling -------------------------------
+    # -- serialization and enumeration ---------------------------------------
 
     def encode(self, x: int) -> object:
         """JSON encoding: decimal string (mixed) or coefficient list (equal)."""
@@ -542,9 +539,15 @@ class RingSpec:
             return v
         if not isinstance(obj, (list, tuple)):
             raise RingError(f"equal-characteristic scalar must be a list, got {obj!r}")
-        if any(not 0 <= int(c) < self.p for c in obj):
-            raise RingError("coefficient out of range")
-        return self.from_coeffs([int(c) for c in obj])
+        if len(obj) > self.precision:
+            raise RingError(f"{len(obj)} coefficients, more than the precision {self.precision}")
+        p, w, raw = self.p, self._w, 0
+        for i, c in enumerate(obj):
+            # type, not isinstance: True is an int but not a coefficient
+            if type(c) is not int or not 0 <= c < p:
+                raise RingError(f"coefficient {c!r} is not an integer in [0, {p})")
+            raw |= c << (w * i)
+        return raw
 
     def size(self) -> int:
         return self.p ** self.precision
@@ -555,17 +558,6 @@ class RingSpec:
             return
         for digits in itertools.product(range(self.p), repeat=self.precision):
             yield self.from_coeffs(digits)
-
-    def random_raw(self, rng) -> int:
-        if self.is_mixed:
-            return rng.randrange(self._modulus)
-        return self.from_coeffs([rng.randrange(self.p) for _ in range(self.precision)])
-
-    def random_unit(self, rng) -> int:
-        while True:
-            x = self.random_raw(rng)
-            if self.is_unit(x):
-                return x
 
     def norm(self, x: int) -> "NormValue":
         return NormValue.from_valuation(self, self.val(x))
@@ -592,10 +584,6 @@ class NormValue:
         if v >= ring.precision:
             return cls(ring.p, ring.precision, Fraction(ring.precision), True)
         return cls(ring.p, ring.precision, v, False)
-
-    @classmethod
-    def one(cls, ring: RingSpec) -> "NormValue":
-        return cls(ring.p, ring.precision, Fraction(0), False)
 
     @classmethod
     def saturated_for(cls, ring: RingSpec) -> "NormValue":
@@ -633,13 +621,6 @@ class NormValue:
     def __ge__(self, other: "NormValue") -> bool:
         self._check(other)
         return self._key() <= other._key()
-
-    def __mul__(self, other: "NormValue") -> "NormValue":
-        self._check(other)
-        if self.saturated or other.saturated:
-            return NormValue(self.p, min(self.K, other.K), Fraction(min(self.K, other.K)), True)
-        return NormValue(self.p, min(self.K, other.K), self.exponent + other.exponent,
-                         self.exponent + other.exponent >= min(self.K, other.K))
 
     @property
     def valuation(self) -> int:

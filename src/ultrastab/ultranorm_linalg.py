@@ -90,14 +90,6 @@ class UMatrix:
         one, zero = ring.one, ring.zero
         return cls(ring, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, ring: RingSpec, n: int) -> "UMatrix":
-        return cls(ring, n, tuple((0,) * n for _ in range(n)))
-
-    @classmethod
-    def random(cls, ring: RingSpec, n: int, rng) -> "UMatrix":
-        return cls(ring, n, tuple(tuple(ring.random_raw(rng) for _ in range(n)) for _ in range(n)))
-
     # -- basics -------------------------------------------------------------
 
     def _check(self, other: "UMatrix") -> None:
@@ -160,9 +152,6 @@ class UMatrix:
 
     def min_valuation(self) -> int:
         return self.ring.min_val(self.rows)
-
-    def matnorm(self) -> NormValue:
-        return NormValue.from_valuation(self.ring, self.min_valuation())
 
     def dist_valuation(self, other: Optional["UMatrix"] = None) -> int:
         """min_valuation of self - other, other the identity when None,

@@ -22,7 +22,6 @@ from ultrastab.gbs_criteria import check_pifree_criterion
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
-from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 from ultrastab.witnesses import (
     build_unstable_generators,
@@ -34,7 +33,7 @@ from ultrastab.witnesses import (
     wreath_rep_defect_certificate,
 )
 
-from conftest import bs_graph, shifted_random
+from conftest import bs_graph, matnorm, random_gl, random_matrix, shifted_random
 
 
 def _report(num, label, elapsed, budget):
@@ -48,16 +47,17 @@ def test_criterion_01_norm_laws():
     samples = 10 ** 4
     for mode, p, K, n in (("zp", 2, 8, 3), ("zp", 3, 6, 2), ("fpx", 2, 8, 3)):
         ring = RingSpec(mode, p, K)
-        one = NormValue.one(ring)
-        pool = [UMatrix.random(ring, n, rng) for _ in range(samples)]
+        one = NormValue.from_valuation(ring, 0)
+        pool = [random_matrix(ring, n, rng) for _ in range(samples)]
         units = [random_gl(ring, n, rng) for _ in range(256)]
         for idx, a in enumerate(pool):
             b = pool[(idx + 1) % samples]
             c = pool[(idx + 2) % samples]
             # 1: ultrametric inequality
             assert a.dist(c) <= max(a.dist(b), b.dist(c))
-            # 2: submultiplicativity
-            assert (a @ b).matnorm() <= a.matnorm() * b.matnorm()
+            # 2: submultiplicativity, on valuations
+            va, vb = a.min_valuation(), b.min_valuation()
+            assert (a @ b).min_valuation() >= min(va + vb, K)
             # 3: operator norm equals max column norm on basis vectors
             col_min = min(
                 min((ring.val(a.rows[i][j]) for i in range(n)), default=K)
@@ -66,14 +66,14 @@ def test_criterion_01_norm_laws():
             assert col_min == a.min_valuation()
             u = units[idx % len(units)]
             # 4: GL norm one
-            assert u.matnorm() == one
+            assert matnorm(u) == one
             # 5: perturbation of invertible stays invertible
             shifted = UMatrix(ring, n, tuple(tuple(ring.shift_up(x, 1) for x in row)
                                              for row in b.rows))
             assert (u + shifted).is_gl()
             # 6: two-sided GL invariance
-            assert (u @ a).matnorm() == a.matnorm()
-            assert (a @ u).matnorm() == a.matnorm()
+            assert matnorm(u @ a) == matnorm(a)
+            assert matnorm(a @ u) == matnorm(a)
     elapsed = time.time() - t0
     assert elapsed < 10
     _report(1, f"norm laws, 3 rings x {samples} samples, 0 violations", elapsed, 10)
@@ -275,7 +275,7 @@ def test_criterion_08_commutator_oracle():
     t0 = time.time()
     ring = RingSpec("zp", 2, 3)
     A, B = make_commutator_witness(ring, 2, 1)
-    assert ((A @ B) - (B @ A)).matnorm() == NormValue.from_valuation(ring, 2)
+    assert matnorm((A @ B) - (B @ A)) == NormValue.from_valuation(ring, 2)
     res = commutator_witness_oracle(ring, 2, 1)
     assert res.value == NormValue.from_valuation(ring, 1)  # nearest pair at 2^-1
     elapsed = time.time() - t0

@@ -264,6 +264,21 @@ def test_involution_mode_needs_the_involution_presentation(tmp_path, capsys):
     assert err.count("expects the presentation <s | s s>") == 3 and "Traceback" not in err
 
 
+def test_fpx_coefficient_not_an_integer_exits_2(tmp_path, capsys):
+    # an F_2[X]/(X^4) entry with a coefficient 1.5 is an input error (exit 2,
+    # no output), never read as the coefficient 1
+    ring = RingSpec("fpx", 2, 4)
+    swap = UMatrix.from_int_rows(ring, [[0, 1], [1, 0]])
+    obj = ApproxRep(Presentation.make(["s"], [["s", "s"]]), ring, 2, [swap]).to_json()
+    obj["images"][0][1] = [1.5]
+    path = _write(tmp_path, "frac.json", obj)
+    out_path = tmp_path / "fixed.json"
+    assert main(["repair", path, "--mode", "involution", "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "1.5" in err and "Traceback" not in err
+
+
 def test_index_arguments_below_range_exit_2(tmp_path, capsys):
     # a negative bad-estimate index and a claims range below 1 are input
     # errors: no traceback from p ** i, and no pass after zero checks
@@ -351,21 +366,6 @@ def test_cmd_claims(capsys):
     assert main(["claims", "--max-i", "2", "--p", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["passed"] is True
-
-
-def test_cmd_proptest(capsys):
-    assert main(["proptest", "ring-laws", "--samples", "50"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["violations"] == 0
-
-
-def test_cmd_proptest_needs_a_sample(capsys):
-    # a suite run on no samples checks nothing: an input error, not a pass
-    for samples in ("0", "-5"):
-        assert main(["proptest", "ring-laws", "--samples", samples]) == 2
-    out, err = capsys.readouterr()
-    assert err.count("--samples must be >= 1") == 2 and "Traceback" not in err
-    assert out == ""
 
 
 def _monomial_files(tmp_path):
@@ -598,7 +598,6 @@ def test_cap_flags_only_where_a_cap_is_read(tmp_path, monkeypatch, capsys):
         "monomial": ["monomial", rep_path, rep_path],
         "gbs": ["gbs", graph, "--p", "3"],
         "claims": ["claims"],
-        "proptest": ["proptest", "ring-laws"],
     }
     kept = {"repair": {"closure"}, "witness": {"enum", "dim", "wreath-index"},
             "claims": {"wreath-index"}}

@@ -13,10 +13,9 @@ from ultrastab.local_ring import (
     RingError,
     RingSpec,
 )
-from ultrastab.proptests import _schoolbook
 from ultrastab.ultranorm_linalg import UMatrix
 
-from conftest import norm_power
+from conftest import norm_power, random_raw, random_unit, schoolbook
 
 
 def test_ring_validation():
@@ -62,7 +61,7 @@ def test_equal_char_inverse():
     r = RingSpec(EQUAL_CHAR, 3, 5)
     rng = random.Random(1)
     for _ in range(100):
-        x = r.random_unit(rng)
+        x = random_unit(r, rng)
         assert r.mul(x, r.inv(x)) == r.one
         assert r.inv(r.inv(x)) == x
 
@@ -73,7 +72,7 @@ def test_valuation_laws(mode, p, K):
     r = RingSpec(mode, p, K)
     rng = random.Random(2)
     for _ in range(300):
-        x, y = r.random_raw(rng), r.random_raw(rng)
+        x, y = random_raw(r, rng), random_raw(r, rng)
         vx, vy = r.val(x), r.val(y)
         vs = r.val(r.add(x, y))
         assert vs >= min(vx, vy)
@@ -86,7 +85,7 @@ def test_inv_antihomomorphism():
     r = RingSpec(EQUAL_CHAR, 2, 6)
     rng = random.Random(3)
     for _ in range(50):
-        x, y = r.random_unit(rng), r.random_unit(rng)
+        x, y = random_unit(r, rng), random_unit(r, rng)
         assert r.inv(r.mul(x, y)) == r.mul(r.inv(y), r.inv(x))
 
 
@@ -95,8 +94,19 @@ def test_codec_roundtrip(mode):
     r = RingSpec(mode, 3, 4)
     rng = random.Random(4)
     for _ in range(100):
-        x = r.random_raw(rng)
+        x = random_raw(r, rng)
         assert r.decode(r.encode(x)) == x
+
+
+def test_equal_char_decode_is_strict():
+    # a coefficient is an int in [0, p), and there are at most K of them;
+    # a shorter list is padded with zeros
+    r = RingSpec(EQUAL_CHAR, 5, 4)
+    assert r.decode([0, 1]) == r.from_coeffs([0, 1, 0, 0]) == r.omega_pow(1)
+    assert r.decode([]) == 0
+    for bad in ([1.5], [4.99], [True], ["3"], [0, 1, 2, 3, 4], [5], [-1]):
+        with pytest.raises(RingError):
+            r.decode(bad)
 
 
 def test_shift_updown():
@@ -112,10 +122,10 @@ def test_shift_updown():
 
 def test_reduce():
     r = RingSpec(MIXED_CHAR, 2, 6)
-    assert r.reduce_raw(43, 3) == 3
+    assert r.row_reduce([43], 3) == [3]
     r2 = RingSpec(EQUAL_CHAR, 2, 6)
     x = r2.from_coeffs([1, 0, 1, 1, 0, 1])
-    assert r2.with_precision(3).to_coeffs(r2.reduce_raw(x, 3)) == [1, 0, 1]
+    assert [r2.with_precision(3).to_coeffs(y) for y in r2.row_reduce([x], 3)] == [[1, 0, 1]]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -124,26 +134,24 @@ def test_equal_char_shift_reduce_odd_p(p):
     r = RingSpec(EQUAL_CHAR, p, 6)
     rng = random.Random(17)
     for _ in range(200):
-        x = r.random_raw(rng)
-        y = r.random_raw(rng)
+        x = random_raw(r, rng)
+        y = random_raw(r, rng)
         k = rng.randrange(0, 6)
         assert r.shift_up(x, k) == r.mul(x, r.omega_pow(k))
         m = rng.randrange(1, 7)
         rm = r.with_precision(m)
-        assert r.reduce_raw(r.mul(x, y), m) == rm.mul(r.reduce_raw(x, m),
-                                                      r.reduce_raw(y, m))
-        assert r.reduce_raw(r.add(x, y), m) == rm.add(r.reduce_raw(x, m),
-                                                      r.reduce_raw(y, m))
+        xm, ym, pm, sm = r.row_reduce([x, y, r.mul(x, y), r.add(x, y)], m)
+        assert pm == rm.mul(xm, ym)
+        assert sm == rm.add(xm, ym)
 
 
 def test_norm_ordering():
     r = RingSpec(MIXED_CHAR, 2, 6)
-    one = NormValue.one(r)
+    one = NormValue.from_valuation(r, 0)
     small = NormValue.from_valuation(r, 3)
     sat = NormValue.saturated_for(r)
     assert sat < small < one
     assert sat <= sat and sat == NormValue.from_valuation(r, 6)
-    assert (small * small) == NormValue.saturated_for(r)
     assert norm_power(small, 2).saturated
 
 
@@ -280,7 +288,7 @@ def test_ring_ops_match_reference(case, data):
     if k < K:
         assert _plain(ring, ring.shift_down(shifted, k)) == _ref_truncate(ring, a, K - k)
     m = data.draw(st.integers(1, K))
-    low = ring.reduce_raw(x, m)
+    (low,) = ring.row_reduce([x], m)
     assert _plain(ring.with_precision(m), low) == _ref_truncate(ring.with_precision(m), a, m)
     lifted = UMatrix(ring.with_precision(m), 1, ((low,),)).lift_to(ring)
     assert _plain(ring, lifted.rows[0][0]) == _ref_truncate(ring, a, m)
@@ -358,10 +366,10 @@ def test_large_p_products(p, K, n):
 
 
 def _school_dot(ring, xs, ys):
-    """Sum of products by proptests._schoolbook, term by term."""
+    """Sum of products by conftest.schoolbook, term by term."""
     acc = 0
     for x, y in zip(xs, ys):
-        acc = _schoolbook(ring, acc, _schoolbook(ring, x, y)[1])[0]
+        acc = schoolbook(ring, acc, schoolbook(ring, x, y)[1])[0]
     return acc
 
 
@@ -374,16 +382,16 @@ def test_largest_slot_sums(p):
     ring = RingSpec(EQUAL_CHAR, p, K_MAX)
     top = ring.from_coeffs([p - 1] * K_MAX)
     ones = ring.from_coeffs([1] * K_MAX)       # -ones = top
-    assert ring.mul(top, top) == _schoolbook(ring, top, top)[1]
+    assert ring.mul(top, top) == schoolbook(ring, top, top)[1]
     xs = [top] + [0] * (SUM_TERMS - 1) + [top] * SUM_TERMS
     ys = [ring.one] + [0] * (SUM_TERMS - 1) + [top] * SUM_TERMS
     for n in (SUM_TERMS, 2 * SUM_TERMS):
         assert ring.dot(xs[-n:], ys[-n:]) == _school_dot(ring, xs[-n:], ys[-n:])
     minus = ring.from_int(p - 1)
     for f in (ones, top):
-        neg_f = _schoolbook(ring, minus, f)[1]
+        neg_f = schoolbook(ring, minus, f)[1]
         assert ring.row_submul([top] * 3, f, [top] * 3) == \
-            [_schoolbook(ring, top, _schoolbook(ring, neg_f, top)[1])[0]] * 3
+            [schoolbook(ring, top, schoolbook(ring, neg_f, top)[1])[0]] * 3
     for n in (SUM_TERMS, SUM_TERMS + 1):
         m = UMatrix(ring, n, ((top,) * n,) * n)
         assert set((m @ m).rows) == {(_school_dot(ring, [top] * n, [top] * n),) * n}
@@ -410,19 +418,3 @@ def test_equal_char_precision_cap():
         RingSpec(EQUAL_CHAR, 2, K_MAX + 1)
     RingSpec(MIXED_CHAR, 2, K_MAX + 1)
 
-
-def test_ring_laws_check_values(monkeypatch):
-    # a product with one wrong high digit but the right valuation, on
-    # non-units only, so that the valuation and inverse laws cannot see it
-    from ultrastab import proptests
-    mul = RingSpec.mul
-
-    def corrupt(self, x, y):
-        out = mul(self, x, y)
-        if 1 <= self.val(out) < self.precision - 1:
-            out = self.add(out, self.omega_pow(self.precision - 1))
-        return out
-
-    monkeypatch.setattr(RingSpec, "mul", corrupt)
-    for mode in (MIXED_CHAR, EQUAL_CHAR):
-        assert proptests.ring_laws(RingSpec(mode, 3, 6), 100, random.Random(5)) > 0

@@ -13,10 +13,9 @@ import pytest
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
-from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix, solve_linear
 
-from conftest import matrix_power, shifted_random
+from conftest import matrix_power, random_raw, shifted_random
 
 
 def test_repair_matches_bruteforce_gl1():
@@ -152,8 +151,8 @@ def test_solve_linear_rectangular(rng):
     ring = RingSpec("zp", 2, 4)
     for _ in range(30):
         nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
-        rows = [[ring.random_raw(rng) for _ in range(nc)] for _ in range(nr)]
-        x = [ring.random_raw(rng) for _ in range(nc)]
+        rows = [[random_raw(ring, rng) for _ in range(nc)] for _ in range(nr)]
+        x = [random_raw(ring, rng) for _ in range(nc)]
         b = [ring.dot(r, x) for r in rows]
         x = solve_linear(rows, b, ring)
         assert [ring.dot(r, x) for r in rows] == b

@@ -10,23 +10,25 @@ at p in {2, 3, 5}.  A change that moves any output bit, ledger level or
 step method fails here; a change meant to do so must say so and re-pin.
 """
 
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import ultrastab
 from ultrastab.certificates import canonical_json
 from ultrastab.char2_involutions import involution_repair
 from ultrastab.cli import main
 from ultrastab.homrepair import GogEdge, GogVertex, GraphOfGroups, graph_repair, repair_finite_image
 from ultrastab.local_ring import RingSpec
 from ultrastab.presentations import ApproxRep, Presentation
-from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 from ultrastab.witnesses import hdist_lowerbound_diag
 
-from conftest import shifted_random
+from conftest import random_gl, shifted_random
 
 
 def _perm(images):
@@ -269,3 +271,18 @@ def test_pinned_hdist_lowerbound(case):
         hdist_lowerbound_diag(p, i, x, ring).to_json()).encode()).hexdigest()
         for x in HDIST_CASES[case]}
     assert got == HDIST_CASES[case]
+
+
+def test_package_draws_no_random_numbers():
+    # the outputs pinned here are deterministic by construction: no module of
+    # the package imports random or takes a generator as a parameter rng
+    for path in sorted(Path(ultrastab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.arg):
+                assert node.arg != "rng", f"{path.name}:{node.lineno} takes a parameter rng"
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "random" for a in node.names), \
+                    f"{path.name}:{node.lineno} imports random"
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                assert node.module.split(".")[0] != "random", \
+                    f"{path.name}:{node.lineno} imports random"

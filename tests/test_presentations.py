@@ -13,10 +13,9 @@ from ultrastab.presentations import (
     Word,
     closure_of_matrices,
 )
-from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import UMatrix
 
-from conftest import class_product, shifted_random
+from conftest import class_product, random_gl, shifted_random
 
 
 def _image(rep, m):

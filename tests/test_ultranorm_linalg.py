@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ultrastab.local_ring import NormValue, RingError, RingSpec
-from ultrastab.proptests import random_gl
 from ultrastab.ultranorm_linalg import (
     MonomialBoundExceeded,
     NonInvertible,
@@ -18,15 +17,17 @@ from ultrastab.ultranorm_linalg import (
     solve_linear,
 )
 
+from conftest import matnorm, random_gl, random_matrix, random_raw, random_unit, zero_matrix
+
 
 
 def test_matnorm_examples():
     ring = RingSpec("zp", 2, 4)
     ident = UMatrix.identity(ring, 2)
-    assert ident.matnorm() == NormValue.one(ring)
+    assert matnorm(ident) == NormValue.from_valuation(ring, 0)
     a = UMatrix.from_int_rows(ring, [[4, 0], [0, 8]])
-    assert a.matnorm() == NormValue.from_valuation(ring, 2)
-    assert UMatrix.zero(ring, 2).matnorm().saturated
+    assert matnorm(a) == NormValue.from_valuation(ring, 2)
+    assert matnorm(zero_matrix(ring, 2)).saturated
 
 
 def test_matinv_examples():
@@ -58,8 +59,8 @@ def test_dist_examples(rng):
     assert ident.dist(ident + e12) == NormValue.from_valuation(ring, 2)
     # conjugation invariance
     for _ in range(25):
-        a = UMatrix.random(ring, 2, rng)
-        b = UMatrix.random(ring, 2, rng)
+        a = random_matrix(ring, 2, rng)
+        b = random_matrix(ring, 2, rng)
         p_ = random_gl(ring, 2, rng)
         pinv = p_.inv()
         assert (p_ @ a @ pinv).dist(p_ @ b @ pinv) == a.dist(b)
@@ -68,7 +69,7 @@ def test_dist_examples(rng):
 def test_congruence_coords():
     ring = RingSpec("zp", 2, 6)
     ident = UMatrix.identity(ring, 2)
-    assert ident.congruence_coords(3).rows == UMatrix.zero(ring, 2).rows
+    assert ident.congruence_coords(3).rows == zero_matrix(ring, 2).rows
     a = UMatrix.from_int_rows(ring, [[5, 0], [0, 1]])
     m = a.congruence_coords(2)
     assert m.rows == ((1, 0), (0, 0))
@@ -83,8 +84,8 @@ def test_congruence_group_law(rng):
         ring = RingSpec(mode, 2, 8)
         k = 3
         for _ in range(25):
-            m1 = UMatrix.random(ring, 2, rng)
-            m2 = UMatrix.random(ring, 2, rng)
+            m1 = random_matrix(ring, 2, rng)
+            m2 = random_matrix(ring, 2, rng)
             a, b = m1.congruence_lift(k), m2.congruence_lift(k)
             lhs = (a @ b).congruence_coords(k)
             rhs = a.congruence_coords(k) + b.congruence_coords(k)
@@ -182,7 +183,7 @@ def test_smith_reconstruction(rng):
     for mode, p, K, n in [("zp", 2, 5, 3), ("zp", 3, 4, 4), ("fpx", 2, 5, 3)]:
         ring = RingSpec(mode, p, K)
         for _ in range(40):
-            a = UMatrix.random(ring, n, rng)
+            a = random_matrix(ring, n, rng)
             # with the identity as side block, smith_raw returns U itself
             U, V, diag = smith_raw(ring, a.rows, UMatrix.identity(ring, n).rows)
             U, V = UMatrix.from_rows(ring, U), UMatrix.from_rows(ring, V)
@@ -209,8 +210,8 @@ def test_solve_random_verified(rng):
     ring = RingSpec("zp", 2, 5)
     for _ in range(40):
         n = rng.randrange(1, 5)
-        a = UMatrix.random(ring, n, rng)
-        x = [ring.random_raw(rng) for _ in range(n)]
+        a = random_matrix(ring, n, rng)
+        x = [random_raw(ring, rng) for _ in range(n)]
         b = [ring.dot(row, x) for row in a.rows]
         got = solve_linear(a.rows, b, ring)
         check = [ring.dot(row, got) for row in a.rows]
@@ -234,7 +235,7 @@ def _solver_systems(draw):
 
     def entry():
         v = rng.choice([0, 0, 0, 1, 2, K, rng.randrange(K + 1)])
-        return ring.shift_up(ring.random_raw(rng), v)
+        return ring.shift_up(random_raw(ring, rng), v)
 
     rows = []
     for i in range(nr):
@@ -247,7 +248,7 @@ def _solver_systems(draw):
         else:
             rows.append([entry() for _ in range(nc)])
     if draw(st.booleans()):
-        x = [ring.random_raw(rng) for _ in range(nc)]
+        x = [random_raw(ring, rng) for _ in range(nc)]
         b = [ring.dot(r, x) for r in rows]
     else:
         b = [entry() for _ in range(nr)]
@@ -343,7 +344,7 @@ def _kernel_matrix(ring, n, rng, extreme):
     every coefficient p - 1 in F_p[X]/(X^K)."""
     top = ring.from_int(-1) if ring.is_mixed else ring.from_coeffs([ring.p - 1] * ring.precision)
     return UMatrix(ring, n, tuple(tuple(top if extreme and rng.random() < 0.8
-                                        else ring.random_raw(rng) for _ in range(n))
+                                        else random_raw(ring, rng) for _ in range(n))
                                   for _ in range(n)))
 
 
@@ -383,7 +384,7 @@ def _entry_pair(ring, n, rng, kind):
     saturated), or b above a in every entry (in every coefficient in
     F_p[X]/(X^K)), so that each nonzero a - b wraps below 0."""
     if kind == "zero":
-        return UMatrix.zero(ring, n), UMatrix.zero(ring, n)
+        return zero_matrix(ring, n), zero_matrix(ring, n)
     b = _kernel_matrix(ring, n, rng, kind == "extreme")
     if kind != "wrap":
         return _kernel_matrix(ring, n, rng, kind == "extreme"), b
@@ -418,7 +419,7 @@ def test_entrywise_ops_match_ring(mode, p, K, n, kind, seed):
     assert (a - b).rows == _entrywise(ring.sub, a.rows, b.rows)
     assert (b - a).rows == _entrywise(ring.sub, b.rows, a.rows)
     assert (-a).rows == _entrywise(ring.neg, a.rows)
-    for c in (ring.random_raw(rng), b.rows[0][0], 0, 1):
+    for c in (random_raw(ring, rng), b.rows[0][0], 0, 1):
         assert a.scale(c).rows == _entrywise(lambda x: ring.mul(c, x), a.rows)
         assert [ring.row_submul(ra, c, rb) for ra, rb in zip(a.rows, b.rows)] == \
             [[ring.sub(x, ring.mul(c, y)) for x, y in zip(ra, rb)]
@@ -426,7 +427,7 @@ def test_entrywise_ops_match_ring(mode, p, K, n, kind, seed):
     m = rng.randint(1, K)
     red = a.reduce(m)
     assert red.ring == ring.with_precision(m)
-    assert red.rows == _entrywise(lambda x: ring.reduce_raw(x, m), a.rows)
+    assert red.rows == _entrywise(lambda x: ring.low_part(x, m), a.rows)
     ident = UMatrix.identity(ring, n)
     assert a.min_valuation() == _least_val(ring, a.rows)
     assert a.dist_valuation(b) == _least_val(ring, _entrywise(ring.sub, a.rows, b.rows))
@@ -492,8 +493,8 @@ def test_monomial_commutant_swap_example():
     d_mat = UMatrix.from_int_rows(ring, [[5, 0], [0, 9]])
     out = nearest_monomial_commutant(p_mat, d_mat)
     assert out.rows == ((5, 0), (0, 5))
-    eps = ((p_mat @ d_mat) - (d_mat @ p_mat)).matnorm()
-    assert (d_mat - out).matnorm() == eps  # |5 - 9| = 2^-2 both sides
+    eps = matnorm((p_mat @ d_mat) - (d_mat @ p_mat))
+    assert matnorm(d_mat - out) == eps  # |5 - 9| = 2^-2 both sides
 
 
 def test_monomial_commutant_commuting_input():
@@ -515,7 +516,7 @@ def _cycle_monomial(ring, n, rng):
         perm[a] = b
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][perm[i]] = ring.random_unit(rng)
+        rows[i][perm[i]] = random_unit(ring, rng)
     return UMatrix(ring, n, tuple(tuple(r) for r in rows))
 
 
@@ -525,11 +526,11 @@ def test_monomial_commutant_random(rng):
         for _ in range(60):
             n = rng.randrange(2, 7)
             p_mat = _cycle_monomial(ring, n, rng)
-            d_mat = UMatrix.random(ring, n, rng)
+            d_mat = random_matrix(ring, n, rng)
             out = nearest_monomial_commutant(p_mat, d_mat)
             assert ((p_mat @ out) - (out @ p_mat)).min_valuation() >= K
-            eps = ((p_mat @ d_mat) - (d_mat @ p_mat)).matnorm()
-            assert (d_mat - out).matnorm() <= eps
+            eps = matnorm((p_mat @ d_mat) - (d_mat @ p_mat))
+            assert matnorm(d_mat - out) <= eps
 
 
 def test_monomial_commutant_unit_scaled_permutations(rng):
@@ -543,11 +544,11 @@ def test_monomial_commutant_unit_scaled_permutations(rng):
         for i in range(n):
             rows[i][perm[i]] = 1
         p_mat = UMatrix(ring, n, tuple(tuple(r) for r in rows))
-        d_mat = UMatrix.random(ring, n, rng)
+        d_mat = random_matrix(ring, n, rng)
         out = nearest_monomial_commutant(p_mat, d_mat)
         assert ((p_mat @ out) - (out @ p_mat)).min_valuation() >= 5
-        eps = ((p_mat @ d_mat) - (d_mat @ p_mat)).matnorm()
-        assert (d_mat - out).matnorm() <= eps
+        eps = matnorm((p_mat @ d_mat) - (d_mat @ p_mat))
+        assert matnorm(d_mat - out) <= eps
 
 
 def test_monomial_commutant_wraparound_obstruction():
