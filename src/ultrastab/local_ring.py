@@ -531,12 +531,18 @@ class RingSpec:
 
     def decode(self, obj: object) -> int:
         if self.is_mixed:
-            if not isinstance(obj, str):
-                raise RingError(f"mixed-characteristic scalar must be a string, got {obj!r}")
-            v = int(obj)
-            if not 0 <= v < self._modulus:
-                raise RingError(f"scalar {v} out of canonical range")
-            return v
+            # only the writer's spelling str(v): int() also reads " 43", "+43",
+            # "4_3", "043" and other scripts' digits as 43
+            if (isinstance(obj, str) and obj.isascii() and obj.isdigit()
+                    and (obj[0] != "0" or obj == "0")):
+                try:
+                    v = int(obj)
+                except ValueError:  # more digits than int() reads
+                    v = self._modulus
+                if v < self._modulus:
+                    return v
+            raise RingError(f"scalar {obj!r} is not a decimal string of an integer "
+                            f"in [0, {self.p}^{self.precision})")
         if not isinstance(obj, (list, tuple)):
             raise RingError(f"equal-characteristic scalar must be a list, got {obj!r}")
         if len(obj) > self.precision:

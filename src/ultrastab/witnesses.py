@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .local_ring import NormValue, RingSpec
 from .presentations import ApproxRep, CapExceeded, Presentation
-from .ultranorm_linalg import UMatrix
+from .ultranorm_linalg import UMatrix, Unsolvable, solve_linear
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIM_CAP = 128
@@ -705,27 +705,33 @@ def _ball_matrices(center: UMatrix, level: int):
     K = ring.precision
     offsets = ([ring.shift_up(raw, level) for raw in ring.with_precision(K - level).iter_all()]
                if level < K else [0])
-    entries = [list(row) for row in center.rows]
-    slots = [(i, j) for i in range(n) for j in range(n)]
-    for combo in itertools.product(offsets, repeat=len(slots)):
-        rows = [row[:] for row in entries]
-        for (i, j), off in zip(slots, combo):
-            rows[i][j] = ring.add(rows[i][j], off)
-        yield UMatrix(ring, n, tuple(tuple(r) for r in rows))
+    cells = [[ring.add(c, off) for off in offsets] for row in center.rows for c in row]
+    for combo in itertools.product(*cells):
+        yield UMatrix(ring, n, tuple(combo[i:i + n] for i in range(0, n * n, n)))
 
 
-class _Replay:
-    """An iterator's items, drawn once: each pass replays what earlier passes
-    drew, then draws on."""
+def _has_partner(b1: UMatrix, cb: UMatrix, level: int) -> bool:
+    """Whether b1 commutes mod w^K with some cb + w^level Y, 0 < level <= K.
 
-    def __init__(self, items):
-        self._items, self._seen = items, []
-
-    def __iter__(self):
-        yield from self._seen
-        for x in self._items:
-            self._seen.append(x)
-            yield x
+    That reads w^level (b1 Y - Y b1) = cb b1 - b1 cb: n^2 linear equations
+    in the n^2 entries of Y, one solve.  It is b1 Y - Y b1 = -C / w^level
+    over o/w^(K - level), C = b1 cb - cb b1, so there is no partner unless
+    w^level divides C; at level K that is C = 0.
+    """
+    ring, n = b1.ring, b1.n
+    r = b1.scale(ring.omega_pow(level)).rows
+    rows = []
+    for i in range(n):
+        for j, col in enumerate(zip(*r)):  # the equation of entry (i, j)
+            b1_y, y_b1 = [0] * (n * n), [0] * (n * n)
+            b1_y[j::n] = r[i]               # (b1 Y)_ij reads Y_kj
+            y_b1[i * n:i * n + n] = col     # (Y b1)_ij reads Y_il
+            rows.append(ring.row_sub(b1_y, y_b1))
+    try:
+        solve_linear(rows, [c for row in ((cb @ b1) - (b1 @ cb)).rows for c in row], ring)
+    except Unsolvable:
+        return False
+    return True
 
 
 def commutator_witness_oracle(ring: RingSpec, n: int, a: int,
@@ -735,39 +741,36 @@ def commutator_witness_oracle(ring: RingSpec, n: int, a: int,
     Minimizes max(||(I+A) - B1||, ||(I+B) - B2||) over all commuting
     invertible pairs, by descending over congruence balls: the minimum is
     p^{-m} for the deepest level m at which a commuting pair exists in the
-    two balls.  Searching each ball exhaustively keeps the result exact.
-    Each matrix of the second ball is built, and tested for invertibility,
-    once per level rather than once per matrix of the first, and only as
-    far as the search reads it.
+    two balls.  The search stays exhaustive, so the result is exact, and
+    pairs_scanned counts the pairs a scan of each ball pair meets, in
+    order, up to the first commuting one.  It descends from m = K and
+    stops by m = min(a, K) >= 1, where I lies in both balls, so every
+    matrix it meets is in I + w M_n(o) and invertible.  Whether b1 has a
+    partner is one linear solve (_has_partner): a b1 without one adds the
+    ball's size to the count unscanned.  Cost per level: one O(n^6) solve
+    for each first-ball matrix up to the first one with a partner, plus at
+    most |ball| pair tests.  The cap bounds |ball|^2, the pairs counted, on
+    reaching a level, not the work done.
     """
     A, B = make_commutator_witness(ring, n, a)
     ident = UMatrix.identity(ring, n)
     ca, cb = ident + A, ident + B
     K = ring.precision
     pairs = 0
-    for level in range(K, -1, -1):
-        if level < K:
-            ball_size = ring.p ** ((K - level) * n * n)
-            if ball_size ** 2 > cap:
-                raise CapExceeded(
-                    f"ball search at level {level} needs {ball_size ** 2} pairs")
-        found = False
-        second = _Replay((b2, b2.is_gl()) for b2 in _ball_matrices(cb, level))
+    for level in range(K, 0, -1):
+        ball_size = ring.p ** ((K - level) * n * n)
+        if level < K and ball_size ** 2 > cap:
+            raise CapExceeded(
+                f"ball search at level {level} needs {ball_size ** 2} pairs")
         for b1 in _ball_matrices(ca, level):
-            if not b1.is_gl():
+            if not _has_partner(b1, cb, level):
+                pairs += ball_size
                 continue
-            for b2, gl in second:
+            for b2 in _ball_matrices(cb, level):
                 pairs += 1
-                if not gl:
-                    continue
                 if (b1 @ b2).rows == (b2 @ b1).rows:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            value = (NormValue.saturated_for(ring) if level >= K
-                     else NormValue.from_valuation(ring, level))
-            return CommutatorOracleResult(value=value, pairs_scanned=pairs,
-                                          feasible_level=level)
-    raise WitnessError("even the radius-1 ball contains no commuting pair")
+                    value = (NormValue.saturated_for(ring) if level == K
+                             else NormValue.from_valuation(ring, level))
+                    return CommutatorOracleResult(value=value, pairs_scanned=pairs,
+                                                  feasible_level=level)
+    raise AssertionError("(I, I) commutes in the balls of level min(a, K)")

@@ -279,6 +279,23 @@ def test_fpx_coefficient_not_an_integer_exits_2(tmp_path, capsys):
     assert err.startswith("input error:") and "1.5" in err and "Traceback" not in err
 
 
+def test_zp_scalar_not_canonical_exits_2(tmp_path, capsys):
+    # a Z/2^4 entry spelt "+1", "01" or " 1" is an input error (exit 2, no
+    # output), never read as 1
+    ring = RingSpec("zp", 2, 4)
+    swap = UMatrix.from_int_rows(ring, [[0, 1], [1, 0]])
+    obj = ApproxRep(Presentation.make(["s"], [["s", "s"]]), ring, 2, [swap]).to_json()
+    out_path = tmp_path / "fixed.json"
+    for spelling in ("+1", "01", " 1"):
+        obj["images"][0][1] = spelling
+        path = _write(tmp_path, "noncanonical.json", obj)
+        assert main(["repair", path, "--mode", "finite-image", "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and repr(spelling) in err
+        assert "Traceback" not in err
+
+
 def test_index_arguments_below_range_exit_2(tmp_path, capsys):
     # a negative bad-estimate index and a claims range below 1 are input
     # errors: no traceback from p ** i, and no pass after zero checks

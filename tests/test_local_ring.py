@@ -109,6 +109,17 @@ def test_equal_char_decode_is_strict():
             r.decode(bad)
 
 
+def test_mixed_char_decode_is_strict():
+    # a scalar is exactly str(v) for some v in [0, p^K): int() would read
+    # each of the bad spellings below as 43 (or 0)
+    r = RingSpec(MIXED_CHAR, 2, 8)
+    assert [r.decode(str(v)) for v in range(256)] == list(range(256))
+    for bad in (" 43", "43 ", "+43", "4_3", "043", "00", "\u0664\u0663", "\uff14\uff13",
+                "-1", "256", "", "4.3", "1" * 5000, 43, None, ["43"]):
+        with pytest.raises(RingError):
+            r.decode(bad)
+
+
 def test_shift_updown():
     r = RingSpec(MIXED_CHAR, 2, 6)
     assert r.shift_up(3, 2) == 12

@@ -5,7 +5,8 @@ fixed-seed set of finite-image repairs (p prime to |C| and p dividing
 |C|) and of BS(2,3) graph repairs, and of the repaired matrix for a
 fixed-seed set of characteristic-2 involution repairs (perturbed conjugates
 of block swaps over F_2[X]/(X^K)), of the certificate of a few Z/p^K
-bad-estimate and wreath witnesses, and of the diagonal Hdist lower bound
+bad-estimate and wreath witnesses, of the artifact and certificate of a
+few commutator witnesses, and of the diagonal Hdist lower bound
 at p in {2, 3, 5}.  A change that moves any output bit, ledger level or
 step method fails here; a change meant to do so must say so and re-pin.
 """
@@ -225,6 +226,33 @@ def test_pinned_wreath_certificate(case, tmp_path):
                  "--cert", str(cert)]) == 0
     digest = hashlib.sha256(canonical_json(json.loads(cert.read_text())).encode()).hexdigest()
     assert digest == WREATH_CASES[case]
+
+
+COMMUTATOR_CASES = {   # (mode, p, K, n, a) -> SHA-256 of the witness artifact and certificate
+    # 262 pairs
+    ("zp", 2, 3, 2, 1): ("d8ef19a31506a148b5265f9d84461999f42d7aa5f3d346389c6acc300caf0b41",
+                         "5a569dd4e77b26595a17be20458cb7dbdcc7013e1d8d7aaa89a84536de1ef292"),
+    # 266 pairs
+    ("fpx", 2, 3, 2, 1): ("d574103574304736b3ccd72f63eee9e47df9dcbcd894ec0cfca77f6d655f234b",
+                          "8f8d30aab2ed9b0feb205fab33998639b80f3ffce17f6dc52740ec627d80f677"),
+    # 65,818 pairs
+    ("zp", 2, 4, 2, 1): ("29765352401310184176b982aef7a1295670e52d20342b3cf0da67c62d1f0344",
+                         "05e60122544d350b5baae6f37fdf15ba1eaa839c48e4fad96120c0f06fb3fc15"),
+    # 65,802 pairs, feasible at level 2
+    ("zp", 2, 5, 2, 2): ("88fcad84fef7ae887d078fca00e8e60f62ccad7b6f5395b0c27358d07108be8e",
+                         "ea98dbf9650068439e5be2ef25e7d6f0a1596e591a7aad8912633f65afe44123"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMUTATOR_CASES))
+def test_pinned_commutator_witness(case, tmp_path):
+    mode, p, K, n, a = case
+    out, cert = tmp_path / "w.json", tmp_path / "c.json"
+    assert main(["witness", "--kind", "commutator", "--ring", mode, "--p", str(p),
+                 "--precision", str(K), "--n", str(n), "--a", str(a),
+                 "--out", str(out), "--cert", str(cert)]) == 0
+    assert tuple(hashlib.sha256(canonical_json(json.loads(f.read_text())).encode()).hexdigest()
+                 for f in (out, cert)) == COMMUTATOR_CASES[case]
 
 
 # (p, i) -> {x: SHA-256 of the diagonal lower bound's JSON over Z/p^12}; at
