@@ -515,8 +515,7 @@ def _first_difference(said, got, path: str):
 
 def cmd_defect(args) -> int:
     rep = _load_rep(args.rep)
-    dists = [NormValue.from_valuation(rep.ring, rep.eval_word(r).dist_valuation())
-             for r in rep.presentation.relators]
+    dists = [NormValue.from_valuation(rep.ring, v.dist_valuation()) for v in rep.relator_values()]
     report = {
         "schema_version": 1,
         "kind": "defect_report",

@@ -17,16 +17,20 @@ right Cayley table and that table's inverse columns, so a product in C by
 a letter x_g^{+-1} (the Schreier edges, the classes sd, the Fox
 prefixes) is one table read and costs no matmul, and an inverse class
 walks its tree word.  The lifting loop reads only that list and the
-section sigma that the generator images span along C's tree, one section
-per step.  One step at level k, j = k - l,
-takes one of two methods, chosen by l alone, and costs in n x n matmuls:
+section sigma that the generator images span along C's tree, built once
+to start and then by a step only where it is read.  One step at level k,
+j = k - l, takes one of two methods, chosen by l alone, and costs in
+n x n matmuls:
 
-- both: the corrected generators' section (N) and the list's level, min
-  over r of val(rho(r) - I): sum (|r| - 1) matmuls on R, one per
-  Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
+- both: the list's level, min over r of val(rho(r) - I): at most
+  sum (|r| - 1) matmuls on R (a power u^e takes |u| - 1 + O(log e)), one
+  per Schreier relator (sigma(h) rho(g) against sigma(hg)), which is the
   all-pairs level of the section.  That level must reach min(2j, K).
-  The list is evaluated once per level: this re-measure's values are the
-  next step's input;
+  The corrected generators' section (fewer than N) is built before that
+  re-measure on the Schreier list, which reads it, and after it on R
+  only when a next step follows.  The list is evaluated once per level:
+  each re-measure's values are the next step's input, and a repair's
+  input defect on R gives the first step's;
 - l = 0, averaging: the cocycle row sums b(s) at the classes s != e,
   each an integer combination, fixed once per repair, of the values
   E(h, g) = coords_j(sigma(h) rho(g) sigma(hg)^{-1} - I) on C's Cayley
@@ -50,7 +54,9 @@ x and y agreeing at level k, T = I + w^{k-l} X with T x = y T is the
 Sylvester system y X x^{-1} - X = -coords(y x^{-1}), linear in X, so one
 solve of n^2 equations in n^2 unknowns (O(n^6)) after three closures of N
 matmuls reaches the working precision with no doubling.  Nothing is
-trusted: every step re-measures the defect and distance it claims.
+trusted: every step re-measures the defect and distance it claims, and
+the image order is the output's on C, read from its kernel, which lies
+where the first section is I mod w^{k-l}.
 """
 
 from __future__ import annotations
@@ -181,9 +187,7 @@ def _relator_list(C: FiniteImage, relators: Sequence[Word]) -> _Relators:
             _presented[key] = (cap, None)
     if tree is not None and len(tree) == C.order and most < cap:
         return _Relators(tuple(relators))
-    tree_words: List[Word] = [Word.identity()]
-    for parent, g in C.tree[1:]:
-        tree_words.append(Word(tree_words[parent].letters + (g + 1,)))
+    tree_words = [_tree_word(C, c) for c in range(C.order)]
     edges = tuple((h, g, t) for h in range(C.order) for g in range(ngens)
                   if C.tree[t := C.right[h][g]] != (h, g))
     return _Relators(tuple(Word.make(tree_words[h].letters + (g + 1,))
@@ -230,17 +234,18 @@ def _averaging_weights(C: FiniteImage):
 
 
 def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
-                    sigma: Sequence[UMatrix]) -> List[Tuple[UMatrix, int]]:
+                    sigma: Optional[Sequence[UMatrix]]) -> List[Tuple[UMatrix, int]]:
     """(a, t) per relator r, with rho(r) = a sigma(t)^{-1}.
 
-    A word of the group's list is evaluated by `word_value`, |r| - 1
-    matmuls and t = e; a Schreier relator is sigma(h) rho(g) against
-    sigma(hg), one matmul each with h != e.
+    A word of the group's list is evaluated by `word_value`, at most |r| - 1
+    matmuls (fewer on a power), and t = e, so sigma is not read; a
+    Schreier relator is sigma(h) rho(g) against sigma(hg), one matmul each
+    with h != e.
     """
     if rel.edges:
         return [(sigma[h] @ gens[g] if h else gens[g], t) for h, g, t in rel.edges]
     inverses: Dict[int, UMatrix] = {}
-    ring, n = sigma[0].ring, sigma[0].n
+    ring, n = gens[0].ring, gens[0].n
     return [(word_value(w, gens, inverses, ring, n), 0) for w in rel.words]
 
 
@@ -249,13 +254,25 @@ def _relator_values(rel: _Relators, gens: Sequence[UMatrix],
 # ---------------------------------------------------------------------------
 
 
+def _tree_word(C: FiniteImage, c: int) -> Word:
+    """The word of the class c along C's BFS tree, read upward through `tree`."""
+    letters = []
+    while c:
+        c, g = C.tree[c]
+        letters.append(g + 1)
+    return Word(tuple(reversed(letters)))
+
+
 def _tree_section(C: FiniteImage, gens: Sequence[UMatrix], k: int = 0
                   ) -> Optional[List[UMatrix]]:
     """Section of C along its BFS tree: sigma(c) = sigma(parent) gens[g].
 
     One matmul per element whose parent is not the identity (the
     identity's children are generator images as they are), fewer than N
-    in all; a lifting step builds one.  With k > 0 each image is reduced
+    in all.  A repair builds one to start, and a lifting step one more
+    when it is read: always on the Schreier list, whose relator values
+    read it, and on the group's own list only when a next step follows
+    (every step but the last).  With k > 0 each image is reduced
     mod w^k as it is made, and the section is None at the first image
     equal mod w^k to an earlier one.
     """
@@ -413,11 +430,16 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
     b(s) / N from the row sums read with `weights`, C's
     `_averaging_weights`.  With l > 0 (weights None) each generator image
     moves by its own c(s) from the Fox solve of z(r) = coords_j(a -
-    sigma(t)) sigma(t^{-1}); w^l must divide z.  Either way the new section
-    (N matmuls), the step's one section, is re-measured on the list, one
-    evaluation, and must reach min(2j, K).  Returns the new images, their
-    section, the re-measure's values and the ledger step, whose level is
-    the relator list's on the new images.
+    sigma(t)) sigma(t^{-1}); w^l must divide z.  Either way the list is
+    re-measured on the new images, one evaluation, and must reach
+    min(2j, K).  The step's one new section (fewer than N matmuls) is built
+    only where it is read: before the re-measure on the Schreier list,
+    whose values read it, and after it on the group's own list, whose
+    values are `word_value`s of the new images alone, only if the level is
+    below K, so that a next step follows.  Returns the new images, their
+    section (None after the last step on the own list), the re-measure's
+    values and the ledger step, whose level is the relator list's on the
+    new images.
     """
     ring, n = sigma[0].ring, sigma[0].n
     l = C.p_part
@@ -441,29 +463,34 @@ def _lift_step(C: FiniteImage, gens: Sequence[UMatrix], sigma: Sequence[UMatrix]
         inv_n = ring_q.inv(ring_q.from_int(C.order))
         new = [moved(sums[s].scale(inv_n), sigma[s]) if s else UMatrix.identity(ring, n)
                for s in C.generator_indices]
-    new_sigma = _tree_section(C, new)
+    new_sigma = _tree_section(C, new) if rel.edges else None
     values = _relator_values(rel, new, new_sigma)
-    level = min((a.dist_valuation(new_sigma[t]) for a, t in values), default=ring.precision)
+    level = min((a.dist_valuation(new_sigma[t]) if t else a.dist_valuation()
+                 for a, t in values), default=ring.precision)
     if level < target:
         raise Unsolvable(f"lift step failed to reach level {target} (got {level})", level)
+    if new_sigma is None and level < ring.precision:
+        new_sigma = _tree_section(C, new)
     return new, new_sigma, values, LedgerStep(level, j, method)
 
 
 def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteImage,
-                   rel: _Relators, sigma: List[UMatrix], steps: List[LedgerStep]
-                   ) -> Tuple[Sequence[UMatrix], List[UMatrix]]:
+                   rel: _Relators, sigma: List[UMatrix], values, steps: List[LedgerStep]
+                   ) -> Sequence[UMatrix]:
     """Lifting steps from defect level k until the images are exact at K.
 
     C is the image of the generators mod w^k, rel the relator list and
-    sigma the generators' section, all three from `_image`.  A step leaves
+    sigma the generators' section, all three from `_image`; values are the
+    list's values (a, t) on gens when the caller has them (the group's own
+    relators measured for the input's defect), else None.  A step leaves
     a homomorphism mod w^{k'} on C, k' > k, and the checks on l and k hold
     at every later level as k only grows.  With l = 0 that homomorphism is
     injective, as it agrees with C mod w^k, so C's tables still describe
     the image; with l > 0 carrying C keeps the original p^l, so each
     j = k - l meets the certified bound.
-    The list is evaluated once per level: with l > 0 once before the first
-    step, and each step's re-measure hands its values to the next step.
-    Returns the images and their section.
+    The list is evaluated once per level: each step's re-measure hands its
+    values to the next step, and with l > 0 and no values given the list
+    is measured once before the first step.  Returns the exact images.
     """
     K = ring.precision
     l = C.p_part
@@ -474,7 +501,8 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
     if k <= 2 * l:
         raise HypothesisViolated(f"need defect level k > 2l (k={k}, l={l})")
     weights = None if l else _averaging_weights(C)
-    values = _relator_values(rel, gens, sigma) if l else None
+    if l and values is None:
+        values = _relator_values(rel, gens, sigma)
     iterations = 0
     while k < K:
         if iterations >= K:
@@ -483,7 +511,7 @@ def _lift_to_exact(ring: RingSpec, gens: Sequence[UMatrix], k: int, C: FiniteIma
         steps.append(step)
         k = step.defect_val_after
         iterations += 1
-    return gens, sigma
+    return gens
 
 
 def _remeasured(rep: ApproxRep, out: ApproxRep, ledger: PrecisionLedger
@@ -507,12 +535,21 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
     The output factors through the finite image C of the input at its
     defect level, enumerated once; the distance moved is at most p^l *
     defect where p^l = p-part of |C|.  Every claim is re-measured before
-    returning.
+    returning.  The group's relators are evaluated once on the input, for
+    its defect, and on the group's own list those values are the first Fox
+    step's.  The output agrees with the first section sigma0 mod w^{j0},
+    j0 = k0 - l, so its kernel on C lies in H0 = {c : sigma0(c) = I mod
+    w^{j0}}, and the image order is N over the classes of H0 whose tree
+    word the output sends to I: with l = 0, H0 = {e} and this costs no
+    matmul.  On the benchmark's seeded inputs a repair makes 98 matmuls
+    for S4 at p = 5 (<s, t | s^2, t^4, (st)^3>, two averaging steps), 50
+    for S3 at p = 5 and 22 for D4 at p = 2 (one Fox step).
     """
     ring = rep.ring
     K = ring.precision
-    d = rep.defect()
-    if d.saturated:
+    values = rep.relator_values()
+    k0 = min((v.dist_valuation() for v in values), default=K)
+    if k0 >= K:
         ledger = PrecisionLedger(initial_defect_val=K, p_part=0,
                                  working_precision=K, verified=True)
         ledger.final_distance_val = K
@@ -521,19 +558,22 @@ def repair_finite_image(rep: ApproxRep, cap: int = DEFAULT_CLOSURE_CAP
         except CapExceeded:
             pass
         return rep, ledger
-    k0 = d.valuation
     if k0 < 1:
         raise DefectTooLarge("defect must be < 1 (some relator fails mod w)")
     # k0 is the defect level, so the reduction mod w^k0 is a homomorphism
-    C0, rel, sigma = _image(rep.images, k0, rep.presentation.relators, cap)
+    C0, rel, sigma0 = _image(rep.images, k0, rep.presentation.relators, cap)
     ledger = PrecisionLedger(initial_defect_val=k0, p_part=C0.p_part,
                              image_order=C0.order, working_precision=K)
-    gens, sigma = _lift_to_exact(ring, rep.images, k0, C0, rel, sigma, ledger.steps)
-    # exact at K on a list that presents C, the output has image sigma(C):
-    # its order is read from the last section, with no closure
-    ledger.image_order = len({m.rows for m in sigma})
-    if C0.order % ledger.image_order != 0:
+    gens = _lift_to_exact(ring, rep.images, k0, C0, rel, sigma0,
+                          None if rel.edges else [(v, 0) for v in values], ledger.steps)
+    # exact at K on a list that presents C, the output is a homomorphism on
+    # C, and its kernel lies in H0: its order is read there, with no closure
+    j0 = k0 - C0.p_part
+    kernel = sum(1 for c, m in enumerate(sigma0) if m.dist_valuation() >= j0
+                 and word_value(_tree_word(C0, c), gens, {}, ring, rep.n).dist_valuation() >= K)
+    if C0.order % kernel:
         raise RepairError("repaired image order does not divide |C|")
+    ledger.image_order = C0.order // kernel
     return _remeasured(rep, rep.with_images(gens), ledger)
 
 
@@ -768,7 +808,7 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
         idx = [where[g] for g in v.generators]
         gens = [images[i] for i in idx]
         C, rel, sigma = _image(gens, k0, gog.vertex_relators[v.name], cap)
-        gens, _ = _lift_to_exact(ring, gens, k0, C, rel, sigma, steps)
+        gens = _lift_to_exact(ring, gens, k0, C, rel, sigma, None, steps)
         for i, mat in zip(idx, gens):
             images[i] = mat
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .local_ring import NormValue, RingMismatch, RingSpec, norm_max
@@ -88,6 +89,16 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def period(self) -> Tuple[Tuple[int, ...], int]:
+        """(u, e) with this word u^e and u shortest, found once per Word:
+        the least d dividing |w| whose d-letter prefix, repeated, is w."""
+        w, m = self.letters, len(self.letters)
+        for d in range(1, m // 2 + 1):
+            if m % d == 0 and w[-d:] == w[:d] and w[:d] * (m // d) == w:
+                return w[:d], m // d
+        return w, 1
+
 
 @dataclass(frozen=True)
 class Presentation:
@@ -124,12 +135,18 @@ class Presentation:
 
 def word_value(w: Word, images: Sequence[UMatrix], inverses: Dict[int, UMatrix],
                ring: RingSpec, n: int) -> UMatrix:
-    """The value of w on generator images: |w| - 1 matmuls, no identity
-    factor, and the identity on the empty word.  A letter x_i^-1 reads
-    inverses[i - 1], the caller's cache, inverting images[i - 1] on first use.
+    """The value of w on generator images, and the identity on the empty word.
+
+    w = u^e with u its shortest root (`Word.period`): the value of u, |u| - 1
+    matmuls with no identity factor, is raised to e by binary powering
+    (Knuth, TAOCP vol. 2, 4.6.3), bitlen(e) - 1 squarings and popcount(e) - 1
+    products, so |u| - 1 + O(log e) matmuls where the letters take e |u| - 1.
+    A letter x_i^-1 reads inverses[i - 1], the caller's cache, inverting
+    images[i - 1] on first use.
     """
+    root, e = w.period
     out = None
-    for x in w.letters:
+    for x in root:
         if x > 0:
             m = images[x - 1]
         else:
@@ -137,7 +154,14 @@ def word_value(w: Word, images: Sequence[UMatrix], inverses: Dict[int, UMatrix],
             if m is None:
                 m = inverses[-x - 1] = images[-x - 1].inv()
         out = m if out is None else out @ m
-    return UMatrix.identity(ring, n) if out is None else out
+    if out is None:
+        return UMatrix.identity(ring, n)
+    power = out
+    for bit in bin(e)[3:]:
+        power = power @ power
+        if bit == "1":
+            power = power @ out
+    return power
 
 
 class ApproxRep:
@@ -164,11 +188,14 @@ class ApproxRep:
     def eval_word(self, w: Word) -> UMatrix:
         return word_value(w, self.images, self._inverses, self.ring, self.n)
 
+    def relator_values(self) -> List[UMatrix]:
+        """rho(r) per relator r, one `word_value` each."""
+        return [self.eval_word(r) for r in self.presentation.relators]
+
     def defect(self) -> NormValue:
         """max over r of dist(rho(r), I), from min_r val(rho(r) - I)."""
         return NormValue.from_valuation(self.ring, min(
-            (self.eval_word(r).dist_valuation() for r in self.presentation.relators),
-            default=self.ring.precision))
+            (v.dist_valuation() for v in self.relator_values()), default=self.ring.precision))
 
     def rep_dist(self, other: "ApproxRep") -> NormValue:
         if (self.presentation != other.presentation or self.ring != other.ring

@@ -45,8 +45,9 @@ def test_cmd_defect(tmp_path, capsys):
 
 
 def test_cmd_defect_evaluates_each_relator_once(tmp_path, monkeypatch, capsys):
-    # one evaluation per relator, |r| - 1 matmuls each, serves both the
-    # per-relator values and the defect
+    # one evaluation per relator serves both the per-relator values and the
+    # defect: s^2 one matmul, t^3 two, (st)^2 st and its square, two; so 5,
+    # where the letters take sum (|r| - 1) = 6
     ring = RingSpec("zp", 3, 6)
     pres = Presentation.make(["s", "t"], [["s", "s"], ["t", "t", "t"], ["s", "t", "s", "t"]])
     rng = random.Random(2)
@@ -57,7 +58,7 @@ def test_cmd_defect_evaluates_each_relator_once(tmp_path, monkeypatch, capsys):
     matmul = UMatrix.__matmul__
     monkeypatch.setattr(UMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
     assert main(["defect", path]) == 0
-    assert len(calls) == sum(len(r) - 1 for r in pres.relators) == 6
+    assert len(calls) == 5 < sum(len(r) - 1 for r in pres.relators)
     out = json.loads(capsys.readouterr().out)
     monkeypatch.undo()
     assert out["defect_val"] == rep.defect().valuation == min(out["per_relator_vals"])

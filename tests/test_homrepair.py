@@ -1032,12 +1032,13 @@ def _counting(monkeypatch, calls, name):
 
 @pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
 def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, mode, p, K):
-    # each lifting step builds one tree section (plus the loop's first); a
+    # each lifting step builds one tree section (plus the loop's first),
+    # except the last step on the group's own list, as nothing reads it; a
     # non-saturated repair closes at most once, at the defect level: the
     # first repair of a presentation closes, and a later one reads C from
     # the recorded coset table when its relators present the image (S3),
     # but S4 Moore's enumeration fails its 2N cap, so each of its repairs
-    # closes.  The image order read from the last section is the order of
+    # closes.  The image order read from the kernel bound is the order of
     # the output's closure at K
     monkeypatch.setattr(homrepair, "_presented", {})
     ring = RingSpec(mode, p, K)
@@ -1050,14 +1051,84 @@ def test_repair_builds_one_section_per_step_and_one_closure(monkeypatch, group, 
         out, ledger = repair_finite_image(rep)
         assert ledger.verified and ledger.steps
         C = closure_of_matrices([g.reduce(3) for g in rep.images])
-        assert bool(_relator_list(C, rep.presentation.relators).edges) == (group == "S4moore")
+        own = not _relator_list(C, rep.presentation.relators).edges
+        assert own == (group != "S4moore")
         method = "linear-solve" if C.p_part else "averaging"
         assert {s.method for s in ledger.steps} == {method}
-        assert calls["_tree_section"] == 1 + len(ledger.steps)
+        assert calls["_tree_section"] == 1 + len(ledger.steps) - own
         assert calls["closure_of_matrices"] == (1 if seed == 0 or group == "S4moore" else 0)
         assert ledger.image_order == closure_of_matrices(list(out.images)).order
     record = homrepair._presented[2, rep.presentation.relators]
     assert record[1] is None if group == "S4moore" else record[1] == C.tree
+
+
+def _collapsing_rep(E, extra):
+    """<a | a^3> (extra 0), or <a, b | a^3> with b = I exactly, whose
+    enumeration fails so the repair takes C's Schreier list (extra 1), over
+    Z/3^8 with a = I + 27 E: a has order 3 at its defect level 4, and the
+    repair, which moves it by 3^3, may send it to an element of order 1."""
+    ring = RingSpec("zp", 3, 8)
+    a = UMatrix.from_int_rows(ring, [[int(i == j) + 27 * e for j, e in enumerate(row)]
+                                     for i, row in enumerate(E)])
+    return ApproxRep(Presentation.make(["a", "b"][:1 + extra], [["a"] * 3]), ring, 2,
+                     [a] + [UMatrix.identity(ring, 2)] * extra)
+
+
+def _assert_image_order(rep, schreier, order):
+    """The repair's image order, read from the output on the tree words of H0
+    = {c : sigma0(c) = I mod w^{k0 - l}} alone, is the number of distinct
+    images of the output's whole tree section: `order`, or N when None."""
+    k0 = rep.defect().valuation
+    C = closure_of_matrices([g.reduce(k0) for g in rep.images])
+    assert bool(_relator_list(C, rep.presentation.relators).edges) == schreier
+    out, ledger = repair_finite_image(rep)
+    assert ledger.verified
+    assert ledger.image_order == len({m.rows for m in _tree_section(C, out.images)}) == (
+        order or C.order)
+
+
+@pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
+def test_image_order_is_the_output_section_size(group, mode, p, K):
+    # p | N and p prime to N, on the group's own list and on the Schreier
+    # list (S4 Moore); the image keeps its order N
+    for seed in range(2):
+        _assert_image_order(_section_rep(group, RingSpec(mode, p, K), seed),
+                            group == "S4moore", None)
+
+
+@pytest.mark.parametrize("E, order", [(((1, 0), (0, 0)), 1), (((0, 1), (1, 0)), 3)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_image_order_of_a_collapsing_image(E, order, extra):
+    # H0 is all of C = Z/3: the repair of a = I + 27 E sends a to I (E =
+    # E_11) or to an element of order 3, on the own and the Schreier list
+    _assert_image_order(_collapsing_rep(E, extra), bool(extra), order)
+
+
+@pytest.mark.parametrize("group, p, k, first, later",
+                         [("S4", 5, 3, 144, 98), ("S3", 5, 3, 60, 50), ("D4", 2, 7, 36, 22)])
+def test_repair_matmul_counts(monkeypatch, group, p, k, first, later):
+    # the counts that repair_finite_image states, on the benchmark's shapes:
+    # permutation images plus noise at level k over Z/p^8, two averaging
+    # steps (S4, S3) or one Fox step (D4).  The first repair of a
+    # presentation in a process also closes C and enumerates it; a later one
+    # reads C from the record
+    monkeypatch.setattr(homrepair, "_presented", {})
+    names, relators, perms = DIFF_GROUPS[group]
+    ring = RingSpec("zp", p, 8)
+    rng = random.Random(1)
+    n = len(perms[0])
+    matmul = UMatrix.__matmul__
+    counts = []
+    for _ in range(3):
+        rep = ApproxRep(Presentation.make(names, relators), ring, n,
+                        [_perm_matrix(ring, q) + shifted_random(ring, n, rng, k) for q in perms])
+        calls = []
+        monkeypatch.setattr(UMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        _, ledger = repair_finite_image(rep)
+        monkeypatch.setattr(UMatrix, "__matmul__", matmul)
+        assert ledger.initial_defect_val == k and len(ledger.steps) == 1 + (p == 5)
+        counts.append(len(calls))
+    assert counts == [first, later, later]
 
 
 @pytest.mark.parametrize("group", ["S3", "D4", "S4", "S4moore"])
@@ -1254,9 +1325,10 @@ def test_failed_record_skips_the_enumeration_under_its_cap(monkeypatch):
 @pytest.mark.parametrize("group, mode, p, K", SECTION_CASES)
 def test_repair_evaluates_its_relator_list_once_per_level(monkeypatch, group, mode, p, K):
     # each step's re-measure evaluates the relator list once and hands its
-    # values to the next step: a Fox repair (p | N), on the group's own list
-    # (S3 at p = 2, 3) and on the Schreier list (S4 Moore at p = 3), adds
-    # one evaluation before its first step, an averaging repair none
+    # values to the next step: a Fox repair (p | N) on the Schreier list (S4
+    # Moore at p = 3) adds one evaluation before its first step; on the
+    # group's own list (S3 at p = 2, 3) its first step reads the values that
+    # measured the input's defect, and an averaging repair reads none
     ring = RingSpec(mode, p, K)
     calls = Counter()
     _counting(monkeypatch, calls, "_relator_values")
@@ -1266,7 +1338,7 @@ def test_repair_evaluates_its_relator_list_once_per_level(monkeypatch, group, mo
         _, ledger = repair_finite_image(rep)
         fox = ledger.p_part > 0
         assert {s.method for s in ledger.steps} == {"linear-solve" if fox else "averaging"}
-        assert calls["_relator_values"] == len(ledger.steps) + fox
+        assert calls["_relator_values"] == len(ledger.steps) + (fox and group == "S4moore")
 
 
 @pytest.mark.parametrize("group, p, level", [("S3", 2, 3), ("S3", 3, 3), ("C4", 2, 5)])

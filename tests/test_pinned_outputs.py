@@ -6,7 +6,8 @@ fixed-seed set of finite-image repairs (p prime to |C| and p dividing
 fixed-seed set of characteristic-2 involution repairs (perturbed conjugates
 of block swaps over F_2[X]/(X^K)), of the certificate of a few Z/p^K
 bad-estimate and wreath witnesses, of the artifact and certificate of a
-few commutator witnesses, and of the diagonal Hdist lower bound
+few commutator witnesses, of the output and certificate of two repairs
+whose image collapses, and of the diagonal Hdist lower bound
 at p in {2, 3, 5}.  A change that moves any output bit, ledger level or
 step method fails here; a change meant to do so must say so and re-pin.
 """
@@ -253,6 +254,32 @@ def test_pinned_commutator_witness(case, tmp_path):
                  "--out", str(out), "--cert", str(cert)]) == 0
     assert tuple(hashlib.sha256(canonical_json(json.loads(f.read_text())).encode()).hexdigest()
                  for f in (out, cert)) == COMMUTATOR_CASES[case]
+
+
+# E -> (image order, SHA-256 of the repair's output and certificate) for
+# <a | a^3> over Z/3^8 with a = I + 27 E: a has order 3 mod 3^4, its defect
+# level, and the repair moves it by 3^3, which may collapse the image
+COLLAPSE_CASES = {
+    ((1, 0), (0, 0)): (1, "72ef9e7f59a935a0cd625d2fd00bdea4725906a03db244475f66e170dc5e3ee3",
+                       "9514e6bc2b83a4d6f1318b24668f409bf6da30cad21e9f9e83d0efca78ed7e48"),
+    ((0, 1), (1, 0)): (3, "7b9de815dcc80d258540af8dcf9fa086d9fb6d40f158dc53321887cba792a05c",
+                       "b18e073c338aed8edd5f20547d92d089d1141c6362b58f20bfa27f99ee92fe7a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSE_CASES))
+def test_pinned_collapsing_image(case, tmp_path):
+    ring = RingSpec("zp", 3, 8)
+    a = UMatrix.from_int_rows(ring, [[int(i == j) + 27 * e for j, e in enumerate(row)]
+                                     for i, row in enumerate(case)])
+    rep = ApproxRep(Presentation.make(["a"], [["a", "a", "a"]]), ring, 2, [a])
+    path, out, cert = tmp_path / "rep.json", tmp_path / "out.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(rep.to_json()))
+    assert main(["repair", str(path), "--mode", "finite-image", "--out", str(out),
+                 "--cert", str(cert)]) == 0
+    order = json.loads(cert.read_text())["ledger"]["image_order"]
+    assert (order,) + tuple(hashlib.sha256(canonical_json(json.loads(f.read_text())).encode())
+                            .hexdigest() for f in (out, cert)) == COLLAPSE_CASES[case]
 
 
 # (p, i) -> {x: SHA-256 of the diagonal lower bound's JSON over Z/p^12}; at

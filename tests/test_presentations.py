@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrastab.homrepair import _tree_section
 from ultrastab.local_ring import NormValue, RingSpec
@@ -12,6 +13,7 @@ from ultrastab.presentations import (
     PresentationError,
     Word,
     closure_of_matrices,
+    word_value,
 )
 from ultrastab.ultranorm_linalg import UMatrix
 
@@ -209,8 +211,9 @@ def test_eval_word_inverse_letters(monkeypatch):
 
 
 def test_defect_takes_one_matmul_per_letter_after_the_first(monkeypatch):
-    # |r| - 1 matmuls per relator, none by an identity factor, and the empty
-    # word is the identity with none
+    # |r| - 1 matmuls per relator that is no power (the cube s^3 takes two
+    # by squaring too), none by an identity factor, and the empty word is
+    # the identity with none
     ring = RingSpec("zp", 3, 6)
     rng = random.Random(29)
     pres = Presentation.make(["s", "t"], [["s^3"], ["t", "s", "s", "s", "t^-1", "s^-2"],
@@ -224,6 +227,58 @@ def test_defect_takes_one_matmul_per_letter_after_the_first(monkeypatch):
     calls.clear()
     assert rep.eval_word(Word.identity()).rows == UMatrix.identity(ring, 3).rows
     assert calls == []
+
+
+def _counted(fn, *args):
+    """fn(*args) and the number of matmuls it made."""
+    calls = []
+    matmul = UMatrix.__matmul__
+    UMatrix.__matmul__ = lambda a, b: calls.append(1) or matmul(a, b)
+    try:
+        return fn(*args), len(calls)
+    finally:
+        UMatrix.__matmul__ = matmul
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from(["zp", "fpx"]), p=st.sampled_from([2, 3, 5]),
+       root=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5),
+       e=st.integers(1, 40), seed=st.integers(0, 2 ** 16))
+def test_word_value_of_a_power_matches_its_letters(mode, p, root, e, seed):
+    # u^e is the value of its shortest root raised by binary powering: the
+    # same matrix as the letter-by-letter product, in d - 1 + bitlen(f) - 1
+    # + popcount(f) - 1 matmuls for a root of d letters repeated f times
+    ring = RingSpec(mode, p, 6)
+    rng = random.Random(seed)
+    images = [random_gl(ring, 2, rng) for _ in range(2)]
+    inverses = {i: m.inv() for i, m in enumerate(images)}
+    w = Word.make(root * e)
+    want = UMatrix.identity(ring, 2)
+    for x in w.letters:
+        want = want @ (images[x - 1] if x > 0 else inverses[-x - 1])
+    got, matmuls = _counted(word_value, w, images, inverses, ring, 2)
+    assert got.rows == want.rows
+    m = len(w)
+    d = next((d for d in range(1, m + 1) if m % d == 0
+              and all(w.letters[i] == w.letters[i % d] for i in range(m))), 0)
+    f = m // d if d else 0
+    assert w.period == (w.letters[:d], f) or m == 0
+    assert matmuls == (d - 1 + f.bit_length() - 1 + bin(f).count("1") - 1 if m else 0)
+    assert matmuls <= max(m - 1, 0)
+
+
+def test_defect_of_a_large_power_takes_logarithmic_matmuls():
+    # <a | a^e> with e = 2,000,000: at most 2 bitlen(e) matmuls, where the
+    # letters take e - 1.  a = [[1, 3], [0, 1]] has a^e = [[1, 3e], [0, 1]],
+    # and 3 does not divide e, so the defect level is 1
+    e = 2_000_000
+    ring = RingSpec("zp", 3, 8)
+    rep = ApproxRep(Presentation.make(["a"], [[f"a^{e}"]]), ring, 2,
+                    [UMatrix.from_int_rows(ring, [[1, 3], [0, 1]])])
+    defect, matmuls = _counted(rep.defect)
+    assert defect.valuation == 1 and matmuls <= 2 * e.bit_length()
+    assert rep.eval_word(rep.presentation.relators[0]).rows == \
+        UMatrix.from_int_rows(ring, [[1, 3 * e], [0, 1]]).rows
 
 
 def test_word_parse_rejects_non_string_letters():
