@@ -31,13 +31,6 @@ class ScaleValue:
     value: Fraction
     below_finest: bool = False
 
-    def __le__(self, other: "ScaleValue") -> bool:
-        return self.value <= other.value or self.below_finest
-
-    def __lt__(self, other: "ScaleValue") -> bool:
-        return (self.value < other.value and not other.below_finest) or \
-            (self.below_finest and not other.below_finest)
-
     def encode(self) -> dict:
         return {"level": self.level, "below_finest": self.below_finest,
                 "value": [self.value.numerator, self.value.denominator]}

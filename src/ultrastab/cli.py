@@ -12,15 +12,16 @@ certificate keeps in `witness.params`) and runs, returning the artifact
 and its certificate; the command writes both.  `verify` checks a repair's
 claims (digest, norms, exactness, bound, p-part; the ledger's steps are a
 record, checked for consistency) by the row's `measure` on the inputs and
-`--output`, or without it on the artifact of a run; it re-derives a
-witness from its parameters under the caps (`--cap-*`, ULTRASTAB_CAPS)
+`--output`, and runs no repair; it re-derives a witness from its
+parameters under the caps, which come from the `--cap-*` flags alone,
 and compares it whole.  It names the first failing key path.
 
 Exit codes: 0 success / verification passed, 1 verification failed, 2
-input error (an unreadable or malformed file, an unknown cap) or unmet
-precondition (defect too large, k <= 2l, a p-part in equal
-characteristic).  `EXIT_CODES` maps each exception class to its exit
-code and message prefix; the most specific class of an error wins.
+input error (an unreadable or malformed file, a repair certificate
+without `--output`, ULTRASTAB_CAPS set) or unmet precondition (defect
+too large, k <= 2l, a p-part in equal characteristic).  `EXIT_CODES`
+maps each exception class to its exit code and message prefix; the most
+specific class of an error wins.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ from .witnesses import (
     wreath_rep_defect_certificate,
 )
 
-CAPS_ENV = "ULTRASTAB_CAPS"
-# cap name (the key in ULTRASTAB_CAPS) -> destination of its --cap-* option
+# cap name (a RunConfig field) -> destination of its --cap-* option
 CAPS = {"closure_cap": "cap_closure", "enum_cap": "cap_enum",
         "dim_cap": "cap_dim", "wreath_index_cap": "cap_wreath_index"}
 CLOSURE_MODES = ("finite-image", "graph")  # the repair modes that close a finite image
@@ -96,22 +96,11 @@ def _malformed(source: str):
         raise InputError(f"{source}: malformed ({type(exc).__name__}: {exc})") from None
 
 
-def _env_caps() -> dict:
-    text = os.environ.get(CAPS_ENV)
-    caps = json.loads(text) if text else {}
-    if not isinstance(caps, dict) or any(type(v) is not int for v in caps.values()):
-        raise InputError(f"{CAPS_ENV} must be a JSON object of integer caps")
-    unknown = sorted(caps.keys() - CAPS.keys())
-    if unknown:
-        raise InputError(f"{CAPS_ENV}: unknown cap {', '.join(unknown)} "
-                         f"(the caps are {', '.join(CAPS)})")
-    return caps
-
-
 @dataclass
 class RunConfig:
-    """The caps: ULTRASTAB_CAPS sets them, the --cap-* flags that a
-    subcommand has override it."""
+    """The caps, each the default unless its --cap-* flag gives it.  A
+    command with --cap-* flags refuses ULTRASTAB_CAPS, which it does not
+    read, so no caps set there are silently dropped."""
 
     closure_cap: int = DEFAULT_CLOSURE_CAP
     enum_cap: int = DEFAULT_ENUM_CAP
@@ -120,11 +109,11 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        cfg = cls(**_env_caps())
-        for cap, dest in CAPS.items():
-            if getattr(args, dest, None) is not None:
-                setattr(cfg, cap, getattr(args, dest))
-        return cfg
+        flags = {cap: getattr(args, dest) for cap, dest in CAPS.items() if hasattr(args, dest)}
+        if flags and "ULTRASTAB_CAPS" in os.environ:
+            raise InputError("ULTRASTAB_CAPS is not read: give the caps as --cap-closure, "
+                             "--cap-enum, --cap-dim or --cap-wreath-index flags")
+        return cls(**{cap: value for cap, value in flags.items() if value is not None})
 
 
 def _load_json(path: str) -> dict:
@@ -553,23 +542,27 @@ def cmd_verify(args) -> int:
         if operation not in OPERATIONS:
             raise InputError(f"certificate operation {operation!r} is not verifiable here")
         op = OPERATIONS[operation]
-        if op.measure is None and (len(args.input) != 1 or args.output or args.gog):
-            raise InputError("a witness certificate is verified against its "
-                             "artifact alone: give it as the one --input")
-        source = claimed["witness"]["params"] if op.measure is None else (
-            args.input + ([args.gog] if args.gog else []))
-    artifact_path = args.output if op.measure else args.input[0]
-    expected = _load_json(artifact_path) if artifact_path else None
+        if op.measure is None:
+            if len(args.input) != 1 or args.output or args.gog:
+                raise InputError("a witness certificate is verified against its "
+                                 "artifact alone: give it as the one --input")
+            source = claimed["witness"]["params"]
+        elif args.output is None:
+            raise InputError(f"a {operation} certificate is measured on its inputs and "
+                             f"its artifact: give the artifact as --output")
+        else:
+            source = args.input + ([args.gog] if args.gog else [])
+    artifact = _load_json(args.output or args.input[0])
     try:
         if op.measure is None:  # a witness, re-derived from its parameters
-            artifact, cert = _run(operation, source, cfg)
-        else:
+            derived, cert = _run(operation, source, cfg)
+            diff = (_first_difference(claimed, cert.to_json(), "")
+                    or _first_difference(artifact, derived, "input"))
+        else:  # a repair, measured on its inputs and output
             with _malformed(operation):
                 inputs = op.load(source)
-            artifact = expected if artifact_path else op.run(inputs, cfg)[0]
             cert = op.measure(inputs, artifact, claimed, cfg)
-        diff = _first_difference(claimed, cert.to_json(), "") or (
-            op.measure is None and _first_difference(expected, artifact, "input"))
+            diff = _first_difference(claimed, cert.to_json(), "")
     except _Mismatch as exc:
         diff = exc.args
     if diff:
@@ -680,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("certificate")
     sp.add_argument("--input", required=True, action="append",
                     help="input file (repeat for monomial: P, then D); a witness's artifact")
-    sp.add_argument("--output", default=None, help="artifact of a repair or monomial")
+    sp.add_argument("--output", default=None,
+                    help="artifact of a repair or monomial (required for them)")
     sp.add_argument("--gog", default=None)
     _add_common(sp, *CAPS, out=False)  # verify writes no artifact, only its exit code
 

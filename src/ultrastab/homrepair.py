@@ -773,7 +773,9 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
     through its finite image, amalgamations along a spanning tree and the
     remaining edge letters are corrected by solved conjugators.  The output
     satisfies every relator exactly; the distance moved is at most
-    p^l * defect for the largest p-part l met along the way.
+    p^l * defect for the largest p-part l met along the way.  The input's
+    relators are evaluated once, for its defect; a vertex repaired on its
+    own relators takes their values as its first Fox step's.
     """
     pres = gog.standard_presentation()
     if rep.presentation != pres:
@@ -782,13 +784,13 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
     ring = rep.ring
     n = rep.n
     K = ring.precision
-    d = rep.defect()
-    if d.saturated:
+    values = rep.relator_values()
+    k0 = min((v.dist_valuation() for v in values), default=K)
+    if k0 >= K:
         ledger = PrecisionLedger(initial_defect_val=K, p_part=0,
                                  working_precision=K, verified=True)
         ledger.final_distance_val = K
         return rep, ledger
-    k0 = d.valuation
     if k0 < 1:
         raise DefectTooLarge("defect must be < 1")
 
@@ -802,13 +804,19 @@ def graph_repair(gog: GraphOfGroups, rep: ApproxRep, cap: int = DEFAULT_CLOSURE_
             images[where[e.letter]] = UMatrix.identity(ring, n)
 
     # (2) vertex repairs through their finite images at the defect level.
+    # The standard presentation lists the vertex relators first, vertex by
+    # vertex, so a vertex's own list reads its slice of the input's values.
+    end = 0
     for v in gog.vertices:
+        relators = gog.vertex_relators[v.name]
+        start, end = end, end + len(relators)
         if not v.generators:
             continue
         idx = [where[g] for g in v.generators]
         gens = [images[i] for i in idx]
-        C, rel, sigma = _image(gens, k0, gog.vertex_relators[v.name], cap)
-        gens = _lift_to_exact(ring, gens, k0, C, rel, sigma, None, steps)
+        C, rel, sigma = _image(gens, k0, relators, cap)
+        gens = _lift_to_exact(ring, gens, k0, C, rel, sigma,
+                              None if rel.edges else [(a, 0) for a in values[start:end]], steps)
         for i, mat in zip(idx, gens):
             images[i] = mat
 

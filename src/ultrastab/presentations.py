@@ -59,10 +59,6 @@ class Word:
         return cls(cls._reduce(letters))
 
     @classmethod
-    def identity(cls) -> "Word":
-        return cls(())
-
-    @classmethod
     def parse(cls, tokens: Sequence[str], names: Sequence[str]) -> "Word":
         lookup = {name: i + 1 for i, name in enumerate(names)}
         letters: List[int] = []

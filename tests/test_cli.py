@@ -94,13 +94,13 @@ def test_cmd_verify_pass_and_tamper(tmp_path, capsys):
     cert = json.loads(open(cert_path).read())
     cert["after"]["distance_val"] = 1  # tamper
     tampered = _write(tmp_path, "tampered.json", cert)
-    assert main(["verify", tampered, "--input", path]) == 1
+    assert main(["verify", tampered] + inputs) == 1
     # the steps of the ledger are part of the certificate
     cert = json.loads(open(cert_path).read())
     assert cert["ledger"]["steps"]
     cert["ledger"]["steps"] = []
     tampered = _write(tmp_path, "tampered.json", cert)
-    assert main(["verify", tampered, "--input", path]) == 1
+    assert main(["verify", tampered] + inputs) == 1
     assert "FAIL ledger.steps" in capsys.readouterr().err
     # a forged output, exact too: the identity image of the order-3 generator,
     # at a distance the certificate does not claim
@@ -173,12 +173,32 @@ def test_cmd_repair_graph(tmp_path):
 
 
 def test_cmd_verify_graph_before_defect(tmp_path):
-    rep_path, gog_path, _, cert_path = _bs23_files(tmp_path)
-    assert main(["verify", cert_path, "--input", rep_path, "--gog", gog_path]) == 0
+    cert_path, inputs = _graph_files(tmp_path)
+    assert main(["verify", cert_path] + inputs) == 0
     cert = json.loads(open(cert_path).read())
     cert["before"]["defect_val"] += 1  # tamper
     bad = _write(tmp_path, "bad_cert.json", cert)
-    assert main(["verify", bad, "--input", rep_path, "--gog", gog_path]) == 1
+    assert main(["verify", bad] + inputs) == 1
+
+
+def test_graph_exact_input_repairs_to_itself(tmp_path):
+    # BS(2,3) on its exact permutation images: the repair writes the input
+    # back with no step, p-part 0 and distance K, and verify measures that
+    rep_path, gog_path, _, _ = _bs23_files(tmp_path)
+    rep = ApproxRep.from_json(json.loads(open(rep_path).read()))
+    exact = rep.with_images([UMatrix(rep.ring, 5, tuple(tuple(x % 3 for x in row)
+                                                        for row in m.rows))
+                             for m in rep.images])
+    assert exact.defect().saturated
+    exact_path = _write(tmp_path, "exact.json", exact.to_json())
+    out_path, cert_path = str(tmp_path / "exact_out.json"), str(tmp_path / "exact_cert.json")
+    assert main(["repair", exact_path, "--mode", "graph", "--gog", gog_path,
+                 "--out", out_path, "--cert", cert_path]) == 0
+    assert ApproxRep.from_json(json.loads(open(out_path).read())).to_json() == exact.to_json()
+    ledger = json.loads(open(cert_path).read())["ledger"]
+    assert (ledger["steps"], ledger["p_part"], ledger["final_distance_val"]) == ([], 0, 8)
+    assert main(["verify", cert_path, "--input", exact_path, "--gog", gog_path,
+                 "--output", out_path]) == 0
 
 
 def test_graph_words_with_powers(tmp_path):
@@ -428,12 +448,12 @@ def _split_section_files(tmp_path):
 
 
 def test_cmd_verify_split_section(tmp_path):
-    cert_path, (_, rep_path, _, _) = _split_section_files(tmp_path)
-    assert main(["verify", cert_path, "--input", rep_path]) == 0
+    cert_path, inputs = _split_section_files(tmp_path)
+    assert main(["verify", cert_path] + inputs) == 0
     cert = json.loads(open(cert_path).read())
     cert["after"]["distance_level"]["level"] = 0
     bad = _write(tmp_path, "bad_cert.json", cert)
-    assert main(["verify", bad, "--input", rep_path]) == 1
+    assert main(["verify", bad] + inputs) == 1
 
 
 WREATH_ARGV = ["--kind", "wreath", "--ring", "zp", "--p", "2",
@@ -505,14 +525,29 @@ def test_commutator_bad_input_exits_2(tmp_path, capsys):
 
 
 def test_env_caps(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ULTRASTAB_CAPS", '{"wreath_index_cap": 1}')
-    assert main(["claims", "--max-i", "2", "--p", "2"]) == 2  # cap now too low
-    # exactly the four cap names: a misspelt cap or another setting is refused
-    for env, key in (('{"closure-cap": 5}', "closure-cap"), ('{"seed": 1}', "seed"),
-                     ('{"out": 1, "enum_cap": 5}', "out")):
+    # the caps come from the --cap-* flags alone: a wreath index cap of 1 is
+    # too low for the claims up to i = 2
+    assert main(["claims", "--max-i", "2", "--p", "2", "--cap-wreath-index", "1"]) == 2
+    # ULTRASTAB_CAPS is not read, so every command that reads caps refuses it
+    # (exit 2, no output, no traceback) rather than drop the caps it sets
+    cert_path, inputs = _finite_image_files(tmp_path)
+    out_path = tmp_path / "out.json"
+    commands = [["repair", inputs[1], "--mode", "finite-image", "--out", str(out_path)],
+                ["witness", "--kind", "commutator", "--out", str(out_path)],
+                ["claims", "--max-i", "1", "--p", "2", "--out", str(out_path)],
+                ["verify", cert_path] + inputs]
+    for env in ('{"wreath_index_cap": 1}', '{}', ""):
         monkeypatch.setenv("ULTRASTAB_CAPS", env)
-        assert main(["claims", "--max-i", "2", "--p", "2"]) == 2
-        assert key in capsys.readouterr().err
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert not out_path.exists()
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.splitlines() == [
+                "input error: ULTRASTAB_CAPS is not read: give the caps as --cap-closure, "
+                "--cap-enum, --cap-dim or --cap-wreath-index flags"], argv
+    # a command without cap flags reads no caps, so the variable is no error there
+    assert main(["defect", inputs[1]]) == 0
 
 
 def _gl1_rep_file(tmp_path, name, p, K, x, order):
@@ -560,8 +595,8 @@ def test_input_errors(tmp_path, capsys):
     array = _write(tmp_path, "array.json", [1, 2])
     assert main(["verify", cert, "--input", path]) == 2
     assert main(["defect", array]) == 2
-    cert_path, _ = _finite_image_files(tmp_path)
-    assert main(["verify", cert_path, "--input", array]) == 2
+    cert_path, (_, _, _, out_path) = _finite_image_files(tmp_path)
+    assert main(["verify", cert_path, "--input", array, "--output", out_path]) == 2
     path, _ = _z3_rep_file(tmp_path)
     assert main(["repair", path, "--mode", "graph"]) == 2
     # a witness x of valuation 0 or >= K is an input, not a failed witness
@@ -583,12 +618,11 @@ def test_input_errors(tmp_path, capsys):
             assert "p must be a prime" in capsys.readouterr().err
 
 
-def test_cap_flags_only_where_a_cap_is_read(tmp_path, monkeypatch, capsys):
+def test_cap_flags_only_where_a_cap_is_read(tmp_path, capsys):
     # a subcommand has the --cap-* flags of the caps it reads, and verify all
     # four; any other cap flag is a usage error (exit 2), not silently inert.
     # Of the repair modes only finite-image and graph close an image: the
-    # others refuse --cap-closure as an input error (exit 2, no output), while
-    # ULTRASTAB_CAPS, which sets every cap, is accepted in every mode
+    # others refuse --cap-closure as an input error (exit 2, no output)
     for tag, (files, mode) in enumerate(((_involution_files, "involution"),
                                          (_split_section_files, "split-section"))):
         work = tmp_path / f"mode{tag}"
@@ -603,9 +637,7 @@ def test_cap_flags_only_where_a_cap_is_read(tmp_path, monkeypatch, capsys):
         assert captured.err.splitlines() == [
             f"input error: --cap-closure is read only in the finite-image and graph "
             f"modes, not in {mode}"]
-        monkeypatch.setenv("ULTRASTAB_CAPS", '{"closure_cap": 1}')
         assert main(["repair", path, "--mode", mode, "--out", str(out_path)]) == 0
-        monkeypatch.delenv("ULTRASTAB_CAPS")
         assert out_path.read_text() == open(fixed).read()
     rep_path, _ = _z3_rep_file(tmp_path)
     graph = _write(tmp_path, "g.json", bs_graph(2, 3).to_json())
@@ -646,8 +678,7 @@ def test_unsolvable_exits_1(tmp_path, monkeypatch, capsys):
 
 def test_involution_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
     # a failed self-check of the involution repair is a failed repair: exit 1
-    # with the message, not a traceback, from repair and from a verify that
-    # runs it for want of --output.  A verify given --output runs no repair
+    # with the message, not a traceback.  verify runs no repair, so it passes
     cert_path, verify_args = _involution_files(tmp_path)
     rep_path = verify_args[1]
 
@@ -655,11 +686,9 @@ def test_involution_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
         raise ReductionFailed("block form failed its own verification")
     monkeypatch.setattr(cli, "involution_repair", failing)
     capsys.readouterr()
-    for argv in (["repair", rep_path, "--mode", "involution"],
-                 ["verify", cert_path] + verify_args[:2]):
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(
-            "verification failed: block form failed its own verification")
+    assert main(["repair", rep_path, "--mode", "involution"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "verification failed: block form failed its own verification")
     assert main(["verify", cert_path] + verify_args) == 0
 
 
@@ -677,11 +706,10 @@ def test_cmd_verify_honors_caps(tmp_path):
     assert main(["repair", path, "--mode", "finite-image", "--cert", cert_path,
                  "--out", out_path, "--cap-closure", "6"]) == 0
     # the image S3 has 6 elements: written under a closure cap of 6, the
-    # certificate verifies under it, and a cap of 2 cannot close C, whether
-    # verify measures the given output or runs the repair for want of one
-    for output in (["--output", out_path], []):
-        assert main(["verify", cert_path, "--input", path, "--cap-closure", "6"] + output) == 0
-        assert main(["verify", cert_path, "--input", path, "--cap-closure", "2"] + output) == 2
+    # certificate verifies under it, and a cap of 2 cannot close C
+    verify = ["verify", cert_path, "--input", path, "--output", out_path]
+    assert main(verify + ["--cap-closure", "6"]) == 0
+    assert main(verify + ["--cap-closure", "2"]) == 2
 
 
 def _swap_involution_files(tmp_path):
@@ -771,10 +799,10 @@ def test_verify_fails_each_tamper(tmp_path, capsys, operation):
         assert capsys.readouterr().err.startswith(f"FAIL {where}: file says "), name
 
 
-def test_verify_runs_no_repair(tmp_path, monkeypatch):
-    # given --output, a repair certificate is checked by measures alone: it
+def test_verify_runs_no_repair(tmp_path, monkeypatch, capsys):
+    # a repair certificate is checked by measures alone: given --output, it
     # verifies with every repair function raising and the coset record of
-    # homrepair unreadable
+    # homrepair unreadable; without --output it is an input error naming it
     produced = {}
     for operation in REPAIR_PRODUCERS.keys() | {"repair-split-section", "monomial-commutant"}:
         work = tmp_path / operation
@@ -789,8 +817,43 @@ def test_verify_runs_no_repair(tmp_path, monkeypatch):
     monkeypatch.setattr(homrepair, "_presented", type("Unreadable", (dict,), {
         "get": refuse, "__getitem__": refuse, "__contains__": refuse})())
     for operation, (cert_path, inputs) in sorted(produced.items()):
-        assert "--output" in inputs
         assert main(["verify", cert_path] + inputs) == 0, operation
+        at = inputs.index("--output")
+        capsys.readouterr()
+        assert main(["verify", cert_path] + inputs[:at] + inputs[at + 2:]) == 2, operation
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"input error: a {operation} certificate is measured on its inputs and its "
+            f"artifact: give the artifact as --output"], operation
+
+
+def test_verify_output_not_a_representation_fails(tmp_path, capsys):
+    # an --output that is a JSON object with the input's header but no
+    # images is no artifact of the repair: exit 1, naming the output
+    cert_path, inputs = _finite_image_files(tmp_path)
+    header = {key: value for key, value in json.loads(open(inputs[1]).read()).items()
+              if key != "images"}
+    inputs[3] = _write(tmp_path, "headless.json", header)
+    capsys.readouterr()
+    assert main(["verify", cert_path] + inputs) == 1
+    assert capsys.readouterr().err.startswith("FAIL output: file says 'malformed', measured ")
+
+
+def test_verify_rejects_steps_outside_the_record(tmp_path, capsys):
+    # a step with a key more than the three a ledger step has, and a step
+    # spending below the certified bound, are no record of the repair
+    cert_path, inputs = _finite_image_files(tmp_path)
+    cert = json.loads(open(cert_path).read())
+    ledger = cert["ledger"]
+    first = ledger["steps"][0]
+    assert ledger["final_distance_bound_val"] == ledger["initial_defect_val"] > 1
+    for step in (dict(first, note=1),
+                 dict(first, distance_spent_val=ledger["final_distance_bound_val"] - 1)):
+        bad = json.loads(json.dumps(cert))
+        bad["ledger"]["steps"][0] = step
+        capsys.readouterr()
+        assert main(["verify", _write(tmp_path, "bad.json", bad)] + inputs) == 1
+        assert capsys.readouterr().err.startswith("FAIL ledger.steps: file says ")
 
 
 # (group -> generators, relators, generator permutations); generator 0 moves

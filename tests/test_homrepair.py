@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -1206,6 +1207,61 @@ def test_graph_vertex_repair_reads_the_record(monkeypatch):
         runs.append(calls.pop("closure_of_matrices", 0))
     assert runs[0] == runs[2] and runs[0][0].startswith("{")
     assert runs[1::2] == [1, 0]
+
+
+def _swap_vertex_rep(seed, vertices=(GogVertex("v", ("s",), (("s", "s"),)),), edges=()):
+    """<s | s^2> on a swap plus noise at level 3 over Z/2^8, as a graph of
+    groups; a further vertex or tree edge letter gets I plus noise."""
+    gog = GraphOfGroups(vertices, edges)
+    ring, rng = RingSpec("zp", 2, 8), random.Random(seed)
+    pres = gog.standard_presentation()
+    rep = ApproxRep(pres, ring, 2, [(_perm_matrix(ring, [1, 0]) if g == "s"
+                                     else UMatrix.identity(ring, 2))
+                                    + shifted_random(ring, 2, rng, 3) for g in pres.generators])
+    return gog, rep
+
+
+def _outcome_digest(repair, *args):
+    return hashlib.sha256("".join(_outcome(repair, *args)).encode()).hexdigest()
+
+
+def test_graph_repair_evaluates_each_relator_once_per_level(monkeypatch):
+    # a vertex repaired on its own relators takes their values from the
+    # input's defect: 2 Fox steps evaluate the list twice, not 3 times, and
+    # the output and ledger keep their bytes
+    monkeypatch.setattr(homrepair, "_presented", {})
+    calls = Counter()
+    _counting(monkeypatch, calls, "_relator_values")
+    gog, rep = _swap_vertex_rep(3)
+    _, ledger = graph_repair(gog, rep)
+    assert [s.method for s in ledger.steps] == ["linear-solve"] * 2
+    assert calls["_relator_values"] == 2
+    assert _outcome_digest(graph_repair, gog, rep) == \
+        "28607940fd0a76020126dead7ba45620ce744619c255873d4807e183111e673f"
+
+
+def test_graph_repair_skips_a_vertex_without_generators():
+    # vertex b has no generators and the tree edge a - b empty words: b is
+    # not repaired, its amalgamation is the identity, and t is sent to I
+    gog, rep = _swap_vertex_rep(0, (GogVertex("a", ("s",), (("s", "s"),)), GogVertex("b", (), ())),
+                                (GogEdge("a", "b", (), (), "t", True),))
+    fixed, ledger = graph_repair(gog, rep)
+    assert fixed.defect().saturated and fixed.images[1] == UMatrix.identity(rep.ring, 2)
+    assert ledger.p_part == 1 and [s.method for s in ledger.steps] == ["linear-solve"] * 3
+    assert _outcome_digest(graph_repair, gog, rep) == \
+        "8f020985dc6167d34ba5e3fd4762d46f2d584bf247f8ab43b4dd0239e4f5aa28"
+
+
+def test_graph_repair_returns_an_exact_input():
+    # an input exact at K is its own repair: no step, p-part 0, distance K
+    gog = _bs23_gog()
+    ring = RingSpec("zp", 3, 8)
+    rep = ApproxRep(gog.standard_presentation(), ring, 5, [
+        _perm_matrix(ring, [(j + 1) % 5 for j in range(5)]),
+        _perm_matrix(ring, [(4 * j) % 5 for j in range(5)])])
+    fixed, ledger = graph_repair(gog, rep)
+    assert fixed is rep and not ledger.steps and ledger.verified
+    assert (ledger.initial_defect_val, ledger.p_part, ledger.final_distance_val) == (8, 0, 8)
 
 
 def _quotient_rep(ring, seed):

@@ -13,6 +13,7 @@ from ultrastab.presentations import (
     PresentationError,
     Word,
     closure_of_matrices,
+    enumerate_cosets,
     word_value,
 )
 from ultrastab.ultranorm_linalg import UMatrix
@@ -52,7 +53,7 @@ def test_eval_word_examples():
     m = UMatrix.from_int_rows(ring, [[0, -1], [1, -1]])
     rep = ApproxRep(pres, ring, 2, [m])
     ident = UMatrix.identity(ring, 2)
-    assert rep.eval_word(Word.identity()).rows == ident.rows
+    assert rep.eval_word(Word(())).rows == ident.rows
     assert rep.eval_word(Word.parse(["s", "s^-1"], ["s"])).rows == ident.rows
     assert rep.defect().saturated  # M^3 = I exactly
 
@@ -225,7 +226,7 @@ def test_defect_takes_one_matmul_per_letter_after_the_first(monkeypatch):
     rep.defect()
     assert len(calls) == sum(len(r) - 1 for r in pres.relators) == 2 + 6 + 1 + 0
     calls.clear()
-    assert rep.eval_word(Word.identity()).rows == UMatrix.identity(ring, 3).rows
+    assert rep.eval_word(Word(())).rows == UMatrix.identity(ring, 3).rows
     assert calls == []
 
 
@@ -285,6 +286,32 @@ def test_word_parse_rejects_non_string_letters():
     for tokens in ([1], ["s", None], [["s"]]):
         with pytest.raises(PresentationError, match="is not a string"):
             Word.parse(tokens, ["s"])
+
+
+def test_enumeration_coincidence_through_an_inverse_column():
+    # a presentation whose coincidences merge a coset through an inverse
+    # column (the table[v][x ^ 1] branch): HLT closes at 2 cosets after 11
+    # live ones, and the closed table is a regular action of a group of order 2
+    names = ["x1", "x2", "x3"]
+    relators = [Word.parse(r.split(), names) for r in (
+        "x3^-1 x1^-1 x1^-1", "x1 x1 x2^-1 x3^-1 x1^-1", "x2 x1",
+        "x3^-1 x1 x2^-1 x1^-1 x2^-1 x3^-1")]
+    tree, right, most = enumerate_cosets(3, relators, 200)
+    assert (len(tree), most) == (2, 11)
+    N = len(right)
+    columns = [[right[c][g] for c in range(N)] for g in range(3)]
+    assert all(sorted(col) == list(range(N)) for col in columns)
+    inverse = [{d: c for c, d in enumerate(col)} for col in columns]
+    for r in relators:
+        for start in range(N):
+            c = start
+            for x in r.letters:
+                c = columns[x - 1][c] if x > 0 else inverse[-x - 1][c]
+            assert c == start, (r, start)
+    ring = RingSpec("zp", 2, 4)
+    mats = [UMatrix.from_int_rows(ring, [[int(col[c] == i) for c in range(N)] for i in range(N)])
+            for col in columns]
+    assert closure_of_matrices(mats).order == N
 
 
 def test_finite_image_gl1_order2():
