@@ -424,8 +424,10 @@ def _run_wreath(inputs, cfg):
 
 def _run_commutator(inputs, cfg):
     ring, n, a = inputs
+    if n > cfg.dim_cap:
+        raise CapExceeded(f"matrix degree {n} exceeds cap {cfg.dim_cap}")
     A, B = make_commutator_witness(ring, n, a)
-    oracle = commutator_witness_oracle(ring, n, a, cap=cfg.enum_cap)
+    oracle = commutator_witness_oracle(ring, n, a)
     params = {"ring": ring.describe(), "n": n, "a": a}
     return ({"schema_version": 1, "kind": "commutator_witness",
              "A": A.to_json(), "B": B.to_json()},

@@ -9,22 +9,22 @@ showing the commutator equation only admits a quadratic estimate.  Every
 reported number is exact and re-checkable from the certificate: the
 complete list of roots of unity at the working precision, lifted from
 one level of w to the next (ExactTruncated), an exact cyclotomic
-computation (ExtensionLowerBound), or, for the wreath
-defect, the carry lemma of wreath_rep_defect_certificate, whose
-hypotheses are re-measured at every call with no enumeration, sampling
-or seed.
+computation (ExtensionLowerBound), or a lemma whose hypotheses are
+re-measured at every call with no enumeration, sampling or seed: the
+carry lemma of wreath_rep_defect_certificate for the wreath defect, and
+the expansion of commutator_witness_oracle for the level of the nearest
+commuting pair.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .local_ring import NormValue, RingSpec
 from .presentations import ApproxRep, CapExceeded, Presentation
-from .ultranorm_linalg import UMatrix, Unsolvable, solve_linear
+from .ultranorm_linalg import UMatrix
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIM_CAP = 128
@@ -690,87 +690,38 @@ def make_commutator_witness(ring: RingSpec, n: int, a: int) -> Tuple[UMatrix, UM
 @dataclass(frozen=True)
 class CommutatorOracleResult:
     value: NormValue
-    pairs_scanned: int
     feasible_level: int
 
     def to_json(self) -> dict:
-        return {"value": self.value.encode(), "pairs_scanned": self.pairs_scanned,
-                "feasible_level": self.feasible_level}
+        return {"value": self.value.encode(), "feasible_level": self.feasible_level}
 
 
-def _ball_matrices(center: UMatrix, level: int):
-    """All matrices congruent to the center mod w^level (whole ring at 0)."""
-    ring = center.ring
-    n = center.n
-    K = ring.precision
-    offsets = ([ring.shift_up(raw, level) for raw in ring.with_precision(K - level).iter_all()]
-               if level < K else [0])
-    cells = [[ring.add(c, off) for off in offsets] for row in center.rows for c in row]
-    for combo in itertools.product(*cells):
-        yield UMatrix(ring, n, tuple(combo[i:i + n] for i in range(0, n * n, n)))
-
-
-def _has_partner(b1: UMatrix, cb: UMatrix, level: int) -> bool:
-    """Whether b1 commutes mod w^K with some cb + w^level Y, 0 < level <= K.
-
-    That reads w^level (b1 Y - Y b1) = cb b1 - b1 cb: n^2 linear equations
-    in the n^2 entries of Y, one solve.  It is b1 Y - Y b1 = -C / w^level
-    over o/w^(K - level), C = b1 cb - cb b1, so there is no partner unless
-    w^level divides C; at level K that is C = 0.
-    """
-    ring, n = b1.ring, b1.n
-    r = b1.scale(ring.omega_pow(level)).rows
-    rows = []
-    for i in range(n):
-        for j, col in enumerate(zip(*r)):  # the equation of entry (i, j)
-            b1_y, y_b1 = [0] * (n * n), [0] * (n * n)
-            b1_y[j::n] = r[i]               # (b1 Y)_ij reads Y_kj
-            y_b1[i * n:i * n + n] = col     # (Y b1)_ij reads Y_il
-            rows.append(ring.row_sub(b1_y, y_b1))
-    try:
-        solve_linear(rows, [c for row in ((cb @ b1) - (b1 @ cb)).rows for c in row], ring)
-    except Unsolvable:
-        return False
-    return True
-
-
-def commutator_witness_oracle(ring: RingSpec, n: int, a: int,
-                              cap: int = DEFAULT_ENUM_CAP) -> CommutatorOracleResult:
+def commutator_witness_oracle(ring: RingSpec, n: int, a: int) -> CommutatorOracleResult:
     """True nearest-commuting-pair distance for the commutator witness.
 
-    Minimizes max(||(I+A) - B1||, ||(I+B) - B2||) over all commuting
-    invertible pairs, by descending over congruence balls: the minimum is
-    p^{-m} for the deepest level m at which a commuting pair exists in the
-    two balls.  The search stays exhaustive, so the result is exact, and
-    pairs_scanned counts the pairs a scan of each ball pair meets, in
-    order, up to the first commuting one.  It descends from m = K and
-    stops by m = min(a, K) >= 1, where I lies in both balls, so every
-    matrix it meets is in I + w M_n(o) and invertible.  Whether b1 has a
-    partner is one linear solve (_has_partner): a b1 without one adds the
-    ball's size to the count unscanned.  Cost per level: one O(n^6) solve
-    for each first-ball matrix up to the first one with a partner, plus at
-    most |ball| pair tests.  The cap bounds |ball|^2, the pairs counted, on
-    reaching a level, not the work done.
+    The minimum of max(||(I+A) - b1||, ||(I+B) - b2||) over commuting
+    pairs (b1, b2) mod w^K is p^{-m} for the deepest level m at which the
+    balls of radius w^m around the centres I + A and I + B hold a
+    commuting pair.  The lemma: m = a when 2a < K and m = K when 2a >= K.
+
+    Proof.  Write A = w^a E_12, B = w^a E_21, b1 = I + A + w^m X and
+    b2 = I + B + w^m Y.  The identity commutes with everything, so
+        [b1, b2] = w^{2a}(E_11 - E_22) + w^m([A, Y] + [X, B]) + w^{2m}[X, Y].
+    If 2a < K and m >= a + 1, the last two terms have valuation at least
+    m + a >= 2a + 1, so [b1, b2] has valuation exactly 2a < K and no pair
+    commutes; the balls are nested, so no deeper level holds one either.
+    At level a both centres are I mod w^a, so (I, I) lies in both balls
+    and commutes: m = a.  If 2a >= K, the centres themselves commute mod
+    w^K: m = K.  Every matrix in these balls is in I + w M_n(o) (a >= 1),
+    hence invertible.
+
+    The hypotheses are re-measured here: make_commutator_witness checks
+    val([A, B]) = min(2a, K), and both centres must be I mod w^a; any
+    failure raises WitnessError.  Cost: a few n x n products.
     """
     A, B = make_commutator_witness(ring, n, a)
-    ident = UMatrix.identity(ring, n)
-    ca, cb = ident + A, ident + B
-    K = ring.precision
-    pairs = 0
-    for level in range(K, 0, -1):
-        ball_size = ring.p ** ((K - level) * n * n)
-        if level < K and ball_size ** 2 > cap:
-            raise CapExceeded(
-                f"ball search at level {level} needs {ball_size ** 2} pairs")
-        for b1 in _ball_matrices(ca, level):
-            if not _has_partner(b1, cb, level):
-                pairs += ball_size
-                continue
-            for b2 in _ball_matrices(cb, level):
-                pairs += 1
-                if (b1 @ b2).rows == (b2 @ b1).rows:
-                    value = (NormValue.saturated_for(ring) if level == K
-                             else NormValue.from_valuation(ring, level))
-                    return CommutatorOracleResult(value=value, pairs_scanned=pairs,
-                                                  feasible_level=level)
-    raise AssertionError("(I, I) commutes in the balls of level min(a, K)")
+    ident, K = UMatrix.identity(ring, n), ring.precision
+    if any((ident + M).dist_valuation() < min(a, K) for M in (A, B)):
+        raise WitnessError("a centre is not the identity mod w^a")
+    level = K if 2 * a >= K else a
+    return CommutatorOracleResult(NormValue.from_valuation(ring, level), level)

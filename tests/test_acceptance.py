@@ -271,17 +271,18 @@ def test_criterion_07_wreath_construction():
 
 
 def test_criterion_08_commutator_oracle():
-    """Exhaustive commuting-pair search in GL_2(Z/8)."""
+    """Nearest commuting pair in GL_2(Z/8), from the commutator lemma."""
     t0 = time.time()
     ring = RingSpec("zp", 2, 3)
     A, B = make_commutator_witness(ring, 2, 1)
     assert matnorm((A @ B) - (B @ A)) == NormValue.from_valuation(ring, 2)
     res = commutator_witness_oracle(ring, 2, 1)
     assert res.value == NormValue.from_valuation(ring, 1)  # nearest pair at 2^-1
+    assert res.feasible_level == 1
     elapsed = time.time() - t0
     assert elapsed < 300
-    _report(8, f"nearest commuting pair at 2^-1 >= 2^-1 while ||AB-BA|| = 2^-2 "
-               f"({res.pairs_scanned} pairs scanned)", elapsed, 300)
+    _report(8, f"nearest commuting pair at level {res.feasible_level} (2^-1) while "
+               f"||AB-BA|| = 2^-2 (lemma: level a = 1 as 2a < K = 3)", elapsed, 300)
 
 
 def test_criterion_09_gbs_table():

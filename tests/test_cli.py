@@ -458,6 +458,8 @@ def test_cmd_verify_split_section(tmp_path):
 
 WREATH_ARGV = ["--kind", "wreath", "--ring", "zp", "--p", "2",
                "--precision", "12", "--i", "1", "--x", '"2"']
+COMMUTATOR_ARGV = ["--kind", "commutator", "--ring", "zp", "--p", "2",
+                   "--precision", "3", "--n", "2", "--a", "1"]
 
 
 def _wreath_files(tmp_path):
@@ -481,22 +483,28 @@ def test_cmd_verify_witness_wreath(tmp_path, capsys):
 
 
 def test_cmd_witness_wreath_cap_enum(tmp_path):
-    # the wreath defect is exact by the carry lemma and enumerates nothing:
-    # an enumeration cap far below the 16384-element block group changes
-    # no byte of the certificate
-    default_cert, inputs = _wreath_files(tmp_path)
-    capped_cert, _ = _witness_files(tmp_path, WREATH_ARGV + ["--cap-enum", "100"], "capped")
-    text = open(capped_cert).read()
-    assert text == open(default_cert).read()
-    cert = json.loads(text)
+    # the wreath defect is exact by the carry lemma and the commutator level
+    # by its expansion; neither enumerates anything, so an enumeration cap
+    # of 1 changes no byte of any certificate.  Over Z/27 the commutator's
+    # level-1 balls hold 3^16 pairs, beyond the default cap of a ball search
+    commutator_p3 = ["--kind", "commutator", "--p", "3", "--precision", "3",
+                     "--n", "2", "--a", "1"]
+    for tag, argv in (("wreath", WREATH_ARGV), ("commutator", COMMUTATOR_ARGV),
+                      ("commutator_p3", commutator_p3)):
+        default_cert, inputs = _witness_files(tmp_path, argv, tag)
+        capped_cert, _ = _witness_files(tmp_path, argv + ["--cap-enum", "1"], tag + "capped")
+        text = open(capped_cert).read()
+        assert text == open(default_cert).read(), tag
+        assert main(["verify", capped_cert] + inputs + ["--cap-enum", "1"]) == 0, tag
+    cert = json.loads(open(tmp_path / "cwreath.json").read())
     assert cert["witness"]["exact"] is True and cert["witness"]["group_order"] == 16384
     assert cert["witness"]["checked_pairs"] == 16
-    assert main(["verify", capped_cert] + inputs + ["--cap-enum", "100"]) == 0
+    cert = json.loads(open(tmp_path / "ccommutator_p3.json").read())
+    assert cert["witness"]["oracle"]["feasible_level"] == 1
 
 
 def _commutator_files(tmp_path):
-    return _witness_files(tmp_path, ["--kind", "commutator", "--ring", "zp", "--p", "2",
-                                     "--precision", "3", "--n", "2", "--a", "1"])
+    return _witness_files(tmp_path, COMMUTATOR_ARGV)
 
 
 def test_cmd_verify_witness_commutator(tmp_path):
@@ -513,15 +521,19 @@ def test_cmd_verify_witness_commutator(tmp_path):
 
 def test_commutator_bad_input_exits_2(tmp_path, capsys):
     # n < 2, a < 1 and a >= K are inputs, not failed witnesses; a >= K
-    # would otherwise write A = B = 0
-    for extra in (["--n", "0"], ["--a", "-1"], ["--a", "5", "--precision", "3"]):
-        assert main(["witness", "--kind", "commutator", "--ring", "zp", "--p", "2",
-                     "--out", str(tmp_path / "w.json"), "--cert", str(tmp_path / "c.json")]
-                    + extra) == 2
+    # would otherwise write A = B = 0.  --cap-dim bounds n before any
+    # matrix is built
+    argv = ["witness", "--kind", "commutator", "--ring", "zp", "--p", "2",
+            "--out", str(tmp_path / "w.json"), "--cert", str(tmp_path / "c.json")]
+    for extra in (["--n", "0"], ["--a", "-1"], ["--a", "5", "--precision", "3"],
+                  ["--n", "3", "--cap-dim", "2"]):
+        assert main(argv + extra) == 2
     err = capsys.readouterr().err
-    assert err.count("input error") == 3 and "Traceback" not in err
+    assert err.count("input error") == 4 and "Traceback" not in err
     assert "n must be >= 2" in err and "a must be in [1, 3)" in err
-    assert not (tmp_path / "w.json").exists()
+    assert "matrix degree 3 exceeds cap 2" in err
+    assert not (tmp_path / "w.json").exists() and not (tmp_path / "c.json").exists()
+    assert main(argv + ["--n", "3"]) == 0
 
 
 def test_env_caps(tmp_path, monkeypatch, capsys):

@@ -230,18 +230,15 @@ def test_pinned_wreath_certificate(case, tmp_path):
 
 
 COMMUTATOR_CASES = {   # (mode, p, K, n, a) -> SHA-256 of the witness artifact and certificate
-    # 262 pairs
     ("zp", 2, 3, 2, 1): ("d8ef19a31506a148b5265f9d84461999f42d7aa5f3d346389c6acc300caf0b41",
-                         "5a569dd4e77b26595a17be20458cb7dbdcc7013e1d8d7aaa89a84536de1ef292"),
-    # 266 pairs
+                         "9561e2532dda099bfcd3dce1ee75315e670209b5b5493cc2738b235e1df4c2b7"),
     ("fpx", 2, 3, 2, 1): ("d574103574304736b3ccd72f63eee9e47df9dcbcd894ec0cfca77f6d655f234b",
-                          "8f8d30aab2ed9b0feb205fab33998639b80f3ffce17f6dc52740ec627d80f677"),
-    # 65,818 pairs
+                          "b9b32c085853eb77acfb4f8eadbd4d231a0fcc3ea9ab170f132831aca11bb05a"),
     ("zp", 2, 4, 2, 1): ("29765352401310184176b982aef7a1295670e52d20342b3cf0da67c62d1f0344",
-                         "05e60122544d350b5baae6f37fdf15ba1eaa839c48e4fad96120c0f06fb3fc15"),
-    # 65,802 pairs, feasible at level 2
+                         "76e32adb80d0030737aac29ca21ba2c134898dc1069eba48e973e067f31ec71f"),
+    # feasible at level 2
     ("zp", 2, 5, 2, 2): ("88fcad84fef7ae887d078fca00e8e60f62ccad7b6f5395b0c27358d07108be8e",
-                         "ea98dbf9650068439e5be2ef25e7d6f0a1596e591a7aad8912633f65afe44123"),
+                         "d5642e0fe9d5d7deb4b1e4641c0cf11ce1194212350cf783861b35c9d24bfebc"),
 }
 
 

@@ -9,14 +9,12 @@ from ultrastab.local_ring import NormValue, RingSpec
 from ultrastab.presentations import ApproxRep, CapExceeded, Presentation
 from ultrastab.ultranorm_linalg import UMatrix
 from ultrastab.witnesses import (
-    DEFAULT_ENUM_CAP,
     CommutatorOracleResult,
     CyclicGroup,
     WitnessError,
     WreathGroup,
     WreathMatrixMap,
     _full_group_generators,
-    _has_partner,
     build_unstable_generators,
     commutator_witness_oracle,
     cyclotomic_root_valuation,
@@ -360,7 +358,7 @@ def test_commutator_witness():
 
 
 def _reference_ball(center, level):
-    """Every matrix congruent to center mod w^level, in the oracle's order."""
+    """Every matrix congruent to center mod w^level."""
     ring, n = center.ring, center.n
     offsets = [x for x in ring.iter_all() if ring.val(x) >= level]
     for combo in itertools.product(offsets, repeat=n * n):
@@ -369,82 +367,36 @@ def _reference_ball(center, level):
             for i in range(n)))
 
 
-def _reference_commutator_oracle(ring, n, a, cap):
+def _reference_commutator_oracle(ring, n, a):
     """The full-scan search: every pair of each ball pair in order, two
     products per pair, until the first commuting invertible pair."""
     A, B = make_commutator_witness(ring, n, a)
     ident = UMatrix.identity(ring, n)
     ca, cb = ident + A, ident + B
     K = ring.precision
-    pairs = 0
     for level in range(K, -1, -1):
-        if level < K:
-            ball_size = ring.p ** ((K - level) * n * n)
-            if ball_size ** 2 > cap:
-                raise CapExceeded(
-                    f"ball search at level {level} needs {ball_size ** 2} pairs")
-        second = [(b2, b2.is_gl()) for b2 in _reference_ball(cb, level)]
+        second = [b2 for b2 in _reference_ball(cb, level) if b2.is_gl()]
         for b1 in _reference_ball(ca, level):
-            if not b1.is_gl():
-                continue
-            for b2, gl in second:
-                pairs += 1
-                if gl and (b1 @ b2).rows == (b2 @ b1).rows:
-                    value = (NormValue.saturated_for(ring) if level >= K
-                             else NormValue.from_valuation(ring, level))
-                    return CommutatorOracleResult(value, pairs, level)
+            if b1.is_gl() and any((b1 @ b2).rows == (b2 @ b1).rows for b2 in second):
+                return CommutatorOracleResult(NormValue.from_valuation(ring, level), level)
     raise WitnessError("even the radius-1 ball contains no commuting pair")
 
 
-def _oracle_outcome(oracle, ring, n, a, cap):
-    try:
-        return oracle(ring, n, a, cap).to_json()
-    except CapExceeded as e:
-        return f"CapExceeded: {e}"
+# (p, K, n, a): the four shapes whose level a is below K, then shapes at level K
+LEMMA_SHAPES = [(2, 3, 2, 1), (2, 4, 2, 1), (2, 5, 2, 2), (3, 3, 2, 1),
+                (2, 3, 2, 2), (3, 2, 2, 1), (5, 2, 2, 1), (2, 2, 3, 1), (3, 3, 2, 2),
+                (5, 3, 2, 2), (2, 4, 3, 2), (3, 4, 2, 2), (2, 5, 2, 3)]
 
 
 @pytest.mark.parametrize("mode", ["zp", "fpx"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_commutator_oracle_matches_full_scan(mode, p):
-    # the one-solve-per-matrix search against the full scan: same value,
-    # pair count and level, or the same CapExceeded message; at cap 0 only
-    # level K, which the cap does not bound, can be searched
-    for K in range(2, 5):
+    # the lemma (level a when 2a < K, else K) against the exhaustive search
+    for _, K, n, a in (s for s in LEMMA_SHAPES if s[0] == p):
         ring = RingSpec(mode, p, K)
-        for n in (2, 3):
-            for a in range(1, K):
-                for cap in (0, 1 << 16):
-                    got = _oracle_outcome(commutator_witness_oracle, ring, n, a, cap)
-                    want = _oracle_outcome(_reference_commutator_oracle, ring, n, a, cap)
-                    assert got == want, (mode, p, K, n, a, cap)
-
-
-@pytest.mark.parametrize("mode", ["zp", "fpx"])
-@pytest.mark.parametrize("p", [3, 5])
-def test_has_partner_matches_ball_scan(mode, p):
-    # below cap 2^16 the witness search finds a partner at a level 0 < m < K
-    # only at p = 2, so odd p's solves are checked here on their own: b1 has
-    # a partner exactly when some matrix of the ball around cb commutes with it;
-    # at level K that ball is cb alone
-    seen = set()
-    for K, level in ((2, 1), (3, 2), (2, 2), (3, 3)):
-        ring = RingSpec(mode, p, K)
-        b1s = list(itertools.islice(_reference_ball(UMatrix.identity(ring, 2), 0), 0, 3860, 193))
-        for rows in ([[1, 0], [p, 1]], [[1, 1], [0, 2]], [[2, 1], [1, 1]]):
-            cb = UMatrix.from_int_rows(ring, rows)
-            ball = list(_reference_ball(cb, level))
-            for b1 in b1s:
-                want = any((b1 @ b2).rows == (b2 @ b1).rows for b2 in ball)
-                assert _has_partner(b1, cb, level) == want, (K, level, b1.rows, rows)
-                seen.add(want)
-    assert seen == {True, False}
-
-
-def test_commutator_oracle_matches_full_scan_default_cap():
-    ring = RingSpec("zp", 2, 4)
-    got = commutator_witness_oracle(ring, 2, 1)
-    assert got == _reference_commutator_oracle(ring, 2, 1, DEFAULT_ENUM_CAP)
-    assert got.pairs_scanned == 65818 and got.feasible_level == 1
+        got = commutator_witness_oracle(ring, n, a)
+        assert got == _reference_commutator_oracle(ring, n, a), (mode, p, K, n, a)
+        assert got.feasible_level == (a if 2 * a < K else K)
 
 
 def test_commutator_witness_odd_p():
