@@ -399,6 +399,15 @@ def test_commutator_oracle_matches_full_scan(mode, p):
         assert got.feasible_level == (a if 2 * a < K else K)
 
 
+def test_commutator_oracle_matches_full_scan_default_cap():
+    # the shape the former pair cap was sized for, now with no cap at all
+    ring = RingSpec("zp", 2, 4)
+    got = commutator_witness_oracle(ring, 2, 1)
+    assert got == _reference_commutator_oracle(ring, 2, 1)
+    assert got.feasible_level == 1
+    assert got.value == NormValue.from_valuation(ring, 1)
+
+
 def test_commutator_witness_odd_p():
     ring = RingSpec("zp", 3, 2)
     A, B = make_commutator_witness(ring, 2, 1)
